@@ -5,20 +5,25 @@ are exact.  Five block kinds exist:
 
 * ``Finite``   -- a sorted tuple of distinct points.
 * ``GeomSeq``  -- ``{a + w*r**n : n >= 1}``, a geometric sequence
-  accumulating at its (excluded) anchor ``a``.
+  accumulating at its (excluded) anchor ``a``; any ``0 < r < 1``.
 * ``Tower``    -- ``{a + w*(r**n1 + ... + r**nj) : 1 <= j <= k, n1 < ... < nj}``,
-  the canonical set whose j-th derived set drops the top layer.  ``r < 1/3``
-  keeps the index clusters separated so the layering is exact.
+  the canonical set whose j-th derived set drops the top layer.  At level
+  ``k >= 2``, ``r < 1/3`` keeps the index clusters separated so the layering
+  is exact; level 1 is the geometric sequence and takes any ``0 < r < 1``.
 * ``Interval`` -- the closed interval ``[lo, hi]``.
 * ``Cantor``   -- the attractor of ``m`` equally spaced affine maps with
   contraction ``r < 1/m`` on ``[lo, hi]`` (strong separation holds).
+
+``GeomSeq`` and ``Tower`` are the two sum-of-powers blocks: a sequence is
+the level-1 tower, and one set of kernels serves both.  Normalization keeps
+``GeomSeq`` as the canonical form of a level-1 block.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import CutNotRepresentable, MembershipUndecided, ValidationError
@@ -62,11 +67,48 @@ class Finite:
         return Finite(tuple(2 * c - p for p in self.points))
 
 
+class PowerSums:
+    """What the sum-of-powers blocks share: ``anchor + scale * P_level``.
+
+    ``P_k`` is the normalized point set of increasing sums of at most ``k``
+    powers ``r**n``, ``n >= 1``; it lies in ``(0, S_k]`` with
+    ``S_j = r + ... + r**j`` the largest ``j``-term sum.
+    """
+
+    @cached_property
+    def sums(self) -> tuple[Q, ...]:
+        """``(S_0, S_1, ..., S_level)`` with ``S_0 = 0``, the kernels' bounds."""
+        out = [Q(0)]
+        p = Q(1)
+        for _ in range(self.level):
+            p *= self.ratio
+            out.append(out[-1] + p)
+        return tuple(out)
+
+    @cached_property
+    def inf(self) -> Q:
+        # the anchor side is an infimum, not attained
+        return self.anchor if self.scale > 0 else self.anchor + self.scale * self.sums[-1]
+
+    @cached_property
+    def sup(self) -> Q:
+        return self.anchor + self.scale * self.sums[-1] if self.scale > 0 else self.anchor
+
+    def translate(self, x: Q):
+        return replace(self, anchor=self.anchor + x)
+
+    def reflect(self, c: Q):
+        return replace(self, anchor=2 * c - self.anchor, scale=-self.scale)
+
+
 @dataclass(frozen=True)
-class GeomSeq:
+class GeomSeq(PowerSums):
+    """``{anchor + scale * ratio**n : n >= 1}``, the level-1 tower, for any ``0 < r < 1``."""
+
     anchor: Q
     scale: Q
     ratio: Q
+    level = 1  # a class constant, not a dataclass field
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", as_q(self.anchor))
@@ -77,27 +119,15 @@ class GeomSeq:
         if not (0 < self.ratio < 1):
             raise ValidationError("geometric sequence ratio must be in (0, 1)")
 
-    @property
-    def inf(self) -> Q:
-        # anchor side is an infimum, not attained
-        return self.anchor if self.scale > 0 else self.anchor + self.scale * self.ratio
-
-    @property
-    def sup(self) -> Q:
-        return self.anchor + self.scale * self.ratio if self.scale > 0 else self.anchor
-
-    def translate(self, x: Q) -> "GeomSeq":
-        return GeomSeq(self.anchor + x, self.scale, self.ratio)
-
-    def reflect(self, c: Q) -> "GeomSeq":
-        return GeomSeq(2 * c - self.anchor, -self.scale, self.ratio)
-
-    def point(self, n: int) -> Q:
-        return self.anchor + self.scale * self.ratio**n
-
 
 @dataclass(frozen=True)
-class Tower:
+class Tower(PowerSums):
+    """``anchor + scale * P_level``: increasing sums of at most ``level`` powers.
+
+    Level 1 is the geometric sequence (any ``0 < r < 1``, normalized to
+    ``GeomSeq``); from level 2 on ``r < 1/3`` keeps the index clusters apart.
+    """
+
     level: int
     anchor: Q
     scale: Q
@@ -111,28 +141,17 @@ class Tower:
             raise ValidationError("tower level must be an integer >= 1")
         if self.scale == 0:
             raise ValidationError("tower scale must be nonzero")
-        if not (0 < self.ratio < Q(1, 3)):
-            raise ValidationError("tower ratio must be in (0, 1/3)")
+        # clusters overlap from level 2 on unless r < 1/3; one layer never does
+        limit = Q(1) if self.level == 1 else Q(1, 3)
+        if not (0 < self.ratio < limit):
+            raise ValidationError(f"tower ratio must be in (0, {limit})")
 
-    @property
-    def max_sum(self) -> Q:
-        # r + r^2 + ... + r^k, attained by the indices (1, .., k)
-        r = self.ratio
-        return r * (1 - r**self.level) / (1 - r)
 
-    @property
-    def inf(self) -> Q:
-        return self.anchor if self.scale > 0 else self.anchor + self.scale * self.max_sum
-
-    @property
-    def sup(self) -> Q:
-        return self.anchor + self.scale * self.max_sum if self.scale > 0 else self.anchor
-
-    def translate(self, x: Q) -> "Tower":
-        return Tower(self.level, self.anchor + x, self.scale, self.ratio)
-
-    def reflect(self, c: Q) -> "Tower":
-        return Tower(self.level, 2 * c - self.anchor, -self.scale, self.ratio)
+def power_block(level: int, anchor: Q, scale: Q, ratio: Q) -> "GeomSeq | Tower":
+    """The sum-of-powers block of a level, in canonical form (GeomSeq at level 1)."""
+    if level == 1:
+        return GeomSeq(anchor, scale, ratio)
+    return Tower(level, anchor, scale, ratio)
 
 
 @dataclass(frozen=True)
@@ -217,9 +236,7 @@ def block_sort_key(b: Block):
     params: tuple
     if isinstance(b, Finite):
         params = b.points
-    elif isinstance(b, GeomSeq):
-        params = (b.anchor, b.scale, b.ratio)
-    elif isinstance(b, Tower):
+    elif isinstance(b, PowerSums):
         params = (b.level, b.anchor, b.scale, b.ratio)
     elif isinstance(b, Interval):
         params = (b.lo, b.hi)
@@ -230,14 +247,6 @@ def block_sort_key(b: Block):
 
 def is_infinite_block(b: Block) -> bool:
     return not isinstance(b, Finite)
-
-
-def translate_block(b: Block, x: Q) -> Block:
-    return b.translate(x)
-
-
-def reflect_block(b: Block, c: Q) -> Block:
-    return b.reflect(c)
 
 
 # ---------------------------------------------------------------------------
@@ -251,35 +260,15 @@ def block_contains(b: Block, x: Q) -> bool:
         return x in b.points
     if isinstance(b, Interval):
         return b.lo <= x <= b.hi
-    if isinstance(b, GeomSeq):
-        return _geom_index_of(b, x) is not None
-    if isinstance(b, Tower):
-        return _tower_contains_t((x - b.anchor) / b.scale, b.level, b.ratio)
+    if isinstance(b, PowerSums):
+        return _tower_contains_t((x - b.anchor) / b.scale, b.level, b.ratio, b.sums)
     return _cantor_contains(b, x)
 
 
-def _geom_index_of(b: GeomSeq, x: Q):
-    """Return n >= 1 with x == anchor + scale*r**n, else None."""
-    t = (x - b.anchor) / b.scale
-    if t <= 0:
-        return None
-    r = b.ratio
-    if t > r:
-        return None
-    n, p = 1, r
-    while p > t:
-        p *= r
-        n += 1
-    return n if p == t else None
-
-
-def _tower_contains_t(t: Q, k: int, r: Q) -> bool:
+def _tower_contains_t(t: Q, k: int, r: Q, sums) -> bool:
     """Is t a sum r**n1 + .. + r**nj with 1 <= j <= k, increasing indices?"""
     while True:
-        if t <= 0:
-            return False
-        max_sum = r * (1 - r**k) / (1 - r)
-        if t > max_sum:
+        if t <= 0 or t > sums[k]:
             return False
         # locate the first-index cluster: r**n1 <= t < r**(n1-1)
         p = r
@@ -335,52 +324,30 @@ def block_min_dist(b: Block, x: Q) -> Q:
         if x > b.hi:
             return x - b.hi
         return Q(0)
-    if isinstance(b, GeomSeq):
+    if isinstance(b, PowerSums):
         t = (x - b.anchor) / b.scale
-        return abs(b.scale) * _geom_dist_t(t, b.ratio)
-    if isinstance(b, Tower):
-        t = (x - b.anchor) / b.scale
-        return abs(b.scale) * _tower_dist_t(t, b.level, b.ratio)
+        return abs(b.scale) * _tower_dist_t(t, b.level, b.ratio, b.sums)
     raise TypeError("use block_dist_at_least for Cantor blocks")
 
 
-def _geom_dist_t(t: Q, r: Q) -> Q:
-    # point set {r**n : n >= 1} in (0, r]
-    if t <= 0:
-        return -t
-    if t >= r:
-        return t - r
-    n, p = 1, r
-    while p > t:
-        p *= r
-        n += 1
-    # r**n = p <= t < r**(n-1)
-    return min(t - p, p / r - t)
-
-
-def _tower_dist_t(t: Q, k: int, r: Q) -> Q:
+def _tower_dist_t(t: Q, k: int, r: Q, sums) -> Q:
     """Distance from t to {r**n1 + ... + r**nj : 1 <= j <= k, increasing}."""
     if t <= 0:
         return -t
-    max_sum = r * (1 - r**k) / (1 - r)
-    if t >= max_sum:
-        return t - max_sum
-    sub_max = r * (1 - r ** (k - 1)) / (1 - r) if k >= 2 else Q(0)
+    if t >= sums[k]:
+        return t - sums[k]
     p = r
     while p > t:
         p *= r
-    # cluster with first index at p = r**n1: occupies [p, p*(1+sub_max)]
-    cands = []
+    # p = r**n1 <= t: the cluster with first index n1 is p + p*({0} u P_(k-1)),
+    # so its distance to t is the smaller of t - p and the scaled sub-distance
+    # (which is t - p*(1 + S_(k-1)) past the cluster's top)
+    d = t - p
     if p < r:
-        cands.append(p / r - t)  # nearest point of the cluster above
-    box_max = p * (1 + sub_max)
-    if t <= box_max:
-        cands.append(abs(t - p))
-        if k >= 2:
-            cands.append(p * _tower_dist_t((t - p) / p, k - 1, r))
-    else:
-        cands.append(t - box_max)  # box_max is the attained cluster maximum
-    return min(cands)
+        d = min(d, p / r - t)  # the first point of the cluster above
+    if k >= 2:
+        d = min(d, p * _tower_dist_t((t - p) / p, k - 1, r, sums))
+    return d
 
 
 def block_dist_at_least(b: Block, x: Q, eps: Q) -> bool:
@@ -438,92 +405,59 @@ def cut_block(b: Block, y: Q, keep_low: bool) -> list[Block]:
         if y >= b.hi:
             return [Finite((b.hi,))] if y == b.hi else []
         return [Interval(max(b.lo, y), b.hi)] if y > b.lo else [b]
-    if isinstance(b, GeomSeq):
-        return _cut_geomseq(b, y, keep_low)
-    if isinstance(b, Tower):
+    if isinstance(b, PowerSums):
         return _cut_tower(b, y, keep_low)
     return _cut_cantor(b, y, keep_low)
 
 
-def _cut_geomseq(b: GeomSeq, y: Q, keep_low: bool) -> list[Block]:
-    # work in t-space where points sit at r**n; scale sign flips the side
+def _cut_tower(b: PowerSums, y: Q, keep_low: bool) -> list[Block]:
+    # work in t-space; the scale's sign flips the side
     t = (y - b.anchor) / b.scale
     keep_small_t = keep_low if b.scale > 0 else not keep_low
-    r = b.ratio
-    if keep_small_t:
-        if t >= r:
-            return [b]
-        if t <= 0:
-            return []
-        n, p = 1, r
-        while p > t:
-            p *= r
-            n += 1
-        # tail from index n onward is again geometric with scale*r**(n-1)
-        return [GeomSeq(b.anchor, b.scale * r ** (n - 1), r)]
-    if t <= 0:
-        return [b]
-    if t > r:
-        return []
-    pts, n, p = [], 1, r
-    while p >= t:
-        pts.append(b.anchor + b.scale * p)
-        p *= r
-        n += 1
-    return [Finite(tuple(pts))]
-
-
-def _cut_tower(b: Tower, y: Q, keep_low: bool) -> list[Block]:
-    t = (y - b.anchor) / b.scale
-    keep_small_t = keep_low if b.scale > 0 else not keep_low
-    parts = _cut_tower_t(t, b.level, b.ratio, keep_small_t)
     out: list[Block] = []
-    for kind, payload in parts:
+    points = []
+    for kind, payload in _cut_tower_t(t, b.level, b.ratio, b.sums, keep_small_t):
         if kind == "point":
-            out.append(Finite((b.anchor + b.scale * payload,)))
+            points.append(b.anchor + b.scale * payload)
         else:
             lvl, offset, scl = payload
-            if lvl == 1:
-                out.append(GeomSeq(b.anchor + b.scale * offset, b.scale * scl, b.ratio))
+            if offset == 0 and scl == 1:
+                out.append(b)  # the whole block: every proper part is moved or scaled down
             else:
-                out.append(Tower(lvl, b.anchor + b.scale * offset, b.scale * scl, b.ratio))
+                out.append(power_block(lvl, b.anchor + b.scale * offset, b.scale * scl, b.ratio))
+    if points:
+        out.append(Finite(tuple(points)))
     return out
 
 
-def _cut_tower_t(t: Q, k: int, r: Q, keep_small: bool):
+def _cut_tower_t(t: Q, k: int, r: Q, sums, keep_small: bool):
     """Cut the normalized tower point set at t.
 
     Returns a list of ("point", value) and ("tower", (level, offset, scale))
     parts, where the tower part denotes offset + scale * P_level.
     """
-    max_sum = r * (1 - r**k) / (1 - r)
+    max_sum = sums[k]
     if t <= 0:
-        return [] if keep_small else [("tower", (k, Q(0), Q(1)))]
+        return [] if keep_small else [("tower", (k, 0, 1))]
     if t >= max_sum:
-        return [("tower", (k, Q(0), Q(1)))] if keep_small else (
+        return [("tower", (k, 0, 1))] if keep_small else (
             [("point", max_sum)] if t == max_sum else []
         )
-    sub_max = r * (1 - r ** (k - 1)) / (1 - r) if k >= 2 else Q(0)
     n, p = 1, r
     while p > t:
         p *= r
         n += 1
     # clusters with first index > n form the tail p*P_k; clusters with first
-    # index < n are, each, an anchor point plus a scaled (k-1)-tower
-    box_max = p * (1 + sub_max)
-    parts = []
+    # index < n are, each, an anchor point plus a scaled (k-1)-tower; the
+    # cluster at p = r**n, the point p plus p + p*P_(k-1), holds the cut
     if keep_small:
-        parts.append(("tower", (k, Q(0), p)))  # tail: indices >= n+1 scaled by r**n
-        if t >= p:
-            parts.append(("point", p))
-        if k >= 2 and t > p:
-            for kind, payload in _cut_tower_t((t - p) / p, k - 1, r, True):
-                if kind == "point":
-                    parts.append(("point", p + p * payload))
-                else:
-                    lvl, off, scl = payload
-                    parts.append(("tower", (lvl, p + p * off, p * scl)))
+        if t >= p * (1 + sums[k - 1]):
+            # the whole cluster at p is kept too (always so at level 1, where
+            # it is the single point p): the tail starts at index n
+            return [("tower", (k, 0, p / r))]
+        parts = [("tower", (k, 0, p)), ("point", p)]  # tail: indices >= n+1
     else:
+        parts = []
         for m in range(1, n):
             q = r**m
             parts.append(("point", q))
@@ -531,15 +465,13 @@ def _cut_tower_t(t: Q, k: int, r: Q, keep_small: bool):
                 parts.append(("tower", (k - 1, q, q)))
         if t <= p:
             parts.append(("point", p))
-            if k >= 2:
-                parts.append(("tower", (k - 1, p, p)))
-        elif k >= 2 and t <= box_max:
-            for kind, payload in _cut_tower_t((t - p) / p, k - 1, r, False):
-                if kind == "point":
-                    parts.append(("point", p + p * payload))
-                else:
-                    lvl, off, scl = payload
-                    parts.append(("tower", (lvl, p + p * off, p * scl)))
+    if k >= 2:
+        for kind, payload in _cut_tower_t((t - p) / p, k - 1, r, sums, keep_small):
+            if kind == "point":
+                parts.append(("point", p + p * payload))
+            else:
+                lvl, off, scl = payload
+                parts.append(("tower", (lvl, p + p * off, p * scl)))
     return parts
 
 
@@ -585,49 +517,42 @@ def _cut_cantor(b: Cantor, y: Q, keep_low: bool) -> list[Block]:
 # enumeration helpers
 
 
-def geomseq_outer_points(b: GeomSeq, eps: Q, below: Q | None = None) -> list[Q]:
-    """Points of the sequence at distance >= eps (and < below) from their anchor."""
-    out = []
-    p = abs(b.scale) * b.ratio
-    n = 1
-    while p >= eps:
-        if below is None or p < below:
-            out.append(b.point(n))
-        p *= b.ratio
-        n += 1
-    return out
-
-
-def tower_outer_points(b: Tower, eps: Q, below: Q | None = None) -> list[Q]:
-    """Top-layer tower points whose last term lies in [eps, below).
+def tower_outer_points(b: PowerSums, eps: Q, below: Q | None = None) -> list[Q]:
+    """Top-layer points of a sum-of-powers block whose last term lies in [eps, below).
 
     Only full-length index tuples are isolated in the tower; shorter sums
     are accumulation points.  The last term r**nk is the distance to the
     nearest accumulation point inside the block, which bounds the search;
     the optional upper bound lets ladder callers enumerate one band at a
-    time instead of re-walking the whole prefix tree every step.
+    time instead of re-walking the whole prefix tree every step.  Points
+    come by last index, so a sequence yields its points in order.
     """
     r = b.ratio
     k = b.level
-    limit = eps / abs(b.scale)
-    limit_hi = None if below is None else below / abs(b.scale)
-    ns = []
+    size = abs(b.scale)
+    limit = eps / size
+    limit_hi = None if below is None else below / size
+    ps = []  # r**n for every index n whose term is at least eps
+    start = 0  # ps[start:] are the terms below `below`, the band's last terms
     p = r
-    n = 1
     while p >= limit:
-        ns.append((n, p))
+        ps.append(p)
+        if limit_hi is not None and p >= limit_hi:
+            start += 1
         p *= r
-        n += 1
-    if len(ns) < k:
+    if start == len(ps):
         return []
+    # heads[m]: anchor + scale * (a sum of m terms), one per m-subset of the
+    # indices walked so far; one-term points need no heads, so skip to the band
+    heads = [[b.anchor]] + [[] for _ in range(k - 1)]
+    grown = range(k - 1, 0, -1)
     out = []
-    for last_idx in range(k - 1, len(ns)):
-        n_last, p_last = ns[last_idx]
-        if limit_hi is not None and p_last >= limit_hi:
-            continue
-        for combo in itertools.combinations(ns[:last_idx], k - 1):
-            total = sum(p for _, p in combo) + p_last
-            out.append(b.anchor + b.scale * total)
+    for j in range(0 if k > 1 else start, len(ps)):
+        step = b.scale * ps[j]
+        if j >= start:
+            out.extend(h + step for h in heads[k - 1])
+        for m in grown:
+            heads[m].extend([h + step for h in heads[m - 1]])
     return out
 
 
@@ -637,77 +562,48 @@ def points_in_box(b: Block, u: Q, v: Q):
     The result is infinite exactly when the closed box reaches an
     accumulation point with approach room on the accumulation side.
     Cantor and Interval blocks are never enumerable (None unless disjoint).
+    Sum-of-powers points come cluster by cluster from the one farthest from
+    the anchor, so a sequence lists its points in order.
     """
     if v < u:
         return []
     if isinstance(b, Finite):
         return [p for p in b.points if u <= p <= v]
+    if v < b.inf or u > b.sup:
+        return []
     if isinstance(b, (Interval, Cantor)):
-        if v < b.inf or u > b.sup:
-            return []
         return None
-    if isinstance(b, GeomSeq):
-        if b.scale > 0:
-            # points in (anchor, anchor + scale*r], decreasing to the anchor
-            if v <= b.anchor:
-                return []
-            if u <= b.anchor:
-                return None
-            out = []
-            n = 1
-            while True:
-                p = b.point(n)
-                if p < u:
-                    return out
-                if p <= v:
-                    out.append(p)
-                n += 1
-        else:
-            if u >= b.anchor:
-                return []
-            if v >= b.anchor:
-                return None
-            out = []
-            n = 1
-            while True:
-                p = b.point(n)
-                if p > v:
-                    return out
-                if p >= u:
-                    out.append(p)
-                n += 1
-    # Tower: enumerate in normalized coordinates
+    # sum-of-powers block: enumerate in normalized coordinates
     if b.scale > 0:
         tmin = (u - b.anchor) / b.scale
         tmax = (v - b.anchor) / b.scale
     else:
         tmin = (v - b.anchor) / b.scale
         tmax = (u - b.anchor) / b.scale
-    ts = _tower_pts_in_t(b.level, b.ratio, tmin, tmax)
+    ts = _tower_pts_in_t(b.level, b.ratio, b.sums, tmin, tmax)
     if ts is None:
         return None
-    return sorted(b.anchor + b.scale * t for t in ts)
+    return [b.anchor + b.scale * t for t in ts]
 
 
-def _tower_pts_in_t(k: int, r: Q, tmin: Q, tmax: Q):
+def _tower_pts_in_t(k: int, r: Q, sums, tmin: Q, tmax: Q):
     """Points of the normalized tower set inside [tmin, tmax], or None."""
-    max_sum = r * (1 - r**k) / (1 - r)
-    if tmax <= 0 or tmin > max_sum:
+    if tmax <= 0 or tmin > sums[k]:
         return []
     if tmin <= 0:
         # the set accumulates at 0 from above, so any room above 0 is infinite
         return None
-    sub_max = r * (1 - r ** (k - 1)) / (1 - r) if k >= 2 else Q(0)
+    grow = 1 + sums[k - 1]
     out = []
     p = r
-    while p * (1 + sub_max) >= tmin:
-        # the first-index cluster at p = r**n spans [p, p*(1+sub_max)];
+    while p * grow >= tmin:
+        # the first-index cluster at p = r**n spans [p, p*(1+S_(k-1))];
         # every point of it is >= p, so clusters above tmax contribute nothing
         if p <= tmax:
             if tmin <= p:
                 out.append(p)
             if k >= 2:
-                sub = _tower_pts_in_t(k - 1, r, (tmin - p) / p, (tmax - p) / p)
+                sub = _tower_pts_in_t(k - 1, r, sums, (tmin - p) / p, (tmax - p) / p)
                 if sub is None:
                     return None
                 out.extend(p + p * s for s in sub)

@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 
 import mpmath
 
-from .blocks import Cantor, Finite, GeomSeq, Interval, Tower
+from .blocks import Cantor, Finite, Interval, PowerSums
 from .errors import DomainViolation, EmptyResult, IntersectionNotRepresentable
 from .means import (
     DEFAULT_CONFIG,
@@ -84,20 +84,13 @@ def iso_growth(h: BlockSet):
     """
     degree = 0
     for b in h.blocks:
-        if isinstance(b, GeomSeq):
-            degree = max(degree, 1)
-        elif isinstance(b, Tower):
+        if isinstance(b, PowerSums):
             degree = max(degree, b.level)
         elif isinstance(b, (Interval, Cantor)):
             raise DomainViolation("interval or cantor parts have no isolated points")
     if degree == 0:
         return 0, (Q(len(h.finite_points())),)
-    ratios = []
-    for b in h.blocks:
-        if isinstance(b, GeomSeq) and degree == 1:
-            ratios.append(b.ratio)
-        elif isinstance(b, Tower) and b.level == degree:
-            ratios.append(b.ratio)
+    ratios = [b.ratio for b in h.blocks if isinstance(b, PowerSums) and b.level == degree]
     return degree, tuple(sorted(ratios))
 
 
@@ -143,8 +136,12 @@ def iso_ratio_trace(v: BlockSet, h: BlockSet, cfg: LadderConfig, steps: int = 12
 # sampling probe
 
 
-def _x_grid(h: BlockSet, xmax: int = 3):
-    d = diameter(h)
+def _translate_grid(xmax: int, *hs: BlockSet) -> list[Q]:
+    """The sampled translates: base * 10**j for j = 0..xmax, then their negatives.
+
+    The base is the largest diameter of the sets, or 1 when all are points.
+    """
+    d = max(diameter(h) for h in hs)
     base = d if d > 0 else Q(1)
     xs = [base * 10**j for j in range(xmax + 1)]
     return xs + [-x for x in xs]
@@ -191,7 +188,7 @@ def sampler_probe(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
     ref = mean_of(h, kind, cfg)
     evidence = []
     witness = None
-    for x in _x_grid(h, xmax):
+    for x in _translate_grid(xmax, h):
         union = union_sets(h, translate_set(v, x))
         lhs = mean_of(union, kind, cfg)
         eq = values_close(ref, lhs, cfg.tol)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .laws import LawKind, check_law, gen_corpus
 from .means import LadderConfig, MeanKind, MeanValue, k_bounds, mean_of
-from .roundness import round_defect, round_witness
+from .roundness import round_pass
 from .sets import normalize
 from .weigh import WeightKind, defect_curve, equal_weight
 
@@ -269,8 +269,7 @@ def _dispatch(args, report) -> int:
         report["inputs"] = [args.expr]
         h = _norm(args.expr)
         kind = MeanKind(args.mean)
-        rep = round_defect(h, kind, cfg)
-        wit = round_witness(h, kind, cfg)
+        rep, wit = round_pass(h, kind, cfg)
         report["result"] = {
             "type": "round",
             "k": _mean_json(rep.k),

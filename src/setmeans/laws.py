@@ -23,6 +23,7 @@ from .means import (
     MeanKind,
     MeanValue,
     mean_of,
+    values_close,
 )
 from .sets import (
     BlockSet,
@@ -186,14 +187,6 @@ def _le(a: MeanValue, b: MeanValue, tol: float):
     if a.is_exact and b.is_exact:
         return a.value <= b.value
     return a.as_float() <= b.as_float() + 2 * tol
-
-
-def _eq(a: MeanValue, b: MeanValue, tol: float):
-    if not (a.is_defined and b.is_defined):
-        return None
-    if a.is_exact and b.is_exact:
-        return a.value == b.value
-    return abs(a.as_float() - b.as_float()) <= 2 * tol
 
 
 def _lt_strict(a: MeanValue, b: MeanValue):
@@ -410,7 +403,7 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                 continue
             for x in _shifts(h):
                 vs = kv(translate_set(h, x))
-                run.check(_eq(vs, v.shifted(x), cfg.tol),
+                run.check(values_close(vs, v.shifted(x), cfg.tol),
                           (texts[i], f"x={x}"), f"K(H+x)={vs} vs K(H)+x={v.shifted(x)}")
     elif law is LawKind.SELF_SHIFT_INVARIANT:
         for i, h in enumerate(sets):
@@ -423,7 +416,7 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                 x = d + mult  # strict separation keeps the union overlap-free
                 u = union_sets(h, translate_set(h, x))
                 vu = kv(u)
-                run.check(_eq(vu, v.shifted(x / 2), cfg.tol),
+                run.check(values_close(vu, v.shifted(x / 2), cfg.tol),
                           (texts[i], f"x={x}"),
                           f"K(H u H+x)={vu} vs K(H)+x/2={v.shifted(x / 2)}")
     elif law is LawKind.PART_SHIFT_INVARIANT:

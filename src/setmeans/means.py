@@ -14,7 +14,7 @@ from typing import Optional
 
 import mpmath
 
-from .blocks import Cantor, Finite, GeomSeq, Interval, Q, Tower
+from .blocks import Cantor, Finite, Interval, PowerSums, Q
 from .errors import DomainViolation, EmptyResult, IncomparableDimensions
 from .errors import CutNotRepresentable
 from .sets import (
@@ -22,7 +22,7 @@ from .sets import (
     bounds,
     cut_set,
     derived_set,
-    level,
+    top_level,
     INFINITE_LEVEL,
 )
 
@@ -97,18 +97,6 @@ def values_close(a: MeanValue, b: MeanValue, tol: float, slack: float = 2.0):
     return abs(a.as_float() - b.as_float()) <= slack * tol
 
 
-def value_difference(a: MeanValue, b: MeanValue) -> MeanValue:
-    """a - b as a mean value (exact only when both are exact)."""
-    if not a.is_defined:
-        return a
-    if not b.is_defined:
-        return b
-    if a.is_exact and b.is_exact:
-        return MeanValue.exact(a.value - b.value)
-    tol = max(a.tol or 0.0, b.tol or 0.0)
-    return MeanValue.approximate(a.as_float() - b.as_float(), 2 * tol)
-
-
 @dataclass(frozen=True)
 class LadderConfig:
     eps0: Q = Q(1, 2)
@@ -174,14 +162,18 @@ def _rational_log_ratio(m: int, invr: Q, max_den: int = 48):
 
 
 def _int_root(n: int, j: int):
-    """The exact j-th root of a positive integer, or None."""
-    if n == 1:
-        return 1
-    root = round(n ** (1 / j))
-    for c in (root - 1, root, root + 1):
-        if c >= 1 and c**j == n:
-            return c
-    return None
+    """The exact j-th root of a positive integer, or None.
+
+    Integer Newton iteration from a power of two at or above the root, so
+    integers of any size work (a float root overflows past about 2**1024).
+    """
+    x = 1 << -(-n.bit_length() // j)
+    while True:
+        y = ((j - 1) * x + n // x ** (j - 1)) // j
+        if y >= x:
+            break
+        x = y
+    return x if x**j == n else None
 
 
 def _canonical_log_ratio(m: int, invr: Q):
@@ -233,15 +225,6 @@ def _mp_log_q(q: Q):
     return mpmath.log(q.numerator) - mpmath.log(q.denominator)
 
 
-def dim_to_float(d: DimValue) -> float:
-    if d.kind == "zero":
-        return 0.0
-    if d.kind == "one":
-        return 1.0
-    with mpmath.workprec(80):
-        return float(mpmath.log(d.m) / _mp_log_q(d.invr))
-
-
 def dimension_of(h: BlockSet) -> DimValue:
     """Largest block dimension in the set."""
     if h.is_empty:
@@ -287,6 +270,23 @@ def measure_weight(h: BlockSet, dim: DimValue):
     return ("terms", terms)
 
 
+def compare_weight_terms(w1, w2):
+    """Sign of total(w1) - total(w2) for two "terms" weights; None when inseparable.
+
+    A term (diam, m, invr) weighs diam**s, s = log m / log invr, at 240 bits.
+    """
+    with mpmath.workprec(240):
+        def total(terms):
+            return mpmath.fsum(
+                mpmath.exp((mpmath.log(m) / _mp_log_q(invr)) * _mp_log_q(d))
+                for d, m, invr in terms
+            )
+        t1, t2 = total(w1), total(w2)
+        if abs(t1 - t2) > mpmath.mpf(2) ** -180:
+            return -1 if t1 < t2 else 1
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the five means
 
@@ -311,13 +311,10 @@ def mean_lis(h: BlockSet) -> MeanValue:
 def mean_acc(h: BlockSet) -> MeanValue:
     if h.is_empty:
         raise EmptyResult("mean of the empty set")
-    lev = level(h)
+    lev, top = top_level(h)
     if lev == INFINITE_LEVEL:
         return MeanValue.undefined("infinite level")
-    cur = h
-    for _ in range(int(lev)):
-        cur = derived_set(cur)
-    return MeanValue.exact(arith_mean(cur.finite_points()))
+    return MeanValue.exact(arith_mean(top.finite_points()))
 
 
 def iso_eligible(h: BlockSet) -> bool:
@@ -341,7 +338,7 @@ def mean_iso(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
     """
     import heapq
 
-    from .blocks import block_min_dist, geomseq_outer_points, tower_outer_points
+    from .blocks import block_min_dist, tower_outer_points
 
     if h.is_empty:
         raise EmptyResult("mean of the empty set")
@@ -364,8 +361,6 @@ def mean_iso(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
             if isinstance(b, Finite):
                 if step == 0:
                     fresh.extend(b.points)
-            elif isinstance(b, GeomSeq):
-                fresh.extend(geomseq_outer_points(b, eps, eps_prev))
             else:
                 fresh.extend(tower_outer_points(b, eps, eps_prev))
         for p in fresh:
@@ -495,7 +490,7 @@ def _cut_candidates(h: BlockSet) -> list[Q]:
             cands.add(b.sup)
             if isinstance(b, Finite):
                 cands.update(b.points)
-            elif isinstance(b, (GeomSeq, Tower)):
+            elif isinstance(b, PowerSums):
                 cands.add(b.anchor)
         nxt = derived_set(cur)
         if nxt.is_empty or nxt == cur:

@@ -3,15 +3,16 @@
 A set is round when its mean value cuts it into a lower and an upper part
 whose means average back to the whole mean.  Each mean has an equivalent
 witness predicate (cardinality split, measure split, top-level counts,
-accumulation-bound midpoint, or isolated-count ratio), evaluated here
-independently of the defect computation so the two routes can be compared.
+accumulation-bound midpoint, or isolated-count ratio), evaluated here on
+the same halves but independently of the defect, so the two routes can be
+compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Optional
+from functools import cached_property
 
 from .classify import Answer, Method, Verdict, iso_coeff_compare, iso_growth
 from .errors import DomainViolation
@@ -20,12 +21,13 @@ from .means import (
     LadderConfig,
     MeanKind,
     MeanValue,
+    compare_weight_terms,
     dimension_of,
-    mean_iso,
     mean_of,
     measure_weight,
+    values_close,
 )
-from .sets import BlockSet, bounds, cut_set, derived_set, level
+from .sets import BlockSet, bounds, cut_set, top_level
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,42 @@ class RoundReport:
     witness: dict = field(default_factory=dict)
 
 
-def _cut_point(k: MeanValue) -> Q:
-    return k.value if k.is_exact else Q(k.approx)
+class _Halves:
+    """The mean k of a set, its two halves at k, and what is read off them.
+
+    Both roundness routes start here.  Each per-half quantity is computed on
+    first use and kept, so one pass serves the defect and the witness.
+    """
+
+    def __init__(self, h: BlockSet, kind: MeanKind, cfg: LadderConfig):
+        self.h, self.kind, self.cfg = h, kind, cfg
+        self.k = mean_of(h, kind, cfg)
+        if not self.k.is_defined:
+            raise DomainViolation(f"set outside Dom({kind.value}): {self.k.reason}")
+        self.kq = self.k.value if self.k.is_exact else Q(self.k.approx)
+        self.low = cut_set(h, self.kq, keep_low=True)
+        self.high = cut_set(h, self.kq, keep_low=False)
+        if self.low.is_empty or self.high.is_empty:
+            raise DomainViolation("the mean value cuts off an empty half")
+
+    @cached_property
+    def means(self) -> tuple[MeanValue, MeanValue]:
+        return mean_of(self.low, self.kind, self.cfg), mean_of(self.high, self.kind, self.cfg)
+
+    @cached_property
+    def tops(self):
+        """(level, top derived set) of each half."""
+        return top_level(self.low), top_level(self.high)
+
+    @cached_property
+    def measures(self):
+        """measure_weight of each half at the whole set's dimension."""
+        dim = dimension_of(self.h)
+        return measure_weight(self.low, dim), measure_weight(self.high, dim)
+
+    @cached_property
+    def acc_bounds(self):
+        return bounds(self.low), bounds(self.high)
 
 
 def round_defect(h: BlockSet, kind: MeanKind,
@@ -50,17 +86,28 @@ def round_defect(h: BlockSet, kind: MeanKind,
     closed-halfline intersections.  For the ladder mean non-convergent
     halves yield an inconclusive verdict instead of a refutation.
     """
-    kind = MeanKind(kind)
-    k = mean_of(h, kind, cfg)
-    if not k.is_defined:
-        raise DomainViolation(f"set outside Dom({kind.value}): {k.reason}")
-    kq = _cut_point(k)
-    low = cut_set(h, kq, keep_low=True)
-    high = cut_set(h, kq, keep_low=False)
-    if low.is_empty or high.is_empty:
-        raise DomainViolation("the mean value cuts off an empty half")
-    k1 = mean_of(low, kind, cfg)
-    k2 = mean_of(high, kind, cfg)
+    return _defect(_Halves(h, MeanKind(kind), cfg))
+
+
+def round_witness(h: BlockSet, kind: MeanKind,
+                  cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
+    """Evaluate the per-mean roundness characterization directly."""
+    return _witness(_Halves(h, MeanKind(kind), cfg))
+
+
+def round_pass(h: BlockSet, kind: MeanKind,
+               cfg: LadderConfig = DEFAULT_CONFIG) -> tuple[RoundReport, Verdict]:
+    """``(round_defect(...), round_witness(...))`` from one pass over the halves.
+
+    Raises what round_defect raises first, then what round_witness raises.
+    """
+    halves = _Halves(h, MeanKind(kind), cfg)
+    return _defect(halves), _witness(halves)
+
+
+def _defect(halves: _Halves) -> RoundReport:
+    kind, cfg, k = halves.kind, halves.cfg, halves.k
+    k1, k2 = halves.means
     if not (k1.is_defined and k2.is_defined):
         reason = k1.reason if not k1.is_defined else k2.reason
         if kind is MeanKind.ISO:
@@ -77,69 +124,45 @@ def round_defect(h: BlockSet, kind: MeanKind,
         defect = MeanValue.approximate(d, 2 * cfg.tol)
         answer = Answer.YES if abs(d) < 2 * cfg.tol else Answer.NO
         verdict = Verdict(answer, Method.CLOSED_FORM, (f"defect {d:.3g}",))
-    return RoundReport(k, k1, k2, defect, verdict, _witness_payload(h, kind, low, high, cfg))
+    return RoundReport(k, k1, k2, defect, verdict, _witness_payload(halves))
 
 
-def _witness_payload(h, kind, low, high, cfg) -> dict:
-    if kind is MeanKind.ARITH:
-        return {"split": [len(low.finite_points()), len(high.finite_points())]}
-    if kind is MeanKind.AVG:
-        dim = dimension_of(h)
-        return {
-            "measures": [str(measure_weight(low, dim)[1]), str(measure_weight(high, dim)[1])]
-        }
-    if kind is MeanKind.ACC:
-        l1, l2 = level(low), level(high)
+def _witness_payload(halves: _Halves) -> dict:
+    if halves.kind is MeanKind.ARITH:
+        return {"split": [len(halves.low.finite_points()), len(halves.high.finite_points())]}
+    if halves.kind is MeanKind.AVG:
+        (_, w1), (_, w2) = halves.measures
+        return {"measures": [str(w1), str(w2)]}
+    if halves.kind is MeanKind.ACC:
+        (l1, top1), (l2, top2) = halves.tops
         return {
             "levels": [int(l1), int(l2)],
-            "counts": [
-                len(_iterate_derived(low, l1).finite_points()),
-                len(_iterate_derived(high, l2).finite_points()),
-            ],
+            "counts": [len(top1.finite_points()), len(top2.finite_points())],
         }
-    if kind is MeanKind.LIS:
-        b1, b2 = bounds(low), bounds(high)
+    if halves.kind is MeanKind.LIS:
+        b1, b2 = halves.acc_bounds
         if b1.acc_sup is None or b2.acc_inf is None:
             return {}
         return {"half_mid": str((b1.acc_sup + b2.acc_inf) / 2)}
     return {}
 
 
-def _iterate_derived(h: BlockSet, lev) -> BlockSet:
-    cur = h
-    for _ in range(int(lev)):
-        cur = derived_set(cur)
-    return cur
-
-
-def round_witness(h: BlockSet, kind: MeanKind,
-                  cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
-    """Evaluate the per-mean roundness characterization directly."""
-    kind = MeanKind(kind)
-    k = mean_of(h, kind, cfg)
-    if not k.is_defined:
-        raise DomainViolation(f"set outside Dom({kind.value}): {k.reason}")
-    kq = _cut_point(k)
-    low = cut_set(h, kq, keep_low=True)
-    high = cut_set(h, kq, keep_low=False)
-    if low.is_empty or high.is_empty:
-        raise DomainViolation("the mean value cuts off an empty half")
+def _witness(halves: _Halves) -> Verdict:
+    kind, cfg, k, kq = halves.kind, halves.cfg, halves.k, halves.kq
 
     if kind is MeanKind.ARITH:
-        m1, m2 = len(low.finite_points()), len(high.finite_points())
+        m1, m2 = len(halves.low.finite_points()), len(halves.high.finite_points())
         answer = Answer.YES if m1 == m2 else Answer.NO
         return Verdict(answer, Method.CLOSED_FORM, (f"split {m1}|{m2} at k={kq}",))
 
     if kind is MeanKind.AVG:
-        dim = dimension_of(h)
-        kind1, w1 = measure_weight(low, dim)
-        kind2, w2 = measure_weight(high, dim)
+        (kind1, w1), (kind2, w2) = halves.measures
         if kind1 == "exact" and kind2 == "exact":
             answer = Answer.YES if w1 == w2 else Answer.NO
             return Verdict(answer, Method.CLOSED_FORM, (f"measures {w1} vs {w2}",))
         if w1 == w2:
             return Verdict(Answer.YES, Method.CLOSED_FORM, ("identical weight terms",))
-        cmp = _terms_compare(w1, w2)
+        cmp = compare_weight_terms(w1, w2)
         if cmp is None:
             return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
                            ("half measures numerically inseparable",))
@@ -147,17 +170,16 @@ def round_witness(h: BlockSet, kind: MeanKind,
         return Verdict(answer, Method.CLOSED_FORM, ("measures separated numerically",))
 
     if kind is MeanKind.ACC:
-        l1, l2 = level(low), level(high)
+        (l1, top1), (l2, top2) = halves.tops
         if l1 != l2:
             return Verdict(Answer.NO, Method.CLOSED_FORM, (f"half levels differ: {l1} vs {l2}",))
-        c1 = len(_iterate_derived(low, l1).finite_points())
-        c2 = len(_iterate_derived(high, l2).finite_points())
+        c1, c2 = len(top1.finite_points()), len(top2.finite_points())
         answer = Answer.YES if c1 == c2 else Answer.NO
         return Verdict(answer, Method.CLOSED_FORM,
                        (f"level {l1} top counts {c1}|{c2}",))
 
     if kind is MeanKind.LIS:
-        b1, b2 = bounds(low), bounds(high)
+        b1, b2 = halves.acc_bounds
         if b1.acc_sup is None or b2.acc_inf is None:
             raise DomainViolation("a half is finite, outside Dom(lis)")
         mid = (b1.acc_sup + b2.acc_inf) / 2
@@ -167,20 +189,16 @@ def round_witness(h: BlockSet, kind: MeanKind,
 
     # ISO: half means back at k, or the top/bottom count ratio tends to one
     ev = []
-    k1 = mean_iso_or_none(low, cfg)
-    k2 = mean_iso_or_none(high, cfg)
-    clause1 = None
-    if k1 is not None and k2 is not None:
-        close1 = abs(k1 - k.as_float()) <= 2 * cfg.tol
-        close2 = abs(k2 - k.as_float()) <= 2 * cfg.tol
-        clause1 = close1 and close2
-        ev.append(f"half means {k1:.6g}, {k2:.6g} vs k={k.as_float():.6g}")
-        if clause1:
+    k1, k2 = halves.means
+    if k1.is_defined and k2.is_defined:
+        ev.append(f"half means {k1.as_float():.6g}, {k2.as_float():.6g} "
+                  f"vs k={k.as_float():.6g}")
+        if values_close(k1, k, cfg.tol) and values_close(k2, k, cfg.tol):
             return Verdict(Answer.YES, Method.CLOSED_FORM, tuple(ev))
     else:
         ev.append("a half mean did not converge")
-    d1, r1 = iso_growth(low)
-    d2, r2 = iso_growth(high)
+    d1, r1 = iso_growth(halves.low)
+    d2, r2 = iso_growth(halves.high)
     if d1 != d2:
         ev.append(f"side count degrees differ: {d1} vs {d2}")
         return Verdict(Answer.NO, Method.CLOSED_FORM, tuple(ev))
@@ -193,29 +211,3 @@ def round_witness(h: BlockSet, kind: MeanKind,
         return Verdict(Answer.NO, Method.CLOSED_FORM, tuple(ev))
     ev.append("count coefficients numerically inseparable")
     return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, tuple(ev))
-
-
-def mean_iso_or_none(h: BlockSet, cfg: LadderConfig) -> Optional[float]:
-    try:
-        mv = mean_iso(h, cfg)
-    except DomainViolation:
-        return None
-    return mv.as_float() if mv.is_defined else None
-
-
-def _terms_compare(w1, w2):
-    import mpmath
-
-    from .means import _mp_log_q
-
-    with mpmath.workprec(240):
-        def total(terms):
-            return mpmath.fsum(
-                mpmath.exp((mpmath.log(m) / _mp_log_q(invr)) * _mp_log_q(d))
-                for d, m, invr in terms
-            )
-        t1, t2 = total(w1), total(w2)
-        gap = abs(t1 - t2)
-        if gap > mpmath.mpf(2) ** -180:
-            return -1 if t1 < t2 else 1
-    return None

@@ -17,6 +17,7 @@ from .blocks import (
     Finite,
     GeomSeq,
     Interval,
+    PowerSums,
     Q,
     Tower,
     as_q,
@@ -24,12 +25,10 @@ from .blocks import (
     block_dist_at_least,
     block_sort_key,
     cut_block,
-    geomseq_outer_points,
     is_infinite_block,
     points_in_box,
+    power_block,
     tower_outer_points,
-    translate_block,
-    reflect_block,
 )
 from .errors import (
     CutNotRepresentable,
@@ -129,7 +128,7 @@ def _eval_expr(e: SetExpr) -> list[Block]:
             out.extend(_eval_expr(part))
         return out
     if isinstance(e, Translate):
-        return [translate_block(b, e.offset) for b in _eval_expr(e.child)]
+        return [b.translate(e.offset) for b in _eval_expr(e.child)]
     if isinstance(e, CutBelow):
         out = []
         for b in _eval_expr(e.child):
@@ -262,11 +261,11 @@ def normalize(e: SetExpr) -> BlockSet:
 
 
 def translate_set(h: BlockSet, x: Q) -> BlockSet:
-    return BlockSet(tuple(translate_block(b, x) for b in h.blocks), provenance=None)
+    return BlockSet(tuple(b.translate(x) for b in h.blocks), provenance=None)
 
 
 def reflect_set(h: BlockSet, c: Q) -> BlockSet:
-    return normalize_blocks(reflect_block(b, c) for b in h.blocks)
+    return normalize_blocks(b.reflect(c) for b in h.blocks)
 
 
 def union_sets(*hs: BlockSet) -> BlockSet:
@@ -286,20 +285,18 @@ def cut_set(h: BlockSet, y: Q, keep_low: bool) -> BlockSet:
 def derived_set(h: BlockSet) -> BlockSet:
     """The set of accumulation points, block by block.
 
-    A geometric sequence contributes its anchor; a level-k tower contributes
-    the (k-1)-tower plus the anchor (the anchor is a limit of the j=1 points);
+    A level-k tower contributes the (k-1)-tower plus the anchor (a limit of
+    the j=1 points), so a sequence, the level-1 tower, gives its anchor alone;
     intervals and Cantor blocks are perfect and contribute themselves.
     """
     out: list[Block] = []
     for b in h.blocks:
         if isinstance(b, Finite):
             continue
-        if isinstance(b, GeomSeq):
-            out.append(Finite((b.anchor,)))
-        elif isinstance(b, Tower):
+        if isinstance(b, PowerSums):
             out.append(Finite((b.anchor,)))
             if b.level >= 2:
-                out.append(Tower(b.level - 1, b.anchor, b.scale, b.ratio))
+                out.append(power_block(b.level - 1, b.anchor, b.scale, b.ratio))
         else:
             out.append(b)
     return normalize_blocks(out)
@@ -310,16 +307,24 @@ def level(h: BlockSet):
 
     Returns math.inf when an interval or Cantor block is present.
     """
+    return top_level(h)[0]
+
+
+def top_level(h: BlockSet):
+    """``(level(h), the level-th derived set)`` from one walk of derived sets.
+
+    The derived set is None when the level is infinite.
+    """
     if h.is_empty:
         raise EmptyResult("level of the empty set is undefined")
     if any(isinstance(b, (Interval, Cantor)) for b in h.blocks):
-        return INFINITE_LEVEL
+        return INFINITE_LEVEL, None
     n = 0
     cur = h
     while True:
         nxt = derived_set(cur)
         if nxt.is_empty:
-            return n
+            return n, cur
         n += 1
         cur = nxt
 
@@ -372,9 +377,7 @@ def isolated_outside(h: BlockSet, eps: Q) -> list[Q]:
     for b in h.blocks:
         if isinstance(b, Finite):
             candidates.update(b.points)
-        elif isinstance(b, GeomSeq):
-            candidates.update(geomseq_outer_points(b, eps))
-        elif isinstance(b, Tower):
+        elif isinstance(b, PowerSums):
             candidates.update(tower_outer_points(b, eps))
     out = []
     for x in sorted(candidates):

@@ -13,9 +13,15 @@ from enum import Enum
 from fractions import Fraction as Q
 from typing import Optional
 
-import mpmath
-
-from .classify import Answer, Method, Verdict, iso_growth, iso_coeff_compare
+from .classify import (
+    Answer,
+    Method,
+    Verdict,
+    _closed,
+    iso_coeff_compare,
+    iso_growth,
+    _translate_grid,
+)
 from .errors import DomainViolation
 from .means import (
     DEFAULT_CONFIG,
@@ -23,19 +29,18 @@ from .means import (
     MeanKind,
     MeanValue,
     compare_dims,
+    compare_weight_terms,
     dimension_of,
     iso_eligible,
     k_bounds,
     mean_of,
     measure_weight,
-    _mp_log_q,
 )
 from .sets import (
     BlockSet,
     bounds,
-    derived_set,
     diameter,
-    level,
+    top_level,
     translate_set,
     union_sets,
 )
@@ -81,13 +86,6 @@ def weight_defect(h1: BlockSet, h2: BlockSet, kind: MeanKind, x: Q,
     )
 
 
-def _grid(h1: BlockSet, h2: BlockSet, xmax: int):
-    d = max(diameter(h1), diameter(h2))
-    base = d if d > 0 else Q(1)
-    xs = [base * 10**j for j in range(xmax + 1)]
-    return sorted(xs + [-x for x in xs])
-
-
 def classify_trend(samples, tol: float) -> tuple[Trend, Optional[float]]:
     """Trend of the defect over the positive tail of the grid.
 
@@ -118,7 +116,7 @@ def classify_trend(samples, tol: float) -> tuple[Trend, Optional[float]]:
 def defect_curve(h1: BlockSet, h2: BlockSet, kind: MeanKind,
                  cfg: LadderConfig = DEFAULT_CONFIG, xmax: int = 4) -> DefectCurve:
     samples = tuple(
-        (x, weight_defect(h1, h2, kind, x, cfg)) for x in _grid(h1, h2, xmax)
+        (x, weight_defect(h1, h2, kind, x, cfg)) for x in sorted(_translate_grid(xmax, h1, h2))
     )
     trend, slope = classify_trend(samples, cfg.tol)
     return DefectCurve(samples, trend, slope)
@@ -126,10 +124,6 @@ def defect_curve(h1: BlockSet, h2: BlockSet, kind: MeanKind,
 
 # ---------------------------------------------------------------------------
 # closed-form relation testers
-
-
-def _closed(answer: Answer, *evidence: str) -> Verdict:
-    return Verdict(answer, Method.CLOSED_FORM, tuple(evidence))
 
 
 def equal_weight(h1: BlockSet, h2: BlockSet, kind: MeanKind, wkind: WeightKind,
@@ -150,11 +144,10 @@ def equal_weight(h1: BlockSet, h2: BlockSet, kind: MeanKind, wkind: WeightKind,
         return _measures_equal(h1, h2, d1)
     if kind is MeanKind.ACC:
         _require_defined(h1, h2, kind, cfg)
-        l1, l2 = level(h1), level(h2)
+        (l1, top1), (l2, top2) = top_level(h1), top_level(h2)
         if l1 != l2:
             return _closed(Answer.NO, f"levels differ: {l1} vs {l2}")
-        c1 = len(_top_level(h1, l1).finite_points())
-        c2 = len(_top_level(h2, l2).finite_points())
+        c1, c2 = len(top1.finite_points()), len(top2.finite_points())
         if c1 == c2:
             return _closed(Answer.YES, f"equal level {l1}, equal top count {c1}")
         return _closed(Answer.NO, f"top-level counts differ: {c1} vs {c2}")
@@ -192,13 +185,6 @@ def _require_defined(h1, h2, kind, cfg):
             raise DomainViolation(f"operand outside Dom({kind.value}): {mv.reason}")
 
 
-def _top_level(h: BlockSet, lev) -> BlockSet:
-    cur = h
-    for _ in range(int(lev)):
-        cur = derived_set(cur)
-    return cur
-
-
 def _measures_equal(h1: BlockSet, h2: BlockSet, dim) -> Verdict:
     k1, w1 = measure_weight(h1, dim)
     k2, w2 = measure_weight(h2, dim)
@@ -209,15 +195,8 @@ def _measures_equal(h1: BlockSet, h2: BlockSet, dim) -> Verdict:
     if k1 == "terms" and k2 == "terms":
         if w1 == w2:
             return _closed(Answer.YES, "identical weight terms at the shared dimension")
-        with mpmath.workprec(240):
-            def total(terms):
-                return mpmath.fsum(
-                    mpmath.exp((mpmath.log(m) / _mp_log_q(invr)) * _mp_log_q(d))
-                    for d, m, invr in terms
-                )
-            gap = abs(total(w1) - total(w2))
-            if gap > mpmath.mpf(2) ** -180:
-                return _closed(Answer.NO, "measures separated numerically")
+        if compare_weight_terms(w1, w2) is not None:
+            return _closed(Answer.NO, "measures separated numerically")
         return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
                        ("measures numerically inseparable",))
     return _closed(Answer.NO, "measures of different character at the shared dimension")
@@ -261,29 +240,24 @@ def transitivity_probe(h1: BlockSet, h2: BlockSet, h3: BlockSet, kind: MeanKind,
                        cfg: LadderConfig = DEFAULT_CONFIG, xmax: int = 4) -> DefectCurve:
     """Sample the four-term combination whose collapse makes the relation transitive."""
     kind = MeanKind(kind)
-    d = max(diameter(h1), diameter(h2), diameter(h3))
-    base = d if d > 0 else Q(1)
     samples = []
-    for j in range(xmax + 1):
-        for sign in (1, -1):
-            x = sign * base * 10**j
-            h2x = translate_set(h2, x)
-            h3xx = translate_set(h3, 2 * x)
-            u12 = mean_of(union_sets(h1, h2x), kind, cfg)
-            u23 = mean_of(union_sets(h2x, h3xx), kind, cfg)
-            u13 = mean_of(union_sets(h1, h3xx), kind, cfg)
-            m2 = mean_of(h2x, kind, cfg)
-            if all(v.is_defined for v in (u12, u23, u13, m2)):
-                if all(v.is_exact for v in (u12, u23, u13, m2)):
-                    val = MeanValue.exact(u12.value + u23.value - u13.value - m2.value)
-                else:
-                    val = MeanValue.approximate(
-                        u12.as_float() + u23.as_float() - u13.as_float() - m2.as_float(),
-                        2 * cfg.tol,
-                    )
+    for x in sorted(_translate_grid(xmax, h1, h2, h3)):
+        h2x = translate_set(h2, x)
+        h3xx = translate_set(h3, 2 * x)
+        u12 = mean_of(union_sets(h1, h2x), kind, cfg)
+        u23 = mean_of(union_sets(h2x, h3xx), kind, cfg)
+        u13 = mean_of(union_sets(h1, h3xx), kind, cfg)
+        m2 = mean_of(h2x, kind, cfg)
+        if all(v.is_defined for v in (u12, u23, u13, m2)):
+            if all(v.is_exact for v in (u12, u23, u13, m2)):
+                val = MeanValue.exact(u12.value + u23.value - u13.value - m2.value)
             else:
-                val = MeanValue.undefined("a term left the domain")
-            samples.append((x, val))
-    samples.sort(key=lambda s: s[0])
+                val = MeanValue.approximate(
+                    u12.as_float() + u23.as_float() - u13.as_float() - m2.as_float(),
+                    2 * cfg.tol,
+                )
+        else:
+            val = MeanValue.undefined("a term left the domain")
+        samples.append((x, val))
     trend, slope = classify_trend(samples, cfg.tol)
     return DefectCurve(tuple(samples), trend, slope)

@@ -20,7 +20,6 @@ from setmeans.blocks import (
     block_dist_at_least,
     block_min_dist,
     cut_block,
-    geomseq_outer_points,
     points_in_box,
     tower_outer_points,
 )
@@ -82,7 +81,8 @@ def test_geomseq_membership():
 
 def test_tower_membership_against_brute_force():
     rng = random.Random(2)
-    for k, r in [(1, Q(1, 5)), (2, Q(1, 4)), (3, Q(1, 5))]:
+    # level 1 is the geometric sequence, so it takes any ratio below 1
+    for k, r in [(1, Q(1, 5)), (2, Q(1, 4)), (3, Q(1, 5)), (1, Q(1, 2)), (1, Q(2, 3))]:
         t = Tower(k, Q(0), Q(1), r)
         brute = tower_points_brute(k, Q(0), Q(1), r, 30)
         for p in tower_points_brute(k, Q(0), Q(1), r, 8):
@@ -105,19 +105,20 @@ def test_interval_and_cantor_membership():
 
 def test_min_dist_matches_brute_force():
     rng = random.Random(3)
-    t = Tower(2, Q(0), Q(1), Q(1, 4))
-    deep = tower_points_brute(2, Q(0), Q(1), Q(1, 4), 26)
-    for _ in range(200):
-        x = Q(rng.randint(-20, 90), rng.choice([16, 64, 256]))
-        claimed = block_min_dist(t, x)
-        brute = min(abs(x - p) for p in deep)
-        assert claimed <= brute
-        if x <= 0:
-            # below the anchor the infimum distance is |x|, never attained
-            assert claimed == -x
-        elif x >= Q(1, 4) ** 10:
-            # the nearest point is shallow, so the brute list attains it
-            assert claimed == brute
+    for k, r in [(2, Q(1, 4)), (1, Q(1, 2)), (1, Q(2, 3))]:
+        t = Tower(k, Q(0), Q(1), r)
+        deep = tower_points_brute(k, Q(0), Q(1), r, 26)
+        for _ in range(200):
+            x = Q(rng.randint(-20, 90), rng.choice([16, 64, 256]))
+            claimed = block_min_dist(t, x)
+            brute = min(abs(x - p) for p in deep)
+            assert claimed <= brute
+            if x <= 0:
+                # below the anchor the infimum distance is |x|, never attained
+                assert claimed == -x
+            elif x >= r**10:
+                # the nearest point is shallow, so the brute list attains it
+                assert claimed == brute
 
 
 def test_geomseq_min_dist():
@@ -165,9 +166,12 @@ def test_cut_interval():
 
 def test_cut_tower_against_membership_oracle():
     rng = random.Random(7)
-    for _ in range(40):
-        k = rng.choice([1, 2, 3])
-        r = Q(1, rng.choice([4, 5, 6]))
+    for i in range(60):
+        if i < 40:
+            k = rng.choice([1, 2, 3])
+            r = Q(1, rng.choice([4, 5, 6]))
+        else:
+            k, r = 1, (Q(1, 2), Q(2, 3))[i % 2]  # sequence ratios a tower never takes
         w = rng.choice([Q(1), Q(-1), Q(2), Q(1, 2)])
         a = Q(rng.randint(-4, 4))
         t = Tower(k, a, w, r)
@@ -200,8 +204,8 @@ def test_cut_cantor_gap_and_endpoint():
 
 def test_outer_point_enumeration():
     b = GeomSeq(Q(0), Q(1), Q(1, 2))
-    assert geomseq_outer_points(b, Q(1, 8)) == [Q(1, 2), Q(1, 4), Q(1, 8)]
-    assert geomseq_outer_points(b, Q(1, 8), below=Q(1, 4)) == [Q(1, 8)]
+    assert tower_outer_points(b, Q(1, 8)) == [Q(1, 2), Q(1, 4), Q(1, 8)]
+    assert tower_outer_points(b, Q(1, 8), below=Q(1, 4)) == [Q(1, 8)]
     t = Tower(2, Q(0), Q(1), Q(1, 4))
     pts = tower_outer_points(t, Q(1, 64))
     brute = {

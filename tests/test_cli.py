@@ -196,3 +196,14 @@ def test_main_prints_human(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "arith mean" in out
+
+
+def test_eval_avg_with_a_huge_cantor_ratio():
+    # the exact root test on 3**700 must not go through a float, which overflows
+    n = 3**700
+    code, rep = run_command(
+        ["eval", "--mean", "avg", f"cantor(0,1,4,1/{n}) U cantor(5,6,2,1/3)"]
+    )
+    assert code == 0
+    # dimension log 2 / log 3 of the second block dominates log 4 / log 3**700
+    assert rep["result"]["value"] == {"num": "11", "den": "2"}

@@ -281,3 +281,22 @@ def test_k_bounds_acc_tower():
     kb = k_bounds(h, MeanKind.ACC)
     # any positive lower cut strips the tower's deep structure
     assert kb.k_liminf.value == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mean_acc_walks_the_derived_sets_once(monkeypatch, k):
+    from setmeans import means, sets
+
+    calls = []
+    real = sets.derived_set
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(sets, "derived_set", counted)
+    monkeypatch.setattr(means, "derived_set", counted)
+    h = bset(Tower(k, Q(0), Q(1), Q(1, 4)))
+    assert mean_of(h, MeanKind.ACC).value == 0
+    # D^1 .. D^k, then the empty D^(k+1) that ends the walk
+    assert len(calls) == k + 1

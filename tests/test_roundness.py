@@ -205,3 +205,26 @@ def test_defect_negates_under_reflection():
             assert rep2.defect.value == -rep.defect.value
             checked += 1
     assert checked > 40
+
+
+def test_round_command_evaluates_each_mean_once(monkeypatch):
+    import collections
+
+    from setmeans import means, roundness
+    from setmeans.cli import run_command
+
+    calls = collections.Counter()
+    real = means.mean_iso
+
+    def counted(h, *args, **kwargs):
+        calls[h] += 1
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(means, "mean_iso", counted)
+    monkeypatch.setattr(roundness, "mean_iso", counted, raising=False)
+    code, rep = run_command(["round", "--mean", "iso", "seq(0,1,1/2) U seq(1,1,1/2)"])
+    assert code == 0
+    assert rep["result"]["verdict"]["answer"] == "YES"
+    # the set and its two halves, one ladder run each
+    assert len(calls) == 3
+    assert set(calls.values()) == {1}

@@ -94,6 +94,9 @@ def test_normalize_absorbs_subsequences():
 def test_normalize_tower_level_one_is_a_sequence():
     out = bset(Tower(1, Q(0), Q(1), Q(1, 4)))
     assert out.blocks == (GeomSeq(Q(0), Q(1), Q(1, 4)),)
+    # one layer takes any ratio below 1, as the sequence does
+    out = bset(Tower(1, Q(0), Q(1), Q(1, 2)))
+    assert out.blocks == (GeomSeq(Q(0), Q(1), Q(1, 2)),)
 
 
 def test_normalize_idempotent_on_corpus():
