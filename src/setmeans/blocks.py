@@ -21,10 +21,11 @@ the level-1 tower, and one set of kernels serves both.  Normalization keeps
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 from .errors import CutNotRepresentable, MembershipUndecided, ValidationError
 
@@ -40,6 +41,50 @@ def as_q(value) -> Q:
     if isinstance(value, int):
         return Q(value)
     raise ValidationError(f"expected a rational, got {value!r}")
+
+
+def _coprime_basis(nums) -> list[int]:
+    """Pairwise coprime integers > 1 whose products give each of nums.
+
+    Gcd refinement: n sharing g > 1 with a basis element b is replaced, with
+    b, by g, b // g and n // g.  Each split divides the product of all numbers
+    held by g, so there are fewer splits than that product has bits.
+    """
+    basis: list[int] = []
+    todo = [n for n in nums if n > 1]
+    while todo:
+        n = todo.pop()
+        for i, b in enumerate(basis):
+            g = math.gcd(n, b)
+            if g > 1:
+                del basis[i]
+                todo.extend(x for x in (g, b // g, n // g) if x > 1)
+                break
+        else:
+            basis.append(n)
+    return basis
+
+
+def _log_ratio(x, y) -> Optional[Q]:
+    """The rational t with x == y**t, or None; x, y positive rationals, y != 1.
+
+    Over a coprime basis of the numerators and denominators, x is a power of
+    y exactly when their exponent vectors are proportional.  The exponent of
+    a basis element p is its multiplicity in the numerator, or minus that in
+    the denominator (p divides at most one of the two).
+    """
+    x, y = Q(x), Q(y)
+    basis = _coprime_basis((x.numerator, x.denominator, y.numerator, y.denominator))
+    vx, vy = [], []
+    for v, q in ((vx, x), (vy, y)):
+        for p in basis:
+            n, e = q.numerator * q.denominator, 0
+            while n % p == 0:  # at most n.bit_length() divisions
+                n //= p
+                e += 1
+            v.append(e if q.numerator % p == 0 else -e)
+    t = next(Q(a, b) for a, b in zip(vx, vy) if b)
+    return t if all(a == t * b for a, b in zip(vx, vy)) else None
 
 
 @dataclass(frozen=True)

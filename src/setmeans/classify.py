@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
 
-import mpmath
-
 from .blocks import Cantor, Finite, Interval, PowerSums
 from .errors import DomainViolation, EmptyResult, IntersectionNotRepresentable
 from .means import (
@@ -23,6 +21,7 @@ from .means import (
     MeanKind,
     compare_dims,
     dimension_of,
+    iso_coeff_compare,  # noqa: F401  (still importable from this module)
     iso_eligible,
     mean_of,
     values_close,
@@ -92,32 +91,6 @@ def iso_growth(h: BlockSet):
         return 0, (Q(len(h.finite_points())),)
     ratios = [b.ratio for b in h.blocks if isinstance(b, PowerSums) and b.level == degree]
     return degree, tuple(sorted(ratios))
-
-
-def iso_coeff_compare(ratios1, ratios2, degree: int):
-    """Compare leading count coefficients; None when numerically too close.
-
-    Degree 0 compares plain point counts.  Equal ratio multisets are equal
-    outright; otherwise the sums of (1/log(1/r))^degree are separated
-    numerically.
-    """
-    if degree == 0:
-        c1, c2 = ratios1[0], ratios2[0]
-        return (c1 > c2) - (c1 < c2)
-    if tuple(sorted(ratios1)) == tuple(sorted(ratios2)):
-        return 0
-    with mpmath.workprec(240):
-        def coeff(ratios):
-            return mpmath.fsum(
-                (1 / (mpmath.log(r.denominator) - mpmath.log(r.numerator))) ** degree
-                for r in ratios
-            )
-
-        c1, c2 = coeff(ratios1), coeff(ratios2)
-        gap = abs(c1 - c2)
-        if gap > mpmath.mpf(2) ** -180:
-            return -1 if c1 < c2 else 1
-    return None
 
 
 def iso_ratio_trace(v: BlockSet, h: BlockSet, cfg: LadderConfig, steps: int = 12):
@@ -229,21 +202,25 @@ def sampler_probe(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
 # the classifiers
 
 
-def _require_in_domain(h: BlockSet, kind: MeanKind, cfg: LadderConfig, role: str):
+def _in_domain(h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> bool:
     # the ladder mean's domain is structural; non-convergence is not an exit
     if kind is MeanKind.ISO:
-        if h.is_empty or not iso_eligible(h):
-            raise DomainViolation(f"{role} set is outside Dom(iso)")
-        return
-    if not mean_of(h, kind, cfg).is_defined:
-        raise DomainViolation(f"{role} set is outside Dom({kind.value})")
+        return not h.is_empty and iso_eligible(h)
+    return mean_of(h, kind, cfg).is_defined
 
 
 def is_small_for(v: BlockSet, h: BlockSet, kind: MeanKind,
                  cfg: LadderConfig = DEFAULT_CONFIG, sampler: bool = False) -> Verdict:
     """Is V small to H: does any translate of V leave K(H) unchanged?"""
     kind = MeanKind(kind)
-    _require_in_domain(h, kind, cfg, "reference")
+    if not _in_domain(h, kind, cfg):
+        raise DomainViolation(f"reference set is outside Dom({kind.value})")
+    return _small(v, h, kind, cfg, sampler)
+
+
+def _small(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
+           sampler: bool = False) -> Verdict:
+    """is_small_for for an H already known to be in the domain."""
     if v.is_empty:
         return _closed(Answer.YES, "empty set is small to everything")
     verdict = _closed_small(v, h, kind, cfg)
@@ -299,12 +276,17 @@ def is_big_for(v: BlockSet, h: BlockSet, kind: MeanKind,
     candidate is a definitive no rather than an error.
     """
     kind = MeanKind(kind)
-    _require_in_domain(h, kind, cfg, "reference")
-    try:
-        _require_in_domain(v, kind, cfg, "candidate")
-    except DomainViolation:
+    if not _in_domain(h, kind, cfg):
+        raise DomainViolation(f"reference set is outside Dom({kind.value})")
+    return _big(v, h, kind, cfg, _in_domain(v, kind, cfg), sampler)
+
+
+def _big(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
+         v_in_domain: bool, sampler: bool = False) -> Verdict:
+    """is_big_for for an H already known to be in the domain."""
+    if not v_in_domain:
         return _closed(Answer.NO, f"a set outside Dom({kind.value}) is never big")
-    inner = is_small_for(h, v, kind, cfg, sampler=sampler)
+    inner = _small(h, v, kind, cfg, sampler)
     return Verdict(inner.answer, inner.method,
                    ("via duality: H small to V <=> V big to H",) + inner.evidence)
 
@@ -315,17 +297,36 @@ def comparable(h: BlockSet, v: BlockSet, kind: MeanKind,
 
     Comparability is only defined between two domain members.
     """
+    verdict = classify_bundle(h, v, kind, cfg)["comparable"]
+    if isinstance(verdict, DomainViolation):
+        raise verdict
+    return verdict
+
+
+def classify_bundle(h: BlockSet, v: BlockSet, kind: MeanKind,
+                    cfg: LadderConfig = DEFAULT_CONFIG) -> dict:
+    """The "small", "big" and "comparable" verdicts of V against H.
+
+    Each set's domain is checked once and comparability is read off the
+    other two verdicts.  A verdict that is_small_for, is_big_for or
+    comparable would refuse is given as the DomainViolation they raise.
+    """
     kind = MeanKind(kind)
-    _require_in_domain(h, kind, cfg, "reference")
-    _require_in_domain(v, kind, cfg, "candidate")
-    small = is_small_for(v, h, kind, cfg)
-    big = is_big_for(v, h, kind, cfg)
-    if Answer.INCONCLUSIVE in (small.answer, big.answer):
-        return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
-                       small.evidence + big.evidence)
-    if small.answer is Answer.NO and big.answer is Answer.NO:
-        return _closed(Answer.YES, *(small.evidence + big.evidence))
-    return _closed(Answer.NO, *(small.evidence + big.evidence))
+    if not _in_domain(h, kind, cfg):
+        return dict.fromkeys(("small", "big", "comparable"),
+                             DomainViolation(f"reference set is outside Dom({kind.value})"))
+    v_in_domain = _in_domain(v, kind, cfg)
+    small = _small(v, h, kind, cfg)
+    big = _big(v, h, kind, cfg, v_in_domain)
+    if not v_in_domain:
+        neither = DomainViolation(f"candidate set is outside Dom({kind.value})")
+    elif Answer.INCONCLUSIVE in (small.answer, big.answer):
+        neither = Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, small.evidence + big.evidence)
+    elif small.answer is Answer.NO and big.answer is Answer.NO:
+        neither = _closed(Answer.YES, *(small.evidence + big.evidence))
+    else:
+        neither = _closed(Answer.NO, *(small.evidence + big.evidence))
+    return {"small": small, "big": big, "comparable": neither}
 
 
 def k_disjoint(h1: BlockSet, h2: BlockSet, kind: MeanKind, weak: bool = False,

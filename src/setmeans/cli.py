@@ -16,9 +16,7 @@ from . import __version__
 from .classify import (
     Verdict,
     build_iso_witness_staged,
-    comparable,
-    is_big_for,
-    is_small_for,
+    classify_bundle,
     k_disjoint,
     witness_stage_ratios,
 )
@@ -236,16 +234,13 @@ def _dispatch(args, report) -> int:
         report["inputs"] = list(args.of)
         h = _norm(args.of[0])
         v = _norm(args.of[1])
-        kind = MeanKind(args.mean)
         bundle = {}
-        for name, fn in (("small", lambda: is_small_for(v, h, kind, cfg)),
-                         ("big", lambda: is_big_for(v, h, kind, cfg)),
-                         ("comparable", lambda: comparable(h, v, kind, cfg))):
-            try:
-                bundle[name] = _verdict_json(fn())
-            except DomainViolation as exc:
+        for name, verdict in classify_bundle(h, v, MeanKind(args.mean), cfg).items():
+            if isinstance(verdict, DomainViolation):
                 bundle[name] = None
-                report["diagnostics"].append(f"{name}: undefined ({exc})")
+                report["diagnostics"].append(f"{name}: undefined ({verdict})")
+            else:
+                bundle[name] = _verdict_json(verdict)
         report["result"] = {"type": "verdict", "bundle": bundle}
         return EXIT_OK
 

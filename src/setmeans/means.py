@@ -4,6 +4,14 @@ All means are exact rational computations except the isolated-point mean,
 which is a ladder limit: it evaluates the arithmetic mean of the isolated
 points outside a shrinking neighborhood of the accumulation set and reports
 an approximate value once the ladder stabilizes.
+
+The verdicts order Hausdorff dimensions log m / log(1/r), Cantor weights
+sum diam**s and isolated-count coefficients sum (1/ln(1/r))**d through one
+number layer: ``blocks._log_ratio`` decides exactly whether a rational is a
+power of another (exponent vectors over a coprime basis, gcds only), and
+``_separate`` orders what is left by mpmath.iv enclosures at 64 to 4096
+bits.  Once that budget is spent the comparison is undecided:
+IncomparableDimensions, or an INCONCLUSIVE verdict.
 """
 
 from __future__ import annotations
@@ -13,8 +21,9 @@ from enum import Enum
 from typing import Optional
 
 import mpmath
+from mpmath import iv
 
-from .blocks import Cantor, Finite, Interval, PowerSums, Q
+from .blocks import Cantor, Finite, Interval, PowerSums, Q, _log_ratio
 from .errors import DomainViolation, EmptyResult, IncomparableDimensions
 from .errors import CutNotRepresentable
 from .sets import (
@@ -85,8 +94,8 @@ class MeanValue:
         return f"undefined({self.reason})"
 
 
-def values_close(a: MeanValue, b: MeanValue, tol: float, slack: float = 2.0):
-    """Equality of two mean values: exact when both exact, else within slack*tol.
+def values_close(a: MeanValue, b: MeanValue, tol: float):
+    """Equality of two mean values: exact when both exact, else within 2*tol.
 
     Returns None when either side is undefined (the comparison is vacuous).
     """
@@ -94,7 +103,7 @@ def values_close(a: MeanValue, b: MeanValue, tol: float, slack: float = 2.0):
         return None
     if a.is_exact and b.is_exact:
         return a.value == b.value
-    return abs(a.as_float() - b.as_float()) <= slack * tol
+    return abs(a.as_float() - b.as_float()) <= 2 * tol
 
 
 @dataclass(frozen=True)
@@ -125,6 +134,36 @@ def arith_mean(values) -> Q:
 
 
 # ---------------------------------------------------------------------------
+# certified separation
+
+
+def _separate(f, g) -> Optional[int]:
+    """Certified sign of f - g (-1 or 1), or None once 4096 bits do not tell.
+
+    f and g build mpmath.iv enclosures at the current iv.prec; they are
+    evaluated at doubling precision until the intervals are disjoint.  Equal
+    values never separate, so callers decide equality exactly first.
+    """
+    saved = iv.prec
+    try:
+        for bits in (64, 128, 256, 512, 1024, 2048, 4096):
+            iv.prec = bits
+            a, b = f(), g()
+            if a.b < b.a:
+                return -1
+            if b.b < a.a:
+                return 1
+        return None
+    finally:
+        iv.prec = saved
+
+
+def _iv_log(q):
+    """Enclosure of ln q for a positive rational (or integer) q."""
+    return iv.log(iv.mpf(q.numerator)) - iv.log(iv.mpf(q.denominator))
+
+
+# ---------------------------------------------------------------------------
 # Hausdorff dimension values
 
 
@@ -147,54 +186,13 @@ def block_dim(b) -> DimValue:
     return DIM_ZERO
 
 
-def _rational_log_ratio(m: int, invr: Q, max_den: int = 48):
-    """p/q with m**q == invr**p, if the dimension is rational; else None."""
-    for q in range(1, max_den + 1):
-        target = Q(m) ** q
-        power = Q(1)
-        for p in range(1, q + 1):
-            power *= invr
-            if power == target:
-                return Q(p, q)
-            if power > target:
-                break
-    return None
-
-
-def _int_root(n: int, j: int):
-    """The exact j-th root of a positive integer, or None.
-
-    Integer Newton iteration from a power of two at or above the root, so
-    integers of any size work (a float root overflows past about 2**1024).
-    """
-    x = 1 << -(-n.bit_length() // j)
-    while True:
-        y = ((j - 1) * x + n // x ** (j - 1)) // j
-        if y >= x:
-            break
-        x = y
-    return x if x**j == n else None
-
-
-def _canonical_log_ratio(m: int, invr: Q):
-    """Strip a common perfect power: log m**j / log v**j == log m / log v."""
-    for j in range(32, 1, -1):
-        rm = _int_root(m, j)
-        if rm is None or rm == 1:
-            continue
-        rp = _int_root(invr.numerator, j)
-        rq = _int_root(invr.denominator, j)
-        if rp is not None and rq is not None:
-            return _canonical_log_ratio(rm, Q(rp, rq))
-    return m, invr
-
-
 def compare_dims(d1: DimValue, d2: DimValue) -> int:
     """Three-way comparison of dimensions; exact or provably separated.
 
-    Structurally equal values compare equal at once; log-ratio pairs are
-    first tested for a shared rational value, then separated by interval
-    arithmetic at growing precision.
+    Rational dimensions compare exactly, and m1 = m2**t with
+    invr1 = invr2**t makes two dimensions equal.  Any other pair is
+    separated by interval arithmetic; IncomparableDimensions is raised when
+    its budget is spent.
     """
     order = {"zero": 0, "log_ratio": 1, "one": 2}
     if d1.kind != d2.kind:
@@ -203,22 +201,20 @@ def compare_dims(d1: DimValue, d2: DimValue) -> int:
         return 0
     if d1 == d2:
         return 0
-    if _canonical_log_ratio(d1.m, d1.invr) == _canonical_log_ratio(d2.m, d2.invr):
-        return 0
-    r1 = _rational_log_ratio(d1.m, d1.invr)
-    r2 = _rational_log_ratio(d2.m, d2.invr)
+    r1 = _log_ratio(d1.m, d1.invr)
+    r2 = _log_ratio(d2.m, d2.invr)
     if r1 is not None and r2 is not None:
         return (r1 > r2) - (r1 < r2)
-    for bits in (64, 128, 256, 512, 1024, 2048, 4096):
-        with mpmath.workprec(bits):
-            v1 = mpmath.log(d1.m) / _mp_log_q(d1.invr)
-            v2 = mpmath.log(d2.m) / _mp_log_q(d2.invr)
-            gap = abs(v1 - v2)
-            if gap > mpmath.mpf(2) ** (20 - bits):
-                return -1 if v1 < v2 else 1
-    raise IncomparableDimensions(
-        f"cannot separate log {d1.m}/log {d1.invr} from log {d2.m}/log {d2.invr}"
-    )
+    t = _log_ratio(d1.m, d2.m)
+    if t is not None and t == _log_ratio(d1.invr, d2.invr):
+        return 0
+    sign = _separate(lambda: _iv_log(d1.m) / _iv_log(d1.invr),
+                     lambda: _iv_log(d2.m) / _iv_log(d2.invr))
+    if sign is None:
+        raise IncomparableDimensions(
+            f"cannot separate log {d1.m}/log {d1.invr} from log {d2.m}/log {d2.invr}"
+        )
+    return sign
 
 
 def _mp_log_q(q: Q):
@@ -270,21 +266,68 @@ def measure_weight(h: BlockSet, dim: DimValue):
     return ("terms", terms)
 
 
-def compare_weight_terms(w1, w2):
-    """Sign of total(w1) - total(w2) for two "terms" weights; None when inseparable.
+def _compare_sums(terms1, terms2, ratio, enclose) -> Optional[int]:
+    """Sign of sum(terms1) - sum(terms2) for positive terms; None when undecided.
 
-    A term (diam, m, invr) weighs diam**s, s = log m / log invr, at 240 bits.
+    ratio(x, x0) is the rational x / x0 when the two terms are commensurable,
+    else None.  Equal multisets of terms have equal sums.  When every term is
+    commensurable with the first, the sums compare exactly in its units;
+    otherwise the enclose(x) intervals are separated.
     """
-    with mpmath.workprec(240):
-        def total(terms):
-            return mpmath.fsum(
-                mpmath.exp((mpmath.log(m) / _mp_log_q(invr)) * _mp_log_q(d))
-                for d, m, invr in terms
-            )
-        t1, t2 = total(w1), total(w2)
-        if abs(t1 - t2) > mpmath.mpf(2) ** -180:
-            return -1 if t1 < t2 else 1
-    return None
+    if sorted(terms1) == sorted(terms2):
+        return 0
+    q1 = [ratio(x, terms1[0]) for x in terms1]
+    q2 = [ratio(x, terms1[0]) for x in terms2]
+    if None in q1 or None in q2:
+        return _separate(lambda: sum(map(enclose, terms1)), lambda: sum(map(enclose, terms2)))
+    diff = sum(q1) - sum(q2)
+    return (diff > 0) - (diff < 0)
+
+
+def _weight_ratio(a, b) -> Optional[Q]:
+    """The rational diam_a**s / diam_b**s of two (diam, m, invr) terms, or None.
+
+    Both terms have one dimension s.  The ratio is 1 for equal diameters, and
+    m**j in one (m, invr) family with diam_a == diam_b * invr**j for an
+    integer j, because invr**s == m.
+    """
+    (da, m, invr), (db, mb, invrb) = a, b
+    if da == db:
+        return Q(1)
+    if (m, invr) != (mb, invrb):
+        return None
+    j = _log_ratio(da / db, invr)
+    return None if j is None or j.denominator != 1 else Q(m) ** j.numerator
+
+
+def compare_weight_terms(w1, w2):
+    """Sign of total(w1) - total(w2) for two "terms" weights; None when undecided.
+
+    A term (diam, m, invr) weighs diam**s, s = log m / log invr.
+    """
+    def enclose(term):
+        d, m, invr = term
+        return iv.exp(_iv_log(m) / _iv_log(invr) * _iv_log(d))
+
+    return _compare_sums(w1, w2, _weight_ratio, enclose)
+
+
+def iso_coeff_compare(ratios1, ratios2, degree: int):
+    """Compare leading count coefficients; None when undecided.
+
+    Degree 0 compares plain point counts.  A coefficient is the sum of
+    (1/ln(1/r))**degree over the ratios, and r == r0**t gives a term
+    t**-degree times r0's.
+    """
+    if degree == 0:
+        c1, c2 = ratios1[0], ratios2[0]
+        return (c1 > c2) - (c1 < c2)
+
+    def ratio(r, r0):
+        t = _log_ratio(r, r0)
+        return None if t is None else t**-degree
+
+    return _compare_sums(ratios1, ratios2, ratio, lambda r: 1 / _iv_log(1 / r) ** degree)
 
 
 # ---------------------------------------------------------------------------
@@ -412,45 +455,17 @@ def mean_avg(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
     # Cantor blocks at the maximal dimension; centers by symmetry
     centers = [(b.lo + b.hi) / 2 for b in at_max]
     diams = [b.hi - b.lo for b in at_max]
-    if len(set(diams)) == 1:
-        return MeanValue.exact(arith_mean(centers))
-    same_family = len({(b.pieces, b.ratio) for b in at_max}) == 1
-    if same_family:
-        ratios = _power_ratios(diams, 1 / at_max[0].ratio)
-        if ratios is not None:
-            m = Q(at_max[0].pieces)
-            weights = [m**j for j in ratios]
-            total = sum(weights, Q(0))
-            return MeanValue.exact(sum(w * c for w, c in zip(weights, centers)) / total)
+    terms = [(d, b.pieces, 1 / b.ratio) for d, b in zip(diams, at_max)]
+    weights = [_weight_ratio(t, terms[0]) for t in terms]
+    if None not in weights:
+        total = sum(weights, Q(0))
+        return MeanValue.exact(sum(w * c for w, c in zip(weights, centers)) / total)
     with mpmath.workprec(200):
         s = mpmath.log(dim.m) / _mp_log_q(dim.invr)
         ws = [mpmath.exp(s * _mp_log_q(d)) for d in diams]
         num = mpmath.fsum(w * mpmath.mpf(c.numerator) / c.denominator for w, c in zip(ws, centers))
         den = mpmath.fsum(ws)
         return MeanValue.approximate(float(num / den), cfg.tol)
-
-
-def _power_ratios(diams, invr: Q):
-    """Exponents j_i with diam_i == diam_0 * invr**j_i, or None."""
-    base = diams[0]
-    out = []
-    for d in diams:
-        q = d / base
-        j = 0
-        while q > 1:
-            q /= invr
-            j += 1
-            if j > 512:
-                return None
-        while q < 1:
-            q *= invr
-            j -= 1
-            if j < -512:
-                return None
-        if q != 1:
-            return None
-        out.append(j)
-    return out
 
 
 def mean_of(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:

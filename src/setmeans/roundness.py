@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 
-from .classify import Answer, Method, Verdict, iso_coeff_compare, iso_growth
+from .classify import Answer, Method, Verdict, iso_growth
 from .errors import DomainViolation
 from .means import (
     DEFAULT_CONFIG,
@@ -23,6 +23,7 @@ from .means import (
     MeanValue,
     compare_weight_terms,
     dimension_of,
+    iso_coeff_compare,
     mean_of,
     measure_weight,
     values_close,
@@ -166,8 +167,9 @@ def _witness(halves: _Halves) -> Verdict:
         if cmp is None:
             return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
                            ("half measures numerically inseparable",))
-        answer = Answer.YES if cmp == 0 else Answer.NO
-        return Verdict(answer, Method.CLOSED_FORM, ("measures separated numerically",))
+        if cmp == 0:
+            return Verdict(Answer.YES, Method.CLOSED_FORM, ("equal half weights",))
+        return Verdict(Answer.NO, Method.CLOSED_FORM, ("measures separated numerically",))
 
     if kind is MeanKind.ACC:
         (l1, top1), (l2, top2) = halves.tops

@@ -20,6 +20,7 @@ from .blocks import (
     PowerSums,
     Q,
     Tower,
+    _log_ratio,
     as_q,
     block_contains,
     block_dist_at_least,
@@ -143,41 +144,21 @@ def _eval_expr(e: SetExpr) -> list[Block]:
 
 
 def _geom_absorbs(a: GeomSeq, b: GeomSeq):
-    """True when b's points are a subset of a's (same anchor, power-related)."""
+    """True when b's points are a subset of a's (same anchor, power-related).
+
+    With b.ratio == a.ratio**p (p > 0) and b.scale == a.scale * a.ratio**j,
+    b's points sit at a's exponents j + p*n, n >= 1: all are a's points
+    exactly when p and j are integers and j + p >= 1.
+    """
     if a.anchor != b.anchor:
         return False
     if (a.scale > 0) != (b.scale > 0):
         return False
-    # need ratio_b = ratio_a**p and scale_b = scale_a * ratio_a**j with j+p >= 1
-    p, rb = 1, a.ratio
-    while rb > b.ratio:
-        rb *= a.ratio
-        p += 1
-        if p > 64:
-            return False
-    if rb != b.ratio:
+    p = _log_ratio(b.ratio, a.ratio)
+    if p is None or p.denominator != 1:
         return False
-    q = b.scale / a.scale
-    j = 0
-    if q == 1:
-        pass
-    elif q < 1:
-        while q < 1:
-            q /= a.ratio
-            j += 1
-            if j > 10_000:
-                return False
-        if q != 1:
-            return False
-    else:
-        while q > 1:
-            q *= a.ratio
-            j -= 1
-            if j < -10_000:
-                return False
-        if q != 1:
-            return False
-    return j + p >= 1
+    j = _log_ratio(b.scale / a.scale, a.ratio)
+    return j is not None and j.denominator == 1 and j + p >= 1
 
 
 def _canonical(blocks: list[Block]) -> BlockSet:

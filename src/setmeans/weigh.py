@@ -18,7 +18,6 @@ from .classify import (
     Method,
     Verdict,
     _closed,
-    iso_coeff_compare,
     iso_growth,
     _translate_grid,
 )
@@ -31,15 +30,14 @@ from .means import (
     compare_dims,
     compare_weight_terms,
     dimension_of,
+    iso_coeff_compare,
     iso_eligible,
-    k_bounds,
     mean_of,
     measure_weight,
 )
 from .sets import (
     BlockSet,
     bounds,
-    diameter,
     top_level,
     translate_set,
     union_sets,
@@ -174,8 +172,8 @@ def equal_weight(h1: BlockSet, h2: BlockSet, kind: MeanKind, wkind: WeightKind,
         return _closed(Answer.YES, f"equal count degree {d1} and leading coefficient")
     if cmp is not None:
         return _closed(Answer.NO, "leading count coefficients differ")
-    return _sampler_fallback(h1, h2, kind, wkind, cfg,
-                             note="count coefficients numerically inseparable")
+    return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
+                   ("count coefficients numerically inseparable",))
 
 
 def _require_defined(h1, h2, kind, cfg):
@@ -195,45 +193,14 @@ def _measures_equal(h1: BlockSet, h2: BlockSet, dim) -> Verdict:
     if k1 == "terms" and k2 == "terms":
         if w1 == w2:
             return _closed(Answer.YES, "identical weight terms at the shared dimension")
-        if compare_weight_terms(w1, w2) is not None:
+        cmp = compare_weight_terms(w1, w2)
+        if cmp == 0:
+            return _closed(Answer.YES, "equal weights at the shared dimension")
+        if cmp is not None:
             return _closed(Answer.NO, "measures separated numerically")
         return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
                        ("measures numerically inseparable",))
     return _closed(Answer.NO, "measures of different character at the shared dimension")
-
-
-def _sampler_fallback(h1, h2, kind, wkind, cfg, note: str) -> Verdict:
-    curve = defect_curve(h1, h2, kind, cfg)
-    ev = (note, f"defect trend {curve.trend.value}")
-    if wkind is WeightKind.IN_BOUND:
-        if curve.trend is Trend.LINEAR_GROWTH:
-            return Verdict(Answer.NO, Method.SAMPLER, ev)
-        return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, ev)
-    if wkind is WeightKind.IN_LIMIT:
-        if curve.trend in (Trend.LINEAR_GROWTH, Trend.BOUNDED):
-            return Verdict(Answer.NO, Method.SAMPLER, ev)
-        return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, ev)
-    # equality: exact zero beyond the mean-relative separation threshold
-    try:
-        kb1 = k_bounds(h1, kind, cfg)
-        kb2 = k_bounds(h2, kind, cfg)
-        if kb1.k_limsup.is_exact and kb2.k_liminf.is_exact:
-            threshold = kb1.k_limsup.value - kb2.k_liminf.value
-        else:
-            threshold = diameter(h1) + diameter(h2)
-    except DomainViolation:
-        threshold = diameter(h1) + diameter(h2)
-    for mult in (2, 10, 100):
-        x = threshold * mult + mult
-        d = weight_defect(h1, h2, kind, x, cfg)
-        if d.is_exact and d.value != 0:
-            return Verdict(Answer.NO, Method.SAMPLER,
-                           ev + (f"nonzero defect {d.value} at x={x}",))
-        if not d.is_exact and d.is_defined and abs(d.as_float()) > 2 * cfg.tol:
-            return Verdict(Answer.NO, Method.SAMPLER,
-                           ev + (f"defect {d} beyond tolerance at x={x}",))
-    return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
-                   ev + ("no nonzero defect found beyond the separation threshold",))
 
 
 def transitivity_probe(h1: BlockSet, h2: BlockSet, h3: BlockSet, kind: MeanKind,

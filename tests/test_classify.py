@@ -218,3 +218,28 @@ def test_witness_domain_violations():
         build_iso_witness(bset(Finite((Q(1), Q(2)))), "big", 3)
     with pytest.raises(DomainViolation):
         build_iso_witness(bset(Interval(Q(0), Q(1))), "big", 3)
+
+
+@pytest.mark.parametrize("kind", ["lis", "avg"])
+def test_classify_command_evaluates_each_mean_once(monkeypatch, kind):
+    import collections
+
+    from setmeans import classify, means
+    from setmeans.cli import run_command
+
+    calls = collections.Counter()
+    real = means.mean_of
+
+    def counted(h, *args, **kwargs):
+        calls[h] += 1
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(means, "mean_of", counted)
+    monkeypatch.setattr(classify, "mean_of", counted)
+    code, rep = run_command(["classify", "--mean", kind, "--of",
+                             "seq(0,1,1/2) U [3,4]", "seq(5,1,1/3) U [7,9]"])
+    assert code == 0
+    assert all(v is not None for v in rep["result"]["bundle"].values())
+    # the domain check of H and of V, nothing else
+    assert len(calls) == 2
+    assert set(calls.values()) == {1}

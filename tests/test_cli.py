@@ -1,6 +1,7 @@
 """CLI commands, exit codes, and JSON report determinism."""
 
 import json
+from fractions import Fraction as Q
 
 from setmeans.cli import run_command
 
@@ -144,19 +145,23 @@ def test_ladder_flags_reach_the_evaluator():
 
 
 def test_strict_mode_flags_inconclusive():
-    # ratios so close that the leading count coefficients cannot be
-    # separated numerically: the relation tester must stay inconclusive
+    from setmeans import MeanKind, WeightKind, equal_weight, normalize, parse
+
+    # the leading count coefficients 1/ln 2 and 1/ln(1/r), r = 1/2 + 10**-300,
+    # differ by about 2**-994: the interval separation tells them apart
     near_half = f"{10**300 // 2 + 1}/{10**300}"
-    code, rep = run_command(
-        ["weigh", "--mean", "iso", "--kind", "bound",
-         "seq(0,1,1/2)", f"seq(9,1,{near_half})"]
-    )
+    v = equal_weight(normalize(parse("seq(0,1,1/2)")),
+                     normalize(parse(f"seq(9,1,{near_half})")),
+                     MeanKind.ISO, WeightKind.IN_BOUND)
+    assert (v.answer.value, v.method.value) == ("NO", "CLOSED_FORM")
+    # both sides have dimension 1/2 and weight 4**(1/2) = 2 = 1 + 1, but
+    # from two Cantor families: the separation spends its budget undecided
+    argv = ["weigh", "--mean", "avg", "--kind", "bound",
+            "cantor(0,4,2,1/4)", "cantor(0,1,3,1/9) U cantor(5,6,3,1/9)"]
+    code, rep = run_command(argv)
     assert code == 0
     assert rep["result"]["answer"] == "INCONCLUSIVE"
-    code, rep = run_command(
-        ["weigh", "--mean", "iso", "--kind", "bound", "--strict",
-         "seq(0,1,1/2)", f"seq(9,1,{near_half})"]
-    )
+    code, rep = run_command(argv + ["--strict"])
     assert code == 4
 
 
@@ -207,3 +212,25 @@ def test_eval_avg_with_a_huge_cantor_ratio():
     assert code == 0
     # dimension log 2 / log 3 of the second block dominates log 4 / log 3**700
     assert rep["result"]["value"] == {"num": "11", "den": "2"}
+
+
+def test_eval_avg_equal_dimensions_through_a_high_power():
+    # log 2**37 / log 3**37 == log 2 / log 3: the two blocks share a dimension
+    code, rep = run_command(
+        ["eval", "--mean", "avg", f"cantor(0,1,2,1/3) U cantor(5,6,{2**37},1/{3**37})"]
+    )
+    assert code == 0
+    assert rep["result"]["value"] == {"num": "3", "den": "1"}
+
+
+def test_eval_avg_exact_for_far_power_related_diameters():
+    # diameters 1 and 3**-600 of one family weigh 1 and 2**-600 exactly
+    n = 3**600
+    code, rep = run_command(
+        ["eval", "--mean", "avg", f"cantor(0,1,2,1/3) U cantor(5,{5 * n + 1}/{n},2,1/3)"]
+    )
+    assert code == 0
+    w = Q(1, 2**600)
+    mean = (Q(1, 2) + w * (5 + Q(1, 2 * n))) / (1 + w)
+    assert rep["result"]["status"] == "exact"
+    assert rep["result"]["value"] == {"num": str(mean.numerator), "den": str(mean.denominator)}

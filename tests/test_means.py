@@ -1,8 +1,10 @@
 """The five means: anchor values, domains, invariants, mean-relative bounds."""
 
+import math
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from setmeans import (
     Cantor,
@@ -24,6 +26,7 @@ from setmeans import (
     translate_set,
     union_sets,
 )
+from setmeans.blocks import _log_ratio
 from setmeans.means import (
     DIM_ONE,
     DIM_ZERO,
@@ -300,3 +303,38 @@ def test_mean_acc_walks_the_derived_sets_once(monkeypatch, k):
     assert mean_of(h, MeanKind.ACC).value == 0
     # D^1 .. D^k, then the empty D^(k+1) that ends the walk
     assert len(calls) == k + 1
+
+
+_PROPERTY = settings(max_examples=100, deadline=2000, database=None)
+
+
+@_PROPERTY
+@given(p=st.integers(1, 60), q=st.integers(1, 60), i=st.integers(-40, 40),
+       j=st.integers(-40, 40).filter(bool))
+def test_log_ratio_of_powers(p, q, i, j):
+    assume(p != q)
+    b = Q(p, q)
+    assert _log_ratio(b**i, b**j) == Q(i, j)
+
+
+@_PROPERTY
+@given(p=st.integers(2, 200), q=st.integers(2, 200), i=st.integers(-20, 20).filter(bool),
+       j=st.integers(-20, 20).filter(bool))
+def test_log_ratio_of_coprime_bases_is_none(p, q, i, j):
+    assume(math.gcd(p, q) == 1)
+    assert _log_ratio(Q(p) ** i, Q(q) ** j) is None
+
+
+@_PROPERTY
+@given(c=st.integers(2, 12), a=st.integers(1, 30), b=st.integers(1, 30),
+       c2=st.integers(2, 12), a2=st.integers(1, 30), b2=st.integers(1, 30),
+       m=st.integers(2, 12), n=st.integers(2, 60))
+def test_compare_dims_antisymmetric_and_exact_on_rationals(c, a, b, c2, a2, b2, m, n):
+    # log c**a / log c**(a+b) is the rational a / (a + b)
+    d1 = DimValue("log_ratio", m=c**a, invr=Q(c ** (a + b)))
+    d2 = DimValue("log_ratio", m=c2**a2, invr=Q(c2 ** (a2 + b2)))
+    t1, t2 = Q(a, a + b), Q(a2, a2 + b2)
+    assert compare_dims(d1, d2) == (t1 > t2) - (t1 < t2)
+    other = DimValue("log_ratio", m=m, invr=Q(n))
+    for x, y in ((d1, d2), (d1, other), (other, d2)):
+        assert compare_dims(x, y) == -compare_dims(y, x)

@@ -259,3 +259,9 @@ def test_contains_across_blocks():
     assert contains(h, Q(1, 16))
     assert contains(h, Q(5, 2))
     assert not contains(h, Q(7, 4))
+
+
+def test_normalize_absorbs_a_far_tail():
+    # seq(0, 2**-10001, 1/2) is the tail of seq(0, 1, 1/2) from index 10002
+    a = GeomSeq(Q(0), Q(1), Q(1, 2))
+    assert bset(a, GeomSeq(Q(0), Q(1, 2**10001), Q(1, 2))).blocks == (a,)

@@ -12,6 +12,7 @@ from setmeans import (
     GeomSeq,
     Interval,
     MeanKind,
+    Method,
     Tower,
     Trend,
     WeightKind,
@@ -208,3 +209,29 @@ def test_curve_samples_are_exact_for_exact_means():
                      MeanKind.ARITH)
     for x, v in c.samples:
         assert v.is_exact
+
+
+def test_equal_weight_iso_sees_a_far_power_subsequence():
+    # r**65 keeps a subsequence of seq(0, 1, r): both operands are one set
+    r = Q(1, 2)
+    h = bset(seq(0, r=r), seq(0, r=r**65))
+    assert equal_weight(h, bset(seq(0, r=r)), MeanKind.ISO, WeightKind.IN_LIMIT).answer is Answer.YES
+
+
+def test_equal_weight_iso_commensurable_coefficients():
+    # two sequences of ratio 1/4 count 2/ln 4 = 1/ln 2, as one of ratio 1/2 does
+    h1 = bset(seq(0, r=Q(1, 4)), seq(5, r=Q(1, 4)))
+    v = equal_weight(h1, bset(seq(0)), MeanKind.ISO, WeightKind.IN_LIMIT)
+    assert (v.answer, v.method) == (Answer.YES, Method.CLOSED_FORM)
+
+
+def test_equal_weight_avg_exact_weights():
+    # the two first-stage pieces of the middle-thirds set weigh as the whole
+    halves = bset(Cantor(Q(0), Q(1, 3), 2, Q(1, 3)), Cantor(Q(2, 3), Q(1), 2, Q(1, 3)))
+    whole = bset(Cantor(Q(0), Q(1), 2, Q(1, 3)))
+    v = equal_weight(halves, whole, MeanKind.AVG, WeightKind.IN_LIMIT)
+    assert (v.answer, v.method) == (Answer.YES, Method.CLOSED_FORM)
+    # two families of dimension 1/2 on unit diameters weigh 1 each
+    v = equal_weight(bset(Cantor(Q(0), Q(1), 2, Q(1, 4))), bset(Cantor(Q(0), Q(1), 3, Q(1, 9))),
+                     MeanKind.AVG, WeightKind.IN_LIMIT)
+    assert (v.answer, v.method) == (Answer.YES, Method.CLOSED_FORM)
