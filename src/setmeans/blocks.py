@@ -562,42 +562,27 @@ def _cut_cantor(b: Cantor, y: Q, keep_low: bool) -> list[Block]:
 # enumeration helpers
 
 
-def tower_outer_points(b: PowerSums, eps: Q, below: Q | None = None) -> list[Q]:
-    """Top-layer points of a sum-of-powers block whose last term lies in [eps, below).
+def tower_outer_points(b: PowerSums, eps: Q) -> list[Q]:
+    """Top-layer points of a sum-of-powers block whose last term is at least eps.
 
     Only full-length index tuples are isolated in the tower; shorter sums
     are accumulation points.  The last term r**nk is the distance to the
-    nearest accumulation point inside the block, which bounds the search;
-    the optional upper bound lets ladder callers enumerate one band at a
-    time instead of re-walking the whole prefix tree every step.  Points
-    come by last index, so a sequence yields its points in order.
+    nearest accumulation point inside the block, which bounds the search.
+    Points come by last index, so a sequence yields its points in order.
     """
-    r = b.ratio
     k = b.level
-    size = abs(b.scale)
-    limit = eps / size
-    limit_hi = None if below is None else below / size
-    ps = []  # r**n for every index n whose term is at least eps
-    start = 0  # ps[start:] are the terms below `below`, the band's last terms
-    p = r
-    while p >= limit:
-        ps.append(p)
-        if limit_hi is not None and p >= limit_hi:
-            start += 1
-        p *= r
-    if start == len(ps):
-        return []
+    limit = eps / abs(b.scale)
     # heads[m]: anchor + scale * (a sum of m terms), one per m-subset of the
-    # indices walked so far; one-term points need no heads, so skip to the band
+    # indices walked so far
     heads = [[b.anchor]] + [[] for _ in range(k - 1)]
-    grown = range(k - 1, 0, -1)
     out = []
-    for j in range(0 if k > 1 else start, len(ps)):
-        step = b.scale * ps[j]
-        if j >= start:
-            out.extend(h + step for h in heads[k - 1])
-        for m in grown:
+    p = b.ratio
+    while p >= limit:
+        step = b.scale * p
+        out.extend(h + step for h in heads[k - 1])
+        for m in range(k - 1, 0, -1):
             heads[m].extend([h + step for h in heads[m - 1]])
+        p *= b.ratio
     return out
 
 

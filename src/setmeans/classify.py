@@ -3,8 +3,9 @@
 A set V is small to H when unioning or removing any translate of V leaves
 the mean of H unchanged; V is big to H when H is small to V.  For each of
 the five means the family has a closed form (finiteness, level comparison,
-dimension comparison, or isolated-count growth), so verdicts are definitive;
-a sampling probe over a translate grid supplies the evidence trail.
+dimension comparison, or the degree of isolated-count growth read off
+``means.iso_growth``), so verdicts are definitive; a sampling probe over a
+translate grid supplies the evidence trail.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
 
-from .blocks import Cantor, Finite, Interval, PowerSums
+from .blocks import Finite, Interval
 from .errors import DomainViolation, EmptyResult, IntersectionNotRepresentable
 from .means import (
     DEFAULT_CONFIG,
@@ -21,8 +22,8 @@ from .means import (
     MeanKind,
     compare_dims,
     dimension_of,
-    iso_coeff_compare,  # noqa: F401  (still importable from this module)
     iso_eligible,
+    iso_growth,
     mean_of,
     values_close,
 )
@@ -66,43 +67,6 @@ class Verdict:
 
 def _closed(answer: Answer, *evidence: str) -> Verdict:
     return Verdict(answer, Method.CLOSED_FORM, tuple(evidence))
-
-
-# ---------------------------------------------------------------------------
-# isolated-count growth (the ISO closed form)
-
-
-def iso_growth(h: BlockSet):
-    """(degree, ratios) of the isolated-point count of the set.
-
-    The number of points outside the eps-neighborhood of the accumulation
-    set grows like a polynomial of degree = the deepest tower level in
-    log(1/eps) (degree 1 for plain sequences, 0 for finite sets); the
-    leading coefficient is sum (1/log(1/r))^degree / degree! over the
-    blocks at that level, so the returned ratio multiset determines it.
-    """
-    degree = 0
-    for b in h.blocks:
-        if isinstance(b, PowerSums):
-            degree = max(degree, b.level)
-        elif isinstance(b, (Interval, Cantor)):
-            raise DomainViolation("interval or cantor parts have no isolated points")
-    if degree == 0:
-        return 0, (Q(len(h.finite_points())),)
-    ratios = [b.ratio for b in h.blocks if isinstance(b, PowerSums) and b.level == degree]
-    return degree, tuple(sorted(ratios))
-
-
-def iso_ratio_trace(v: BlockSet, h: BlockSet, cfg: LadderConfig, steps: int = 12):
-    """Count ratios n_eps/m_eps along the ladder, as evidence."""
-    out = []
-    eps = cfg.eps0
-    for _ in range(steps):
-        n = len(isolated_outside(v, eps))
-        m = len(isolated_outside(h, eps))
-        out.append((eps, n, m))
-        eps *= cfg.shrink
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +166,11 @@ def sampler_probe(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
 # the classifiers
 
 
-def _in_domain(h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> bool:
-    # the ladder mean's domain is structural; non-convergence is not an exit
-    if kind is MeanKind.ISO:
-        return not h.is_empty and iso_eligible(h)
-    return mean_of(h, kind, cfg).is_defined
-
-
 def is_small_for(v: BlockSet, h: BlockSet, kind: MeanKind,
                  cfg: LadderConfig = DEFAULT_CONFIG, sampler: bool = False) -> Verdict:
     """Is V small to H: does any translate of V leave K(H) unchanged?"""
     kind = MeanKind(kind)
-    if not _in_domain(h, kind, cfg):
+    if not mean_of(h, kind, cfg).is_defined:
         raise DomainViolation(f"reference set is outside Dom({kind.value})")
     return _small(v, h, kind, cfg, sampler)
 
@@ -223,7 +180,7 @@ def _small(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
     """is_small_for for an H already known to be in the domain."""
     if v.is_empty:
         return _closed(Answer.YES, "empty set is small to everything")
-    verdict = _closed_small(v, h, kind, cfg)
+    verdict = _closed_small(v, h, kind)
     if sampler and verdict.answer is not Answer.INCONCLUSIVE:
         probe = sampler_probe(v, h, kind, cfg)
         verdict = Verdict(verdict.answer, verdict.method,
@@ -231,7 +188,7 @@ def _small(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
     return verdict
 
 
-def _closed_small(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> Verdict:
+def _closed_small(v: BlockSet, h: BlockSet, kind: MeanKind) -> Verdict:
     if kind is MeanKind.ARITH:
         if v.is_finite:
             return _closed(Answer.NO, f"|V|={len(v.finite_points())} > 0 shifts a finite mean")
@@ -253,19 +210,16 @@ def _closed_small(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig) -
         if cmp < 0:
             return _closed(Answer.YES, "V carries zero measure at H's dimension")
         return _closed(Answer.NO, "V carries positive (or dominating) measure at H's dimension")
-    # ISO: the count-growth degree decides the ladder ratio limit
+    # ISO: the count-growth degrees decide the limit of the count ratio n/m
     if not iso_eligible(v):
         return _closed(Answer.NO, "V has interval or cantor parts, unions leave the domain")
-    dv, rv = iso_growth(v)
-    dh, rh = iso_growth(h)
-    trace = iso_ratio_trace(v, h, cfg)
-    trace_str = "ratio trace " + ", ".join(f"{n}/{m}" for _, n, m in trace)
+    dv, _ = iso_growth(v)
+    dh, _ = iso_growth(h)
     if dv < dh:
-        return _closed(Answer.YES, f"count degree {dv} < {dh}: n/m -> 0", trace_str)
+        return _closed(Answer.YES, f"count degree {dv} < {dh}: n/m -> 0")
     if dv > dh:
-        return _closed(Answer.NO, f"count degree {dv} > {dh}: n/m -> infinity", trace_str)
-    return _closed(Answer.NO, f"equal count degree {dv}: n/m has a positive finite limit",
-                   trace_str)
+        return _closed(Answer.NO, f"count degree {dv} > {dh}: n/m -> infinity")
+    return _closed(Answer.NO, f"equal count degree {dv}: n/m has a positive finite limit")
 
 
 def is_big_for(v: BlockSet, h: BlockSet, kind: MeanKind,
@@ -276,9 +230,9 @@ def is_big_for(v: BlockSet, h: BlockSet, kind: MeanKind,
     candidate is a definitive no rather than an error.
     """
     kind = MeanKind(kind)
-    if not _in_domain(h, kind, cfg):
+    if not mean_of(h, kind, cfg).is_defined:
         raise DomainViolation(f"reference set is outside Dom({kind.value})")
-    return _big(v, h, kind, cfg, _in_domain(v, kind, cfg), sampler)
+    return _big(v, h, kind, cfg, mean_of(v, kind, cfg).is_defined, sampler)
 
 
 def _big(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
@@ -312,10 +266,10 @@ def classify_bundle(h: BlockSet, v: BlockSet, kind: MeanKind,
     comparable would refuse is given as the DomainViolation they raise.
     """
     kind = MeanKind(kind)
-    if not _in_domain(h, kind, cfg):
+    if not mean_of(h, kind, cfg).is_defined:
         return dict.fromkeys(("small", "big", "comparable"),
                              DomainViolation(f"reference set is outside Dom({kind.value})"))
-    v_in_domain = _in_domain(v, kind, cfg)
+    v_in_domain = mean_of(v, kind, cfg).is_defined
     small = _small(v, h, kind, cfg)
     big = _big(v, h, kind, cfg, v_in_domain)
     if not v_in_domain:

@@ -75,23 +75,12 @@ def _curve_json(curve) -> dict:
     }
 
 
-def _config(args) -> LadderConfig:
-    return LadderConfig(
-        eps0=Q(args.ladder_start),
-        shrink=Q(1, 2),
-        max_steps=args.ladder_steps,
-        tol=args.tol,
-    )
-
-
 def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
     sub.add_argument("--strict", action="store_true",
                      help="treat INCONCLUSIVE results as failures (exit 4)")
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--ladder-start", default="1/2",
-                     help="first neighborhood radius of the refinement ladder")
-    sub.add_argument("--ladder-steps", type=int, default=60)
+    sub.add_argument("--tol", type=float, default=1e-9,
+                     help="largest error of an approximate value")
     sub.add_argument("--xmax", type=int, default=4,
                      help="largest translate exponent for sampling grids")
     sub.add_argument("--seed", type=int, default=0)
@@ -217,7 +206,7 @@ def _is_inconclusive(result) -> bool:
 
 
 def _dispatch(args, report) -> int:
-    cfg = _config(args)
+    cfg = LadderConfig(tol=args.tol)
     cmd = args.command
 
     if cmd == "eval":

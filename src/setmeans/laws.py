@@ -181,7 +181,7 @@ def gen_corpus(seed: int, count: int, profile: str = "mixed") -> list[SetExpr]:
 
 
 def _le(a: MeanValue, b: MeanValue, tol: float):
-    """a <= b up to ladder tolerance; None when either side is undefined."""
+    """a <= b up to tolerance; None when either side is undefined."""
     if not (a.is_defined and b.is_defined):
         return None
     if a.is_exact and b.is_exact:
@@ -449,7 +449,7 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                 else:
                     diff = vx.as_float() - v0.as_float()
                     if abs(diff) <= 2 * cfg.tol:
-                        run.skip()  # sign not resolvable at ladder tolerance
+                        run.skip()  # sign not resolvable at tolerance
                     else:
                         sign_ok = (diff > 0) == (x > 0)
                         mag_ok = abs(diff) <= abs(x) + 2 * cfg.tol

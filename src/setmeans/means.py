@@ -1,36 +1,38 @@
 """Evaluators for the five means and for mean-relative liminf/limsup.
 
-All means are exact rational computations except the isolated-point mean,
-which is a ladder limit: it evaluates the arithmetic mean of the isolated
-points outside a shrinking neighborhood of the accumulation set and reports
-an approximate value once the ladder stabilizes.
+All means are exact rational computations except where the mathematics is
+not.  The isolated-point mean is a closed form: the count-weighted mean of
+the anchors that the isolated points crowd at (``iso_growth``), exact when
+its weights are rational multiples of one another and otherwise the
+midpoint of an mpmath.iv enclosure narrower than tol.
 
 The verdicts order Hausdorff dimensions log m / log(1/r), Cantor weights
-sum diam**s and isolated-count coefficients sum (1/ln(1/r))**d through one
-number layer: ``blocks._log_ratio`` decides exactly whether a rational is a
-power of another (exponent vectors over a coprime basis, gcds only), and
-``_separate`` orders what is left by mpmath.iv enclosures at 64 to 4096
-bits.  Once that budget is spent the comparison is undecided:
-IncomparableDimensions, or an INCONCLUSIVE verdict.
+sum diam**s and isolated-count coefficients sum c * (1/ln(1/r))**d through
+one number layer: ``blocks._log_ratio`` decides exactly whether a rational
+is a power of another (exponent vectors over a coprime basis, gcds only),
+sums compare exactly class by commensurable class, and ``_separate`` orders
+what is left by mpmath.iv enclosures at 64 to 4096 bits.  Once that budget
+is spent the comparison is undecided: IncomparableDimensions, or an
+INCONCLUSIVE verdict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import mpmath
 from mpmath import iv
 
 from .blocks import Cantor, Finite, Interval, PowerSums, Q, _log_ratio
 from .errors import DomainViolation, EmptyResult, IncomparableDimensions
-from .errors import CutNotRepresentable
+from .errors import CutNotRepresentable, ValidationError
 from .sets import (
     BlockSet,
     bounds,
     cut_set,
-    derived_set,
+    derived_sets,
     top_level,
     INFINITE_LEVEL,
 )
@@ -108,18 +110,14 @@ def values_close(a: MeanValue, b: MeanValue, tol: float):
 
 @dataclass(frozen=True)
 class LadderConfig:
-    eps0: Q = Q(1, 2)
-    shrink: Q = Q(1, 2)
-    max_steps: int = 60
+    """The tolerance of approximate values: an approximate mean is within tol."""
+
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
-        if not (0 < self.shrink < 1):
-            raise ValueError("shrink must lie in (0, 1)")
-        if self.max_steps < 4:
-            raise ValueError("max_steps must be at least 4")
+        # an enclosure is narrowed until it is narrower than tol
+        if not self.tol > 0:
+            raise ValidationError("tol must be positive")
 
 
 DEFAULT_CONFIG = LadderConfig()
@@ -137,6 +135,16 @@ def arith_mean(values) -> Q:
 # certified separation
 
 
+def _iv_at(bits: int, f):
+    """f() evaluated with iv.prec set to bits; iv.prec is restored after."""
+    saved = iv.prec
+    try:
+        iv.prec = bits
+        return f()
+    finally:
+        iv.prec = saved
+
+
 def _separate(f, g) -> Optional[int]:
     """Certified sign of f - g (-1 or 1), or None once 4096 bits do not tell.
 
@@ -144,23 +152,40 @@ def _separate(f, g) -> Optional[int]:
     evaluated at doubling precision until the intervals are disjoint.  Equal
     values never separate, so callers decide equality exactly first.
     """
-    saved = iv.prec
-    try:
-        for bits in (64, 128, 256, 512, 1024, 2048, 4096):
-            iv.prec = bits
-            a, b = f(), g()
-            if a.b < b.a:
-                return -1
-            if b.b < a.a:
-                return 1
-        return None
-    finally:
-        iv.prec = saved
+    for bits in (64, 128, 256, 512, 1024, 2048, 4096):
+        a, b = _iv_at(bits, lambda: (f(), g()))
+        if a.b < b.a:
+            return -1
+        if b.b < a.a:
+            return 1
+    return None
+
+
+def _iv_q(q):
+    """Enclosure of a rational (or integer) q."""
+    return iv.mpf(q.numerator) / q.denominator
 
 
 def _iv_log(q):
     """Enclosure of ln q for a positive rational (or integer) q."""
     return iv.log(iv.mpf(q.numerator)) - iv.log(iv.mpf(q.denominator))
+
+
+def _rational_power(q: Q, s: Q) -> Optional[Q]:
+    """q**s for a positive rational q and a rational s when it is rational, else None.
+
+    Integer Newton iteration from a power of two at or above each root, so
+    integers of any size work (a float root overflows past about 2**1024).
+    """
+    j, roots = s.denominator, []
+    for n in (q.numerator, q.denominator):
+        x = 1 << -(-n.bit_length() // j)
+        while (y := ((j - 1) * x + n // x ** (j - 1)) // j) < x:
+            x = y
+        if x**j != n:
+            return None
+        roots.append(x)
+    return Q(*roots) ** s.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +242,6 @@ def compare_dims(d1: DimValue, d2: DimValue) -> int:
     return sign
 
 
-def _mp_log_q(q: Q):
-    return mpmath.log(q.numerator) - mpmath.log(q.denominator)
-
-
 def dimension_of(h: BlockSet) -> DimValue:
     """Largest block dimension in the set."""
     if h.is_empty:
@@ -266,68 +287,192 @@ def measure_weight(h: BlockSet, dim: DimValue):
     return ("terms", terms)
 
 
+def _classes(items, ratio) -> dict:
+    """Split (term, payload) items into classes of related terms.
+
+    ratio(x, x0) relates x to x0, or is None: for a weight, the rational
+    x / x0 when the two are commensurable.  Maps the first term of each
+    class to the list of (ratio(term, first term), payload) of its items.
+    """
+    classes: dict = {}
+    for x, payload in items:
+        for first, members in classes.items():
+            q = ratio(x, first)
+            if q is not None:
+                members.append((q, payload))
+                break
+        else:
+            classes[x] = [(ratio(x, x), payload)]
+    return classes
+
+
+def _weighted_mean(items, ratio, enclose, tol: float) -> MeanValue:
+    """sum(w * x) / sum(w) over (weight w, x) items with positive weights.
+
+    Exact when every commensurable class of weights has the same weighted
+    mean, as one class always has; otherwise the midpoint of an mpmath.iv
+    enclosure, enclose(w) for a weight, narrowed below tol at doubling
+    precision.
+    """
+    sums = [(first, sum(q for q, _ in members), sum(q * x for q, x in members))
+            for first, members in _classes(items, ratio).items()]
+    means = {num / den for _, den, num in sums}
+    if len(means) == 1:
+        return MeanValue.exact(means.pop())
+
+    def enclosure():
+        return (sum(enclose(first) * _iv_q(num) for first, _, num in sums)
+                / sum(enclose(first) * _iv_q(den) for first, den, _ in sums))
+
+    bits = 64
+    while True:
+        x = _iv_at(bits, enclosure)
+        if x.delta < tol:
+            return MeanValue.approximate(float(x.mid), tol)
+        bits *= 2
+
+
 def _compare_sums(terms1, terms2, ratio, enclose) -> Optional[int]:
     """Sign of sum(terms1) - sum(terms2) for positive terms; None when undecided.
 
-    ratio(x, x0) is the rational x / x0 when the two terms are commensurable,
-    else None.  Equal multisets of terms have equal sums.  When every term is
-    commensurable with the first, the sums compare exactly in its units;
-    otherwise the enclose(x) intervals are separated.
+    The sums are equal when every commensurable class (see _classes) sums to
+    the same on both sides, and a single class compares exactly in its first
+    term's units; otherwise the enclose(x) intervals are separated.
     """
-    if sorted(terms1) == sorted(terms2):
+    classes = _classes([(x, 1) for x in terms1] + [(x, -1) for x in terms2], ratio)
+    diffs = [sum(q * side for q, side in members) for members in classes.values()]
+    if not any(diffs):
         return 0
-    q1 = [ratio(x, terms1[0]) for x in terms1]
-    q2 = [ratio(x, terms1[0]) for x in terms2]
-    if None in q1 or None in q2:
-        return _separate(lambda: sum(map(enclose, terms1)), lambda: sum(map(enclose, terms2)))
-    diff = sum(q1) - sum(q2)
-    return (diff > 0) - (diff < 0)
+    if len(diffs) == 1:
+        return 1 if diffs[0] > 0 else -1
+    return _separate(lambda: sum(map(enclose, terms1)), lambda: sum(map(enclose, terms2)))
 
 
 def _weight_ratio(a, b) -> Optional[Q]:
     """The rational diam_a**s / diam_b**s of two (diam, m, invr) terms, or None.
 
-    Both terms have one dimension s.  The ratio is 1 for equal diameters, and
+    Both terms have one dimension s.  The ratio is 1 for equal diameters;
     m**j in one (m, invr) family with diam_a == diam_b * invr**j for an
-    integer j, because invr**s == m.
+    integer j, because invr**s == m; and, across families too,
+    (diam_a / diam_b)**s when s is rational and that power is rational.
     """
     (da, m, invr), (db, mb, invrb) = a, b
     if da == db:
         return Q(1)
-    if (m, invr) != (mb, invrb):
-        return None
-    j = _log_ratio(da / db, invr)
-    return None if j is None or j.denominator != 1 else Q(m) ** j.numerator
+    if (m, invr) == (mb, invrb):
+        j = _log_ratio(da / db, invr)
+        if j is not None and j.denominator == 1:
+            return Q(m) ** j.numerator
+    s = _log_ratio(m, invr)
+    return None if s is None else _rational_power(da / db, s)
+
+
+def _iv_weight(term):
+    """Enclosure of the weight diam**s of a (diam, m, invr) term, s = log m / log invr."""
+    d, m, invr = term
+    return iv.exp(_iv_log(m) / _iv_log(invr) * _iv_log(d))
 
 
 def compare_weight_terms(w1, w2):
-    """Sign of total(w1) - total(w2) for two "terms" weights; None when undecided.
+    """Sign of total(w1) - total(w2) for two "terms" weights; None when undecided."""
+    return _compare_sums(w1, w2, _weight_ratio, _iv_weight)
 
-    A term (diam, m, invr) weighs diam**s, s = log m / log invr.
+
+# ---------------------------------------------------------------------------
+# isolated-count growth
+
+
+def iso_eligible(h: BlockSet) -> bool:
+    """Structural domain check: the isolated points must be dense in the set."""
+    return not any(isinstance(b, (Interval, Cantor)) for b in h.blocks)
+
+
+def iso_growth(h: BlockSet):
+    """``(degree, terms)``: how many isolated points lie outside the
+    eps-neighborhood of the accumulation set as eps -> 0.
+
+    A level-d sum-of-powers block with ratio r has about
+    (ln(1/eps) / ln(1/r))**d / d! such points, so the count grows like a
+    polynomial of degree d, the deepest level (0 for a finite set), in
+    ln(1/eps).  A term (anchor, c, r) adds c * (1/ln(1/r))**d / d! to its
+    leading coefficient, from points that crowd at the anchor.  Lower
+    levels, and the points that lie near another block's accumulation
+    points, change only lower-order terms.
+
+    The top-level blocks of one anchor and side whose ratios and scales are
+    powers of one base rho make one term: their top points are sums of d
+    distinct powers of rho with exponents in the progressions
+    {e_i + p_i * n}, and such sums are distinct for a rational rho < 1, so
+    the points they share are counted once by inclusion-exclusion
+    (_progressions_union).  A finite set is the one term
+    (its mean, its size, None).
     """
-    def enclose(term):
-        d, m, invr = term
-        return iv.exp(_iv_log(m) / _iv_log(invr) * _iv_log(d))
-
-    return _compare_sums(w1, w2, _weight_ratio, enclose)
-
-
-def iso_coeff_compare(ratios1, ratios2, degree: int):
-    """Compare leading count coefficients; None when undecided.
-
-    Degree 0 compares plain point counts.  A coefficient is the sum of
-    (1/ln(1/r))**degree over the ratios, and r == r0**t gives a term
-    t**-degree times r0's.
-    """
+    if not iso_eligible(h):
+        raise DomainViolation("set has interval or cantor parts; isolated points are not dense")
+    degree = max((b.level for b in h.blocks if isinstance(b, PowerSums)), default=0)
     if degree == 0:
-        c1, c2 = ratios1[0], ratios2[0]
-        return (c1 > c2) - (c1 < c2)
+        pts = h.finite_points()
+        return 0, ((arith_mean(pts), Q(len(pts)), None),)
 
-    def ratio(r, r0):
-        t = _log_ratio(r, r0)
-        return None if t is None else t**-degree
+    def powers(b, b0):
+        # (t, s) with ratio r0**t and scale w0 * r0**s, when b can share points with b0
+        if b.anchor != b0.anchor or (b.scale > 0) != (b0.scale > 0):
+            return None
+        t, s = _log_ratio(b.ratio, b0.ratio), _log_ratio(b.scale / b0.scale, b0.ratio)
+        return None if t is None or s is None else (t, s)
 
-    return _compare_sums(ratios1, ratios2, ratio, lambda r: 1 / _iv_log(1 / r) ** degree)
+    tops = [(b, None) for b in h.blocks if isinstance(b, PowerSums) and b.level == degree]
+    terms = []
+    for b0, members in _classes(tops, powers).items():
+        # rho = r0**(1/n): member i's points have the exponents n*s + n*t*k, k >= 1
+        n = math.lcm(*(x.denominator for ts, _ in members for x in ts))
+        union = _progressions_union([(int(n * s), int(n * t)) for (t, s), _ in members], degree)
+        terms.append((b0.anchor, n**degree * union, b0.ratio))
+    return degree, tuple(terms)
+
+
+def _progressions_union(progressions, degree: int, e: int = 0, p: int = 1) -> Q:
+    """Inclusion-exclusion over the progressions {e_i + p_i * k}, given as (e_i, p_i).
+
+    Each nonempty subfamily T whose congruences x = e_i (mod p_i) agree adds
+    (-1)**(|T| + 1) / step_T**degree, step_T the lcm of its p_i: a d-subset
+    of step-p exponents is counted (1/p)**d times one of step 1.  The
+    subfamilies are extended one progression at a time from the agreed
+    congruence x = e (mod p); one whose residues clash adds nothing, and
+    neither does any subfamily containing it.  So n progressions cost up to
+    2**n steps, when all their residues agree.
+    """
+    total = Q(0)
+    for i, (ei, pi) in enumerate(progressions):
+        g = math.gcd(p, pi)
+        if (ei - e) % g == 0:
+            step = p // g * pi
+            x = (e + p * ((ei - e) // g * pow(p // g, -1, pi // g))) % step
+            total += Q(1, step**degree) - _progressions_union(progressions[i + 1:], degree, x, step)
+    return total
+
+
+def _count_weights(degree: int):
+    """(ratio, enclose) of the (c, r) count terms worth c * (1/ln(1/r))**degree.
+
+    At degree 0 a term is worth c, and the one term of a finite set has r None.
+    """
+
+    def ratio(x, x0):
+        t = _log_ratio(x[1], x0[1]) if degree else Q(1)
+        return None if t is None else x[0] / x0[0] / t**degree
+
+    return ratio, lambda x: _iv_q(x[0]) / _iv_log(1 / x[1]) ** degree
+
+
+def iso_coeff_compare(terms1, terms2, degree: int):
+    """Compare the leading count coefficients of two iso_growth term lists.
+
+    Returns the sign of the first minus the second, or None when undecided.
+    """
+    ratio, enclose = _count_weights(degree)
+    return _compare_sums([(c, r) for _, c, r in terms1], [(c, r) for _, c, r in terms2],
+                         ratio, enclose)
 
 
 # ---------------------------------------------------------------------------
@@ -360,85 +505,30 @@ def mean_acc(h: BlockSet) -> MeanValue:
     return MeanValue.exact(arith_mean(top.finite_points()))
 
 
-def iso_eligible(h: BlockSet) -> bool:
-    """Structural domain check: the isolated points must be dense in the set."""
-    return not any(isinstance(b, (Interval, Cantor)) for b in h.blocks)
-
-
 def mean_iso(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
-    """Ladder evaluation of the isolated-point mean.
+    """The isolated-point mean: the limit, as eps -> 0, of the mean of the
+    isolated points outside the eps-neighborhood of the accumulation set.
 
-    The recorded ladder value at a refinement step is the mean of the points
-    the step added (a count-weighted difference quotient of the partial
-    sums).  For geometric blocks the raw partial means drift like 1/N while
-    the increments converge geometrically, which is what makes the default
-    60-step ladder reach tolerance.  Convergence is declared when three
-    consecutive recorded values agree pairwise within tol.
-
-    Each candidate's exact distance to the accumulation set is computed
-    once; the shrinking thresholds then admit points from a heap, so a
-    full ladder costs one distance per point rather than one per step.
+    Over the iso_growth terms it is sum(w * anchor) / sum(w) with
+    w = c * (1/ln(1/r))**degree, and the error at eps is O(1/ln(1/eps)).
+    Terms whose ratios are powers of one another form a class whose weights
+    are rational multiples of each other.  When every class has the same
+    weighted mean (always so for one class) the value is exact; otherwise
+    it is the midpoint of an mpmath.iv enclosure narrowed below tol at
+    doubling precision.
     """
-    import heapq
-
-    from .blocks import block_min_dist, tower_outer_points
-
     if h.is_empty:
         raise EmptyResult("mean of the empty set")
-    if not iso_eligible(h):
-        raise DomainViolation("set has interval or cantor parts; isolated points are not dense")
-    if h.is_finite:
-        return MeanValue.approximate(float(arith_mean(h.finite_points())), cfg.tol)
-    acc = derived_set(h)
-    eps = cfg.eps0
-    eps_prev: Q | None = None
-    recorded: list[Q] = []
-    count = 0
-    total = Q(0)
-    seen: set[Q] = set()
-    pending: list[tuple[Q, Q]] = []  # (-distance, point) max-heap
-    tol = Q(cfg.tol)  # exact binary value of the float tolerance
-    for step in range(cfg.max_steps):
-        fresh: list[Q] = []
-        for b in h.blocks:
-            if isinstance(b, Finite):
-                if step == 0:
-                    fresh.extend(b.points)
-            else:
-                fresh.extend(tower_outer_points(b, eps, eps_prev))
-        for p in fresh:
-            if p in seen:
-                continue
-            seen.add(p)
-            d = min(block_min_dist(a, p) for a in acc.blocks)
-            if d > 0:
-                heapq.heappush(pending, (-d, p))
-        added_count = 0
-        added_sum = Q(0)
-        while pending and -pending[0][0] >= eps:
-            _, p = heapq.heappop(pending)
-            added_count += 1
-            added_sum += p
-        if added_count:
-            count += added_count
-            total += added_sum
-            recorded.append(added_sum / added_count)
-            if len(recorded) >= 3:
-                a, b, c = recorded[-3:]
-                if abs(a - b) < tol and abs(b - c) < tol and abs(a - c) < tol:
-                    return MeanValue.approximate(float(recorded[-1]), cfg.tol)
-        eps_prev = eps
-        eps *= cfg.shrink
-    return MeanValue.undefined(f"no convergence after {cfg.max_steps} ladder steps")
+    degree, terms = iso_growth(h)
+    return _weighted_mean((((c, r), a) for a, c, r in terms), *_count_weights(degree), cfg.tol)
 
 
 def mean_avg(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
     """Hausdorff-measure average at the set's maximal dimension.
 
     Lower-dimensional blocks carry weight zero.  The result is exact
-    whenever the weights have rational ratios (always at dimensions 0 and 1,
-    and for Cantor families whose diameters are equal or related by integer
-    powers of 1/r); otherwise the weights are evaluated numerically.
+    whenever the weights have rational ratios (always at dimensions 0 and 1;
+    see _weight_ratio for Cantor blocks), and otherwise enclosed within tol.
     """
     if h.is_empty:
         raise EmptyResult("mean of the empty set")
@@ -453,19 +543,8 @@ def mean_avg(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
         weighted = sum((b.hi - b.lo) * (b.lo + b.hi) / 2 for b in at_max)
         return MeanValue.exact(weighted / total)
     # Cantor blocks at the maximal dimension; centers by symmetry
-    centers = [(b.lo + b.hi) / 2 for b in at_max]
-    diams = [b.hi - b.lo for b in at_max]
-    terms = [(d, b.pieces, 1 / b.ratio) for d, b in zip(diams, at_max)]
-    weights = [_weight_ratio(t, terms[0]) for t in terms]
-    if None not in weights:
-        total = sum(weights, Q(0))
-        return MeanValue.exact(sum(w * c for w, c in zip(weights, centers)) / total)
-    with mpmath.workprec(200):
-        s = mpmath.log(dim.m) / _mp_log_q(dim.invr)
-        ws = [mpmath.exp(s * _mp_log_q(d)) for d in diams]
-        num = mpmath.fsum(w * mpmath.mpf(c.numerator) / c.denominator for w, c in zip(ws, centers))
-        den = mpmath.fsum(ws)
-        return MeanValue.approximate(float(num / den), cfg.tol)
+    items = [((b.hi - b.lo, b.pieces, 1 / b.ratio), (b.lo + b.hi) / 2) for b in at_max]
+    return _weighted_mean(items, _weight_ratio, _iv_weight, cfg.tol)
 
 
 def mean_of(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
@@ -498,8 +577,7 @@ class KBounds:
 
 def _cut_candidates(h: BlockSet) -> list[Q]:
     cands: set[Q] = set()
-    cur = h
-    for _ in range(64):
+    for cur in derived_sets(h):
         for b in cur.blocks:
             cands.add(b.inf)
             cands.add(b.sup)
@@ -507,10 +585,6 @@ def _cut_candidates(h: BlockSet) -> list[Q]:
                 cands.update(b.points)
             elif isinstance(b, PowerSums):
                 cands.add(b.anchor)
-        nxt = derived_set(cur)
-        if nxt.is_empty or nxt == cur:
-            break
-        cur = nxt
     return sorted(cands)
 
 

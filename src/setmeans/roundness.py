@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 
-from .classify import Answer, Method, Verdict, iso_growth
+from .classify import Answer, Method, Verdict
 from .errors import DomainViolation
 from .means import (
     DEFAULT_CONFIG,
@@ -24,6 +24,7 @@ from .means import (
     compare_weight_terms,
     dimension_of,
     iso_coeff_compare,
+    iso_growth,
     mean_of,
     measure_weight,
     values_close,
@@ -84,8 +85,7 @@ def round_defect(h: BlockSet, kind: MeanKind,
     """Compute k, the two halves' means, and their averaging defect.
 
     The halves keep the cut value itself on both sides, matching the
-    closed-halfline intersections.  For the ladder mean non-convergent
-    halves yield an inconclusive verdict instead of a refutation.
+    closed-halfline intersections.
     """
     return _defect(_Halves(h, MeanKind(kind), cfg))
 
@@ -111,10 +111,6 @@ def _defect(halves: _Halves) -> RoundReport:
     k1, k2 = halves.means
     if not (k1.is_defined and k2.is_defined):
         reason = k1.reason if not k1.is_defined else k2.reason
-        if kind is MeanKind.ISO:
-            verdict = Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
-                              (f"a half did not converge: {reason}",))
-            return RoundReport(k, k1, k2, MeanValue.undefined(reason), verdict)
         raise DomainViolation(f"a half lies outside Dom({kind.value}): {reason}")
     if k.is_exact and k1.is_exact and k2.is_exact:
         defect = MeanValue.exact((k1.value + k2.value) / 2 - k.value)
@@ -161,8 +157,6 @@ def _witness(halves: _Halves) -> Verdict:
         if kind1 == "exact" and kind2 == "exact":
             answer = Answer.YES if w1 == w2 else Answer.NO
             return Verdict(answer, Method.CLOSED_FORM, (f"measures {w1} vs {w2}",))
-        if w1 == w2:
-            return Verdict(Answer.YES, Method.CLOSED_FORM, ("identical weight terms",))
         cmp = compare_weight_terms(w1, w2)
         if cmp is None:
             return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
@@ -190,21 +184,16 @@ def _witness(halves: _Halves) -> Verdict:
                        (f"(limsup H- + liminf H+)/2 = {mid} vs k = {kq}",))
 
     # ISO: half means back at k, or the top/bottom count ratio tends to one
-    ev = []
     k1, k2 = halves.means
-    if k1.is_defined and k2.is_defined:
-        ev.append(f"half means {k1.as_float():.6g}, {k2.as_float():.6g} "
-                  f"vs k={k.as_float():.6g}")
-        if values_close(k1, k, cfg.tol) and values_close(k2, k, cfg.tol):
-            return Verdict(Answer.YES, Method.CLOSED_FORM, tuple(ev))
-    else:
-        ev.append("a half mean did not converge")
-    d1, r1 = iso_growth(halves.low)
-    d2, r2 = iso_growth(halves.high)
+    ev = [f"half means {k1.as_float():.6g}, {k2.as_float():.6g} vs k={k.as_float():.6g}"]
+    if values_close(k1, k, cfg.tol) and values_close(k2, k, cfg.tol):
+        return Verdict(Answer.YES, Method.CLOSED_FORM, tuple(ev))
+    d1, t1 = iso_growth(halves.low)
+    d2, t2 = iso_growth(halves.high)
     if d1 != d2:
         ev.append(f"side count degrees differ: {d1} vs {d2}")
         return Verdict(Answer.NO, Method.CLOSED_FORM, tuple(ev))
-    cmp = iso_coeff_compare(r2, r1, d1)
+    cmp = iso_coeff_compare(t2, t1, d1)
     if cmp == 0:
         ev.append(f"count ratio |P|/|S| -> 1 (equal degree {d1} and coefficient)")
         return Verdict(Answer.YES, Method.CLOSED_FORM, tuple(ev))

@@ -291,6 +291,22 @@ def level(h: BlockSet):
     return top_level(h)[0]
 
 
+def derived_sets(h: BlockSet):
+    """Yield h, h', h'', ... until the next derived set is empty or the same.
+
+    Each step lowers every sum-of-powers level by one and drops the finite
+    points outside the perfect parts, so a set of level k without interval
+    or Cantor parts yields k + 1 sets, and one with them at most one more.
+    """
+    cur = h
+    while True:
+        yield cur
+        nxt = derived_set(cur)
+        if nxt.is_empty or nxt == cur:
+            return
+        cur = nxt
+
+
 def top_level(h: BlockSet):
     """``(level(h), the level-th derived set)`` from one walk of derived sets.
 
@@ -300,14 +316,8 @@ def top_level(h: BlockSet):
         raise EmptyResult("level of the empty set is undefined")
     if any(isinstance(b, (Interval, Cantor)) for b in h.blocks):
         return INFINITE_LEVEL, None
-    n = 0
-    cur = h
-    while True:
-        nxt = derived_set(cur)
-        if nxt.is_empty:
-            return n, cur
-        n += 1
-        cur = nxt
+    chain = list(derived_sets(h))
+    return len(chain) - 1, chain[-1]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from .classify import (
     Method,
     Verdict,
     _closed,
-    iso_growth,
     _translate_grid,
 )
 from .errors import DomainViolation
@@ -31,7 +30,7 @@ from .means import (
     compare_weight_terms,
     dimension_of,
     iso_coeff_compare,
-    iso_eligible,
+    iso_growth,
     mean_of,
     measure_weight,
 )
@@ -161,13 +160,11 @@ def equal_weight(h1: BlockSet, h2: BlockSet, kind: MeanKind, wkind: WeightKind,
             return _closed(Answer.YES, f"equal accumulation diameter {diam1}")
         return _closed(Answer.NO, f"accumulation diameters differ: {diam1} vs {diam2}")
     # ISO: the count ratio must tend to one
-    if not (iso_eligible(h1) and iso_eligible(h2)):
-        raise DomainViolation("equal weight under iso needs isolated-point sets")
-    d1, r1 = iso_growth(h1)
-    d2, r2 = iso_growth(h2)
+    d1, t1 = iso_growth(h1)
+    d2, t2 = iso_growth(h2)
     if d1 != d2:
         return _closed(Answer.NO, f"count degrees differ: {d1} vs {d2}")
-    cmp = iso_coeff_compare(r1, r2, d1)
+    cmp = iso_coeff_compare(t1, t2, d1)
     if cmp == 0:
         return _closed(Answer.YES, f"equal count degree {d1} and leading coefficient")
     if cmp is not None:
@@ -191,8 +188,6 @@ def _measures_equal(h1: BlockSet, h2: BlockSet, dim) -> Verdict:
             return _closed(Answer.YES, f"equal measure {w1} at the shared dimension")
         return _closed(Answer.NO, f"measures differ: {w1} vs {w2}")
     if k1 == "terms" and k2 == "terms":
-        if w1 == w2:
-            return _closed(Answer.YES, "identical weight terms at the shared dimension")
         cmp = compare_weight_terms(w1, w2)
         if cmp == 0:
             return _closed(Answer.YES, "equal weights at the shared dimension")

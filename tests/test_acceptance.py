@@ -79,7 +79,6 @@ def test_criterion_2_multiset_identity():
 
 
 def test_criterion_3_iso_convergence():
-    worst = 0.0
     slowest = 0.0
     for a in (Q(0), Q(1), Q(-3, 2)):
         for r in (Q(1, 2), Q(1, 3), Q(1, 5)):
@@ -87,14 +86,11 @@ def test_criterion_3_iso_convergence():
             t0 = time.perf_counter()
             v = mean_of(h, MeanKind.ISO)
             dt = time.perf_counter() - t0
-            assert v.status == "approx"
-            err = abs(v.approx - float(a))
-            assert err < 1e-6, (a, r, err)
+            assert (v.status, v.value) == ("exact", a), (a, r, v)
             assert dt < 1.0, (a, r, dt)
-            worst = max(worst, err)
             slowest = max(slowest, dt)
-    _report(3, f"iso mean within 1e-6 of the anchor on 9 sequences "
-               f"(worst error {worst:.2e}, slowest {slowest*1000:.0f} ms)")
+    _report(3, f"iso mean equals the anchor exactly on 9 sequences "
+               f"(slowest {slowest*1000:.1f} ms)")
 
 
 def _finite_sets(seed, count, max_size=12, max_den=16, span=100):

@@ -205,7 +205,6 @@ def test_cut_cantor_gap_and_endpoint():
 def test_outer_point_enumeration():
     b = GeomSeq(Q(0), Q(1), Q(1, 2))
     assert tower_outer_points(b, Q(1, 8)) == [Q(1, 2), Q(1, 4), Q(1, 8)]
-    assert tower_outer_points(b, Q(1, 8), below=Q(1, 4)) == [Q(1, 8)]
     t = Tower(2, Q(0), Q(1), Q(1, 4))
     pts = tower_outer_points(t, Q(1, 64))
     brute = {

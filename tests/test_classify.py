@@ -29,7 +29,7 @@ from setmeans import (
     witness_stage_ratios,
     DEFAULT_CONFIG,
 )
-from setmeans.classify import iso_growth, iso_coeff_compare
+from setmeans.means import iso_coeff_compare, iso_growth
 
 
 def bset(*blocks):
@@ -177,14 +177,16 @@ def test_k_disjoint_weak():
 
 
 def test_iso_growth_profiles():
-    d, ratios = iso_growth(bset(Finite((Q(1), Q(2)))))
-    assert d == 0 and ratios == (2,)
-    d, ratios = iso_growth(bset(seq(0), seq(1, r=Q(1, 3))))
-    assert d == 1 and ratios == (Q(1, 3), Q(1, 2))
-    d, ratios = iso_growth(bset(Tower(2, Q(0), Q(1), Q(1, 4)), seq(5)))
-    assert d == 2 and ratios == (Q(1, 4),)
-    assert iso_coeff_compare((Q(1, 2),), (Q(1, 2),), 1) == 0
-    assert iso_coeff_compare((Q(1, 2),), (Q(1, 3),), 1) == 1  # 1/log2 > 1/log3
+    # terms (anchor, c, r): the count coefficient is the sum of c * (1/ln(1/r))**d
+    d, terms = iso_growth(bset(Finite((Q(1), Q(2)))))
+    assert d == 0 and terms == ((Q(3, 2), 2, None),)
+    d, terms = iso_growth(bset(seq(0), seq(1, r=Q(1, 3))))
+    assert d == 1 and terms == ((0, 1, Q(1, 2)), (1, 1, Q(1, 3)))
+    d, terms = iso_growth(bset(Tower(2, Q(0), Q(1), Q(1, 4)), seq(5)))
+    assert d == 2 and terms == ((0, 1, Q(1, 4)),)
+    half, third = ((0, 1, Q(1, 2)),), ((0, 1, Q(1, 3)),)
+    assert iso_coeff_compare(half, half, 1) == 0
+    assert iso_coeff_compare(half, third, 1) == 1  # 1/log2 > 1/log3
 
 
 def test_witness_big_trend():

@@ -1,6 +1,7 @@
 """CLI commands, exit codes, and JSON report determinism."""
 
 import json
+import time
 from fractions import Fraction as Q
 
 from setmeans.cli import run_command
@@ -129,19 +130,26 @@ def test_usage_error():
     assert code == 2
 
 
-def test_ladder_flags_reach_the_evaluator():
-    # six steps are not enough for the ladder to stabilize at 1e-9
+def test_tol_flag_reaches_the_evaluator():
+    # ratios 1/2 and 1/3 weigh 1/ln 2 and 1/ln 3: an irrational mean, enclosed within tol
     code, rep = run_command(
-        ["eval", "--mean", "iso", "--ladder-steps", "6", "seq(0,1,1/2)"]
-    )
-    assert code == 3
-    assert "no convergence" in rep["result"]["reason"]
-    # a loose tolerance converges immediately
-    code, rep = run_command(
-        ["eval", "--mean", "iso", "--tol", "0.25", "seq(0,1,1/2)"]
+        ["eval", "--mean", "iso", "--tol", "0.25", "seq(0,1,1/2) U seq(1,1,1/3)"]
     )
     assert code == 0
     assert rep["result"]["status"] == "approx"
+    assert rep["result"]["value"]["tol"] == "0.25"
+    # the closed form has no ladder to configure
+    code, _ = run_command(["eval", "--mean", "iso", "--ladder-steps", "6", "seq(0,1,1/2)"])
+    assert code == 2
+
+
+def test_tol_must_be_positive():
+    # an enclosure is narrowed until it is narrower than tol, which needs tol > 0
+    for tol in ("0", "-1", "nan"):
+        code, rep = run_command(["eval", "--mean", "iso", "--tol", tol,
+                                 "seq(0,1,1/2) U seq(1,1,1/3)"])
+        assert code == 2, tol
+        assert any("tol must be positive" in d for d in rep["diagnostics"])
 
 
 def test_strict_mode_flags_inconclusive():
@@ -154,10 +162,11 @@ def test_strict_mode_flags_inconclusive():
                      normalize(parse(f"seq(9,1,{near_half})")),
                      MeanKind.ISO, WeightKind.IN_BOUND)
     assert (v.answer.value, v.method.value) == ("NO", "CLOSED_FORM")
-    # both sides have dimension 1/2 and weight 4**(1/2) = 2 = 1 + 1, but
-    # from two Cantor families: the separation spends its budget undecided
+    # one family of dimension log 2 / log 3 on diameters 1 and 1 + 10**-1300:
+    # the weights differ by less than 2**-4096, so the separation spends its budget
+    n = 10**1300
     argv = ["weigh", "--mean", "avg", "--kind", "bound",
-            "cantor(0,4,2,1/4)", "cantor(0,1,3,1/9) U cantor(5,6,3,1/9)"]
+            "cantor(0,1,2,1/3)", f"cantor(5,{6 * n + 1}/{n},2,1/3)"]
     code, rep = run_command(argv)
     assert code == 0
     assert rep["result"]["answer"] == "INCONCLUSIVE"
@@ -234,3 +243,22 @@ def test_eval_avg_exact_for_far_power_related_diameters():
     mean = (Q(1, 2) + w * (5 + Q(1, 2 * n))) / (1 + w)
     assert rep["result"]["status"] == "exact"
     assert rep["result"]["value"] == {"num": str(mean.numerator), "den": str(mean.denominator)}
+
+
+def test_eval_iso_on_a_deep_tower_is_fast():
+    # the closed form reads the top level off the block: no enumeration
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        code, rep = run_command(["eval", "--mean", "iso", "tower(12,0,1/4)"])
+        best = min(best, time.perf_counter() - t0)
+        assert code == 0
+        assert rep["result"]["value"] == {"num": "0", "den": "1"}
+    assert best < 0.010, best
+
+
+def test_round_iso_cuts_at_the_exact_mean():
+    # k = 1/10 exactly, and no point of the set lies at or below it
+    code, rep = run_command(["round", "--mean", "iso", "seq(1/10,1,1/2)"])
+    assert code == 3
+    assert any("empty half" in d for d in rep["diagnostics"])

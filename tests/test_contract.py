@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "union_sets", "weight_defect", "witness_stage_ratios",
 ]
 
-COMMON = ["--json", "--strict", "--tol", "--ladder-start", "--ladder-steps", "--xmax", "--seed"]
+COMMON = ["--json", "--strict", "--tol", "--xmax", "--seed"]
 
 # subcommand -> (option strings in declaration order, positional arguments)
 SUBCOMMANDS = {

@@ -225,6 +225,6 @@ def test_round_command_evaluates_each_mean_once(monkeypatch):
     code, rep = run_command(["round", "--mean", "iso", "seq(0,1,1/2) U seq(1,1,1/2)"])
     assert code == 0
     assert rep["result"]["verdict"]["answer"] == "YES"
-    # the set and its two halves, one ladder run each
+    # the set and its two halves, one evaluation each
     assert len(calls) == 3
     assert set(calls.values()) == {1}

@@ -22,6 +22,7 @@ from setmeans import (
     gen_corpus,
     normalize,
     normalize_blocks,
+    parse,
     transitivity_probe,
     weight_defect,
 )
@@ -234,4 +235,29 @@ def test_equal_weight_avg_exact_weights():
     # two families of dimension 1/2 on unit diameters weigh 1 each
     v = equal_weight(bset(Cantor(Q(0), Q(1), 2, Q(1, 4))), bset(Cantor(Q(0), Q(1), 3, Q(1, 9))),
                      MeanKind.AVG, WeightKind.IN_LIMIT)
+    assert (v.answer, v.method) == (Answer.YES, Method.CLOSED_FORM)
+
+
+def test_equal_weight_iso_counts_shared_points_once():
+    # 4**-n and 8**-n share every 2**-6n: 1/ln 4 + 1/ln 8 - 1/ln 64 = 2/ln 8,
+    # the count of two disjoint sequences of ratio 1/8
+    h1 = normalize(parse("seq(0,1,1/4) U seq(0,1,1/8)"))
+    h2 = normalize(parse("seq(5,1,1/8) U seq(7,1,1/8)"))
+    v = equal_weight(h1, h2, MeanKind.ISO, WeightKind.IN_BOUND)
+    assert (v.answer, v.method) == (Answer.YES, Method.CLOSED_FORM)
+
+
+def test_equal_weight_iso_compares_class_by_class():
+    # 2/ln 2 + 1/ln 3 on each side: ratios 1/2 and 1/4 form one class, 1/3 another
+    h1 = normalize(parse("seq(0,1,1/2) U seq(2,1,1/3) U seq(4,1,1/4) U seq(6,1,1/4)"))
+    h2 = normalize(parse("seq(0,1,1/2) U seq(2,1,1/2) U seq(4,1,1/3)"))
+    v = equal_weight(h1, h2, MeanKind.ISO, WeightKind.IN_BOUND)
+    assert (v.answer, v.method) == (Answer.YES, Method.CLOSED_FORM)
+
+
+def test_equal_weight_avg_across_families_at_a_rational_dimension():
+    # dimension 1/2 in both families: 4**(1/2) = 2 = 1 + 1
+    h1 = normalize(parse("cantor(0,4,2,1/4)"))
+    h2 = normalize(parse("cantor(0,1,3,1/9) U cantor(5,6,3,1/9)"))
+    v = equal_weight(h1, h2, MeanKind.AVG, WeightKind.IN_BOUND)
     assert (v.answer, v.method) == (Answer.YES, Method.CLOSED_FORM)
