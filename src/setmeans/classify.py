@@ -167,28 +167,18 @@ def sampler_probe(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
 
 
 def is_small_for(v: BlockSet, h: BlockSet, kind: MeanKind,
-                 cfg: LadderConfig = DEFAULT_CONFIG, sampler: bool = False) -> Verdict:
+                 cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
     """Is V small to H: does any translate of V leave K(H) unchanged?"""
     kind = MeanKind(kind)
     if not mean_of(h, kind, cfg).is_defined:
         raise DomainViolation(f"reference set is outside Dom({kind.value})")
-    return _small(v, h, kind, cfg, sampler)
+    return _small(v, h, kind)
 
 
-def _small(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
-           sampler: bool = False) -> Verdict:
+def _small(v: BlockSet, h: BlockSet, kind: MeanKind) -> Verdict:
     """is_small_for for an H already known to be in the domain."""
     if v.is_empty:
         return _closed(Answer.YES, "empty set is small to everything")
-    verdict = _closed_small(v, h, kind)
-    if sampler and verdict.answer is not Answer.INCONCLUSIVE:
-        probe = sampler_probe(v, h, kind, cfg)
-        verdict = Verdict(verdict.answer, verdict.method,
-                          verdict.evidence + probe.evidence)
-    return verdict
-
-
-def _closed_small(v: BlockSet, h: BlockSet, kind: MeanKind) -> Verdict:
     if kind is MeanKind.ARITH:
         if v.is_finite:
             return _closed(Answer.NO, f"|V|={len(v.finite_points())} > 0 shifts a finite mean")
@@ -223,7 +213,7 @@ def _closed_small(v: BlockSet, h: BlockSet, kind: MeanKind) -> Verdict:
 
 
 def is_big_for(v: BlockSet, h: BlockSet, kind: MeanKind,
-               cfg: LadderConfig = DEFAULT_CONFIG, sampler: bool = False) -> Verdict:
+               cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
     """Is V big to H; by duality, exactly when H is small to V.
 
     The big family only contains domain members, so an out-of-domain
@@ -232,15 +222,14 @@ def is_big_for(v: BlockSet, h: BlockSet, kind: MeanKind,
     kind = MeanKind(kind)
     if not mean_of(h, kind, cfg).is_defined:
         raise DomainViolation(f"reference set is outside Dom({kind.value})")
-    return _big(v, h, kind, cfg, mean_of(v, kind, cfg).is_defined, sampler)
+    return _big(v, h, kind, mean_of(v, kind, cfg).is_defined)
 
 
-def _big(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
-         v_in_domain: bool, sampler: bool = False) -> Verdict:
+def _big(v: BlockSet, h: BlockSet, kind: MeanKind, v_in_domain: bool) -> Verdict:
     """is_big_for for an H already known to be in the domain."""
     if not v_in_domain:
         return _closed(Answer.NO, f"a set outside Dom({kind.value}) is never big")
-    inner = _small(h, v, kind, cfg, sampler)
+    inner = _small(h, v, kind)
     return Verdict(inner.answer, inner.method,
                    ("via duality: H small to V <=> V big to H",) + inner.evidence)
 
@@ -270,8 +259,8 @@ def classify_bundle(h: BlockSet, v: BlockSet, kind: MeanKind,
         return dict.fromkeys(("small", "big", "comparable"),
                              DomainViolation(f"reference set is outside Dom({kind.value})"))
     v_in_domain = mean_of(v, kind, cfg).is_defined
-    small = _small(v, h, kind, cfg)
-    big = _big(v, h, kind, cfg, v_in_domain)
+    small = _small(v, h, kind)
+    big = _big(v, h, kind, v_in_domain)
     if not v_in_domain:
         neither = DomainViolation(f"candidate set is outside Dom({kind.value})")
     elif Answer.INCONCLUSIVE in (small.answer, big.answer):
@@ -351,11 +340,10 @@ def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
         step = (dist_hi - dist_lo) / (count + 1)
         for j in range(1, count + 1):
             t = dist_lo + j * step
-            guard = 0
+            # t rises by step/131 and stops at dist_hi: at most 131*(count+1) tries
             while contains(h2, a - t) or (a - t) in pts:
                 t += step / 131
-                guard += 1
-                if guard > 1000 or t >= dist_hi:
+                if t >= dist_hi:
                     raise DomainViolation("could not place a witness point in the band")
             pts.append(a - t)
             placed.append(t)

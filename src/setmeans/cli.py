@@ -8,6 +8,7 @@ argv and seed produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction as Q
@@ -86,7 +87,9 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     p = argparse.ArgumentParser(prog="setmeans",
                                 description="means on infinite bounded subsets of the reals")
     sub = p.add_subparsers(dest="command", required=True)

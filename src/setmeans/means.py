@@ -108,6 +108,18 @@ def values_close(a: MeanValue, b: MeanValue, tol: float):
     return abs(a.as_float() - b.as_float()) <= 2 * tol
 
 
+def combine(f, *values: MeanValue, tol: float) -> MeanValue:
+    """f of the values: exact when all are exact, else f of their floats
+    within 2*tol; undefined, for the first undefined value's reason, when
+    any is undefined."""
+    for v in values:
+        if not v.is_defined:
+            return MeanValue.undefined(v.reason)
+    if all(v.is_exact for v in values):
+        return MeanValue.exact(f(*(v.value for v in values)))
+    return MeanValue.approximate(f(*(v.as_float() for v in values)), 2 * tol)
+
+
 @dataclass(frozen=True)
 class LadderConfig:
     """The tolerance of approximate values: an approximate mean is within tol."""
@@ -622,45 +634,22 @@ def k_bounds(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) ->
             return None
         return values_close(reference, val, cfg.tol)
 
-    # liminf: scan upward over K(H^{+x}) while it matches
-    last_equal = None
-    follow_base = None
-    for i, (x, is_base) in enumerate(lattice):
-        res = equal_after(x, keep_low=False)
-        if res is None:
-            continue
-        if res:
-            last_equal = (x, is_base)
-            follow_base = next(
-                (bx for bx, bb in lattice[i + 1 :] if bb), None
-            )
-        else:
-            break
-    if last_equal is None:
-        k_liminf = MeanValue.undefined("no representable unchanged lower cut")
-    else:
-        x, is_base = last_equal
-        k_liminf = MeanValue.exact(x if is_base else follow_base)
+    def scan(order, keep_low: bool, side: str) -> MeanValue:
+        # walk the lattice in this order while the cut keeps the mean; a
+        # matching midpoint carries the bound on to the next base candidate
+        last = None
+        for i, (x, is_base) in enumerate(order):
+            res = equal_after(x, keep_low)
+            if res is None:
+                continue
+            if not res:
+                break
+            last = x if is_base else next(bx for bx, bb in order[i + 1:] if bb)
+        if last is None:
+            return MeanValue.undefined(f"no representable unchanged {side} cut")
+        return MeanValue.exact(last)
 
-    # limsup: scan downward over K(H^{-x}) while it matches
-    last_equal = None
-    follow_base = None
-    for i in range(len(lattice) - 1, -1, -1):
-        x, is_base = lattice[i]
-        res = equal_after(x, keep_low=True)
-        if res is None:
-            continue
-        if res:
-            last_equal = (x, is_base)
-            follow_base = next(
-                (lattice[j][0] for j in range(i - 1, -1, -1) if lattice[j][1]), None
-            )
-        else:
-            break
-    if last_equal is None:
-        k_limsup = MeanValue.undefined("no representable unchanged upper cut")
-    else:
-        x, is_base = last_equal
-        k_limsup = MeanValue.exact(x if is_base else follow_base)
-
+    # liminf scans upward over K(H^{+x}), limsup downward over K(H^{-x})
+    k_liminf = scan(lattice, False, "lower")
+    k_limsup = scan(lattice[::-1], True, "upper")
     return KBounds(k_liminf, k_limsup, tuple(skipped))

@@ -1,11 +1,11 @@
 """Roundness of a set with respect to a mean.
 
-A set is round when its mean value cuts it into a lower and an upper part
-whose means average back to the whole mean.  Each mean has an equivalent
-witness predicate (cardinality split, measure split, top-level counts,
-accumulation-bound midpoint, or isolated-count ratio), evaluated here on
-the same halves but independently of the defect, so the two routes can be
-compared.
+A set is round when its mean value k cuts it into a lower and an upper part
+whose means average back to the whole mean.  The witness route decides the
+same question without the defect: the two halves at k have equal weight
+(``weigh.compare_weights`` on their ``weight_of``), or, under lis, the
+midpoint of the halves' inner accumulation bounds is k.  Under iso, halves
+whose means are both back at k are round at once.
 """
 
 from __future__ import annotations
@@ -14,22 +14,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 
-from .classify import Answer, Method, Verdict
+from .classify import Answer, Verdict, _closed
 from .errors import DomainViolation
 from .means import (
     DEFAULT_CONFIG,
     LadderConfig,
     MeanKind,
     MeanValue,
-    compare_weight_terms,
-    dimension_of,
-    iso_coeff_compare,
-    iso_growth,
+    combine,
     mean_of,
-    measure_weight,
     values_close,
 )
-from .sets import BlockSet, bounds, cut_set, top_level
+from .sets import BlockSet, bounds, cut_set
+from .weigh import compare_weights, weight_of
 
 
 @dataclass(frozen=True)
@@ -50,7 +47,7 @@ class _Halves:
     """
 
     def __init__(self, h: BlockSet, kind: MeanKind, cfg: LadderConfig):
-        self.h, self.kind, self.cfg = h, kind, cfg
+        self.kind, self.cfg = kind, cfg
         self.k = mean_of(h, kind, cfg)
         if not self.k.is_defined:
             raise DomainViolation(f"set outside Dom({kind.value}): {self.k.reason}")
@@ -65,19 +62,15 @@ class _Halves:
         return mean_of(self.low, self.kind, self.cfg), mean_of(self.high, self.kind, self.cfg)
 
     @cached_property
-    def tops(self):
-        """(level, top derived set) of each half."""
-        return top_level(self.low), top_level(self.high)
+    def weights(self):
+        """weight_of each half (not under lis)."""
+        return weight_of(self.low, self.kind), weight_of(self.high, self.kind)
 
     @cached_property
-    def measures(self):
-        """measure_weight of each half at the whole set's dimension."""
-        dim = dimension_of(self.h)
-        return measure_weight(self.low, dim), measure_weight(self.high, dim)
-
-    @cached_property
-    def acc_bounds(self):
-        return bounds(self.low), bounds(self.high)
+    def half_mid(self):
+        """(limsup of the low half + liminf of the high half)/2; None if a half is finite."""
+        b1, b2 = bounds(self.low), bounds(self.high)
+        return None if b1.acc_sup is None or b2.acc_inf is None else (b1.acc_sup + b2.acc_inf) / 2
 
 
 def round_defect(h: BlockSet, kind: MeanKind,
@@ -109,96 +102,42 @@ def round_pass(h: BlockSet, kind: MeanKind,
 def _defect(halves: _Halves) -> RoundReport:
     kind, cfg, k = halves.kind, halves.cfg, halves.k
     k1, k2 = halves.means
-    if not (k1.is_defined and k2.is_defined):
-        reason = k1.reason if not k1.is_defined else k2.reason
-        raise DomainViolation(f"a half lies outside Dom({kind.value}): {reason}")
-    if k.is_exact and k1.is_exact and k2.is_exact:
-        defect = MeanValue.exact((k1.value + k2.value) / 2 - k.value)
-        answer = Answer.YES if defect.value == 0 else Answer.NO
-        verdict = Verdict(answer, Method.CLOSED_FORM, (f"defect {defect.value}",))
+    defect = combine(lambda k, k1, k2: (k1 + k2) / 2 - k, k, k1, k2, tol=cfg.tol)
+    if not defect.is_defined:
+        raise DomainViolation(f"a half lies outside Dom({kind.value}): {defect.reason}")
+    if defect.is_exact:
+        verdict = _closed(Answer.YES if defect.value == 0 else Answer.NO, f"defect {defect.value}")
     else:
-        d = (k1.as_float() + k2.as_float()) / 2 - k.as_float()
-        defect = MeanValue.approximate(d, 2 * cfg.tol)
-        answer = Answer.YES if abs(d) < 2 * cfg.tol else Answer.NO
-        verdict = Verdict(answer, Method.CLOSED_FORM, (f"defect {d:.3g}",))
+        verdict = _closed(Answer.YES if abs(defect.approx) < 2 * cfg.tol else Answer.NO,
+                          f"defect {defect.approx:.3g}")
     return RoundReport(k, k1, k2, defect, verdict, _witness_payload(halves))
 
 
 def _witness_payload(halves: _Halves) -> dict:
-    if halves.kind is MeanKind.ARITH:
-        return {"split": [len(halves.low.finite_points()), len(halves.high.finite_points())]}
-    if halves.kind is MeanKind.AVG:
-        (_, w1), (_, w2) = halves.measures
-        return {"measures": [str(w1), str(w2)]}
-    if halves.kind is MeanKind.ACC:
-        (l1, top1), (l2, top2) = halves.tops
-        return {
-            "levels": [int(l1), int(l2)],
-            "counts": [len(top1.finite_points()), len(top2.finite_points())],
-        }
     if halves.kind is MeanKind.LIS:
-        b1, b2 = halves.acc_bounds
-        if b1.acc_sup is None or b2.acc_inf is None:
-            return {}
-        return {"half_mid": str((b1.acc_sup + b2.acc_inf) / 2)}
-    return {}
+        return {} if halves.half_mid is None else {"half_mid": str(halves.half_mid)}
+    if halves.kind is MeanKind.ISO:
+        return {}
+    if halves.kind is MeanKind.ARITH:
+        return {"split": list(halves.weights)}
+    if halves.kind is MeanKind.AVG:
+        return {"measures": [str(m) for _, (_, m) in halves.weights]}
+    (l1, c1), (l2, c2) = halves.weights
+    return {"levels": [int(l1), int(l2)], "counts": [c1, c2]}
 
 
 def _witness(halves: _Halves) -> Verdict:
     kind, cfg, k, kq = halves.kind, halves.cfg, halves.k, halves.kq
-
-    if kind is MeanKind.ARITH:
-        m1, m2 = len(halves.low.finite_points()), len(halves.high.finite_points())
-        answer = Answer.YES if m1 == m2 else Answer.NO
-        return Verdict(answer, Method.CLOSED_FORM, (f"split {m1}|{m2} at k={kq}",))
-
-    if kind is MeanKind.AVG:
-        (kind1, w1), (kind2, w2) = halves.measures
-        if kind1 == "exact" and kind2 == "exact":
-            answer = Answer.YES if w1 == w2 else Answer.NO
-            return Verdict(answer, Method.CLOSED_FORM, (f"measures {w1} vs {w2}",))
-        cmp = compare_weight_terms(w1, w2)
-        if cmp is None:
-            return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
-                           ("half measures numerically inseparable",))
-        if cmp == 0:
-            return Verdict(Answer.YES, Method.CLOSED_FORM, ("equal half weights",))
-        return Verdict(Answer.NO, Method.CLOSED_FORM, ("measures separated numerically",))
-
-    if kind is MeanKind.ACC:
-        (l1, top1), (l2, top2) = halves.tops
-        if l1 != l2:
-            return Verdict(Answer.NO, Method.CLOSED_FORM, (f"half levels differ: {l1} vs {l2}",))
-        c1, c2 = len(top1.finite_points()), len(top2.finite_points())
-        answer = Answer.YES if c1 == c2 else Answer.NO
-        return Verdict(answer, Method.CLOSED_FORM,
-                       (f"level {l1} top counts {c1}|{c2}",))
-
     if kind is MeanKind.LIS:
-        b1, b2 = halves.acc_bounds
-        if b1.acc_sup is None or b2.acc_inf is None:
+        if halves.half_mid is None:
             raise DomainViolation("a half is finite, outside Dom(lis)")
-        mid = (b1.acc_sup + b2.acc_inf) / 2
-        answer = Answer.YES if mid == kq else Answer.NO
-        return Verdict(answer, Method.CLOSED_FORM,
-                       (f"(limsup H- + liminf H+)/2 = {mid} vs k = {kq}",))
-
-    # ISO: half means back at k, or the top/bottom count ratio tends to one
+        return _closed(Answer.YES if halves.half_mid == kq else Answer.NO,
+                       f"(limsup H- + liminf H+)/2 = {halves.half_mid} vs k = {kq}")
+    if kind is not MeanKind.ISO:
+        return compare_weights(*halves.weights, kind)
     k1, k2 = halves.means
-    ev = [f"half means {k1.as_float():.6g}, {k2.as_float():.6g} vs k={k.as_float():.6g}"]
+    ev = f"half means {k1.as_float():.6g}, {k2.as_float():.6g} vs k={k.as_float():.6g}"
     if values_close(k1, k, cfg.tol) and values_close(k2, k, cfg.tol):
-        return Verdict(Answer.YES, Method.CLOSED_FORM, tuple(ev))
-    d1, t1 = iso_growth(halves.low)
-    d2, t2 = iso_growth(halves.high)
-    if d1 != d2:
-        ev.append(f"side count degrees differ: {d1} vs {d2}")
-        return Verdict(Answer.NO, Method.CLOSED_FORM, tuple(ev))
-    cmp = iso_coeff_compare(t2, t1, d1)
-    if cmp == 0:
-        ev.append(f"count ratio |P|/|S| -> 1 (equal degree {d1} and coefficient)")
-        return Verdict(Answer.YES, Method.CLOSED_FORM, tuple(ev))
-    if cmp is not None:
-        ev.append("count ratio limit differs from 1")
-        return Verdict(Answer.NO, Method.CLOSED_FORM, tuple(ev))
-    ev.append("count coefficients numerically inseparable")
-    return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, tuple(ev))
+        return _closed(Answer.YES, ev)
+    v = compare_weights(*halves.weights, kind)
+    return Verdict(v.answer, v.method, (ev,) + v.evidence)

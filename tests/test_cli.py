@@ -262,3 +262,29 @@ def test_round_iso_cuts_at_the_exact_mean():
     code, rep = run_command(["round", "--mean", "iso", "seq(1/10,1,1/2)"])
     assert code == 3
     assert any("empty half" in d for d in rep["diagnostics"])
+
+
+def test_parser_is_built_once(monkeypatch):
+    import argparse
+
+    run_command(["eval", "--mean", "arith", "{1}"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, rep = run_command(["eval", "--mean", "arith", "{1,2}"])
+    assert code == 0 and rep["result"]["value"] == {"num": "3", "den": "2"}
+    assert built == []
+
+
+def test_usage_error_leaves_the_parser_usable():
+    code, rep = run_command(["eval", "--mean", "nonsense", "{1}"])
+    assert code == 2 and rep["diagnostics"] == ["usage error"]
+    code, rep = run_command(["eval", "--mean", "arith", "--tol", "0.5", "{1,2,6}"])
+    assert code == 0 and rep["result"]["value"] == {"num": "3", "den": "1"}
+    code, rep = run_command(["kbounds", "--mean", "arith", "{0, 10}"])
+    assert code == 0 and rep["result"]["k_limsup"]["value"] == {"num": "10", "den": "1"}

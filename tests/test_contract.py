@@ -69,3 +69,76 @@ def test_cli_subcommands_and_options():
 def test_exit_codes():
     codes = {k: getattr(cli, k) for k in dir(cli) if k.startswith("EXIT_")}
     assert codes == {"EXIT_OK": 0, "EXIT_USAGE": 2, "EXIT_DOMAIN": 3, "EXIT_INCONCLUSIVE": 4}
+
+
+def _shape(x):
+    """The keys of a JSON report, nested; a list shows the shape of its first item."""
+    if isinstance(x, dict):
+        return {k: _shape(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_shape(x[0])] if x else []
+    return None
+
+
+Q_JSON = {"num": None, "den": None}
+EXACT = {"status": None, "value": Q_JSON}
+VERDICT = {"answer": None, "method": None, "evidence": [None]}
+
+# subcommand argv -> exit code and shape of the "result" object
+REPORT_SHAPES = [
+    (["eval", "--mean", "arith", "{1,2}"], 0,
+     {"type": None, "kind": None, **EXACT}),
+    (["eval", "--mean", "iso", "seq(0,1,1/2) U seq(1,1,1/3)"], 0,
+     {"type": None, "kind": None, "status": None, "value": {"approx": None, "tol": None}}),
+    (["eval", "--mean", "acc", "[0,1]"], 3,
+     {"type": None, "kind": None, "status": None, "reason": None}),
+    (["classify", "--mean", "acc", "--of", "tower(2,0,1/4)", "seq(0,1,1/2)"], 0,
+     {"type": None, "bundle": {"small": VERDICT, "big": VERDICT, "comparable": VERDICT}}),
+    (["disjoint", "--mean", "lis", "{1,2}", "{1}"], 0,
+     {"type": None, **VERDICT}),
+    (["weigh", "--mean", "arith", "--kind", "bound", "{1,2}", "{3}"], 0,
+     {"type": None, **VERDICT,
+      "curve": {"type": None, "samples": [{"x": Q_JSON, "defect": EXACT}],
+                "trend": None, "slope": None}}),
+    (["laws", "--mean", "arith", "--law", "shift-invariant", "--n", "3"], 0,
+     {"type": None, "law": None, "mean": None, "trials": None, "skipped": None,
+      "violations": []}),
+    (["kbounds", "--mean", "arith", "{0,10}"], 0,
+     {"type": None, "k_liminf": EXACT, "k_limsup": EXACT, "skipped": []}),
+    (["witness", "--iso-big", "--depth", "2", "seq(0,1,1/2)"], 0,
+     {"type": None, "direction": None, "expr": None, "stages": [Q_JSON],
+      "ratios": [{"eps": Q_JSON, "ratio": Q_JSON}]}),
+]
+
+# mean -> (set, keys of round's witness payload)
+ROUND_WITNESS_KEYS = {
+    "arith": ("{0,1,2,3}", ["split"]),
+    "avg": ("[0,2] U [4,5]", ["measures"]),
+    "acc": ("seq(0,1,1/2) U seq(5,1,1/2)", ["levels", "counts"]),
+    "lis": ("seq(0,1,1/2) U seq(5,1,1/2)", ["half_mid"]),
+    "iso": ("seq(0,1,1/2) U seq(5,1,1/2)", []),
+}
+
+
+def test_report_schema():
+    top = ["command", "inputs", "result", "diagnostics", "version"]
+    for argv, code, result in REPORT_SHAPES:
+        got_code, rep = cli.run_command(argv)
+        assert got_code == code, argv
+        assert list(rep) == top, argv
+        assert _shape(rep["result"]) == result, argv
+        assert list(rep["result"]) == list(result), argv
+    code, rep = cli.run_command(["frobnicate"])
+    assert (code, list(rep), rep["result"]) == (2, top, None)
+
+
+def test_round_report_schema():
+    for mean, (expr, witness_keys) in ROUND_WITNESS_KEYS.items():
+        code, rep = cli.run_command(["round", "--mean", mean, expr])
+        assert code == 0, mean
+        result = rep["result"]
+        assert list(result) == ["type", "k", "k1", "k2", "defect", "verdict", "witness",
+                                "witness_verdict"], mean
+        assert list(result["witness"]) == witness_keys, mean
+        assert _shape(result["verdict"]) == VERDICT
+        assert _shape(result["witness_verdict"]) == VERDICT

@@ -12,8 +12,12 @@ from setmeans import (
     GeomSeq,
     Interval,
     MeanKind,
+    SetMeansError,
     Tower,
+    cut_set,
+    equal_weight,
     gen_corpus,
+    mean_of,
     normalize,
     normalize_blocks,
     reflect_set,
@@ -228,3 +232,24 @@ def test_round_command_evaluates_each_mean_once(monkeypatch):
     # the set and its two halves, one evaluation each
     assert len(calls) == 3
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("kind", ["arith", "acc", "avg"])
+def test_witness_is_equal_weight_of_the_halves(kind):
+    # the witness route compares the halves at k exactly as equal_weight does
+    answers = set()
+    for profile in ("finite", "sequences", "towers", "intervals", "cantor", "mixed"):
+        for e in gen_corpus(7, 30, profile):
+            h = normalize(e)
+            k = mean_of(h, kind)
+            if not k.is_defined:
+                continue
+            try:
+                wit = round_witness(h, kind)
+            except SetMeansError:
+                continue
+            kq = k.value if k.is_exact else Q(k.approx)
+            low, high = cut_set(h, kq, keep_low=True), cut_set(h, kq, keep_low=False)
+            assert wit.answer is equal_weight(low, high, kind, "equality").answer, e
+            answers.add(wit.answer)
+    assert answers == {Answer.YES, Answer.NO}
