@@ -31,7 +31,8 @@ from .errors import CutNotRepresentable, MembershipUndecided, ValidationError
 
 Q = Fraction
 
-#: descent budget for Cantor membership orbits that neither cycle nor exit
+#: levels a Cantor descent may spend on an orbit that neither cycles nor
+#: exits; with r = 1/q each orbit does one or the other within L + 1 levels
 CANTOR_DEPTH = 512
 
 
@@ -299,7 +300,8 @@ def is_infinite_block(b: Block) -> bool:
 
 
 def block_contains(b: Block, x: Q) -> bool:
-    """Exact membership; MembershipUndecided only for deep Cantor orbits."""
+    """Exact membership; MembershipUndecided only for a Cantor orbit that
+    neither cycles nor exits within CANTOR_DEPTH levels (_cantor_descend)."""
     x = as_q(x)
     if isinstance(b, Finite):
         return x in b.points
@@ -307,7 +309,14 @@ def block_contains(b: Block, x: Q) -> bool:
         return b.lo <= x <= b.hi
     if isinstance(b, PowerSums):
         return _tower_contains_t((x - b.anchor) / b.scale, b.level, b.ratio, b.sums)
-    return _cantor_contains(b, x)
+    for depth, (lo, hi, i, gap) in enumerate(_cantor_descend(b, x)):
+        if depth == CANTOR_DEPTH:
+            raise MembershipUndecided(f"cantor membership of {x} unresolved at depth {CANTOR_DEPTH}")
+        if i is None:
+            return lo <= x <= hi
+        if gap:
+            return False
+    return True  # the orbit cycles without falling in a gap: x is in the attractor
 
 
 def _tower_contains_t(t: Q, k: int, r: Q, sums) -> bool:
@@ -328,30 +337,37 @@ def _tower_contains_t(t: Q, k: int, r: Q, sums) -> bool:
         k -= 1
 
 
-def _cantor_contains(b: Cantor, x: Q) -> bool:
-    if x < b.lo or x > b.hi:
-        return False
-    t = (x - b.lo) / (b.hi - b.lo)
-    r = b.ratio
-    u = (1 - r) / (b.pieces - 1)  # normalized piece spacing
+def _cantor_descend(b: Cantor, y: Q):
+    """Walk b's piece tree towards y: yield (lo, hi, i, gap) at each level.
+
+    [lo, hi] is the level's box and i the piece of it at or left of y
+    (clamped to the last piece).  gap is None, or the ends of the gap right
+    of piece i when y lies in it; the walk stops there.  i None means y is
+    at or beyond an end of the box, and ends the walk.  It stops with no
+    item when t = (y - lo)/(hi - lo) repeats: y is then in b, and no box
+    has it as an end.  Each level maps t to (t - i*u)/r, so for r = 1/q t
+    stays in (1/L)Z with L = lcm(den(t), m - 1), and a repeat or an exit
+    comes within L + 1 levels; the callers bound the other orbits.
+    """
+    m, r = b.pieces, b.ratio
+    u = (1 - r) / (m - 1)  # normalised piece spacing
+    lo, d = b.lo, b.hi - b.lo
+    t = (y - lo) / d
     seen = set()
-    for _ in range(CANTOR_DEPTH):
-        if t == 0 or t == 1:
-            return True
+    while 0 < t < 1:
         if t in seen:
-            # orbit cycles without ever falling in a gap: x is in the attractor
-            return True
+            return
         seen.add(t)
-        i = int(t / u)
-        if i > b.pieces - 1:
-            i = b.pieces - 1
-        # piece i spans [i*u, i*u + r]; anything between pieces is a gap
-        if t < i * u:
-            i -= 1
-        if t > i * u + r:
-            return False
-        t = (t - i * u) / r
-    raise MembershipUndecided(f"cantor membership of {x} unresolved at depth {CANTOR_DEPTH}")
+        i = min(int(t / u), m - 1)
+        iu = i * u
+        if t > iu + r:
+            yield lo, lo + d, i, (lo + (iu + r) * d, lo + (iu + u) * d)
+            return
+        yield lo, lo + d, i, None
+        lo += iu * d
+        d *= r
+        t = (t - iu) / r
+    yield lo, lo + d, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -398,34 +414,21 @@ def _tower_dist_t(t: Q, k: int, r: Q, sums) -> Q:
 def block_dist_at_least(b: Block, x: Q, eps: Q) -> bool:
     """Decide dist(x, block) >= eps exactly.
 
-    For Cantor blocks this descends the piece tree; each level shrinks the
-    bounding box by the contraction ratio so the test always terminates.
+    For Cantor blocks this descends the piece tree (_cantor_descend), with
+    no depth budget: each level shrinks the box by the ratio r, so for
+    eps > 0 the walk ends within log(eps/(hi - lo))/log(r) levels.
     """
     if not isinstance(b, Cantor):
         return block_min_dist(b, x) >= eps
-    lo, hi = b.lo, b.hi
-    r, m = b.ratio, b.pieces
-    while True:
-        if x <= lo:
-            return lo - x >= eps
-        if x >= hi:
-            return x - hi >= eps
-        d = hi - lo
-        if d < eps:
-            # endpoints of this box are in the set, so dist < d < eps
+    for lo, hi, i, gap in _cantor_descend(b, x):
+        if i is None:
+            return max(lo - x, x - hi) >= eps
+        if hi - lo < eps:
+            # the ends of this box are in the set, so dist < eps
             return False
-        step = d * (1 - r) / (m - 1)
-        i = int((x - lo) / step)
-        if i > m - 1:
-            i = m - 1
-        if x < lo + i * step:
-            i -= 1
-        p_lo = lo + i * step
-        p_hi = p_lo + r * d
-        if x > p_hi:
-            # in the gap between piece i and piece i+1
-            return min(x - p_hi, (p_lo + step) - x) >= eps
-        lo, hi = p_lo, p_hi
+        if gap:
+            return min(x - gap[0], gap[1] - x) >= eps
+    return eps <= 0  # the orbit cycles: x is in the block
 
 
 # ---------------------------------------------------------------------------
@@ -521,40 +524,32 @@ def _cut_tower_t(t: Q, k: int, r: Q, sums, keep_small: bool):
 
 
 def _cut_cantor(b: Cantor, y: Q, keep_low: bool) -> list[Block]:
-    """Split a Cantor block at a gap point or an attained endpoint orbit."""
+    """Split a Cantor block at a gap point or an attained endpoint orbit.
+
+    A cut at a point that no box has as an end is not representable: its
+    orbit cycles, within L + 1 levels for r = 1/q (_cantor_descend).  One
+    that neither cycles nor exits within CANTOR_DEPTH levels raises too,
+    naming that budget.
+    """
     low: list[Block] = []
     high: list[Block] = []
-    box = b
-    for _ in range(CANTOR_DEPTH):
-        if y <= box.lo:
-            high.append(box)
-            if y == box.lo:
+    for depth, (lo, hi, i, gap) in enumerate(_cantor_descend(b, y)):
+        if depth == CANTOR_DEPTH:
+            raise CutNotRepresentable(f"cut at {y}: the cantor orbit neither cycles nor exits "
+                                      f"within the CANTOR_DEPTH budget of {CANTOR_DEPTH} levels")
+        box = Cantor(lo, hi, b.pieces, b.ratio)
+        if i is None:
+            (high if y <= lo else low).append(box)
+            if y == lo:
                 low.append(Finite((y,)))
-            return low if keep_low else high
-        if y >= box.hi:
-            low.append(box)
-            if y == box.hi:
+            if y == hi:
                 high.append(Finite((y,)))
             return low if keep_low else high
-        m, r = box.pieces, box.ratio
-        d = box.hi - box.lo
-        step = d * (1 - r) / (m - 1)
-        i = int((y - box.lo) / step)
-        if i > m - 1:
-            i = m - 1
-        if y < box.lo + i * step:
-            i -= 1
-        p_lo = box.lo + i * step
-        p_hi = p_lo + r * d
-        for j in range(0, i):
-            low.append(box.piece(j))
-        for j in range(i + 1, m):
-            high.append(box.piece(j))
-        if y > p_hi:
-            # gap point: piece i is entirely below the cut
-            low.append(box.piece(i))
+        low.extend(box.piece(j) for j in range(i))
+        high.extend(box.piece(j) for j in range(i + 1, b.pieces))
+        if gap:
+            low.append(box.piece(i))  # piece i lies entirely below the cut
             return low if keep_low else high
-        box = box.piece(i)
     raise CutNotRepresentable(f"cut at {y} lands inside a cantor block at a non-gap point")
 
 

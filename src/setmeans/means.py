@@ -451,9 +451,14 @@ def _progressions_union(progressions, degree: int, e: int = 0, p: int = 1) -> Q:
     of step-p exponents is counted (1/p)**d times one of step 1.  The
     subfamilies are extended one progression at a time from the agreed
     congruence x = e (mod p); one whose residues clash adds nothing, and
-    neither does any subfamily containing it.  So n progressions cost up to
-    2**n steps, when all their residues agree.
+    neither does any subfamily containing it.  When the steps are pairwise
+    coprime, and coprime to p, the CRT makes every subfamily agree, and the
+    sum is (1 - prod(1 - 1/p_i**degree)) / p**degree.  Otherwise n
+    progressions cost up to 2**n steps, when all their residues agree.
     """
+    steps = [pi for _, pi in progressions]
+    if math.lcm(p, *steps) == p * math.prod(steps):
+        return (1 - math.prod(1 - Q(1, pi**degree) for pi in steps)) / p**degree
     total = Q(0)
     for i, (ei, pi) in enumerate(progressions):
         g = math.gcd(p, pi)

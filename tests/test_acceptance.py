@@ -65,8 +65,24 @@ def test_criterion_1_exact_reference_value():
     assert result["k2"]["value"] == {"num": "9", "den": "2"}
     assert result["verdict"]["answer"] == "NO"
     assert elapsed_eval < 0.010 and elapsed_round < 0.010, (elapsed_eval, elapsed_round)
+
+    # cuts at a cycling Cantor orbit give up at the cycle (best of 3)
+    cantor = {
+        "round lis": (["round", "--mean", "lis", "cantor(5,7,3,1/5)"], 3),
+        "kbounds avg": (["kbounds", "--mean", "avg", "cantor(0,1,3,1/4)"], 0),
+    }
+    best = {}
+    for name, (cmd, want_code) in cantor.items():
+        best[name] = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            code, rep = run_command(cmd)
+            best[name] = min(best[name], time.perf_counter() - t0)
+        assert code == want_code, rep
+    assert all(t < 0.010 for t in best.values()), best
     _report(1, f"avg = 13/6 exactly, not round; {elapsed_eval*1000:.1f} ms "
-               f"+ {elapsed_round*1000:.1f} ms")
+               f"+ {elapsed_round*1000:.1f} ms; "
+               + ", ".join(f"{name} on a cantor set {t*1000:.1f} ms" for name, t in best.items()))
 
 
 def test_criterion_2_multiset_identity():

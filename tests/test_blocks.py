@@ -23,6 +23,7 @@ from setmeans.blocks import (
     points_in_box,
     tower_outer_points,
 )
+from setmeans.cli import run_command
 
 
 def tower_points_brute(k, a, w, r, max_index):
@@ -200,6 +201,36 @@ def test_cut_cantor_gap_and_endpoint():
     assert Finite((Q(1, 3),)) in high
     with pytest.raises(CutNotRepresentable):
         cut_block(c, Q(1, 4), True)  # attractor point with a cycling orbit
+
+
+def test_cut_cantor_past_the_budget_names_it():
+    # 3**-600/2 lies in a gap only at depth 600: no attractor point, but
+    # past the CANTOR_DEPTH budget of 512 levels
+    c = Cantor(Q(0), Q(1), 2, Q(1, 3))
+    for keep_low in (True, False):
+        with pytest.raises(CutNotRepresentable, match="CANTOR_DEPTH budget of 512 levels"):
+            cut_block(c, Q(1, 2 * 3**600), keep_low)
+    # a cycling orbit keeps its message, which round reports verbatim
+    with pytest.raises(CutNotRepresentable) as exc:
+        cut_block(c, Q(1, 4), True)
+    assert str(exc.value) == "cut at 1/4 lands inside a cantor block at a non-gap point"
+
+
+def test_cut_cantor_stops_when_the_orbit_cycles(monkeypatch):
+    # the orbit of 1/2 in cantor(0,1,3,1/4) stays in (1/L)Z with
+    # L = lcm(den(1/2), m - 1) = 2, so the cut gives up within L + 1 levels,
+    # each building at most m pieces
+    built = []
+    piece = Cantor.piece
+    monkeypatch.setattr(Cantor, "piece", lambda self, i: built.append(i) or piece(self, i))
+    for keep_low in (True, False):
+        built.clear()
+        with pytest.raises(CutNotRepresentable):
+            cut_block(Cantor(Q(0), Q(1), 3, Q(1, 4)), Q(1, 2), keep_low)
+        assert len(built) <= 3 * (2 + 1), len(built)
+    code, rep = run_command(["kbounds", "--mean", "avg", "cantor(0,1,3,1/4)"])
+    assert code == 0
+    assert rep["result"]["skipped"] == ["cut at 1/2 not representable"] * 2
 
 
 def test_outer_point_enumeration():

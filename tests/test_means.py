@@ -106,6 +106,29 @@ def test_iso_mean_of_incommensurable_ratios():
     assert v.status == "approx" and abs(v.approx - want) <= 2 * v.tol
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_iso_growth_of_coprime_progressions_is_a_product(monkeypatch, degree):
+    # ratios 2**-p for the first 16 primes p: at anchor 0 the top points have
+    # exponents in the progressions {p*k}, whose steps are pairwise coprime,
+    # so the shared points are counted by 1 - prod(1 - 1/p**d) and not by a
+    # 2**16-term inclusion-exclusion
+    from setmeans import means
+
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    block = "seq(0,1,1/{})" if degree == 1 else "tower(2,0,1/{})"
+    h = normalize(parse(" U ".join(block.format(2**p) for p in primes) + " U seq(1,1,1/2)"))
+    calls = []
+    walk = means._progressions_union
+    monkeypatch.setattr(means, "_progressions_union", lambda *a: calls.append(a) or walk(*a))
+    d, terms = means.iso_growth(h)
+    c, r0 = next((c, r) for a, c, r in terms if a == 0)
+    # the term counts in exponent units of 1/2: r0 = 2**-n and c = n**d * union
+    n = r0.denominator.bit_length() - 1
+    assert r0 == Q(1, 2**n) and d == degree
+    assert c == n**degree * (1 - math.prod(1 - Q(1, p**degree) for p in primes))
+    assert len(calls) == len(terms)
+
+
 def test_iso_domain_violation():
     with pytest.raises(DomainViolation):
         mean_iso(bset(Interval(Q(0), Q(1)), seq(2)))

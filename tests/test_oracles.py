@@ -151,6 +151,94 @@ def test_cantor_cut_partitions_membership():
     assert splits > 150
 
 
+def reference_cut_cantor(b, y: Q, keep_low: bool):
+    """The piece-tree cut with no cycle check.
+
+    It walks 512 levels, the library's CANTOR_DEPTH, building every other
+    piece at each, before it gives up on a point that no piece has as an end.
+    """
+    from setmeans import CutNotRepresentable, Finite
+
+    low, high = [], []
+    box = b
+    for _ in range(512):
+        if y <= box.lo:
+            high.append(box)
+            if y == box.lo:
+                low.append(Finite((y,)))
+            return low if keep_low else high
+        if y >= box.hi:
+            low.append(box)
+            if y == box.hi:
+                high.append(Finite((y,)))
+            return low if keep_low else high
+        m, r = box.pieces, box.ratio
+        d = box.hi - box.lo
+        step = d * (1 - r) / (m - 1)
+        i = int((y - box.lo) / step)
+        if i > m - 1:
+            i = m - 1
+        if y < box.lo + i * step:
+            i -= 1
+        p_lo = box.lo + i * step
+        p_hi = p_lo + r * d
+        for j in range(0, i):
+            low.append(box.piece(j))
+        for j in range(i + 1, m):
+            high.append(box.piece(j))
+        if y > p_hi:
+            low.append(box.piece(i))
+            return low if keep_low else high
+        box = box.piece(i)
+    raise CutNotRepresentable(f"cut at {y} lands inside a cantor block at a non-gap point")
+
+
+def test_cantor_cut_matches_reference_walk():
+    from setmeans import Cantor, CutNotRepresentable
+    from setmeans.blocks import cut_block
+
+    def outcome(cut, c, y, keep_low):
+        try:
+            return cut(c, y, keep_low)
+        except CutNotRepresentable as exc:
+            return str(exc)
+
+    rng = random.Random(1709)
+    seen = {"split": 0, "cycle": 0, "budget": 0}
+    for _ in range(60):
+        m = rng.choice([2, 3, 4])
+        # r = 1/q, and a few r with numerator 2, whose orbits need not cycle
+        r = Q(1, rng.choice([m + 1, m + 2, 7])) if rng.random() < 0.8 else Q(2, 2 * m + 1)
+        lo = Q(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+        c = Cantor(lo, lo + Q(rng.randint(1, 5), rng.choice([1, 2])), m, r)
+        if rng.random() < 0.5:
+            den = rng.choice([4, 9, 16, 27, (m - 1) * r.denominator, 2 * (m - 1) * r.denominator])
+            t = Q(rng.randint(-1, den + 1), den)
+        else:
+            # a point whose piece address is eventually periodic: a prefix word
+            # applied to the fixed point of a period word; its orbit cycles
+            u = (1 - r) / (m - 1)
+            words = [[rng.randrange(m) for _ in range(rng.randint(k, 3))] for k in (0, 1)]
+            a, scale = Q(0), Q(1)
+            for i in words[1]:
+                a, scale = a + scale * i * u, scale * r
+            t = a / (1 - scale)
+            for i in reversed(words[0]):
+                t = i * u + r * t
+        y = c.lo + (c.hi - c.lo) * t
+        for keep_low in (True, False):
+            got = outcome(cut_block, c, y, keep_low)
+            want = outcome(reference_cut_cantor, c, y, keep_low)
+            if isinstance(got, str) and "CANTOR_DEPTH budget" in got:
+                # past the budget the reference gives up too, under another message
+                assert isinstance(want, str), (c, y, keep_low, want)
+                seen["budget"] += 1
+                continue
+            assert got == want, (c, y, keep_low)
+            seen["cycle" if isinstance(got, str) else "split"] += 1
+    assert seen["split"] > 40 and seen["cycle"] > 20, seen
+
+
 def reference_iso_ladder(h, cfg=DEFAULT_CONFIG):
     """The refinement ladder, from the isolation enumeration.
 
