@@ -557,8 +557,9 @@ def _cut_cantor(b: Cantor, y: Q, keep_low: bool) -> list[Block]:
 # enumeration helpers
 
 
-def tower_outer_points(b: PowerSums, eps: Q) -> list[Q]:
-    """Top-layer points of a sum-of-powers block whose last term is at least eps.
+def tower_outer_points(b: PowerSums, eps: Q, below: Optional[Q] = None) -> list[Q]:
+    """Top-layer points of a sum-of-powers block whose last term is at least
+    eps, and below ``below`` when that is given; a term counts times |scale|.
 
     Only full-length index tuples are isolated in the tower; shorter sums
     are accumulation points.  The last term r**nk is the distance to the
@@ -567,6 +568,7 @@ def tower_outer_points(b: PowerSums, eps: Q) -> list[Q]:
     """
     k = b.level
     limit = eps / abs(b.scale)
+    top = None if below is None else below / abs(b.scale)
     # heads[m]: anchor + scale * (a sum of m terms), one per m-subset of the
     # indices walked so far
     heads = [[b.anchor]] + [[] for _ in range(k - 1)]
@@ -574,7 +576,8 @@ def tower_outer_points(b: PowerSums, eps: Q) -> list[Q]:
     p = b.ratio
     while p >= limit:
         step = b.scale * p
-        out.extend(h + step for h in heads[k - 1])
+        if top is None or p < top:
+            out.extend(h + step for h in heads[k - 1])
         for m in range(k - 1, 0, -1):
             heads[m].extend([h + step for h in heads[m - 1]])
         p *= b.ratio

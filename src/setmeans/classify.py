@@ -29,12 +29,13 @@ from .means import (
 )
 from .sets import (
     BlockSet,
+    IsolationProfile,
     bounds,
     contains,
     derived_set,
     diameter,
     intersect,
-    isolated_outside,
+    isolated_count,
     level,
     normalize_blocks,
     translate_set,
@@ -330,7 +331,7 @@ def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
     if acc.is_empty:
         raise DomainViolation("reference set has no accumulation points")
     a = bounds(h2).acc_inf
-    pts: list[Q] = []
+    pts: set[Q] = set()
     stages: list[Q] = []
 
     def place(dist_lo: Q, dist_hi: Q, count: int):
@@ -345,13 +346,13 @@ def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
                 t += step / 131
                 if t >= dist_hi:
                     raise DomainViolation("could not place a witness point in the band")
-            pts.append(a - t)
+            pts.add(a - t)
             placed.append(t)
         return placed
 
     if which == "big":
         for n in range(2, depth + 2):
-            m = len(isolated_outside(h2, Q(1, n)))
+            m = isolated_count(h2, Q(1, n))
             if m == 0:
                 continue
             place(Q(1, n), Q(1, n - 1), n * m)
@@ -362,7 +363,7 @@ def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
         for i in range(1, depth + 1):
             k = max(k + 1, 2)
             while True:
-                m = len(isolated_outside(h2, Q(1, k)))
+                m = isolated_count(h2, Q(1, k))
                 if m > 0 and Q(i, m) < Q(1, i + 1) and (
                     prev_ratio is None or Q(i, m) < prev_ratio
                 ):
@@ -371,25 +372,23 @@ def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
             t = place(Q(1, k + 1), Q(1, k), 1)[0]
             stages.append(t)
             # the realized ratio at the placed distance bounds the next stage
-            prev_ratio = Q(i, len(isolated_outside(h2, t)))
+            prev_ratio = Q(i, isolated_count(h2, t))
     if not pts:
         raise DomainViolation("no stage produced any points at this depth")
     return normalize_blocks([Finite(tuple(pts))]), tuple(stages)
 
 
 def witness_stage_ratios(witness: BlockSet, h2: BlockSet, stages):
-    """Recount n_eps/m_eps at the stage cut-offs, straight from definitions."""
-    from .blocks import block_dist_at_least
+    """Recount n_eps/m_eps at the stage cut-offs, straight from definitions.
 
-    acc = derived_set(h2)
+    Each witness point's distance to H2' is measured once and counted at
+    every stage.
+    """
+    far = IsolationProfile(derived_set(h2), witness.finite_points())
     out = []
     for eps in stages:
-        n = sum(
-            1
-            for p in witness.finite_points()
-            if all(block_dist_at_least(b, p, eps) for b in acc.blocks)
-        )
-        m = len(isolated_outside(h2, eps))
+        n = far.count(eps)
+        m = isolated_count(h2, eps)
         if m:
             out.append((eps, Q(n, m)))
     return out

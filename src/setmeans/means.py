@@ -444,29 +444,61 @@ def iso_growth(h: BlockSet):
 
 
 def _progressions_union(progressions, degree: int, e: int = 0, p: int = 1) -> Q:
-    """Inclusion-exclusion over the progressions {e_i + p_i * k}, given as (e_i, p_i).
+    """Inclusion-exclusion over the progressions {e_i + p_i * k}, given as
+    (e_i, p_i), inside the class x = e (mod p); an exact Fraction.
 
-    Each nonempty subfamily T whose congruences x = e_i (mod p_i) agree adds
-    (-1)**(|T| + 1) / step_T**degree, step_T the lcm of its p_i: a d-subset
-    of step-p exponents is counted (1/p)**d times one of step 1.  The
-    subfamilies are extended one progression at a time from the agreed
-    congruence x = e (mod p); one whose residues clash adds nothing, and
-    neither does any subfamily containing it.  When the steps are pairwise
-    coprime, and coprime to p, the CRT makes every subfamily agree, and the
-    sum is (1 - prod(1 - 1/p_i**degree)) / p**degree.  Otherwise n
-    progressions cost up to 2**n steps, when all their residues agree.
+    Each nonempty subfamily T whose congruences x = e_i (mod p_i) agree with
+    x = e (mod p) adds (-1)**(|T| + 1) / step_T**degree, step_T the lcm of p
+    and its p_i: a d-subset of step-p exponents is counted (1/p)**d times one
+    of step 1.  A progression whose residue clashes with e adds nothing, and
+    neither does any subfamily containing it.  When the others agree
+    pairwise, every subfamily of them agrees (CRT), step_T is p times the
+    lcm of the p_i / gcd(p, p_i), and the sum is (1 - C) / p**degree with C
+    their _lcm_sum.  Otherwise the subfamilies are extended one progression
+    at a time from the agreed congruence, and each extension is summed the
+    same way.
     """
-    steps = [pi for _, pi in progressions]
-    if math.lcm(p, *steps) == p * math.prod(steps):
-        return (1 - math.prod(1 - Q(1, pi**degree) for pi in steps)) / p**degree
+    live = [(ei, pi) for ei, pi in progressions if (ei - e) % math.gcd(p, pi) == 0]
+    if all((ea - eb) % math.gcd(pa, pb) == 0
+           for i, (ea, pa) in enumerate(live) for eb, pb in live[i + 1:]):
+        return (1 - _lcm_sum([pi // math.gcd(p, pi) for _, pi in live], degree)) / p**degree
     total = Q(0)
-    for i, (ei, pi) in enumerate(progressions):
+    for i, (ei, pi) in enumerate(live):
         g = math.gcd(p, pi)
-        if (ei - e) % g == 0:
-            step = p // g * pi
-            x = (e + p * ((ei - e) // g * pow(p // g, -1, pi // g))) % step
-            total += Q(1, step**degree) - _progressions_union(progressions[i + 1:], degree, x, step)
+        step = p // g * pi
+        x = (e + p * ((ei - e) // g * pow(p // g, -1, pi // g))) % step
+        total += Q(1, step**degree) - _progressions_union(live[i + 1:], degree, x, step)
     return total
+
+
+def _lcm_sum(steps, degree: int) -> Q:
+    """C(S): the sum over all subfamilies T of S of (-1)**|T| / lcm(T)**degree.
+
+    The empty family adds 1.  A step that is a multiple of another, or a
+    repeat, leaves C unchanged, and a step of 1 makes it 0.  When every step
+    is a multiple of g > 1, C(S) = 1 + (C(S/g) - 1) / g**degree.  Families
+    that share no prime multiply.  Otherwise, for the least step a,
+    C(S) = C(S - a) - C({s / gcd(a, s)}) / a**degree, because
+    lcm(a, T) = a * lcm({s / gcd(a, s) : s in T}).
+    """
+    s = sorted(set(steps))
+    if s and s[0] == 1:
+        return Q(0)
+    s = [x for i, x in enumerate(s) if all(x % y for y in s[:i])]
+    if not s:
+        return Q(1)
+    g = math.gcd(*s)
+    if g > 1:
+        return 1 + (_lcm_sum([x // g for x in s], degree) - 1) / Q(g) ** degree
+    group, rest = [s[0]], s[1:]
+    while joined := [x for x in rest if any(math.gcd(x, y) > 1 for y in group)]:
+        group += joined
+        rest = [x for x in rest if x not in joined]
+    if rest:
+        return _lcm_sum(group, degree) * _lcm_sum(rest, degree)
+    a, others = s[0], s[1:]
+    return (_lcm_sum(others, degree)
+            - _lcm_sum([x // math.gcd(a, x) for x in others], degree) / Q(a) ** degree)
 
 
 def _count_weights(degree: int):
@@ -565,8 +597,16 @@ def mean_avg(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
 
 
 def mean_of(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
-    """Dispatch to the requested mean; domain violations become UNDEFINED."""
+    """Dispatch to the requested mean; domain violations become UNDEFINED.
+
+    The value is computed once per (kind, cfg) for each set object and kept
+    with it (BlockSet.memo); a mean that raises is not kept.
+    """
     kind = MeanKind(kind)
+    return h.memo((kind, cfg), lambda: _mean(h, kind, cfg))
+
+
+def _mean(h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> MeanValue:
     if kind is MeanKind.ARITH:
         return mean_arith(h)
     if kind is MeanKind.LIS:

@@ -8,6 +8,7 @@ finite union of primitive blocks.  All operations are pure and exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Union as TUnion
 
@@ -24,6 +25,7 @@ from .blocks import (
     as_q,
     block_contains,
     block_dist_at_least,
+    block_min_dist,
     block_sort_key,
     cut_block,
     is_infinite_block,
@@ -92,9 +94,20 @@ SetExpr = TUnion[Leaf, Union, Translate, CutBelow, CutAbove]
 class BlockSet:
     blocks: tuple[Block, ...]
     provenance: Optional[SetExpr] = field(default=None, compare=False, repr=False)
+    #: what is derived from the set, by key: see memo
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
+
+    def memo(self, key, compute):
+        """compute(), computed on first use for this key and kept for the
+        life of the object.  The set is immutable, so what is derived from it
+        is too: its derived set, its means, its isolation profile."""
+        derived = self._derived
+        if key not in derived:
+            derived[key] = compute()
+        return derived[key]
 
     @property
     def is_empty(self) -> bool:
@@ -264,12 +277,17 @@ def cut_set(h: BlockSet, y: Q, keep_low: bool) -> BlockSet:
 
 
 def derived_set(h: BlockSet) -> BlockSet:
-    """The set of accumulation points, block by block.
+    """The set of accumulation points, block by block; computed once per set
+    object (BlockSet.memo), so bounds, top_level and level share it.
 
     A level-k tower contributes the (k-1)-tower plus the anchor (a limit of
     the j=1 points), so a sequence, the level-1 tower, gives its anchor alone;
     intervals and Cantor blocks are perfect and contribute themselves.
     """
+    return h.memo("derived", lambda: _derive(h))
+
+
+def _derive(h: BlockSet) -> BlockSet:
     out: list[Block] = []
     for b in h.blocks:
         if isinstance(b, Finite):
@@ -352,29 +370,89 @@ def contains(h: BlockSet, x: Q) -> bool:
     return False
 
 
+class IsolationProfile:
+    """Points sorted by their exact distance to an accumulation set.
+
+    The distance of a point to the blocks of acc other than Cantor ones is
+    measured once; a Cantor block, which only a set outside the ISO domain
+    has, is checked at each eps with block_dist_at_least.  Given towers, the
+    profile holds their top points whose last term times |scale| is at least
+    floor, and lowers floor, at least by half, when a smaller eps is asked
+    for.  A top point whose last term is below eps lies within eps of its own
+    shorter sum, a point of acc, so the points left out never count at eps.
+    """
+
+    def __init__(self, acc: BlockSet, points, towers=()):
+        self.near = [b for b in acc.blocks if not isinstance(b, Cantor)]
+        self.cantors = [b for b in acc.blocks if isinstance(b, Cantor)]
+        self.towers = towers
+        self.floor: Optional[Q] = None if towers else Q(0)
+        self.seen: set[Q] = set()
+        self.keys: list = []  # the distances, ascending (math.inf when acc is empty)
+        self.order: list[Q] = []  # the points, in the same order
+        self._add(points)
+
+    def _add(self, points):
+        for x in points:
+            if x not in self.seen:
+                self.seen.add(x)
+                d = min((block_min_dist(b, x) for b in self.near), default=math.inf)
+                i = bisect_right(self.keys, d)
+                self.keys.insert(i, d)
+                self.order.insert(i, x)
+
+    def _reach(self, eps: Q):
+        if self.floor is not None and eps >= self.floor:
+            return
+        floor = eps if self.floor is None else min(eps, self.floor / 2)
+        self._add([x for b in self.towers for x in tower_outer_points(b, floor, self.floor)])
+        self.floor = floor
+
+    def outside(self, eps: Q) -> list[Q]:
+        """The points at distance at least eps from acc, in order."""
+        self._reach(eps)
+        far = self.order[bisect_left(self.keys, eps):]
+        if self.cantors:
+            far = [x for x in far if all(block_dist_at_least(b, x, eps) for b in self.cantors)]
+        return sorted(far)
+
+    def count(self, eps: Q) -> int:
+        """len(outside(eps)); a bisection when acc has no Cantor block."""
+        if self.cantors:
+            return len(self.outside(eps))
+        self._reach(eps)
+        return len(self.keys) - bisect_left(self.keys, eps)
+
+
+def _isolation(h: BlockSet) -> IsolationProfile:
+    """h's isolation profile, computed once per set object."""
+    return h.memo("isolation", lambda: IsolationProfile(
+        derived_set(h), h.finite_points(), [b for b in h.blocks if isinstance(b, PowerSums)]))
+
+
+def _positive(eps) -> Q:
+    eps = as_q(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return eps
+
+
 def isolated_outside(h: BlockSet, eps: Q) -> list[Q]:
-    """H minus the open eps-neighborhood of H', enumerated exactly.
+    """H minus the open eps-neighborhood of H', enumerated exactly, in order.
 
     A point survives iff its distance to every accumulation point is >= eps.
     Interval and Cantor blocks contribute no candidates (all their points
     accumulate); geometric and tower blocks are cut off by the exact bound
-    that their own anchor distance imposes.
+    that their own anchor distance imposes.  The candidates and their
+    distances to H' are kept with the set (IsolationProfile), so a smaller
+    eps only measures the points it adds, and a larger one measures none.
     """
-    eps = as_q(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    acc = derived_set(h)
-    candidates: set[Q] = set()
-    for b in h.blocks:
-        if isinstance(b, Finite):
-            candidates.update(b.points)
-        elif isinstance(b, PowerSums):
-            candidates.update(tower_outer_points(b, eps))
-    out = []
-    for x in sorted(candidates):
-        if all(block_dist_at_least(b, x, eps) for b in acc.blocks):
-            out.append(x)
-    return out
+    return _isolation(h).outside(_positive(eps))
+
+
+def isolated_count(h: BlockSet, eps: Q) -> int:
+    """len(isolated_outside(h, eps)), by bisection of h's isolation profile."""
+    return _isolation(h).count(_positive(eps))
 
 
 def _block_intersect(b1: Block, b2: Block) -> list[Block]:

@@ -245,3 +245,35 @@ def test_classify_command_evaluates_each_mean_once(monkeypatch, kind):
     # the domain check of H and of V, nothing else
     assert len(calls) == 2
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["witness", "--iso-small", "--depth", "8", "tower(2,0,1/4)"],
+     "803bf23ede5f5121d5227c4130c5b889f0898caaed9bf3a1d559c20e73d9e9b6"),
+    (["witness", "--iso-big", "--depth", "10", "seq(0,1,1/2) U tower(2,1,1/4)"],
+     "c2c752ab82a9f0b7d78d6e1011c5bf1e9ae095de0b1e723a6cb9957531c2aaf4"),
+])
+def test_witness_measures_each_distance_once(monkeypatch, argv, digest):
+    # the counts m_eps at every stage come from one isolation profile of H2,
+    # and each witness point is measured once for all stages
+    import collections
+    import hashlib
+    import json
+
+    from setmeans import blocks, sets
+    from setmeans.cli import run_command
+
+    calls = collections.Counter()
+    real = blocks.block_min_dist
+
+    def counted(b, x):
+        calls[b, x] += 1
+        return real(b, x)
+
+    monkeypatch.setattr(blocks, "block_min_dist", counted)
+    monkeypatch.setattr(sets, "block_min_dist", counted, raising=False)
+    code, rep = run_command(argv)
+    assert code == 0
+    assert calls and max(calls.values()) == 1
+    # the report is byte for byte the one the per-eps enumeration gave
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest

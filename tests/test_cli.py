@@ -288,3 +288,21 @@ def test_usage_error_leaves_the_parser_usable():
     assert code == 0 and rep["result"]["value"] == {"num": "3", "den": "1"}
     code, rep = run_command(["kbounds", "--mean", "arith", "{0, 10}"])
     assert code == 0 and rep["result"]["k_limsup"]["value"] == {"num": "10", "den": "1"}
+
+
+def test_iso_sums_over_shared_factors_exactly():
+    # steps 6, 10 and 15 in units of 2**-1/6 share factors pairwise, so the
+    # shared points are counted by inclusion-exclusion; the counts must stay
+    # rational, exact when the weights are commensurable
+    seqs = "seq(0,1,1/64) U seq(0,1,1/1024) U seq(0,1,1/32768) U "
+    code, rep = run_command(["eval", "--mean", "iso", seqs + "seq(1,1,1/2)"])
+    assert code == 0
+    assert rep["result"]["status"] == "exact"
+    assert rep["result"]["value"] == {"num": "15", "den": "19"}
+    code, rep = run_command(["eval", "--mean", "iso", seqs + "seq(1,1,1/3)"])
+    assert code == 0
+    assert rep["result"]["value"] == {"approx": "0.702910282779512", "tol": "1e-09"}
+    for argv in (["round", "--mean", "iso", seqs + "seq(1,1,1/3)"],
+                 ["weigh", "--mean", "iso", "--kind", "bound", seqs + "seq(1,1,1/3)", "seq(0,1,1/2)"]):
+        code, rep = run_command(argv)
+        assert code == 0, rep["diagnostics"]

@@ -129,6 +129,30 @@ def test_iso_growth_of_coprime_progressions_is_a_product(monkeypatch, degree):
     assert len(calls) == len(terms)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_progressions_with_shared_factors_sum_in_closed_form(monkeypatch, degree):
+    # steps 2p for the first 15 odd primes p, plus 3, all at residue 0: every
+    # subfamily agrees, so the union is the signed sum over all 2**16
+    # subfamilies of 1/lcm**d; it is checked against that sum, with the
+    # subfamilies merged by lcm, and must take a few dozen steps, not 2**16
+    from collections import Counter
+
+    from setmeans import means
+
+    steps = [2 * p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)] + [3]
+    signed = Counter({1: 1})  # lcm -> signed count of the subfamilies with it
+    for s in steps:
+        for m, c in list(signed.items()):
+            signed[math.lcm(m, s)] -= c
+    want = 1 - sum(Q(c, m**degree) for m, c in signed.items())
+    calls = []
+    real = means._lcm_sum
+    monkeypatch.setattr(means, "_lcm_sum", lambda *a: calls.append(a) or real(*a))
+    got = means._progressions_union([(0, s) for s in steps], degree)
+    assert type(got) is Q and got == want
+    assert len(calls) <= 4 * len(steps)
+
+
 def test_iso_domain_violation():
     with pytest.raises(DomainViolation):
         mean_iso(bset(Interval(Q(0), Q(1)), seq(2)))

@@ -2,8 +2,10 @@
 
 These oracles never touch the code paths they check: membership is
 evaluated directly on the expression tree, intersections are compared
-point by point, and the isolated-point mean is recomputed from the plain
-isolation enumeration.
+point by point, the isolated-point mean is recomputed from the plain
+isolation enumeration, which is itself checked against a per-eps
+enumeration, and the inclusion-exclusion of shared isolated points against
+a walk over every subfamily.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 from setmeans import (
     CutAbove,
     CutBelow,
+    Finite,
     GeomSeq,
     IntersectionNotRepresentable,
     Leaf,
@@ -31,8 +34,9 @@ from setmeans import (
     normalize_blocks,
     parse,
 )
-from setmeans.blocks import block_contains
-from setmeans.means import DEFAULT_CONFIG, MeanValue, arith_mean
+from setmeans.blocks import PowerSums, block_contains, block_dist_at_least, tower_outer_points
+from setmeans.means import DEFAULT_CONFIG, MeanValue, _progressions_union, arith_mean
+from setmeans.sets import derived_set
 
 
 def expr_contains(e, x: Q) -> bool:
@@ -308,3 +312,74 @@ def test_iso_mean_is_the_limit_of_isolated_point_means(text, want):
         pts = isolated_outside(h, Q(1, 2**bits))
         errors.append(abs(float(sum(pts, Q(0)) / len(pts)) - float(want)))
     assert errors[1] <= errors[0] / 2, errors
+
+
+def reference_isolated_outside(h, eps: Q):
+    """The isolated points at distance >= eps from H', enumerated afresh at
+    each eps: every candidate is measured against every block of H'."""
+    acc = derived_set(h)
+    candidates = set()
+    for b in h.blocks:
+        if isinstance(b, Finite):
+            candidates.update(b.points)
+        elif isinstance(b, PowerSums):
+            candidates.update(tower_outer_points(b, eps))
+    return sorted(x for x in candidates if all(block_dist_at_least(b, x, eps) for b in acc.blocks))
+
+
+def test_isolation_profile_matches_per_eps_enumeration():
+    # one set object answers eps queries in any order from its kept profile;
+    # each answer must be the fresh per-eps enumeration
+    from setmeans.sets import isolated_count
+
+    down = [Q(1, 2), Q(1, 3), Q(1, 10), Q(1, 17), Q(1, 64), Q(3, 1000)]
+    orders = [down + down[::-1] + [Q(1, 10), Q(1, 10), Q(1, 2)],
+              down[::-1] + down + [Q(1, 64), Q(1, 3)]]
+    checked = 0
+    for profile in ("finite", "sequences", "towers", "intervals", "cantor", "mixed"):
+        for e in gen_corpus(13, 12, profile):
+            for order in orders:
+                h = normalize(e)
+                for eps in order:
+                    want = reference_isolated_outside(normalize(e), eps)
+                    assert isolated_outside(h, eps) == want, (profile, e, eps)
+                    assert isolated_count(h, eps) == len(want), (profile, e, eps)
+                    checked += bool(want)
+    assert checked > 200
+
+
+def reference_progressions_union(progressions, degree: int) -> Q:
+    """Inclusion-exclusion over every nonempty subfamily of the progressions
+    {e_i + p_i * k}: a subfamily whose congruences have a common solution,
+    found by merging them one at a time, adds (-1)**(|T|+1) / lcm(T)**degree."""
+    total = Q(0)
+    for mask in range(1, 2 ** len(progressions)):
+        e, p = 0, 1
+        for i, (ei, pi) in enumerate(progressions):
+            if mask >> i & 1:
+                # the solutions of x = e (mod p) are e + p*k; find one that is ei mod pi
+                hit = next((e + p * k for k in range(pi) if (e + p * k - ei) % pi == 0), None)
+                if hit is None:
+                    break
+                p = math.lcm(p, pi)
+                e = hit % p
+        else:
+            total += Q((-1) ** (bin(mask).count("1") + 1), p**degree)
+    return total
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_progressions_union_matches_every_subfamily(degree):
+    rng = random.Random(1709 + degree)
+    steps = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 14, 15, 18, 20, 21, 30)
+    for n in range(1, 10):
+        for _ in range(6):
+            fam = [rng.choice(steps) for _ in range(n)]
+            x = rng.randrange(360)
+            agreeing = [(x % p, p) for p in fam]  # every subfamily solves x
+            clashing = [(rng.randrange(p), p) for p in fam]
+            for progressions in (agreeing, clashing):
+                got = _progressions_union(progressions, degree)
+                want = reference_progressions_union(progressions, degree)
+                assert type(got) is Q and type(want) is Q
+                assert got == want, (progressions, degree)
