@@ -98,6 +98,14 @@ class Finite:
             raise ValidationError("finite block needs at least one point")
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def of_sorted(cls, points: tuple[Q, ...]) -> "Finite":
+        """The block of points that are already Fractions, strictly increasing
+        and at least one: taken as they are, with no check."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "points", points)
+        return b
+
     @property
     def inf(self) -> Q:
         return self.points[0]
@@ -309,11 +317,11 @@ def block_contains(b: Block, x: Q) -> bool:
         return b.lo <= x <= b.hi
     if isinstance(b, PowerSums):
         return _tower_contains_t((x - b.anchor) / b.scale, b.level, b.ratio, b.sums)
-    for depth, (lo, hi, i, gap) in enumerate(_cantor_descend(b, x)):
+    for depth, (t, i, gap) in enumerate(_cantor_descend(b, x, box=False)):
         if depth == CANTOR_DEPTH:
             raise MembershipUndecided(f"cantor membership of {x} unresolved at depth {CANTOR_DEPTH}")
         if i is None:
-            return lo <= x <= hi
+            return t == 0 or t == 1  # x is an end of the box, or outside it
         if gap:
             return False
     return True  # the orbit cycles without falling in a gap: x is in the attractor
@@ -337,10 +345,10 @@ def _tower_contains_t(t: Q, k: int, r: Q, sums) -> bool:
         k -= 1
 
 
-def _cantor_descend(b: Cantor, y: Q):
-    """Walk b's piece tree towards y: yield (lo, hi, i, gap) at each level.
+def _cantor_descend(b: Cantor, y: Q, box: bool = True):
+    """Walk b's piece tree towards y: yield (where, i, gap) at each level.
 
-    [lo, hi] is the level's box and i the piece of it at or left of y
+    where is the level's box (lo, hi), and i the piece of it at or left of y
     (clamped to the last piece).  gap is None, or the ends of the gap right
     of piece i when y lies in it; the walk stops there.  i None means y is
     at or beyond an end of the box, and ends the walk.  It stops with no
@@ -348,6 +356,9 @@ def _cantor_descend(b: Cantor, y: Q):
     has it as an end.  Each level maps t to (t - i*u)/r, so for r = 1/q t
     stays in (1/L)Z with L = lcm(den(t), m - 1), and a repeat or an exit
     comes within L + 1 levels; the callers bound the other orbits.
+
+    With box False no box is tracked: where is t itself and gap is True in
+    place of its ends, which is all that membership needs.
     """
     m, r = b.pieces, b.ratio
     u = (1 - r) / (m - 1)  # normalised piece spacing
@@ -361,13 +372,19 @@ def _cantor_descend(b: Cantor, y: Q):
         i = min(int(t / u), m - 1)
         iu = i * u
         if t > iu + r:
-            yield lo, lo + d, i, (lo + (iu + r) * d, lo + (iu + u) * d)
+            if box:
+                yield (lo, lo + d), i, (lo + (iu + r) * d, lo + (iu + u) * d)
+            else:
+                yield t, i, True
             return
-        yield lo, lo + d, i, None
-        lo += iu * d
-        d *= r
+        if box:
+            yield (lo, lo + d), i, None
+            lo += iu * d
+            d *= r
+        else:
+            yield t, i, None
         t = (t - iu) / r
-    yield lo, lo + d, None, None
+    yield ((lo, lo + d) if box else t), None, None
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +437,7 @@ def block_dist_at_least(b: Block, x: Q, eps: Q) -> bool:
     """
     if not isinstance(b, Cantor):
         return block_min_dist(b, x) >= eps
-    for lo, hi, i, gap in _cantor_descend(b, x):
+    for (lo, hi), i, gap in _cantor_descend(b, x):
         if i is None:
             return max(lo - x, x - hi) >= eps
         if hi - lo < eps:
@@ -533,7 +550,7 @@ def _cut_cantor(b: Cantor, y: Q, keep_low: bool) -> list[Block]:
     """
     low: list[Block] = []
     high: list[Block] = []
-    for depth, (lo, hi, i, gap) in enumerate(_cantor_descend(b, y)):
+    for depth, ((lo, hi), i, gap) in enumerate(_cantor_descend(b, y)):
         if depth == CANTOR_DEPTH:
             raise CutNotRepresentable(f"cut at {y}: the cantor orbit neither cycles nor exits "
                                       f"within the CANTOR_DEPTH budget of {CANTOR_DEPTH} levels")

@@ -673,6 +673,8 @@ def k_bounds(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) ->
         if piece.is_empty:
             skipped.append(f"cut at {x} empties the set")
             return None
+        if piece == h:
+            piece = h  # a cut that keeps all of h reuses h's mean
         val = mean_of(piece, kind, cfg)
         if not val.is_defined:
             skipped.append(f"cut at {x} leaves the domain: {val.reason}")

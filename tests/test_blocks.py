@@ -12,10 +12,13 @@ from setmeans import (
     Finite,
     GeomSeq,
     Interval,
+    MembershipUndecided,
     Tower,
     ValidationError,
 )
+from setmeans import blocks
 from setmeans.blocks import (
+    _cantor_descend,
     block_contains,
     block_dist_at_least,
     block_min_dist,
@@ -214,6 +217,47 @@ def test_cut_cantor_past_the_budget_names_it():
     with pytest.raises(CutNotRepresentable) as exc:
         cut_block(c, Q(1, 4), True)
     assert str(exc.value) == "cut at 1/4 lands inside a cantor block at a non-gap point"
+
+
+def box_membership(c, x):
+    """Cantor membership read off the absolute boxes of the descent."""
+    for depth, ((lo, hi), i, gap) in enumerate(_cantor_descend(c, x)):
+        if depth == blocks.CANTOR_DEPTH:
+            return "undecided"
+        if i is None:
+            return lo <= x <= hi
+        if gap:
+            return False
+    return True
+
+
+def test_cantor_membership_budget(monkeypatch):
+    # 3**-k/2 lies in a gap at depth k, so it is decided below the budget
+    # and undecided at it; 3**-k ends the walk at depth k on a box end
+    c = Cantor(Q(0), Q(1), 2, Q(1, 3))
+    assert block_contains(c, Q(1, 2 * 3**511)) is False
+    with pytest.raises(MembershipUndecided, match="depth 512"):
+        block_contains(c, Q(1, 2 * 3**512))
+    monkeypatch.setattr(blocks, "CANTOR_DEPTH", 5)
+    assert block_contains(c, Q(1, 2 * 3**4)) is False
+    with pytest.raises(MembershipUndecided, match="depth 5"):
+        block_contains(c, Q(1, 2 * 3**5))
+    assert block_contains(c, Q(1, 3**4)) is True
+    with pytest.raises(MembershipUndecided):
+        block_contains(c, Q(1, 3**5))
+    # the orbit of 1/4 cycles (1/4, 3/4, 1/4) within any budget above 2
+    assert block_contains(c, Q(1, 4)) is True
+    assert [block_contains(c, x) for x in (Q(0), Q(1), Q(-1), Q(2))] == [True, True, False, False]
+    rng = random.Random(512)
+    for _ in range(300):
+        m = rng.choice([2, 3])
+        c = Cantor(Q(rng.randint(-3, 3)), Q(4), m, Q(1, rng.choice([m + 1, m + 2])))
+        x = Q(rng.randint(-30, 130), rng.choice([27, 32, 81, 125]))
+        try:
+            got = block_contains(c, x)
+        except MembershipUndecided:
+            got = "undecided"
+        assert got == box_membership(c, x), (c, x)
 
 
 def test_cut_cantor_stops_when_the_orbit_cycles(monkeypatch):

@@ -338,6 +338,26 @@ def test_cut_candidates_hold_the_ends_of_every_derived_set():
     assert walked == 67
 
 
+@pytest.mark.parametrize("text,kind", [
+    ("{0, 10}", MeanKind.ARITH),
+    ("seq(0,1,1/2) U seq(1,1,1/3) U {5}", MeanKind.ISO),
+    ("tower(2,0,1/4) U seq(5,1,1/2)", MeanKind.ACC),
+])
+def test_k_bounds_reuses_the_mean_of_a_cut_equal_to_h(monkeypatch, text, kind):
+    # a cut that keeps all of h is h: its mean is h's, not computed again
+    from setmeans import means
+
+    h = normalize(parse(text))
+    pieces, evaluated = [], []
+    cut_set, mean = means.cut_set, means._mean
+    monkeypatch.setattr(means, "cut_set", lambda *a: pieces.append(cut_set(*a)) or pieces[-1])
+    monkeypatch.setattr(means, "_mean", lambda g, *a: evaluated.append(g) or mean(g, *a))
+    k_bounds(h, kind)
+    assert any(p == h for p in pieces)
+    assert evaluated[0] is h
+    assert len(evaluated) == 1 + sum(p != h and not p.is_empty for p in pieces)
+
+
 def test_k_bounds_acc_tower():
     h = bset(Tower(2, Q(0), Q(1), Q(1, 4)), seq(5))
     kb = k_bounds(h, MeanKind.ACC)

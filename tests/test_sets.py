@@ -1,9 +1,12 @@
 """Normalization, derived sets, levels, isolation, cuts, intersection."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from setmeans import (
     BlockSet,
@@ -32,7 +35,11 @@ from setmeans import (
     translate_set,
     union_sets,
 )
-from setmeans.sets import INFINITE_LEVEL
+from setmeans import sets
+from setmeans.blocks import block_contains, block_sort_key
+from setmeans.errors import CutNotRepresentable, MembershipUndecided
+from setmeans.laws import PROFILES
+from setmeans.sets import INFINITE_LEVEL, _geom_absorbs
 
 
 def bset(*blocks) -> BlockSet:
@@ -99,11 +106,34 @@ def test_normalize_tower_level_one_is_a_sequence():
     assert out.blocks == (GeomSeq(Q(0), Q(1), Q(1, 2)),)
 
 
+def assert_canonical(h: BlockSet):
+    """The invariants that the BlockSet docstring states."""
+    finite = [b for b in h.blocks if isinstance(b, Finite)]
+    rest = h.blocks[len(finite):]
+    assert len(finite) <= 1 and not any(isinstance(b, Finite) for b in rest), h
+    keys = [block_sort_key(b) for b in rest]
+    assert all(a < b for a, b in zip(keys, keys[1:])), h
+    assert not any(isinstance(b, Tower) and b.level == 1 for b in rest), h
+    intervals = [b for b in rest if isinstance(b, Interval)]
+    assert all(a.hi < b.lo for a, b in zip(intervals, intervals[1:])), h
+    for iv in intervals:
+        assert not any(iv.lo <= b.inf and b.sup <= iv.hi for b in h.blocks if b is not iv), h
+    seqs = [b for b in rest if isinstance(b, GeomSeq)]
+    assert not any(a is not b and _geom_absorbs(a, b) for a in seqs for b in seqs), h
+    for p in h.finite_points():
+        for b in rest:
+            try:
+                assert not (b.inf <= p <= b.sup and block_contains(b, p)), (h, p)
+            except MembershipUndecided:
+                pass
+
+
 def test_normalize_idempotent_on_corpus():
     for e in gen_corpus(17, 120, "mixed"):
         once = normalize(e)
         again = normalize_blocks(once.blocks)
         assert once == again
+        assert_canonical(once)
 
 
 def test_translation_equivariance_on_corpus():
@@ -265,3 +295,137 @@ def test_normalize_absorbs_a_far_tail():
     # seq(0, 2**-10001, 1/2) is the tail of seq(0, 1, 1/2) from index 10002
     a = GeomSeq(Q(0), Q(1), Q(1, 2))
     assert bset(a, GeomSeq(Q(0), Q(1, 2**10001), Q(1, 2))).blocks == (a,)
+
+
+# ---------------------------------------------------------------------------
+# the canonical form against the plain version it replaced
+
+
+def reference_canonical(blocks: list) -> BlockSet:
+    """The canonical form computed plainly: blocks deduplicated by hashing,
+    every finite point tested against every block, one sort at the end."""
+    finite_pts: set[Q] = set()
+    others: list = []
+    for b in blocks:
+        if isinstance(b, Finite):
+            finite_pts.update(b.points)
+        elif isinstance(b, Tower) and b.level == 1:
+            others.append(GeomSeq(b.anchor, b.scale, b.ratio))
+        else:
+            others.append(b)
+    others = list(dict.fromkeys(others))  # drop structurally identical blocks
+
+    # merge overlapping or touching intervals
+    intervals = sorted((b for b in others if isinstance(b, Interval)), key=lambda b: (b.lo, b.hi))
+    merged: list[Interval] = []
+    for iv in intervals:
+        if merged and iv.lo <= merged[-1].hi:
+            if iv.hi > merged[-1].hi:
+                merged[-1] = Interval(merged[-1].lo, iv.hi)
+        else:
+            merged.append(iv)
+    rest = [b for b in others if not isinstance(b, Interval)]
+
+    # blocks wholly inside an interval are absorbed by it
+    kept: list = []
+    for b in rest:
+        if any(iv.lo <= b.inf and b.sup <= iv.hi for iv in merged):
+            continue
+        kept.append(b)
+
+    # geometric sequences that are tails/subsequences of another are dropped
+    seqs = [b for b in kept if isinstance(b, GeomSeq)]
+    drop = set()
+    for i, b in enumerate(seqs):
+        for a in seqs:
+            if a is not b and a not in drop and _geom_absorbs(a, b):
+                drop.add(b)
+                break
+    kept = [b for b in kept if b not in drop]
+
+    final = list(merged) + kept
+
+    # finite points duplicated inside another block are removed
+    clean_pts = []
+    for p in sorted(finite_pts):
+        dup = False
+        for b in final:
+            if b.inf <= p <= b.sup:
+                try:
+                    if block_contains(b, p):
+                        dup = True
+                        break
+                except MembershipUndecided:
+                    pass  # keep the point; undecided duplication is harmless
+        if not dup:
+            clean_pts.append(p)
+    if clean_pts:
+        final.append(Finite(tuple(clean_pts)))
+
+    return BlockSet(tuple(sorted(final, key=block_sort_key)))
+
+
+@contextmanager
+def canonical_calls():
+    """Yield a list that collects (input blocks, result) of every
+    sets._canonical call made inside the with statement."""
+    calls = []
+    real = sets._canonical
+
+    def spy(blocks, provenance=None):
+        blocks = list(blocks)
+        out = real(list(blocks), provenance)
+        calls.append((blocks, out))
+        return out
+
+    with mock.patch.object(sets, "_canonical", spy):
+        yield calls
+
+
+def set_algebra(hs, rng):
+    """Unions of 2-4 of the sets, their translates and below/above cuts,
+    their derived sets and their pairwise intersections; a set's union with
+    itself and with its two cut halves repeats blocks and points."""
+    for h in hs:
+        x = Q(rng.randint(-40, 40), rng.choice([1, 2, 3, 8]))
+        y = Q(rng.randint(-60, 60), 8)
+        normalize(Translate(h.to_expr(), x))
+        try:
+            union_sets(h, cut_set(h, y, True), cut_set(h, y, False))
+        except CutNotRepresentable:
+            pass
+        union_sets(h, h)
+        derived_set(h)
+    for _ in range(len(hs)):
+        union_sets(*rng.sample(hs, rng.randint(2, min(4, len(hs)))))
+        try:
+            intersect(*rng.sample(hs, 2))
+        except IntersectionNotRepresentable:
+            pass
+
+
+def assert_same_as_reference(calls):
+    for blocks, out in calls:
+        want = reference_canonical(list(blocks))
+        assert [(type(b), b) for b in out.blocks] == [(type(b), b) for b in want.blocks], blocks
+        assert_canonical(out)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_canonical_form_matches_the_reference(profile):
+    rng = random.Random(f"canonical:{profile}")
+    with canonical_calls() as calls:
+        hs = [normalize(e) for e in gen_corpus(67, 40, profile)]
+        hs += [normalize(e) for e in gen_corpus(71, 10, "mixed")]
+        set_algebra(hs, rng)
+    assert len(calls) > 300
+    assert_same_as_reference(calls)
+
+
+@given(seed=st.integers(0, 10**6), profiles=st.lists(st.sampled_from(PROFILES), min_size=2,
+                                                     max_size=4))
+def test_canonical_form_matches_the_reference_on_draws(seed, profiles):
+    with canonical_calls() as calls:
+        hs = [normalize(gen_corpus(seed, 1, p)[0]) for p in profiles]
+        set_algebra(hs, random.Random(seed))
+    assert_same_as_reference(calls)
