@@ -115,10 +115,12 @@ class Finite:
         return self.points[-1]
 
     def translate(self, x: Q) -> "Finite":
-        return Finite(tuple(p + x for p in self.points))
+        x = as_q(x)
+        return Finite.of_sorted(tuple(p + x for p in self.points))
 
     def reflect(self, c: Q) -> "Finite":
-        return Finite(tuple(2 * c - p for p in self.points))
+        c = as_q(c)
+        return Finite.of_sorted(tuple(2 * c - p for p in reversed(self.points)))
 
 
 class PowerSums:
@@ -460,8 +462,8 @@ def cut_block(b: Block, y: Q, keep_low: bool) -> list[Block]:
     """
     y = as_q(y)
     if isinstance(b, Finite):
-        pts = [p for p in b.points if (p <= y if keep_low else p >= y)]
-        return [Finite(tuple(pts))] if pts else []
+        pts = tuple(p for p in b.points if (p <= y if keep_low else p >= y))
+        return [Finite.of_sorted(pts)] if pts else []
     if isinstance(b, Interval):
         if keep_low:
             if y <= b.lo:

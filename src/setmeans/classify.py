@@ -25,7 +25,7 @@ from .means import (
     iso_eligible,
     iso_growth,
     mean_of,
-    values_close,
+    order,
 )
 from .sets import (
     BlockSet,
@@ -129,12 +129,12 @@ def sampler_probe(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
     for x in _translate_grid(xmax, h):
         union = union_sets(h, translate_set(v, x))
         lhs = mean_of(union, kind, cfg)
-        eq = values_close(ref, lhs, cfg.tol)
-        if eq is None:
+        sign = order(lhs, ref, cfg.tol)
+        if sign is None:
             evidence.append(f"x={x}: union left the domain ({lhs.reason}); skipped")
         else:
             evidence.append(f"x={x}: K(H u V+x)={lhs} vs K(H)={ref}")
-            if not eq:
+            if sign:
                 witness = x
                 break
         try:
@@ -150,12 +150,12 @@ def sampler_probe(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
             evidence.append(f"x={x}: removal empties the set; skipped")
             continue
         rhs = mean_of(diff, kind, cfg)
-        eq = values_close(ref, rhs, cfg.tol)
-        if eq is None:
+        sign = order(rhs, ref, cfg.tol)
+        if sign is None:
             evidence.append(f"x={x}: difference left the domain ({rhs.reason}); skipped")
         else:
             evidence.append(f"x={x}: K(H - (V+x))={rhs}")
-            if not eq:
+            if sign:
                 witness = x
                 break
     if witness is not None:

@@ -23,7 +23,7 @@ from .means import (
     MeanKind,
     MeanValue,
     mean_of,
-    values_close,
+    order,
 )
 from .sets import (
     BlockSet,
@@ -180,20 +180,10 @@ def gen_corpus(seed: int, count: int, profile: str = "mixed") -> list[SetExpr]:
 # law checking
 
 
-def _le(a: MeanValue, b: MeanValue, tol: float):
-    """a <= b up to tolerance; None when either side is undefined."""
-    if not (a.is_defined and b.is_defined):
-        return None
-    if a.is_exact and b.is_exact:
-        return a.value <= b.value
-    return a.as_float() <= b.as_float() + 2 * tol
-
-
-def _lt_strict(a: MeanValue, b: MeanValue):
-    """Strict comparison, only trusted for exact values."""
-    if a.is_exact and b.is_exact:
-        return a.value < b.value
-    return None
+def _between(lo: MeanValue, v: MeanValue, hi: MeanValue, tol: float):
+    """lo <= v <= hi; None when any of the three is undefined."""
+    below, above = order(lo, v, tol), order(v, hi, tol)
+    return None if below is None or above is None else below <= 0 and above <= 0
 
 
 def _disjoint(h1: BlockSet, h2: BlockSet):
@@ -212,23 +202,15 @@ class _Run:
         self.violations: list[Violation] = []
 
     def skip(self):
-        self.trials += 1
-        self.skipped += 1
-
-    def ok(self):
-        self.trials += 1
-
-    def violate(self, inputs, observed):
-        self.trials += 1
-        self.violations.append(Violation(tuple(inputs), observed))
+        self.check(None, (), "")
 
     def check(self, condition, inputs, observed):
+        """One trial: skipped when condition is None, a violation when it is false."""
+        self.trials += 1
         if condition is None:
-            self.skip()
-        elif condition:
-            self.ok()
-        else:
-            self.violate(inputs, observed)
+            self.skipped += 1
+        elif not condition:
+            self.violations.append(Violation(tuple(inputs), observed))
 
     def report(self) -> LawReport:
         return LawReport(self.law, self.mean, self.trials,
@@ -243,12 +225,17 @@ def _shifts(h: BlockSet) -> list[Q]:
 
 def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
               cfg: LadderConfig = DEFAULT_CONFIG) -> LawReport:
-    """Instantiate one law for one mean over the corpus."""
+    """Instantiate one law for one mean over the corpus.
+
+    Mean values compare through ``means.order``.  A strict inequality is
+    only trusted between exact values.
+    """
     mean, law = MeanKind(mean), LawKind(law)
     sets = [normalize(e) for e in corpus]
     texts = [render(e) for e in corpus]
     run = _Run(law, mean)
     n = len(sets)
+    tol = cfg.tol
 
     def kv(h):
         return mean_of(h, mean, cfg)
@@ -268,67 +255,47 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
             k = (k + 1) % n
         return (i, j, k)
 
-    if law is LawKind.INTERNAL:
+    if law in (LawKind.INTERNAL, LawKind.STRONG_INTERNAL):
         for i, h in enumerate(sets):
-            v = kv(h)
-            if not v.is_defined:
+            v, bd = kv(h), bounds(h)
+            lo, hi = ((bd.acc_inf, bd.acc_sup) if law is LawKind.STRONG_INTERNAL
+                      else (bd.inf, bd.sup))
+            if lo is None:
                 run.skip()
                 continue
-            bd = bounds(h)
-            lo = MeanValue.exact(bd.inf)
-            hi = MeanValue.exact(bd.sup)
-            run.check(_le(lo, v, cfg.tol) and _le(v, hi, cfg.tol),
-                      (texts[i],), f"K={v} outside [{bd.inf}, {bd.sup}]")
-    elif law is LawKind.STRONG_INTERNAL:
-        for i, h in enumerate(sets):
-            v = kv(h)
-            bd = bounds(h)
-            if not v.is_defined or bd.acc_inf is None:
-                run.skip()
-                continue
-            lo = MeanValue.exact(bd.acc_inf)
-            hi = MeanValue.exact(bd.acc_sup)
-            run.check(_le(lo, v, cfg.tol) and _le(v, hi, cfg.tol),
-                      (texts[i],), f"K={v} outside [{bd.acc_inf}, {bd.acc_sup}]")
-    elif law in (LawKind.MONOTONE, LawKind.STRONG_MONOTONE):
-        strong = law is LawKind.STRONG_MONOTONE
+            run.check(_between(MeanValue.exact(lo), v, MeanValue.exact(hi), tol),
+                      (texts[i],), f"K={v} outside [{lo}, {hi}]")
+    elif law in (LawKind.MONOTONE, LawKind.STRONG_MONOTONE, LawKind.DISJOINT_MONOTONE):
         for i in range(n):
             a, b = pair(i)
             h1, h2 = sets[a], sets[b]
-            b1, b2 = bounds(h1), bounds(h2)
-            if strong and (b1.acc_sup is None or b2.acc_inf is None):
-                run.skip()
-                continue
-            top1 = b1.acc_sup if strong else b1.sup
-            low2 = b2.acc_inf if strong else b2.inf
-            gap = Q(i % 3)
-            h2s = translate_set(h2, top1 - low2 + gap)
-            v1, v2 = kv(h1), kv(h2s)
-            vu = kv(union_sets(h1, h2s))
-            cond_lo = _le(v1, vu, cfg.tol)
-            cond_hi = _le(vu, v2, cfg.tol)
-            cond = None if cond_lo is None or cond_hi is None else (cond_lo and cond_hi)
-            run.check(cond, (texts[a], texts[b], f"shift={top1 - low2 + gap}"),
-                      f"K1={v1} Ku={vu} K2={v2}")
-    elif law is LawKind.DISJOINT_MONOTONE:
-        for i in range(n):
-            a, b = pair(i)
-            h1, h2 = sets[a], sets[b]
-            dis = _disjoint(h1, h2)
-            if dis is not True:
-                run.skip()
-                continue
-            v1, v2 = kv(h1), kv(h2)
-            if not (v1.is_defined and v2.is_defined):
-                run.skip()
-                continue
-            if _le(v2, v1, cfg.tol) and not _le(v1, v2, cfg.tol):
-                h1, h2, v1, v2 = h2, h1, v2, v1
+            inputs = (texts[a], texts[b])
+            if law is LawKind.DISJOINT_MONOTONE:
+                if _disjoint(h1, h2) is not True:
+                    run.skip()
+                    continue
+                v1, v2 = kv(h1), kv(h2)
+                sign = order(v1, v2, tol)
+                if sign is None:
+                    run.skip()
+                    continue
+                if sign > 0:
+                    h1, h2, v1, v2 = h2, h1, v2, v1
+            else:
+                b1, b2 = bounds(h1), bounds(h2)
+                if law is LawKind.STRONG_MONOTONE:
+                    top1, low2 = b1.acc_sup, b2.acc_inf
+                    if top1 is None or low2 is None:
+                        run.skip()
+                        continue
+                else:
+                    top1, low2 = b1.sup, b2.inf
+                shift = top1 - low2 + i % 3
+                h2 = translate_set(h2, shift)
+                inputs += (f"shift={shift}",)
+                v1, v2 = kv(h1), kv(h2)
             vu = kv(union_sets(h1, h2))
-            cond_lo = _le(v1, vu, cfg.tol)
-            cond_hi = _le(vu, v2, cfg.tol)
-            cond = None if cond_lo is None or cond_hi is None else (cond_lo and cond_hi)
-            run.check(cond, (texts[a], texts[b]), f"K1={v1} Ku={vu} K2={v2}")
+            run.check(_between(v1, vu, v2, tol), inputs, f"K1={v1} Ku={vu} K2={v2}")
     elif law is LawKind.UNION_MONOTONE:
         for i in range(n):
             ia, ib, ic = triple(i)
@@ -340,30 +307,21 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
             vab = kv(union_sets(a, b))
             vac = kv(union_sets(a, c))
             vabc = kv(union_sets(a, b, c))
-            if not all(v.is_defined for v in (va, vab, vac, vabc)):
+            signs = [order(va, v, tol) for v in (vab, vac, vabc)]
+            if None in signs:
                 run.skip()
                 continue
-            checked = False
-            bad = False
-            if _le(va, vab, cfg.tol) and _le(va, vac, cfg.tol):
+            sab, sac, sabc = signs
+            checked = bad = False
+            for s in (-1, 1):  # K(A) at or below both unions, then at or above both
+                if s * sab < 0 or s * sac < 0:
+                    continue
                 checked = True
-                if not _le(va, vabc, cfg.tol):
-                    bad = True
-                strict = _lt_strict(va, vab) or _lt_strict(va, vac)
-                if strict and _lt_strict(va, vabc) is False:
-                    bad = True
-            if _le(vab, va, cfg.tol) and _le(vac, va, cfg.tol):
-                checked = True
-                if not _le(vabc, va, cfg.tol):
-                    bad = True
-                strict = _lt_strict(vab, va) or _lt_strict(vac, va)
-                if strict and _lt_strict(vabc, va) is False:
-                    bad = True
-            if not checked:
-                run.skip()
-            else:
-                run.check(not bad, (texts[ia], texts[ib], texts[ic]),
-                          f"Ka={va} Kab={vab} Kac={vac} Kabc={vabc}")
+                strict = va.is_exact and any(sv == s and v.is_exact
+                                             for sv, v in ((sab, vab), (sac, vac)))
+                bad = bad or sabc == -s or (strict and vabc.is_exact and sabc == 0)
+            run.check(not bad if checked else None, (texts[ia], texts[ib], texts[ic]),
+                      f"Ka={va} Kab={vab} Kac={vac} Kabc={vabc}")
     elif law is LawKind.D_MONOTONE:
         for i in range(n):
             a, b = pair(i)
@@ -382,19 +340,12 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                     run.skip()
                     continue
                 vfull = kv(union_sets(lb, bx))
-                if not vfull.is_defined:
-                    run.skip()
+                s = 1 if x > 0 else -1
+                if not all(v.is_exact for v in (vl, vlb, vfull)) or order(vlb, vl, tol) != s:
+                    run.skip()  # the law needs K(L u B) strictly on the side of x from K(L)
                     continue
-                if x > 0 and _lt_strict(vl, vlb):
-                    run.check(_lt_strict(vlb, vfull),
-                              (texts[a], texts[b], f"x={x}"),
-                              f"KL={vl} KLB={vlb} Kfull={vfull}")
-                elif x < 0 and _lt_strict(vlb, vl):
-                    run.check(_lt_strict(vfull, vlb),
-                              (texts[a], texts[b], f"x={x}"),
-                              f"KL={vl} KLB={vlb} Kfull={vfull}")
-                else:
-                    run.skip()
+                run.check(order(vfull, vlb, tol) == s, (texts[a], texts[b], f"x={x}"),
+                          f"KL={vl} KLB={vlb} Kfull={vfull}")
     elif law is LawKind.SHIFT_INVARIANT:
         for i, h in enumerate(sets):
             v = kv(h)
@@ -403,7 +354,8 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                 continue
             for x in _shifts(h):
                 vs = kv(translate_set(h, x))
-                run.check(values_close(vs, v.shifted(x), cfg.tol),
+                sign = order(vs, v.shifted(x), tol)
+                run.check(None if sign is None else sign == 0,
                           (texts[i], f"x={x}"), f"K(H+x)={vs} vs K(H)+x={v.shifted(x)}")
     elif law is LawKind.SELF_SHIFT_INVARIANT:
         for i, h in enumerate(sets):
@@ -414,10 +366,9 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
             d = diameter(h)
             for mult in (1, 2, 7):
                 x = d + mult  # strict separation keeps the union overlap-free
-                u = union_sets(h, translate_set(h, x))
-                vu = kv(u)
-                run.check(values_close(vu, v.shifted(x / 2), cfg.tol),
-                          (texts[i], f"x={x}"),
+                vu = kv(union_sets(h, translate_set(h, x)))
+                sign = order(vu, v.shifted(x / 2), tol)
+                run.check(None if sign is None else sign == 0, (texts[i], f"x={x}"),
                           f"K(H u H+x)={vu} vs K(H)+x/2={v.shifted(x / 2)}")
     elif law is LawKind.PART_SHIFT_INVARIANT:
         for i in range(n):
@@ -436,26 +387,16 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                     run.skip()
                     continue
                 vx = kv(union_sets(h1, h2x))
-                if not vx.is_defined:
-                    run.skip()
+                sign, exact = order(vx, v0, tol), vx.is_exact and v0.is_exact
+                if sign is None or (sign == 0 and not exact):
+                    run.skip()  # outside the domain, or the sign is not resolvable at tolerance
                     continue
-                if vx.is_exact and v0.is_exact:
-                    diff = vx.value - v0.value
-                    sign_ok = (diff > 0) == (x > 0) and (diff < 0) == (x < 0)
-                    mag_ok = abs(diff) <= abs(x)
-                    run.check(sign_ok and mag_ok,
-                              (texts[a], texts[b], f"x={x}"),
-                              f"K(H1 u H2+x)-K(H1 u H2)={diff} vs x={x}")
-                else:
-                    diff = vx.as_float() - v0.as_float()
-                    if abs(diff) <= 2 * cfg.tol:
-                        run.skip()  # sign not resolvable at tolerance
-                    else:
-                        sign_ok = (diff > 0) == (x > 0)
-                        mag_ok = abs(diff) <= abs(x) + 2 * cfg.tol
-                        run.check(sign_ok and mag_ok,
-                                  (texts[a], texts[b], f"x={x}"),
-                                  f"difference {diff:.6g} vs x={x}")
+                # K moves the way of x, and by at most |x|
+                s = 1 if x > 0 else -1
+                run.check(sign == s and order(vx, v0.shifted(x), tol) != s,
+                          (texts[a], texts[b], f"x={x}"),
+                          f"K(H1 u H2+x)-K(H1 u H2)={vx.value - v0.value} vs x={x}" if exact
+                          else f"difference {vx.as_float() - v0.as_float():.6g} vs x={x}")
     else:
         raise ValueError(f"unhandled law {law}")
     return run.report()

@@ -96,16 +96,22 @@ class MeanValue:
         return f"undefined({self.reason})"
 
 
-def values_close(a: MeanValue, b: MeanValue, tol: float):
-    """Equality of two mean values: exact when both exact, else within 2*tol.
+def order(a: MeanValue, b: MeanValue, tol: float) -> Optional[int]:
+    """The sign of a - b, the one comparison of two mean values.
 
-    Returns None when either side is undefined (the comparison is vacuous).
+    Exact when both values are exact; when either is approximate, values
+    within 2*tol of each other are equal (0).  None when either value is
+    undefined (the comparison is vacuous).
     """
-    if not a.is_defined or not b.is_defined:
+    if not (a.is_defined and b.is_defined):
         return None
     if a.is_exact and b.is_exact:
-        return a.value == b.value
-    return abs(a.as_float() - b.as_float()) <= 2 * tol
+        d = a.value - b.value
+    else:
+        d = a.as_float() - b.as_float()
+        if abs(d) <= 2 * tol:
+            return 0
+    return (d > 0) - (d < 0)
 
 
 def combine(f, *values: MeanValue, tol: float) -> MeanValue:
@@ -231,9 +237,9 @@ def compare_dims(d1: DimValue, d2: DimValue) -> int:
     separated by interval arithmetic; IncomparableDimensions is raised when
     its budget is spent.
     """
-    order = {"zero": 0, "log_ratio": 1, "one": 2}
+    rank = {"zero": 0, "log_ratio": 1, "one": 2}
     if d1.kind != d2.kind:
-        return -1 if order[d1.kind] < order[d2.kind] else 1
+        return -1 if rank[d1.kind] < rank[d2.kind] else 1
     if d1.kind != "log_ratio":
         return 0
     if d1 == d2:
@@ -679,19 +685,19 @@ def k_bounds(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) ->
         if not val.is_defined:
             skipped.append(f"cut at {x} leaves the domain: {val.reason}")
             return None
-        return values_close(reference, val, cfg.tol)
+        return order(reference, val, cfg.tol) == 0
 
-    def scan(order, keep_low: bool, side: str) -> MeanValue:
-        # walk the lattice in this order while the cut keeps the mean; a
+    def scan(path, keep_low: bool, side: str) -> MeanValue:
+        # walk the lattice along this path while the cut keeps the mean; a
         # matching midpoint carries the bound on to the next base candidate
         last = None
-        for i, (x, is_base) in enumerate(order):
+        for i, (x, is_base) in enumerate(path):
             res = equal_after(x, keep_low)
             if res is None:
                 continue
             if not res:
                 break
-            last = x if is_base else next(bx for bx, bb in order[i + 1:] if bb)
+            last = x if is_base else next(bx for bx, bb in path[i + 1:] if bb)
         if last is None:
             return MeanValue.undefined(f"no representable unchanged {side} cut")
         return MeanValue.exact(last)

@@ -23,7 +23,7 @@ from .means import (
     MeanValue,
     combine,
     mean_of,
-    values_close,
+    order,
 )
 from .sets import BlockSet, bounds, cut_set
 from .weigh import compare_weights, weight_of
@@ -105,11 +105,9 @@ def _defect(halves: _Halves) -> RoundReport:
     defect = combine(lambda k, k1, k2: (k1 + k2) / 2 - k, k, k1, k2, tol=cfg.tol)
     if not defect.is_defined:
         raise DomainViolation(f"a half lies outside Dom({kind.value}): {defect.reason}")
-    if defect.is_exact:
-        verdict = _closed(Answer.YES if defect.value == 0 else Answer.NO, f"defect {defect.value}")
-    else:
-        verdict = _closed(Answer.YES if abs(defect.approx) < 2 * cfg.tol else Answer.NO,
-                          f"defect {defect.approx:.3g}")
+    shown = defect.value if defect.is_exact else f"{defect.approx:.3g}"
+    verdict = _closed(Answer.NO if order(defect, MeanValue.exact(0), cfg.tol) else Answer.YES,
+                      f"defect {shown}")
     return RoundReport(k, k1, k2, defect, verdict, _witness_payload(halves))
 
 
@@ -137,7 +135,7 @@ def _witness(halves: _Halves) -> Verdict:
         return compare_weights(*halves.weights, kind)
     k1, k2 = halves.means
     ev = f"half means {k1.as_float():.6g}, {k2.as_float():.6g} vs k={k.as_float():.6g}"
-    if values_close(k1, k, cfg.tol) and values_close(k2, k, cfg.tol):
+    if order(k1, k, cfg.tol) == 0 and order(k2, k, cfg.tol) == 0:
         return _closed(Answer.YES, ev)
     v = compare_weights(*halves.weights, kind)
     return Verdict(v.answer, v.method, (ev,) + v.evidence)

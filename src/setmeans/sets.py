@@ -348,7 +348,7 @@ def _derive(h: BlockSet) -> BlockSet:
         if isinstance(b, Finite):
             continue
         if isinstance(b, PowerSums):
-            out.append(Finite((b.anchor,)))
+            out.append(Finite.of_sorted((b.anchor,)))
             if b.level >= 2:
                 out.append(power_block(b.level - 1, b.anchor, b.scale, b.ratio))
         else:
@@ -530,7 +530,7 @@ def _block_intersect(b1: Block, b2: Block) -> list[Block]:
             pts = tuple(p for p in b1.points if block_contains(b2, p))
         except MembershipUndecided as exc:
             raise IntersectionNotRepresentable(str(exc))
-        return [Finite(pts)] if pts else []
+        return [Finite.of_sorted(pts)] if pts else []
     if isinstance(b1, Interval):
         # clip the other block to [lo, hi]; exact for everything but
         # interior non-gap cuts of a Cantor block

@@ -316,3 +316,28 @@ def test_reflect_blocks():
     assert t == Tower(2, Q(2), Q(-1), Q(1, 4))
     c = Cantor(Q(0), Q(1), 3, Q(1, 4)).reflect(Q(1, 2))
     assert c == Cantor(Q(0), Q(1), 3, Q(1, 4))
+
+
+def test_finite_builders_return_strictly_increasing_fractions():
+    # these build through Finite.of_sorted, which trusts its points unchecked
+    from setmeans.sets import _block_intersect, derived_set, normalize_blocks
+
+    rng = random.Random(11)
+    for _ in range(40):
+        f = Finite(tuple(Q(rng.randint(-40, 40), rng.choice((1, 2, 3)))
+                         for _ in range(rng.randint(1, 8))))
+        y = Q(rng.randint(-40, 40), 2)
+        built = [f.translate(Q(rng.randint(-9, 9), 4)), f.translate(3),
+                 f.reflect(Q(1, 3)), f.reflect(2)]
+        built += cut_block(f, y, keep_low=True) + cut_block(f, y, keep_low=False)
+        built += _block_intersect(f, Interval(y, y + 5))
+        built += _block_intersect(f, GeomSeq(y, Q(1), Q(1, 2)))
+        for b in built:
+            assert all(type(p) is Q for p in b.points)
+            assert all(p < q for p, q in zip(b.points, b.points[1:]))
+            assert b == Finite(b.points)
+    h = normalize_blocks([GeomSeq(2, 1, Q(1, 2)), Tower(2, -1, 1, Q(1, 4))])
+    (anchors,) = [b for b in derived_set(h).blocks if isinstance(b, Finite)]
+    assert anchors.points == (Q(-1), Q(2)) and all(type(p) is Q for p in anchors.points)
+    with pytest.raises(ValidationError):
+        f.translate(0.5)

@@ -4,6 +4,8 @@ import json
 import time
 from fractions import Fraction as Q
 
+import pytest
+
 from setmeans.cli import run_command
 
 
@@ -210,6 +212,44 @@ def test_main_prints_human(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "arith mean" in out
+
+
+PART_SHIFT = "K(H1 u H2+x)-K(H1 u H2)=0 vs x="
+PART_SHIFT_INPUTS = "['tower(2, 22/3, 1/6, -1)', 'seq(-9/8, 1, 1/5)', 'x="
+
+
+@pytest.mark.parametrize("argv, code, lines", [
+    (["eval", "--mean", "arith", "{1,2}"], 0, ["arith mean = 3/2"]),
+    (["eval", "--mean", "iso", "seq(0,1,1/2) U seq(1,1,1/3)"], 0,
+     ["iso mean ~ 0.386852807234542 (tol 1e-09)"]),
+    (["eval", "--mean", "acc", "[0,1]"], 3,
+     ["acc mean undefined: infinite level", "undefined: infinite level"]),
+    (["classify", "--mean", "lis", "--of", "seq(0,1,1/2)", "{7}"], 0,
+     ["small: YES [CLOSED_FORM]", "big: NO [CLOSED_FORM]", "comparable: undefined",
+      "comparable: undefined (candidate set is outside Dom(lis))"]),
+    (["disjoint", "--mean", "lis", "{1,2}", "{1/2, 1, 3}"], 0,
+     ["YES [CLOSED_FORM]", "  intersection is finite (1 points)"]),
+    (["weigh", "--mean", "arith", "--kind", "bound", "{1,2}", "{3,4,5}"], 0,
+     ["NO [CLOSED_FORM]", "  point counts 2 vs 3: differ"]),
+    (["round", "--mean", "avg", "[0,2] U [4,5]"], 0,
+     ["round: NO  k=13/6 k1=1 k2=9/2 defect=7/12"]),
+    (["round", "--mean", "iso", "seq(0,-1,1/2) U seq(1/1000,1,1/3)"], 0,
+     ["round: NO  k=~0.000386852807234542 k1=0 k2=1/1000 defect=~0.000113147192765458"]),
+    (["laws", "--mean", "acc", "--law", "part-shift-invariant", "--seed", "3", "--n", "12",
+      "--profile", "mixed"], 0,
+     ["law part-shift-invariant under acc: 24 trials, 4 violations, 9 skipped"]
+     + [f"  violation: {PART_SHIFT_INPUTS}{x}'] -> {PART_SHIFT}{x}"
+        for x in ("6/5", "5", "1/3", "-6/5")]),
+    (["kbounds", "--mean", "arith", "{0, 10}"], 0, ["k-liminf = 0, k-limsup = 10"]),
+    (["witness", "--iso-big", "--depth", "3", "seq(0,1,1/2)"], 0,
+     ["witness (big): {-5/6, -2/3, -11/24, -5/12, -3/8, -35/108, -17/54, -11/36, -8/27, "
+      "-31/108, -5/18, -29/108, -7/27}", "stage ratios: 2/1, 5/1, 13/2"]),
+])
+def test_main_prints_human_lines(capsys, argv, code, lines):
+    from setmeans.cli import main
+
+    assert main(argv) == code
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_eval_avg_with_a_huge_cantor_ratio():

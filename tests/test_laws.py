@@ -16,7 +16,9 @@ from setmeans import (
     render,
     union_sets,
 )
+from setmeans import laws
 from setmeans.laws import replay_violation
+from setmeans.means import MeanValue
 from setmeans.sets import Leaf, Union
 
 
@@ -136,3 +138,77 @@ def test_check_law_is_deterministic():
     a = check_law(MeanKind.AVG, LawKind.MONOTONE, corpus)
     b = check_law(MeanKind.AVG, LawKind.MONOTONE, corpus)
     assert a == b
+
+
+@pytest.mark.parametrize("kab, violated", [(MeanValue.exact(1), True),
+                                           (MeanValue.approximate(1.0, 1e-9), False)])
+def test_union_monotone_trusts_a_strict_step_only_between_exact_values(monkeypatch, kab,
+                                                                       violated):
+    # K(A) < K(A u B) and K(A) = K(A u C), yet K(A u B u C) = K(A): the strict
+    # step is lost, a violation only when K(A u B) is exact
+    values = {(0,): MeanValue.exact(0), (0, 10): kab, (0, 20): MeanValue.exact(0),
+              (0, 10, 20): MeanValue.exact(0)}
+
+    def mean_of(h, kind, cfg):
+        return values.get(tuple(h.finite_points()), MeanValue.undefined("not in the table"))
+
+    monkeypatch.setattr(laws, "mean_of", mean_of)
+    corpus = [Leaf(Finite((Q(x),))) for x in (0, 10, 20)]
+    rep = check_law(MeanKind.ARITH, LawKind.UNION_MONOTONE, corpus)
+    assert (rep.trials, rep.skipped) == (3, 2)
+    assert [v.inputs for v in rep.violations] == ([("{0}", "{10}", "{20}")] if violated else [])
+
+
+# (trials, skipped, violations) of each law, in LawKind order, for each
+# (profile, mean): how mean values compare decides every entry
+LAW_TABLE = {
+    ("mixed", "arith"): [
+        (30, 27, 0), (30, 30, 0), (30, 30, 0), (30, 30, 0), (30, 30, 0),
+        (30, 30, 0), (30, 30, 0), (39, 27, 0), (36, 27, 0), (30, 30, 0),
+    ],
+    ("mixed", "lis"): [
+        (30, 3, 0), (30, 3, 0), (30, 6, 0), (30, 6, 0), (30, 16, 0),
+        (30, 13, 0), (78, 56, 0), (111, 3, 0), (84, 3, 0), (87, 16, 10),
+    ],
+    ("mixed", "acc"): [
+        (30, 16, 0), (30, 19, 0), (30, 24, 0), (30, 27, 0), (30, 24, 0),
+        (30, 26, 0), (48, 43, 0), (72, 16, 0), (58, 16, 0), (48, 24, 12),
+    ],
+    ("mixed", "iso"): [
+        (30, 16, 0), (30, 19, 0), (30, 24, 0), (30, 27, 0), (30, 24, 0),
+        (30, 26, 0), (48, 43, 0), (72, 16, 0), (58, 16, 0), (48, 28, 8),
+    ],
+    ("mixed", "avg"): [
+        (30, 11, 0), (30, 14, 0), (30, 19, 0), (30, 22, 0), (30, 24, 0),
+        (30, 19, 0), (57, 51, 0), (87, 11, 0), (68, 11, 0), (69, 22, 19),
+    ],
+    ("sequences", "arith"): [
+        (30, 30, 0), (30, 30, 0), (30, 30, 0), (30, 30, 0), (30, 30, 0),
+        (30, 30, 0), (30, 30, 0), (30, 30, 0), (30, 30, 0), (30, 30, 0),
+    ],
+    ("sequences", "lis"): [
+        (30, 0, 0), (30, 0, 0), (30, 0, 0), (30, 0, 0), (30, 3, 0),
+        (30, 12, 0), (111, 52, 0), (120, 0, 0), (90, 0, 0), (111, 3, 0),
+    ],
+    ("sequences", "acc"): [
+        (30, 0, 0), (30, 0, 0), (30, 0, 0), (30, 0, 0), (30, 3, 0),
+        (30, 14, 0), (111, 52, 0), (120, 0, 0), (90, 0, 0), (111, 3, 0),
+    ],
+    ("sequences", "iso"): [
+        (30, 0, 0), (30, 0, 0), (30, 0, 0), (30, 0, 0), (30, 3, 0),
+        (30, 14, 0), (111, 95, 0), (120, 0, 0), (90, 0, 0), (111, 3, 0),
+    ],
+    ("sequences", "avg"): [
+        (30, 30, 0), (30, 30, 0), (30, 30, 0), (30, 30, 0), (30, 30, 0),
+        (30, 30, 0), (30, 30, 0), (30, 30, 0), (30, 30, 0), (30, 30, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed, profile", [(3, "mixed"), (4, "sequences")])
+def test_law_table(seed, profile):
+    corpus = gen_corpus(seed, 30, profile)
+    for mean in MeanKind:
+        reports = [check_law(mean, law, corpus) for law in LawKind]
+        assert [(r.trials, r.skipped, len(r.violations)) for r in reports] \
+            == LAW_TABLE[profile, mean.value], mean

@@ -32,9 +32,11 @@ from setmeans.means import (
     DIM_ONE,
     DIM_ZERO,
     DimValue,
+    MeanValue,
     _cut_candidates,
     compare_dims,
     mean_iso,
+    order,
 )
 
 
@@ -411,3 +413,50 @@ def test_compare_dims_antisymmetric_and_exact_on_rationals(c, a, b, c2, a2, b2, 
     other = DimValue("log_ratio", m=m, invr=Q(n))
     for x, y in ((d1, d2), (d1, other), (other, d2)):
         assert compare_dims(x, y) == -compare_dims(y, x)
+
+
+# Reference comparisons: equal, at most and strictly below, each with its
+# own rule for approximate values.  means.order is checked against them.
+
+
+def values_close(a, b, tol):
+    if not a.is_defined or not b.is_defined:
+        return None
+    if a.is_exact and b.is_exact:
+        return a.value == b.value
+    return abs(a.as_float() - b.as_float()) <= 2 * tol
+
+
+def _le(a, b, tol):
+    if not (a.is_defined and b.is_defined):
+        return None
+    if a.is_exact and b.is_exact:
+        return a.value <= b.value
+    return a.as_float() <= b.as_float() + 2 * tol
+
+
+def _lt_strict(a, b):
+    if a.is_exact and b.is_exact:
+        return a.value < b.value
+    return None
+
+
+TOL = 1e-9
+
+
+@pytest.mark.parametrize("dist", [0, TOL, 3 * TOL, 1.9 * TOL, 2.1 * TOL,
+                                  -TOL, -3 * TOL, -1.9 * TOL, -2.1 * TOL])
+def test_order_agrees_with_the_reference_comparisons(dist):
+    # the distances stay clear of 2*TOL by more than float rounding, where
+    # a - b <= 2*tol and a <= b + 2*tol could disagree
+    def forms(x):
+        return [MeanValue.exact(x), MeanValue.approximate(float(x), TOL),
+                MeanValue.undefined("outside the domain")]
+
+    base = Q(1, 3)
+    pairs = [(a, b) for a in forms(base) for b in forms(base + Q(dist))]
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        s = order(a, b, TOL)
+        assert (None if s is None else s == 0) == values_close(a, b, TOL), (a, b)
+        assert (None if s is None else s <= 0) == _le(a, b, TOL), (a, b)
+        assert (s < 0 if a.is_exact and b.is_exact else None) == _lt_strict(a, b), (a, b)

@@ -20,10 +20,13 @@ from setmeans import (
     mean_of,
     normalize,
     normalize_blocks,
+    parse,
     reflect_set,
     round_defect,
     round_witness,
 )
+from setmeans.roundness import round_pass
+from setmeans.weigh import compare_weights, weight_of
 
 
 def bset(*blocks):
@@ -253,3 +256,16 @@ def test_witness_is_equal_weight_of_the_halves(kind):
             assert wit.answer is equal_weight(low, high, kind, "equality").answer, e
             answers.add(wit.answer)
     assert answers == {Answer.YES, Answer.NO}
+
+
+def test_iso_witness_answers_from_the_half_means():
+    # both halves at k = 0 have ISO mean 0, so the witness answers YES at once;
+    # the halves' growth coefficients 1/ln 2 and 1/ln 3 differ, so equal
+    # weight alone would answer NO
+    h = normalize(parse("seq(0,1,1/2) U seq(0,-1,1/3)"))
+    rep, wit = round_pass(h, MeanKind.ISO)
+    assert rep.verdict.answer is Answer.YES
+    assert (wit.answer, wit.evidence) == (Answer.YES, ("half means 0, 0 vs k=0",))
+    low, high = cut_set(h, Q(0), keep_low=True), cut_set(h, Q(0), keep_low=False)
+    weights = weight_of(low, MeanKind.ISO), weight_of(high, MeanKind.ISO)
+    assert compare_weights(*weights, MeanKind.ISO).answer is Answer.NO
