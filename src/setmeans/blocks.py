@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 from .errors import CutNotRepresentable, MembershipUndecided, ValidationError
@@ -34,6 +34,10 @@ Q = Fraction
 #: levels a Cantor descent may spend on an orbit that neither cycles nor
 #: exits; with r = 1/q each orbit does one or the other within L + 1 levels
 CANTOR_DEPTH = 512
+
+#: entries kept by each memoised constant of the number layer: _log_ratio
+#: here and the mpmath.iv enclosures of means
+CACHE_SIZE = 1024
 
 
 def as_q(value) -> Q:
@@ -66,13 +70,15 @@ def _coprime_basis(nums) -> list[int]:
     return basis
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _log_ratio(x, y) -> Optional[Q]:
     """The rational t with x == y**t, or None; x, y positive rationals, y != 1.
 
     Over a coprime basis of the numerators and denominators, x is a power of
     y exactly when their exponent vectors are proportional.  The exponent of
     a basis element p is its multiplicity in the numerator, or minus that in
-    the denominator (p divides at most one of the two).
+    the denominator (p divides at most one of the two).  Memoised: translates
+    and cut sets ask about the same ratios again.
     """
     x, y = Q(x), Q(y)
     basis = _coprime_basis((x.numerator, x.denominator, y.numerator, y.denominator))
@@ -548,28 +554,34 @@ def _cut_cantor(b: Cantor, y: Q, keep_low: bool) -> list[Block]:
     A cut at a point that no box has as an end is not representable: its
     orbit cycles, within L + 1 levels for r = 1/q (_cantor_descend).  One
     that neither cycles nor exits within CANTOR_DEPTH levels raises too,
-    naming that budget.
+    naming that budget.  The walk ends before any block is built, so a cut
+    that raises builds none.
     """
-    low: list[Block] = []
-    high: list[Block] = []
+    levels = []
     for depth, ((lo, hi), i, gap) in enumerate(_cantor_descend(b, y)):
         if depth == CANTOR_DEPTH:
             raise CutNotRepresentable(f"cut at {y}: the cantor orbit neither cycles nor exits "
                                       f"within the CANTOR_DEPTH budget of {CANTOR_DEPTH} levels")
+        levels.append((lo, hi, i, gap))
+        if i is None or gap:
+            break
+    else:
+        raise CutNotRepresentable(f"cut at {y} lands inside a cantor block at a non-gap point")
+    out: list[Block] = []
+    for lo, hi, i, gap in levels:
         box = Cantor(lo, hi, b.pieces, b.ratio)
         if i is None:
-            (high if y <= lo else low).append(box)
-            if y == lo:
-                low.append(Finite((y,)))
-            if y == hi:
-                high.append(Finite((y,)))
-            return low if keep_low else high
-        low.extend(box.piece(j) for j in range(i))
-        high.extend(box.piece(j) for j in range(i + 1, b.pieces))
-        if gap:
-            low.append(box.piece(i))  # piece i lies entirely below the cut
-            return low if keep_low else high
-    raise CutNotRepresentable(f"cut at {y} lands inside a cantor block at a non-gap point")
+            # the walk ended at or beyond an end of the box
+            if keep_low == (y > lo):
+                out.append(box)
+            if y == (lo if keep_low else hi):
+                out.append(Finite((y,)))
+        elif keep_low:
+            # at a gap, piece i lies entirely below the cut
+            out.extend(box.piece(j) for j in range(i + 1 if gap else i))
+        else:
+            out.extend(box.piece(j) for j in range(i + 1, b.pieces))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,8 @@ def _dispatch(args, report) -> int:
 def _human_lines(report) -> list[str]:
     result = report["result"]
     lines = []
+    # diagnostics that a result line already says, each printed once
+    said = set()
     if result is None:
         pass
     elif result["type"] == "mean":
@@ -330,10 +332,15 @@ def _human_lines(report) -> list[str]:
                          f"(tol {result['value']['tol']})")
         else:
             lines.append(f"{result['kind']} mean undefined: {result['reason']}")
+            said.add(f"undefined: {result['reason']}")
     elif result["type"] == "verdict" and "bundle" in result:
         for name, v in result["bundle"].items():
             if v is None:
-                lines.append(f"{name}: undefined")
+                # the reason is only in the diagnostics
+                line = next(d for d in report["diagnostics"]
+                            if d.startswith(f"{name}: undefined"))
+                lines.append(line)
+                said.add(line)
             else:
                 lines.append(f"{name}: {v['answer']} [{v['method']}]")
     elif result["type"] == "verdict":
@@ -357,7 +364,7 @@ def _human_lines(report) -> list[str]:
         lines.append(f"witness ({result['direction']}): {result['expr']}")
         ratio_bits = [f"{r['ratio']['num']}/{r['ratio']['den']}" for r in result["ratios"]]
         lines.append("stage ratios: " + ", ".join(ratio_bits))
-    lines.extend(report["diagnostics"])
+    lines.extend(d for d in report["diagnostics"] if d not in said)
     return lines
 
 

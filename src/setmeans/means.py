@@ -13,7 +13,8 @@ is a power of another (exponent vectors over a coprime basis, gcds only),
 sums compare exactly class by commensurable class, and ``_separate`` orders
 what is left by mpmath.iv enclosures at 64 to 4096 bits.  Once that budget
 is spent the comparison is undecided: IncomparableDimensions, or an
-INCONCLUSIVE verdict.
+INCONCLUSIVE verdict.  Each power test and enclosure is computed once per
+value and precision and kept (blocks.CACHE_SIZE entries each).
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache, wraps
 from typing import Optional
 
 from mpmath import iv
 
-from .blocks import Cantor, Finite, Interval, PowerSums, Q, _log_ratio
+from .blocks import CACHE_SIZE, Cantor, Finite, Interval, PowerSums, Q, _log_ratio
 from .errors import DomainViolation, EmptyResult, IncomparableDimensions
 from .errors import CutNotRepresentable, ValidationError
 from .sets import (
@@ -179,11 +181,30 @@ def _separate(f, g) -> Optional[int]:
     return None
 
 
+def _per_precision(f):
+    """f memoised on its arguments and the current iv.prec.
+
+    An enclosure depends on the precision it is built at, so the key holds
+    it: each step of _separate's ladder gets its own, narrower interval, and
+    a kept one is the interval f returns at that precision.
+    """
+    cached = lru_cache(maxsize=CACHE_SIZE)(lambda bits, *args: f(*args))
+
+    @wraps(f)
+    def at_current_precision(*args):
+        return cached(iv.prec, *args)
+
+    at_current_precision.cache_info = cached.cache_info
+    at_current_precision.cache_clear = cached.cache_clear
+    return at_current_precision
+
+
 def _iv_q(q):
     """Enclosure of a rational (or integer) q."""
     return iv.mpf(q.numerator) / q.denominator
 
 
+@_per_precision
 def _iv_log(q):
     """Enclosure of ln q for a positive rational (or integer) q."""
     return iv.log(iv.mpf(q.numerator)) - iv.log(iv.mpf(q.denominator))
@@ -385,6 +406,7 @@ def _weight_ratio(a, b) -> Optional[Q]:
     return None if s is None else _rational_power(da / db, s)
 
 
+@_per_precision
 def _iv_weight(term):
     """Enclosure of the weight diam**s of a (diam, m, invr) term, s = log m / log invr."""
     d, m, invr = term
@@ -517,7 +539,13 @@ def _count_weights(degree: int):
         t = _log_ratio(x[1], x0[1]) if degree else Q(1)
         return None if t is None else x[0] / x0[0] / t**degree
 
-    return ratio, lambda x: _iv_q(x[0]) / _iv_log(1 / x[1]) ** degree
+    return ratio, lambda x: _iv_count_weight(x, degree)
+
+
+@_per_precision
+def _iv_count_weight(x, degree: int):
+    """Enclosure of c * (1/ln(1/r))**degree for a (c, r) count term."""
+    return _iv_q(x[0]) / _iv_log(1 / x[1]) ** degree
 
 
 def iso_coeff_compare(terms1, terms2, degree: int):

@@ -277,6 +277,61 @@ def test_cut_cantor_stops_when_the_orbit_cycles(monkeypatch):
     assert rep["result"]["skipped"] == ["cut at 1/2 not representable"] * 2
 
 
+def cut_cantor_reference(b, y, keep_low):
+    """The cut as it was first written: both sides built level by level."""
+    low, high = [], []
+    for depth, ((lo, hi), i, gap) in enumerate(_cantor_descend(b, y)):
+        if depth == blocks.CANTOR_DEPTH:
+            raise CutNotRepresentable("budget")
+        box = Cantor(lo, hi, b.pieces, b.ratio)
+        if i is None:
+            (high if y <= lo else low).append(box)
+            if y == lo:
+                low.append(Finite((y,)))
+            if y == hi:
+                high.append(Finite((y,)))
+            return low if keep_low else high
+        low.extend(box.piece(j) for j in range(i))
+        high.extend(box.piece(j) for j in range(i + 1, b.pieces))
+        if gap:
+            low.append(box.piece(i))
+            return low if keep_low else high
+    raise CutNotRepresentable("cycle")
+
+
+def test_cut_cantor_that_raises_builds_no_block(monkeypatch):
+    built = []
+    init = Cantor.__post_init__
+    monkeypatch.setattr(Cantor, "__post_init__", lambda self: built.append(self) or init(self))
+    cases = [(Cantor(Q(0), Q(1), 2, Q(1, 3)), y) for y in (Q(1, 4), Q(1, 10), Q(3, 40))]
+    cases.append((Cantor(Q(0), Q(1), 3, Q(1, 4)), Q(1, 2)))
+    for c, y in cases:
+        for keep_low in (True, False):
+            built.clear()
+            with pytest.raises(CutNotRepresentable):
+                cut_block(c, y, keep_low)
+            assert built == [], (y, keep_low)
+
+
+def test_cut_cantor_matches_the_reference():
+    rng = random.Random(545)
+    ok = 0
+    for _ in range(400):
+        m = rng.choice([2, 3])
+        c = Cantor(Q(rng.randint(-3, 3)), Q(4), m, Q(1, rng.choice([m + 1, m + 2])))
+        y = Q(rng.randint(-30, 130), rng.choice([9, 27, 32, 81]))
+        for keep_low in (True, False):
+            try:
+                want = cut_cantor_reference(c, y, keep_low)
+            except CutNotRepresentable:
+                with pytest.raises(CutNotRepresentable):
+                    cut_block(c, y, keep_low)
+                continue
+            assert cut_block(c, y, keep_low) == want, (c, y, keep_low)
+            ok += 1
+    assert ok > 400
+
+
 def test_outer_point_enumeration():
     b = GeomSeq(Q(0), Q(1), Q(1, 2))
     assert tower_outer_points(b, Q(1, 8)) == [Q(1, 2), Q(1, 4), Q(1, 8)]

@@ -223,9 +223,9 @@ PART_SHIFT_INPUTS = "['tower(2, 22/3, 1/6, -1)', 'seq(-9/8, 1, 1/5)', 'x="
     (["eval", "--mean", "iso", "seq(0,1,1/2) U seq(1,1,1/3)"], 0,
      ["iso mean ~ 0.386852807234542 (tol 1e-09)"]),
     (["eval", "--mean", "acc", "[0,1]"], 3,
-     ["acc mean undefined: infinite level", "undefined: infinite level"]),
+     ["acc mean undefined: infinite level"]),
     (["classify", "--mean", "lis", "--of", "seq(0,1,1/2)", "{7}"], 0,
-     ["small: YES [CLOSED_FORM]", "big: NO [CLOSED_FORM]", "comparable: undefined",
+     ["small: YES [CLOSED_FORM]", "big: NO [CLOSED_FORM]",
       "comparable: undefined (candidate set is outside Dom(lis))"]),
     (["disjoint", "--mean", "lis", "{1,2}", "{1/2, 1, 3}"], 0,
      ["YES [CLOSED_FORM]", "  intersection is finite (1 points)"]),

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 from hypothesis import assume, given, strategies as st
+from mpmath import iv, mpf
 
 from setmeans import (
     Cantor,
@@ -34,10 +35,15 @@ from setmeans.means import (
     DimValue,
     MeanValue,
     _cut_candidates,
+    _iv_at,
+    _iv_count_weight,
+    _iv_log,
+    _iv_weight,
     compare_dims,
     mean_iso,
     order,
 )
+from setmeans.weigh import defect_curve
 
 
 def bset(*blocks):
@@ -460,3 +466,52 @@ def test_order_agrees_with_the_reference_comparisons(dist):
         assert (None if s is None else s == 0) == values_close(a, b, TOL), (a, b)
         assert (None if s is None else s <= 0) == _le(a, b, TOL), (a, b)
         assert (s < 0 if a.is_exact and b.is_exact else None) == _lt_strict(a, b), (a, b)
+
+
+def iv_log_reference(q):
+    return iv.log(iv.mpf(q.numerator)) - iv.log(iv.mpf(q.denominator))
+
+
+ENCLOSURES = [
+    (lambda: _iv_log(Q(1, 3)), lambda: iv_log_reference(Q(1, 3))),
+    (lambda: _iv_log(7), lambda: iv_log_reference(Q(7))),
+    (lambda: _iv_weight((Q(2, 9), 2, Q(3))),
+     lambda: iv.exp(iv_log_reference(Q(2)) / iv_log_reference(Q(3))
+                    * iv_log_reference(Q(2, 9)))),
+    (lambda: _iv_count_weight((Q(5, 2), Q(1, 3)), 2),
+     lambda: iv.mpf(5) / 2 / iv_log_reference(Q(3)) ** 2),
+]
+
+
+@pytest.mark.parametrize("cached, fresh", ENCLOSURES,
+                         ids=["log", "log-of-int", "cantor-weight", "count-weight"])
+def test_kept_enclosures_are_the_fresh_ones_at_each_precision(cached, fresh):
+    # high precision first, so a key without the precision would hand the
+    # 4096-bit interval to the 64-bit call; each is asked twice, once kept
+    for bits in (4096, 64, 128, 4096, 64, 128):
+        assert _iv_at(bits, cached)._mpi_ == _iv_at(bits, fresh)._mpi_, bits
+
+
+def test_a_high_precision_log_is_not_the_kept_low_one():
+    _iv_log.cache_clear()
+    _iv_at(64, lambda: _iv_log(Q(1, 3)))
+    x = _iv_at(4096, lambda: _iv_log(Q(1, 3)))
+    assert x.delta.b < mpf(2) ** -4000
+
+
+@pytest.mark.parametrize("kind, h1, h2", [
+    (MeanKind.ISO, "seq(0,1,1/2) U seq(1,1,1/3)", "seq(0,1,1/5)"),
+    (MeanKind.AVG, "cantor(0,1,2,1/3) U cantor(2,3,3,1/4)", "cantor(0,1,2,1/5)"),
+])
+def test_a_repeated_defect_curve_misses_no_kept_constant(kind, h1, h2):
+    # fresh sets each time, so no mean is reused from a set's memo
+    def curve():
+        return defect_curve(normalize(parse(h1)), normalize(parse(h2)), kind)
+
+    kept = (_log_ratio, _iv_log, _iv_weight, _iv_count_weight)
+    first = curve()
+    before = [f.cache_info() for f in kept]
+    assert curve() == first
+    after = [f.cache_info() for f in kept]
+    assert [i.misses for i in after] == [i.misses for i in before]
+    assert sum(i.hits for i in after) > sum(i.hits for i in before)
