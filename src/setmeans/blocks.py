@@ -555,7 +555,8 @@ def _cut_cantor(b: Cantor, y: Q, keep_low: bool) -> list[Block]:
     orbit cycles, within L + 1 levels for r = 1/q (_cantor_descend).  One
     that neither cycles nor exits within CANTOR_DEPTH levels raises too,
     naming that budget.  The walk ends before any block is built, so a cut
-    that raises builds none.
+    that raises builds none; the box of a level is built only when a part
+    of it is kept, and at level 0 it is b itself.
     """
     levels = []
     for depth, ((lo, hi), i, gap) in enumerate(_cantor_descend(b, y)):
@@ -567,20 +568,24 @@ def _cut_cantor(b: Cantor, y: Q, keep_low: bool) -> list[Block]:
             break
     else:
         raise CutNotRepresentable(f"cut at {y} lands inside a cantor block at a non-gap point")
+
+    def box(depth, lo, hi):
+        return b if depth == 0 else Cantor(lo, hi, b.pieces, b.ratio)
+
     out: list[Block] = []
-    for lo, hi, i, gap in levels:
-        box = Cantor(lo, hi, b.pieces, b.ratio)
+    for depth, (lo, hi, i, gap) in enumerate(levels):
         if i is None:
             # the walk ended at or beyond an end of the box
             if keep_low == (y > lo):
-                out.append(box)
+                out.append(box(depth, lo, hi))
             if y == (lo if keep_low else hi):
                 out.append(Finite((y,)))
-        elif keep_low:
-            # at a gap, piece i lies entirely below the cut
-            out.extend(box.piece(j) for j in range(i + 1 if gap else i))
-        else:
-            out.extend(box.piece(j) for j in range(i + 1, b.pieces))
+            continue
+        # at a gap, piece i lies entirely below the cut
+        kept = range(i + 1 if gap else i) if keep_low else range(i + 1, b.pieces)
+        if kept:
+            whole = box(depth, lo, hi)
+            out.extend(whole.piece(j) for j in kept)
     return out
 
 

@@ -202,14 +202,17 @@ class _Run:
         self.violations: list[Violation] = []
 
     def skip(self):
-        self.check(None, (), "")
+        self.check(None, None)
 
-    def check(self, condition, inputs, observed):
-        """One trial: skipped when condition is None, a violation when it is false."""
+    def check(self, condition, describe):
+        """One trial: skipped when condition is None, a violation when it is
+        false; describe() gives a violation's (inputs, observed), and is
+        called for violations only."""
         self.trials += 1
         if condition is None:
             self.skipped += 1
         elif not condition:
+            inputs, observed = describe()
             self.violations.append(Violation(tuple(inputs), observed))
 
     def report(self) -> LawReport:
@@ -232,13 +235,16 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
     """
     mean, law = MeanKind(mean), LawKind(law)
     sets = [normalize(e) for e in corpus]
-    texts = [render(e) for e in corpus]
     run = _Run(law, mean)
     n = len(sets)
     tol = cfg.tol
 
     def kv(h):
         return mean_of(h, mean, cfg)
+
+    def text(i):
+        """The rendered corpus item i, for a violation that cites it."""
+        return render(corpus[i])
 
     def pair(i):
         j = (i * 7 + 3) % n
@@ -264,12 +270,12 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                 run.skip()
                 continue
             run.check(_between(MeanValue.exact(lo), v, MeanValue.exact(hi), tol),
-                      (texts[i],), f"K={v} outside [{lo}, {hi}]")
+                      lambda: ((text(i),), f"K={v} outside [{lo}, {hi}]"))
     elif law in (LawKind.MONOTONE, LawKind.STRONG_MONOTONE, LawKind.DISJOINT_MONOTONE):
         for i in range(n):
             a, b = pair(i)
             h1, h2 = sets[a], sets[b]
-            inputs = (texts[a], texts[b])
+            shift = None
             if law is LawKind.DISJOINT_MONOTONE:
                 if _disjoint(h1, h2) is not True:
                     run.skip()
@@ -292,10 +298,11 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                     top1, low2 = b1.sup, b2.inf
                 shift = top1 - low2 + i % 3
                 h2 = translate_set(h2, shift)
-                inputs += (f"shift={shift}",)
                 v1, v2 = kv(h1), kv(h2)
             vu = kv(union_sets(h1, h2))
-            run.check(_between(v1, vu, v2, tol), inputs, f"K1={v1} Ku={vu} K2={v2}")
+            run.check(_between(v1, vu, v2, tol),
+                      lambda: ((text(a), text(b)) + (() if shift is None else (f"shift={shift}",)),
+                               f"K1={v1} Ku={vu} K2={v2}"))
     elif law is LawKind.UNION_MONOTONE:
         for i in range(n):
             ia, ib, ic = triple(i)
@@ -320,8 +327,9 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                 strict = va.is_exact and any(sv == s and v.is_exact
                                              for sv, v in ((sab, vab), (sac, vac)))
                 bad = bad or sabc == -s or (strict and vabc.is_exact and sabc == 0)
-            run.check(not bad if checked else None, (texts[ia], texts[ib], texts[ic]),
-                      f"Ka={va} Kab={vab} Kac={vac} Kabc={vabc}")
+            run.check(not bad if checked else None,
+                      lambda: ((text(ia), text(ib), text(ic)),
+                               f"Ka={va} Kab={vab} Kac={vac} Kabc={vabc}"))
     elif law is LawKind.D_MONOTONE:
         for i in range(n):
             a, b = pair(i)
@@ -344,8 +352,9 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                 if not all(v.is_exact for v in (vl, vlb, vfull)) or order(vlb, vl, tol) != s:
                     run.skip()  # the law needs K(L u B) strictly on the side of x from K(L)
                     continue
-                run.check(order(vfull, vlb, tol) == s, (texts[a], texts[b], f"x={x}"),
-                          f"KL={vl} KLB={vlb} Kfull={vfull}")
+                run.check(order(vfull, vlb, tol) == s,
+                          lambda: ((text(a), text(b), f"x={x}"),
+                                   f"KL={vl} KLB={vlb} Kfull={vfull}"))
     elif law is LawKind.SHIFT_INVARIANT:
         for i, h in enumerate(sets):
             v = kv(h)
@@ -356,7 +365,7 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                 vs = kv(translate_set(h, x))
                 sign = order(vs, v.shifted(x), tol)
                 run.check(None if sign is None else sign == 0,
-                          (texts[i], f"x={x}"), f"K(H+x)={vs} vs K(H)+x={v.shifted(x)}")
+                          lambda: ((text(i), f"x={x}"), f"K(H+x)={vs} vs K(H)+x={v.shifted(x)}"))
     elif law is LawKind.SELF_SHIFT_INVARIANT:
         for i, h in enumerate(sets):
             v = kv(h)
@@ -368,8 +377,9 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                 x = d + mult  # strict separation keeps the union overlap-free
                 vu = kv(union_sets(h, translate_set(h, x)))
                 sign = order(vu, v.shifted(x / 2), tol)
-                run.check(None if sign is None else sign == 0, (texts[i], f"x={x}"),
-                          f"K(H u H+x)={vu} vs K(H)+x/2={v.shifted(x / 2)}")
+                run.check(None if sign is None else sign == 0,
+                          lambda: ((text(i), f"x={x}"),
+                                   f"K(H u H+x)={vu} vs K(H)+x/2={v.shifted(x / 2)}"))
     elif law is LawKind.PART_SHIFT_INVARIANT:
         for i in range(n):
             a, b = pair(i)
@@ -394,9 +404,10 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
                 # K moves the way of x, and by at most |x|
                 s = 1 if x > 0 else -1
                 run.check(sign == s and order(vx, v0.shifted(x), tol) != s,
-                          (texts[a], texts[b], f"x={x}"),
-                          f"K(H1 u H2+x)-K(H1 u H2)={vx.value - v0.value} vs x={x}" if exact
-                          else f"difference {vx.as_float() - v0.as_float():.6g} vs x={x}")
+                          lambda: ((text(a), text(b), f"x={x}"),
+                                   f"K(H1 u H2+x)-K(H1 u H2)={vx.value - v0.value} vs x={x}"
+                                   if exact else
+                                   f"difference {vx.as_float() - v0.as_float():.6g} vs x={x}"))
     else:
         raise ValueError(f"unhandled law {law}")
     return run.report()

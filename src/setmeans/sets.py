@@ -119,7 +119,8 @@ class BlockSet:
     def memo(self, key, compute):
         """compute(), computed on first use for this key and kept for the
         life of the object.  The set is immutable, so what is derived from it
-        is too: its derived set, its means, its isolation profile."""
+        is too: its derived set, its means and weights, its bounds as the
+        equal-weight defect reads them, its isolation profile."""
         derived = self._derived
         if key not in derived:
             derived[key] = compute()

@@ -9,6 +9,13 @@ Under arith, acc, avg and iso the relations have one closed form: the sets
 carry equal weights (``weight_of``: point count, level and top count,
 dimension and measure, isolated-count growth), compared by
 ``compare_weights``.  Roundness compares the two halves of a set the same way.
+
+The defect itself has a closed form at a translate x that separates the
+hulls strictly: the union's mean is then read from the operands' own means,
+weights and bounds, and equals the evaluation of H1 u (H2+x).  A sample
+takes it when both operand means are exact and the mean is not iso (and,
+under avg, the weights at a shared dimension are rational); every other
+sample builds the union and the translate and measures them.
 """
 
 from __future__ import annotations
@@ -59,12 +66,59 @@ class DefectCurve:
 
 def weight_defect(h1: BlockSet, h2: BlockSet, kind: MeanKind, x: Q,
                   cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
-    """K(H1 u (H2+x)) - (K(H1) + K(H2+x))/2, exact for the exact means."""
+    """K(H1 u (H2+x)) - (K(H1) + K(H2+x))/2, exact for the exact means.
+
+    When H2+x lies strictly on one side of H1's hull, both operand means
+    are exact and the mean is not iso, the three means come in closed form
+    (_separated_means) and equal the evaluation of the union and the
+    translate; otherwise those two sets are built and measured.
+    """
     kind = MeanKind(kind)
-    shifted = translate_set(h2, x)
-    return combine(lambda u, k1, k2: u - (k1 + k2) / 2,
-                   mean_of(union_sets(h1, shifted), kind, cfg),
-                   mean_of(h1, kind, cfg), mean_of(shifted, kind, cfg), tol=cfg.tol)
+    means = _separated_means(h1, h2, kind, x, cfg)
+    if means is None:
+        shifted = translate_set(h2, x)
+        means = (mean_of(union_sets(h1, shifted), kind, cfg),
+                 mean_of(h1, kind, cfg), mean_of(shifted, kind, cfg))
+    return combine(lambda u, k1, k2: u - (k1 + k2) / 2, *means, tol=cfg.tol)
+
+
+def _separated_means(h1: BlockSet, h2: BlockSet, kind: MeanKind, x: Q,
+                     cfg: LadderConfig):
+    """(K(H1 u (H2+x)), K(H1), K(H2+x)) without building a set, or None.
+
+    With strictly disjoint hulls (touching ones can share a point) the
+    union's derived sets are the operands' side by side.  Under lis its
+    accumulation bounds are then the outer ones; under arith, acc and avg
+    the operand of higher order (level, dimension) gives the mean, and at
+    equal order the weights give (W1*K1 + W2*(K2+x)) / (W1 + W2).
+    """
+    if kind is MeanKind.ISO:
+        return None
+    b1, b2 = (h.memo("bounds", lambda h=h: bounds(h)) for h in (h1, h2))
+    if not (b2.inf + x > b1.sup or b2.sup + x < b1.inf):
+        return None
+    m1, m2 = mean_of(h1, kind, cfg), mean_of(h2, kind, cfg)
+    if not (m1.is_exact and m2.is_exact):
+        return None
+    k1, k2 = m1.value, m2.value + x
+    if kind is MeanKind.LIS:
+        k = (min(b1.acc_inf, b2.acc_inf + x) + max(b1.acc_sup, b2.acc_sup + x)) / 2
+    else:
+        w1, w2 = weight_of(h1, kind), weight_of(h2, kind)
+        higher = 0
+        if kind is MeanKind.ACC:
+            (o1, w1), (o2, w2) = w1, w2
+            higher = (o1 > o2) - (o1 < o2)
+        elif kind is MeanKind.AVG:
+            (d1, (how1, w1)), (d2, (how2, w2)) = w1, w2
+            higher = compare_dims(d1, d2)
+            if not higher and (how1, how2) != ("exact", "exact"):
+                return None
+        if higher:
+            k = k1 if higher > 0 else k2
+        else:
+            k = (w1 * k1 + w2 * k2) / (w1 + w2)
+    return MeanValue.exact(k), m1, MeanValue.exact(k2)
 
 
 def classify_trend(samples, tol: float) -> tuple[Trend, Optional[float]]:
@@ -137,9 +191,14 @@ def weight_of(h: BlockSet, kind: MeanKind):
     """The weight that decides equal weight under kind (not lis).
 
     arith: the point count; acc: (level, top-level point count); avg:
-    (dimension, measure_weight at it); iso: iso_growth.
+    (dimension, measure_weight at it); iso: iso_growth.  Computed once per
+    kind for each set object and kept with it (BlockSet.memo).
     """
     kind = MeanKind(kind)
+    return h.memo(("weight", kind), lambda: _weight(h, kind))
+
+
+def _weight(h: BlockSet, kind: MeanKind):
     if kind is MeanKind.ARITH:
         return len(h.finite_points())
     if kind is MeanKind.ACC:

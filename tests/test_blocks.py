@@ -313,6 +313,25 @@ def test_cut_cantor_that_raises_builds_no_block(monkeypatch):
             assert built == [], (y, keep_low)
 
 
+def test_cut_cantor_builds_boxes_only_where_it_keeps_a_piece(monkeypatch):
+    c = Cantor(Q(0), Q(1), 2, Q(1, 3))
+    low, high = Cantor(Q(0), Q(1, 3), 2, Q(1, 3)), Cantor(Q(2, 3), Q(1), 2, Q(1, 3))
+    low_of_low = Cantor(Q(0), Q(1, 9), 2, Q(1, 3))
+    built = []
+    init = Cantor.__post_init__
+    monkeypatch.setattr(Cantor, "__post_init__", lambda self: built.append(self) or init(self))
+    # a gap of level 0: the box is c itself, and the kept piece is all that is built
+    for keep_low, want in ((True, low), (False, high)):
+        built.clear()
+        assert cut_block(c, Q(1, 2), keep_low) == [want]
+        assert built == [want], keep_low
+    # a gap of level 1: level 0 keeps no piece below 1/6, so only the
+    # level-1 box and its kept piece are built
+    built.clear()
+    assert cut_block(c, Q(1, 6), True) == [low_of_low]
+    assert built == [low, low_of_low]
+
+
 def test_cut_cantor_matches_the_reference():
     rng = random.Random(545)
     ok = 0

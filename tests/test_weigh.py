@@ -6,6 +6,7 @@ import pytest
 
 from setmeans import (
     Answer,
+    DEFAULT_CONFIG,
     Cantor,
     DomainViolation,
     Finite,
@@ -20,12 +21,19 @@ from setmeans import (
     defect_curve,
     equal_weight,
     gen_corpus,
+    mean_of,
     normalize,
     normalize_blocks,
     parse,
     transitivity_probe,
+    translate_set,
+    union_sets,
     weight_defect,
 )
+from setmeans.classify import _translate_grid
+from setmeans.laws import PROFILES
+from setmeans.means import combine
+from setmeans.weigh import _separated_means
 
 
 def bset(*blocks):
@@ -261,3 +269,50 @@ def test_equal_weight_avg_across_families_at_a_rational_dimension():
     h2 = normalize(parse("cantor(0,1,3,1/9) U cantor(5,6,3,1/9)"))
     v = equal_weight(h1, h2, MeanKind.AVG, WeightKind.IN_BOUND)
     assert (v.answer, v.method) == (Answer.YES, Method.CLOSED_FORM)
+
+
+def union_evaluation(h1, h2, kind, x):
+    """K(H1 u (H2+x)), K(H1), K(H2+x) from the built union and translate."""
+    shifted = translate_set(h2, x)
+    return mean_of(union_sets(h1, shifted), kind), mean_of(h1, kind), mean_of(shifted, kind)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_separated_samples_equal_the_union_evaluation(profile):
+    sets = [normalize(e) for e in gen_corpus(7, 25, profile)]
+    served = 0
+    for i, h1 in enumerate(sets):
+        h2 = sets[(i * 7 + 3) % len(sets)]
+        for kind in (MeanKind.ARITH, MeanKind.LIS, MeanKind.ACC, MeanKind.AVG):
+            for x in _translate_grid(4, h1, h2) + [Q(1, 3), Q(-7, 2)]:
+                got = _separated_means(h1, h2, kind, x, DEFAULT_CONFIG)
+                if got is not None:
+                    assert got == union_evaluation(h1, h2, kind, x), (i, kind, x)
+                    served += 1
+    assert served >= 300
+
+
+def test_touching_hulls_take_the_union_evaluation():
+    # {0,1} u ({0,3}+1) = {0,1,4} shares the point 1: its mean is 5/3, where
+    # the count-weighted combination of the operands would give 3/2
+    h1, h2, x = bset(Finite((Q(0), Q(1)))), bset(Finite((Q(0), Q(3)))), Q(1)
+    assert _separated_means(h1, h2, MeanKind.ARITH, x, DEFAULT_CONFIG) is None
+    union, k1, k2 = union_evaluation(h1, h2, MeanKind.ARITH, x)
+    assert union.value == Q(5, 3)
+    assert weight_defect(h1, h2, MeanKind.ARITH, x).value == Q(5, 3) - (k1.value + k2.value) / 2
+
+
+def test_iso_and_cantor_weights_take_the_union_evaluation():
+    cases = [
+        # iso: every sample is evaluated on the union
+        (bset(seq(0)), bset(seq(0, r=Q(1, 3))), MeanKind.ISO),
+        # two Cantor blocks at one dimension: "terms" weights, not rational
+        (bset(Cantor(Q(0), Q(1), 2, Q(1, 3))), bset(Cantor(Q(0), Q(2), 2, Q(1, 3))), MeanKind.AVG),
+    ]
+    for h1, h2, kind in cases:
+        assert mean_of(h1, kind).is_exact and mean_of(h2, kind).is_exact
+        x = Q(10)
+        assert _separated_means(h1, h2, kind, x, DEFAULT_CONFIG) is None
+        union, k1, k2 = union_evaluation(h1, h2, kind, x)
+        assert weight_defect(h1, h2, kind, x) == combine(
+            lambda u, a, b: u - (a + b) / 2, union, k1, k2, tol=DEFAULT_CONFIG.tol)
