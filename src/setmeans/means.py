@@ -1,10 +1,13 @@
 """Evaluators for the five means and for mean-relative liminf/limsup.
 
-All means are exact rational computations except where the mathematics is
-not.  The isolated-point mean is a closed form: the count-weighted mean of
-the anchors that the isolated points crowd at (``iso_growth``), exact when
-its weights are rational multiples of one another and otherwise the
-midpoint of an mpmath.iv enclosure narrower than tol.
+Every mean but lis is the weighted mean of a set's top-order parts, read
+from one ``Weight`` (``weight_of``): its points under arith, its top-level
+points under acc, its intervals, Cantor blocks or points at the maximal
+dimension under avg, and under iso the anchors that the isolated points
+crowd at (``iso_growth``), weighted by their count coefficients.  A mean is
+exact when its weights are rational multiples of one another and otherwise
+the midpoint of an mpmath.iv enclosure narrower than tol.  Equal weight and
+roundness compare Weights: their orders, then their magnitudes.
 
 The verdicts order Hausdorff dimensions log m / log(1/r), Cantor weights
 sum diam**s and isolated-count coefficients sum c * (1/ln(1/r))**d through
@@ -20,10 +23,10 @@ value and precision and kept (blocks.CACHE_SIZE entries each).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, wraps
-from typing import Optional
+from typing import Callable, Optional
 
 from mpmath import iv
 
@@ -293,39 +296,6 @@ def dimension_of(h: BlockSet) -> DimValue:
     return best
 
 
-def _max_dim_blocks(h: BlockSet, dim: DimValue):
-    out = []
-    for b in h.blocks:
-        if compare_dims(block_dim(b), dim) == 0:
-            out.append(b)
-    return out
-
-
-def measure_weight(h: BlockSet, dim: DimValue):
-    """Total weight of the blocks at the given dimension.
-
-    Returns ("exact", Q) when the weight is rational, ("infinite", None)
-    when a countably infinite set is weighed at dimension zero, and
-    ("terms", ((diam, m, invr), ...)) for irrational Cantor weights, exposing
-    the data needed for equality tests.
-    """
-    at_max = _max_dim_blocks(h, dim)
-    if dim.kind == "zero":
-        total = 0
-        for b in at_max:
-            if isinstance(b, Finite):
-                total += len(b.points)
-            else:
-                return ("infinite", None)
-        return ("exact", Q(total))
-    if dim.kind == "one":
-        return ("exact", sum((b.hi - b.lo for b in at_max), Q(0)))
-    terms = tuple(sorted((b.hi - b.lo, b.pieces, 1 / b.ratio) for b in at_max))
-    # a single family with power-related diameters still has a rational ratio
-    # structure, but the absolute weight is irrational unless diam == 1
-    return ("terms", terms)
-
-
 def _classes(items, ratio) -> dict:
     """Split (term, payload) items into classes of related terms.
 
@@ -411,11 +381,6 @@ def _iv_weight(term):
     """Enclosure of the weight diam**s of a (diam, m, invr) term, s = log m / log invr."""
     d, m, invr = term
     return iv.exp(_iv_log(m) / _iv_log(invr) * _iv_log(d))
-
-
-def compare_weight_terms(w1, w2):
-    """Sign of total(w1) - total(w2) for two "terms" weights; None when undecided."""
-    return _compare_sums(w1, w2, _weight_ratio, _iv_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -548,26 +513,110 @@ def _iv_count_weight(x, degree: int):
     return _iv_q(x[0]) / _iv_log(1 / x[1]) ** degree
 
 
-def iso_coeff_compare(terms1, terms2, degree: int):
-    """Compare the leading count coefficients of two iso_growth term lists.
+# ---------------------------------------------------------------------------
+# weights
 
-    Returns the sign of the first minus the second, or None when undecided.
+
+@dataclass(frozen=True)
+class Weight:
+    """What a set weighs under a mean other than lis: the order of its top
+    parts and their (term, position) items, in block order.
+
+    The order is 0 under arith, the level under acc, the dimension (a
+    DimValue) under avg and the count degree under iso.  A term is the
+    weight of one top part: 1 for a point, the length of an interval, the
+    (diam, m, invr) of a Cantor block worth diam**s, or the (c, r) of an
+    isolated-count term worth c * (1/ln(1/r))**degree.  ratio and enclose
+    relate and enclose terms (see _classes and _weighted_mean).  total is
+    the sum of the terms when it is rational (an int for point counts), and
+    None for Cantor blocks and isolated-count terms.
     """
-    ratio, enclose = _count_weights(degree)
-    return _compare_sums([(c, r) for _, c, r in terms1], [(c, r) for _, c, r in terms2],
-                         ratio, enclose)
+
+    order: object
+    items: tuple
+    ratio: Callable = field(compare=False, repr=False)
+    enclose: Callable = field(compare=False, repr=False)
+    total: Optional[Q] = None
+
+    def compare_order(self, other: "Weight") -> int:
+        """Sign of this order minus the other's."""
+        if isinstance(self.order, DimValue):
+            return compare_dims(self.order, other.order)
+        return (self.order > other.order) - (self.order < other.order)
+
+    def compare_magnitude(self, other: "Weight") -> Optional[int]:
+        """Sign of this weight minus the other's at a shared order; None when undecided."""
+        if self.total is not None and other.total is not None:
+            return (self.total > other.total) - (self.total < other.total)
+        return _compare_sums([t for t, _ in self.items], [t for t, _ in other.items],
+                             self.ratio, self.enclose)
+
+    def mean(self, tol: float) -> MeanValue:
+        """sum(t * x) / sum(t) over the items: the mean this weight gives.
+
+        Direct for a rational total; otherwise _weighted_mean over the items
+        in block order, because its enclosure sums the classes in that order.
+        """
+        if self.total is not None:
+            return MeanValue.exact(sum(t * x for t, x in self.items) / self.total)
+        return _weighted_mean(self.items, self.ratio, self.enclose, tol)
+
+
+#: (ratio, enclose) of rational terms: any two are commensurable
+_RATIONAL = (lambda x, x0: x / x0, _iv_q)
+
+
+def weight_of(h: BlockSet, kind: MeanKind) -> Weight:
+    """The Weight of h under kind (not lis): its points under arith, its
+    top-level points under acc, its intervals, Cantor blocks or points at
+    the maximal dimension under avg, its iso_growth terms under iso.
+
+    Outside Dom(kind) it raises DomainViolation, and EmptyResult for the
+    empty set.  Computed once per kind for each set object and kept with it
+    (BlockSet.memo).
+    """
+    kind = MeanKind(kind)
+    return h.memo(("weight", kind), lambda: _weight(h, kind))
+
+
+def _weight(h: BlockSet, kind: MeanKind) -> Weight:
+    if h.is_empty:
+        raise EmptyResult("mean of the empty set")
+    if kind is MeanKind.ARITH:
+        if not h.is_finite:
+            raise DomainViolation("infinite set")
+        return _point_weight(0, h)
+    if kind is MeanKind.ACC:
+        lev, top = top_level(h)
+        if lev == INFINITE_LEVEL:
+            raise DomainViolation("infinite level")
+        return _point_weight(lev, top)
+    if kind is MeanKind.ISO:
+        degree, terms = iso_growth(h)
+        return Weight(degree, tuple(((c, r), a) for a, c, r in terms), *_count_weights(degree))
+    if kind is MeanKind.LIS:
+        raise ValueError("lis has no weight: it compares accumulation bounds")
+    dim = dimension_of(h)
+    if dim.kind == "zero":
+        if not h.is_finite:
+            raise DomainViolation("not an s-set: infinitely many points at dimension 0")
+        return _point_weight(dim, h)
+    top = [b for b in h.blocks if compare_dims(block_dim(b), dim) == 0]
+    if dim.kind == "one":
+        items = tuple((b.hi - b.lo, (b.lo + b.hi) / 2) for b in top)
+        return Weight(dim, items, *_RATIONAL, sum((t for t, _ in items), Q(0)))
+    # Cantor blocks, their centres by symmetry
+    items = tuple(((b.hi - b.lo, b.pieces, 1 / b.ratio), (b.lo + b.hi) / 2) for b in top)
+    return Weight(dim, items, _weight_ratio, _iv_weight)
+
+
+def _point_weight(at, h: BlockSet) -> Weight:
+    pts = h.finite_points()
+    return Weight(at, tuple((1, p) for p in pts), *_RATIONAL, len(pts))
 
 
 # ---------------------------------------------------------------------------
 # the five means
-
-
-def mean_arith(h: BlockSet) -> MeanValue:
-    if h.is_empty:
-        raise EmptyResult("mean of the empty set")
-    if not h.is_finite:
-        return MeanValue.undefined("infinite set")
-    return MeanValue.exact(arith_mean(h.finite_points()))
 
 
 def mean_lis(h: BlockSet) -> MeanValue:
@@ -577,15 +626,6 @@ def mean_lis(h: BlockSet) -> MeanValue:
     if bd.acc_inf is None:
         return MeanValue.undefined("finite set")
     return MeanValue.exact((bd.acc_inf + bd.acc_sup) / 2)
-
-
-def mean_acc(h: BlockSet) -> MeanValue:
-    if h.is_empty:
-        raise EmptyResult("mean of the empty set")
-    lev, top = top_level(h)
-    if lev == INFINITE_LEVEL:
-        return MeanValue.undefined("infinite level")
-    return MeanValue.exact(arith_mean(top.finite_points()))
 
 
 def mean_iso(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
@@ -600,34 +640,7 @@ def mean_iso(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
     it is the midpoint of an mpmath.iv enclosure narrowed below tol at
     doubling precision.
     """
-    if h.is_empty:
-        raise EmptyResult("mean of the empty set")
-    degree, terms = iso_growth(h)
-    return _weighted_mean((((c, r), a) for a, c, r in terms), *_count_weights(degree), cfg.tol)
-
-
-def mean_avg(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
-    """Hausdorff-measure average at the set's maximal dimension.
-
-    Lower-dimensional blocks carry weight zero.  The result is exact
-    whenever the weights have rational ratios (always at dimensions 0 and 1;
-    see _weight_ratio for Cantor blocks), and otherwise enclosed within tol.
-    """
-    if h.is_empty:
-        raise EmptyResult("mean of the empty set")
-    dim = dimension_of(h)
-    at_max = _max_dim_blocks(h, dim)
-    if dim.kind == "zero":
-        if any(not isinstance(b, Finite) for b in at_max):
-            return MeanValue.undefined("not an s-set: infinitely many points at dimension 0")
-        return MeanValue.exact(arith_mean(h.finite_points()))
-    if dim.kind == "one":
-        total = sum((b.hi - b.lo for b in at_max), Q(0))
-        weighted = sum((b.hi - b.lo) * (b.lo + b.hi) / 2 for b in at_max)
-        return MeanValue.exact(weighted / total)
-    # Cantor blocks at the maximal dimension; centers by symmetry
-    items = [((b.hi - b.lo, b.pieces, 1 / b.ratio), (b.lo + b.hi) / 2) for b in at_max]
-    return _weighted_mean(items, _weight_ratio, _iv_weight, cfg.tol)
+    return weight_of(h, MeanKind.ISO).mean(cfg.tol)
 
 
 def mean_of(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
@@ -641,18 +654,14 @@ def mean_of(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) -> 
 
 
 def _mean(h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> MeanValue:
-    if kind is MeanKind.ARITH:
-        return mean_arith(h)
     if kind is MeanKind.LIS:
         return mean_lis(h)
-    if kind is MeanKind.ACC:
-        return mean_acc(h)
-    if kind is MeanKind.ISO:
-        try:
+    try:
+        if kind is MeanKind.ISO:
             return mean_iso(h, cfg)
-        except DomainViolation as exc:
-            return MeanValue.undefined(str(exc))
-    return mean_avg(h, cfg)
+        return weight_of(h, kind).mean(cfg.tol)
+    except DomainViolation as exc:
+        return MeanValue.undefined(str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from .means import (
     combine,
     mean_of,
     order,
+    weight_of,
 )
 from .sets import BlockSet, bounds, cut_set
-from .weigh import compare_weights, weight_of
+from .weigh import compare_weights
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,13 @@ def _witness_payload(halves: _Halves) -> dict:
         return {} if halves.half_mid is None else {"half_mid": str(halves.half_mid)}
     if halves.kind is MeanKind.ISO:
         return {}
+    totals = [w.total for w in halves.weights]
     if halves.kind is MeanKind.ARITH:
-        return {"split": list(halves.weights)}
+        return {"split": totals}
     if halves.kind is MeanKind.AVG:
-        return {"measures": [str(m) for _, (_, m) in halves.weights]}
-    (l1, c1), (l2, c2) = halves.weights
-    return {"levels": [int(l1), int(l2)], "counts": [c1, c2]}
+        return {"measures": [str(t if t is not None else tuple(sorted(x for x, _ in w.items)))
+                             for t, w in zip(totals, halves.weights)]}
+    return {"levels": [w.order for w in halves.weights], "counts": totals}
 
 
 def _witness(halves: _Halves) -> Verdict:

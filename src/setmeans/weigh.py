@@ -6,9 +6,11 @@ translates, in limit when it vanishes as x grows, and in equality when it
 is exactly zero once the sets are separated relative to the mean.
 
 Under arith, acc, avg and iso the relations have one closed form: the sets
-carry equal weights (``weight_of``: point count, level and top count,
-dimension and measure, isolated-count growth), compared by
-``compare_weights``.  Roundness compares the two halves of a set the same way.
+carry equal weights.  Each set's ``means.Weight`` (``weight_of``) holds an
+order (0, level, dimension or count degree) and a magnitude at it (point
+count, top-level count, measure, count coefficient), and
+``compare_weights`` compares the two Weights, order first.  Roundness
+compares the two halves of a set the same way.
 
 The defect itself has a closed form at a translate x that separates the
 hulls strictly: the union's mean is then read from the operands' own means,
@@ -32,16 +34,12 @@ from .means import (
     LadderConfig,
     MeanKind,
     MeanValue,
+    Weight,
     combine,
-    compare_dims,
-    compare_weight_terms,
-    dimension_of,
-    iso_coeff_compare,
-    iso_growth,
     mean_of,
-    measure_weight,
+    weight_of,
 )
-from .sets import BlockSet, bounds, top_level, translate_set, union_sets
+from .sets import BlockSet, bounds, translate_set, union_sets
 
 
 class WeightKind(str, Enum):
@@ -89,8 +87,8 @@ def _separated_means(h1: BlockSet, h2: BlockSet, kind: MeanKind, x: Q,
     With strictly disjoint hulls (touching ones can share a point) the
     union's derived sets are the operands' side by side.  Under lis its
     accumulation bounds are then the outer ones; under arith, acc and avg
-    the operand of higher order (level, dimension) gives the mean, and at
-    equal order the weights give (W1*K1 + W2*(K2+x)) / (W1 + W2).
+    the operand of higher weight order gives the mean, and at equal order
+    rational weights give (W1*K1 + W2*(K2+x)) / (W1 + W2).
     """
     if kind is MeanKind.ISO:
         return None
@@ -105,19 +103,13 @@ def _separated_means(h1: BlockSet, h2: BlockSet, kind: MeanKind, x: Q,
         k = (min(b1.acc_inf, b2.acc_inf + x) + max(b1.acc_sup, b2.acc_sup + x)) / 2
     else:
         w1, w2 = weight_of(h1, kind), weight_of(h2, kind)
-        higher = 0
-        if kind is MeanKind.ACC:
-            (o1, w1), (o2, w2) = w1, w2
-            higher = (o1 > o2) - (o1 < o2)
-        elif kind is MeanKind.AVG:
-            (d1, (how1, w1)), (d2, (how2, w2)) = w1, w2
-            higher = compare_dims(d1, d2)
-            if not higher and (how1, how2) != ("exact", "exact"):
-                return None
+        higher = w1.compare_order(w2)
         if higher:
             k = k1 if higher > 0 else k2
+        elif w1.total is None or w2.total is None:
+            return None
         else:
-            k = (w1 * k1 + w2 * k2) / (w1 + w2)
+            k = (w1.total * k1 + w2.total * k2) / (w1.total + w2.total)
     return MeanValue.exact(k), m1, MeanValue.exact(k2)
 
 
@@ -166,7 +158,8 @@ def equal_weight(h1: BlockSet, h2: BlockSet, kind: MeanKind, wkind: WeightKind,
     """Per-mean characterizations of the three equal-weight relations.
 
     Under lis they are read off the accumulation bounds; under every other
-    mean the three coincide with equal weights (compare_weights).
+    mean the three coincide with equal weights: one comparison of the two
+    sets' Weights (compare_weights).
     """
     kind, wkind = MeanKind(kind), WeightKind(wkind)
     if kind is MeanKind.LIS:
@@ -187,57 +180,29 @@ def equal_weight(h1: BlockSet, h2: BlockSet, kind: MeanKind, wkind: WeightKind,
     return compare_weights(weight_of(h1, kind), weight_of(h2, kind), kind)
 
 
-def weight_of(h: BlockSet, kind: MeanKind):
-    """The weight that decides equal weight under kind (not lis).
-
-    arith: the point count; acc: (level, top-level point count); avg:
-    (dimension, measure_weight at it); iso: iso_growth.  Computed once per
-    kind for each set object and kept with it (BlockSet.memo).
-    """
+def compare_weights(w1: Weight, w2: Weight, kind: MeanKind) -> Verdict:
+    """YES when the Weights of two sets in Dom(kind) are equal, NO when
+    their orders or magnitudes differ, INCONCLUSIVE (by the sampler) when
+    two sums of transcendental terms are not separated within the interval
+    budget.  kind (not lis) only words the evidence."""
     kind = MeanKind(kind)
-    return h.memo(("weight", kind), lambda: _weight(h, kind))
-
-
-def _weight(h: BlockSet, kind: MeanKind):
+    higher = w1.compare_order(w2)
+    differ = higher or w1.compare_magnitude(w2)
     if kind is MeanKind.ARITH:
-        return len(h.finite_points())
-    if kind is MeanKind.ACC:
-        lvl, top = top_level(h)
-        return lvl, len(top.finite_points())
-    if kind is MeanKind.AVG:
-        dim = dimension_of(h)
-        return dim, measure_weight(h, dim)
-    if kind is MeanKind.ISO:
-        return iso_growth(h)
-    raise ValueError("lis has no weight: it compares accumulation bounds")
-
-
-def compare_weights(w1, w2, kind: MeanKind) -> Verdict:
-    """YES when the weight_of values of two sets in Dom(kind) are equal, NO
-    when they differ, INCONCLUSIVE (by the sampler) when two sums of
-    transcendental terms are not separated within the interval budget.
-    kind is not lis."""
-    kind = MeanKind(kind)
-    if kind is MeanKind.ARITH:
-        what, differ = f"point counts {w1} vs {w2}", w1 != w2
+        what = f"point counts {w1.total} vs {w2.total}"
     elif kind is MeanKind.ACC:
-        (l1, c1), (l2, c2) = w1, w2
-        what, differ = f"levels {l1} vs {l2}, top-level counts {c1} vs {c2}", w1 != w2
+        what = f"levels {w1.order} vs {w2.order}, top-level counts {w1.total} vs {w2.total}"
     elif kind is MeanKind.AVG:
-        (d1, (how, m1)), (d2, (_, m2)) = w1, w2
-        if compare_dims(d1, d2):
-            what, differ = "Hausdorff dimensions", True
-        elif how == "terms":
-            what, differ = "Cantor weights at the shared dimension", compare_weight_terms(m1, m2)
+        if higher:
+            what = "Hausdorff dimensions"
+        elif w1.total is None:
+            what = "Cantor weights at the shared dimension"
         else:
-            what, differ = f"measures {m1} vs {m2} at the shared dimension", m1 != m2
-    else:  # iso
-        (d1, t1), (d2, t2) = w1, w2
-        if d1 != d2:
-            what, differ = f"count degrees {d1} vs {d2}", True
-        else:
-            what = f"leading count coefficients at degree {d1}"
-            differ = iso_coeff_compare(t1, t2, d1)
+            what = f"measures {w1.total} vs {w2.total} at the shared dimension"
+    elif higher:
+        what = f"count degrees {w1.order} vs {w2.order}"
+    else:
+        what = f"leading count coefficients at degree {w1.order}"
     if differ is None:
         return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, (f"{what}: numerically inseparable",))
     return _closed(Answer.NO if differ else Answer.YES,

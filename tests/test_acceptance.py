@@ -37,7 +37,7 @@ from setmeans import (
     witness_stage_ratios,
 )
 from setmeans.cli import run_command
-from setmeans.means import measure_weight, dimension_of
+from setmeans.means import weight_of
 
 
 def bset(*blocks):
@@ -203,8 +203,8 @@ def test_criterion_7_equal_weight_characterizations():
     for i in range(200):
         h1, h2 = ivs[i], ivs[i + 200]
         verdict = equal_weight(h1, h2, MeanKind.AVG, WeightKind.IN_BOUND)
-        w1 = measure_weight(h1, dimension_of(h1))[1]
-        w2 = measure_weight(h2, dimension_of(h2))[1]
+        w1 = weight_of(h1, MeanKind.AVG).total
+        w2 = weight_of(h2, MeanKind.AVG).total
         assert (verdict.answer is Answer.YES) == (w1 == w2)
 
     rng = random.Random(99)

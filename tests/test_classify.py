@@ -29,7 +29,7 @@ from setmeans import (
     witness_stage_ratios,
     DEFAULT_CONFIG,
 )
-from setmeans.means import iso_coeff_compare, iso_growth
+from setmeans.means import iso_growth, weight_of
 
 
 def bset(*blocks):
@@ -184,9 +184,9 @@ def test_iso_growth_profiles():
     assert d == 1 and terms == ((0, 1, Q(1, 2)), (1, 1, Q(1, 3)))
     d, terms = iso_growth(bset(Tower(2, Q(0), Q(1), Q(1, 4)), seq(5)))
     assert d == 2 and terms == ((0, 1, Q(1, 4)),)
-    half, third = ((0, 1, Q(1, 2)),), ((0, 1, Q(1, 3)),)
-    assert iso_coeff_compare(half, half, 1) == 0
-    assert iso_coeff_compare(half, third, 1) == 1  # 1/log2 > 1/log3
+    half, third = (weight_of(bset(seq(0, r=r)), MeanKind.ISO) for r in (Q(1, 2), Q(1, 3)))
+    assert half.compare_magnitude(half) == 0
+    assert half.compare_magnitude(third) == 1  # 1/log2 > 1/log3
 
 
 def test_witness_big_trend():
