@@ -33,7 +33,7 @@ from .errors import (
     SetMeansError,
     ValidationError,
 )
-from .laws import LawKind, check_law, gen_corpus
+from .laws import PROFILES, LawKind, check_law, gen_corpus
 from .means import LadderConfig, MeanKind, MeanValue, k_bounds, mean_of
 from .roundness import round_pass
 from .sets import normalize
@@ -128,8 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mean", choices=means, required=True)
     s.add_argument("--law", choices=[k.value for k in LawKind], required=True)
     s.add_argument("--n", type=int, default=100)
-    s.add_argument("--profile", default="mixed",
-                   choices=["finite", "sequences", "towers", "intervals", "cantor", "mixed"])
+    s.add_argument("--profile", default="mixed", choices=PROFILES)
     _add_common(s)
 
     s = sub.add_parser("kbounds", help="mean-relative liminf and limsup")

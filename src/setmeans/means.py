@@ -519,17 +519,14 @@ def _iv_count_weight(x, degree: int):
 
 @dataclass(frozen=True)
 class Weight:
-    """What a set weighs under a mean other than lis: the order of its top
-    parts and their (term, position) items, in block order.
+    """What a set weighs under a mean other than lis.
 
-    The order is 0 under arith, the level under acc, the dimension (a
-    DimValue) under avg and the count degree under iso.  A term is the
-    weight of one top part: 1 for a point, the length of an interval, the
-    (diam, m, invr) of a Cantor block worth diam**s, or the (c, r) of an
-    isolated-count term worth c * (1/ln(1/r))**degree.  ratio and enclose
-    relate and enclose terms (see _classes and _weighted_mean).  total is
-    the sum of the terms when it is rational (an int for point counts), and
-    None for Cantor blocks and isolated-count terms.
+    order: 0 under arith, the level under acc, the dimension (a DimValue)
+    under avg, the count degree under iso.  items: a (term, position) per
+    top-order part, in block order; a term is 1 for a point, an interval's
+    length, a Cantor block's (diam, m, invr) worth diam**s, or an iso term's
+    (c, r) worth c * (1/ln(1/r))**degree, related and enclosed by ratio and
+    enclose.  total: the terms' sum if rational (an int for counts), else None.
     """
 
     order: object
@@ -551,12 +548,19 @@ class Weight:
         return _compare_sums([t for t, _ in self.items], [t for t, _ in other.items],
                              self.ratio, self.enclose)
 
-    def mean(self, tol: float) -> MeanValue:
-        """sum(t * x) / sum(t) over the items: the mean this weight gives.
+    def __str__(self) -> str:
+        """The magnitude under arith, acc and avg: the rational total, or the
+        Cantor terms diam**s written diam^(log m/log invr), fractions bracketed."""
+        if self.total is not None:
+            return str(self.total)
 
-        Direct for a rational total; otherwise _weighted_mean over the items
-        in block order, because its enclosure sums the classes in that order.
-        """
+        def atom(q):
+            return str(q) if q.denominator == 1 else f"({q})"
+        return " + ".join(f"{atom(d)}^(log {m}/log {atom(invr)})" for (d, m, invr), _ in self.items)
+
+    def mean(self, tol: float) -> MeanValue:
+        """sum(t * x) / sum(t) over the items: direct for a rational total, else
+        _weighted_mean in block order, whose enclosure sums classes in that order."""
         if self.total is not None:
             return MeanValue.exact(sum(t * x for t, x in self.items) / self.total)
         return _weighted_mean(self.items, self.ratio, self.enclose, tol)
@@ -567,13 +571,10 @@ _RATIONAL = (lambda x, x0: x / x0, _iv_q)
 
 
 def weight_of(h: BlockSet, kind: MeanKind) -> Weight:
-    """The Weight of h under kind (not lis): its points under arith, its
-    top-level points under acc, its intervals, Cantor blocks or points at
-    the maximal dimension under avg, its iso_growth terms under iso.
+    """The Weight of h under kind (not lis), kept with h (BlockSet.memo).
 
-    Outside Dom(kind) it raises DomainViolation, and EmptyResult for the
-    empty set.  Computed once per kind for each set object and kept with it
-    (BlockSet.memo).
+    Outside Dom(kind) it raises DomainViolation with the reason the mean
+    reports as undefined, and EmptyResult for the empty set.
     """
     kind = MeanKind(kind)
     return h.memo(("weight", kind), lambda: _weight(h, kind))

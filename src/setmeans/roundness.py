@@ -3,7 +3,7 @@
 A set is round when its mean value k cuts it into a lower and an upper part
 whose means average back to the whole mean.  The witness route decides the
 same question without the defect: the two halves at k have equal weight
-(``weigh.compare_weights`` on their ``weight_of``), or, under lis, the
+(``weigh.compare_weights`` on their ``means.weight_of``), or, under lis, the
 midpoint of the halves' inner accumulation bounds is k.  Under iso, halves
 whose means are both back at k are round at once.
 """
@@ -121,8 +121,7 @@ def _witness_payload(halves: _Halves) -> dict:
     if halves.kind is MeanKind.ARITH:
         return {"split": totals}
     if halves.kind is MeanKind.AVG:
-        return {"measures": [str(t if t is not None else tuple(sorted(x for x, _ in w.items)))
-                             for t, w in zip(totals, halves.weights)]}
+        return {"measures": [str(w) for w in halves.weights]}
     return {"levels": [w.order for w in halves.weights], "counts": totals}
 
 

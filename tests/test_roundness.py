@@ -237,6 +237,22 @@ def test_round_command_evaluates_each_mean_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+@pytest.mark.parametrize("expr, measures", [
+    ("cantor(0,1,2,1/3) U cantor(5,6,2,1/3)", ["1^(log 2/log 3)", "1^(log 2/log 3)"]),
+    # weights 1, 1/2 and 1 put k = 17/6 in the gap before the third block
+    ("cantor(0,1,2,1/3) U cantor(2,7/3,2,1/3) U cantor(5,6,2,1/3)",
+     ["1^(log 2/log 3) + (1/3)^(log 2/log 3)", "1^(log 2/log 3)"]),
+    ("cantor(0,1,2,2/5)", ["(2/5)^(log 2/log (5/2))", "(2/5)^(log 2/log (5/2))"]),
+    ("[0,1] U [2,4]", ["7/6", "11/6"]),
+])
+def test_round_avg_payload_writes_the_measures_out(expr, measures):
+    from setmeans.cli import run_command
+
+    code, rep = run_command(["round", "--mean", "avg", expr])
+    assert code == 0
+    assert rep["result"]["witness"] == {"measures": measures}
+
+
 @pytest.mark.parametrize("kind", ["arith", "acc", "avg"])
 def test_witness_is_equal_weight_of_the_halves(kind):
     # the witness route compares the halves at k exactly as equal_weight does
