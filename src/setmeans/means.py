@@ -517,22 +517,25 @@ def _iv_count_weight(x, degree: int):
 # weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """What a set weighs under a mean other than lis.
 
     order: 0 under arith, the level under acc, the dimension (a DimValue)
-    under avg, the count degree under iso.  items: a (term, position) per
-    top-order part, in block order; a term is 1 for a point, an interval's
-    length, a Cantor block's (diam, m, invr) worth diam**s, or an iso term's
-    (c, r) worth c * (1/ln(1/r))**degree, related and enclosed by ratio and
-    enclose.  total: the terms' sum if rational (an int for counts), else None.
+    under avg, the count degree under iso.  terms and positions: those of
+    the top-order parts, in block order; a term is 1 for a point, an
+    interval's length, a Cantor block's (diam, m, invr) worth diam**s, or an
+    iso term's (c, r) worth c * (1/ln(1/r))**degree.  total: the terms' sum
+    when it is rational (an int for counts), else None and ratio and enclose
+    relate and enclose the terms.  The tuples are parallel: a weight is kept
+    with its set, and a pair per part would add objects for the collector.
     """
 
     order: object
-    items: tuple
-    ratio: Callable = field(compare=False, repr=False)
-    enclose: Callable = field(compare=False, repr=False)
+    terms: tuple
+    positions: tuple
+    ratio: Optional[Callable] = field(default=None, compare=False, repr=False)
+    enclose: Optional[Callable] = field(default=None, compare=False, repr=False)
     total: Optional[Q] = None
 
     def compare_order(self, other: "Weight") -> int:
@@ -545,8 +548,7 @@ class Weight:
         """Sign of this weight minus the other's at a shared order; None when undecided."""
         if self.total is not None and other.total is not None:
             return (self.total > other.total) - (self.total < other.total)
-        return _compare_sums([t for t, _ in self.items], [t for t, _ in other.items],
-                             self.ratio, self.enclose)
+        return _compare_sums(self.terms, other.terms, self.ratio, self.enclose)
 
     def __str__(self) -> str:
         """The magnitude under arith, acc and avg: the rational total, or the
@@ -556,33 +558,29 @@ class Weight:
 
         def atom(q):
             return str(q) if q.denominator == 1 else f"({q})"
-        return " + ".join(f"{atom(d)}^(log {m}/log {atom(invr)})" for (d, m, invr), _ in self.items)
+        return " + ".join(f"{atom(d)}^(log {m}/log {atom(invr)})" for d, m, invr in self.terms)
 
     def mean(self, tol: float) -> MeanValue:
-        """sum(t * x) / sum(t) over the items: direct for a rational total, else
-        _weighted_mean in block order, whose enclosure sums classes in that order."""
+        """sum(t * x) / sum(t) over terms and positions: direct for a rational total,
+        else _weighted_mean in block order, whose enclosure sums classes in that order."""
+        items = zip(self.terms, self.positions)
         if self.total is not None:
-            return MeanValue.exact(sum(t * x for t, x in self.items) / self.total)
-        return _weighted_mean(self.items, self.ratio, self.enclose, tol)
-
-
-#: (ratio, enclose) of rational terms: any two are commensurable
-_RATIONAL = (lambda x, x0: x / x0, _iv_q)
+            # a point's term is 1: no Fraction product for it
+            return MeanValue.exact(sum(x if t == 1 else t * x for t, x in items) / self.total)
+        return _weighted_mean(items, self.ratio, self.enclose, tol)
 
 
 def weight_of(h: BlockSet, kind: MeanKind) -> Weight:
     """The Weight of h under kind (not lis), kept with h (BlockSet.memo).
 
     Outside Dom(kind) it raises DomainViolation with the reason the mean
-    reports as undefined, and EmptyResult for the empty set.
+    reports as undefined.
     """
     kind = MeanKind(kind)
     return h.memo(("weight", kind), lambda: _weight(h, kind))
 
 
 def _weight(h: BlockSet, kind: MeanKind) -> Weight:
-    if h.is_empty:
-        raise EmptyResult("mean of the empty set")
     if kind is MeanKind.ARITH:
         if not h.is_finite:
             raise DomainViolation("infinite set")
@@ -594,7 +592,8 @@ def _weight(h: BlockSet, kind: MeanKind) -> Weight:
         return _point_weight(lev, top)
     if kind is MeanKind.ISO:
         degree, terms = iso_growth(h)
-        return Weight(degree, tuple(((c, r), a) for a, c, r in terms), *_count_weights(degree))
+        return Weight(degree, tuple((c, r) for _, c, r in terms), tuple(a for a, _, _ in terms),
+                      *_count_weights(degree))
     if kind is MeanKind.LIS:
         raise ValueError("lis has no weight: it compares accumulation bounds")
     dim = dimension_of(h)
@@ -603,17 +602,17 @@ def _weight(h: BlockSet, kind: MeanKind) -> Weight:
             raise DomainViolation("not an s-set: infinitely many points at dimension 0")
         return _point_weight(dim, h)
     top = [b for b in h.blocks if compare_dims(block_dim(b), dim) == 0]
+    centres = tuple((b.lo + b.hi) / 2 for b in top)  # of Cantor blocks by symmetry
     if dim.kind == "one":
-        items = tuple((b.hi - b.lo, (b.lo + b.hi) / 2) for b in top)
-        return Weight(dim, items, *_RATIONAL, sum((t for t, _ in items), Q(0)))
-    # Cantor blocks, their centres by symmetry
-    items = tuple(((b.hi - b.lo, b.pieces, 1 / b.ratio), (b.lo + b.hi) / 2) for b in top)
-    return Weight(dim, items, _weight_ratio, _iv_weight)
+        lengths = tuple(b.hi - b.lo for b in top)
+        return Weight(dim, lengths, centres, total=sum(lengths, Q(0)))
+    return Weight(dim, tuple((b.hi - b.lo, b.pieces, 1 / b.ratio) for b in top), centres,
+                  _weight_ratio, _iv_weight)
 
 
 def _point_weight(at, h: BlockSet) -> Weight:
     pts = h.finite_points()
-    return Weight(at, tuple((1, p) for p in pts), *_RATIONAL, len(pts))
+    return Weight(at, (1,) * len(pts), pts, total=len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +620,6 @@ def _point_weight(at, h: BlockSet) -> Weight:
 
 
 def mean_lis(h: BlockSet) -> MeanValue:
-    if h.is_empty:
-        raise EmptyResult("mean of the empty set")
     bd = bounds(h)
     if bd.acc_inf is None:
         return MeanValue.undefined("finite set")
@@ -655,6 +652,8 @@ def mean_of(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) -> 
 
 
 def _mean(h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> MeanValue:
+    if h.is_empty:
+        raise EmptyResult("mean of the empty set")
     if kind is MeanKind.LIS:
         return mean_lis(h)
     try:
