@@ -35,7 +35,7 @@ from .sets import (
     Union,
     bounds,
     diameter,
-    intersect,
+    disjoint,
     normalize,
     translate_set,
     union_sets,
@@ -187,8 +187,10 @@ def _between(lo: MeanValue, v: MeanValue, hi: MeanValue, tol: float):
 
 
 def _disjoint(h1: BlockSet, h2: BlockSet):
+    """True exactly when intersect(h1, h2) returns the empty set; otherwise
+    False, or None for an undecidable pair, and callers skip either."""
     try:
-        return intersect(h1, h2).is_empty
+        return disjoint(h1, h2)
     except IntersectionNotRepresentable:
         return None
 

@@ -392,6 +392,9 @@ def iso_eligible(h: BlockSet) -> bool:
     return not any(isinstance(b, (Interval, Cantor)) for b in h.blocks)
 
 
+_NOT_DENSE = "set has interval or cantor parts; isolated points are not dense"
+
+
 def iso_growth(h: BlockSet):
     """``(degree, terms)``: how many isolated points lie outside the
     eps-neighborhood of the accumulation set as eps -> 0.
@@ -413,7 +416,7 @@ def iso_growth(h: BlockSet):
     (its mean, its size, None).
     """
     if not iso_eligible(h):
-        raise DomainViolation("set has interval or cantor parts; isolated points are not dense")
+        raise DomainViolation(_NOT_DENSE)
     degree = max((b.level for b in h.blocks if isinstance(b, PowerSums)), default=0)
     if degree == 0:
         pts = h.finite_points()
@@ -576,21 +579,30 @@ def weight_of(h: BlockSet, kind: MeanKind) -> Weight:
     Outside Dom(kind) it raises DomainViolation with the reason the mean
     reports as undefined.
     """
-    kind = MeanKind(kind)
+    w = _kept_weight(h, MeanKind(kind))
+    if isinstance(w, str):
+        raise DomainViolation(w)
+    return w
+
+
+def _kept_weight(h: BlockSet, kind: MeanKind):
+    """h's Weight under kind, or the reason it has none (a str), kept with h."""
     return h.memo(("weight", kind), lambda: _weight(h, kind))
 
 
-def _weight(h: BlockSet, kind: MeanKind) -> Weight:
+def _weight(h: BlockSet, kind: MeanKind):
     if kind is MeanKind.ARITH:
         if not h.is_finite:
-            raise DomainViolation("infinite set")
+            return "infinite set"
         return _point_weight(0, h)
     if kind is MeanKind.ACC:
         lev, top = top_level(h)
         if lev == INFINITE_LEVEL:
-            raise DomainViolation("infinite level")
+            return "infinite level"
         return _point_weight(lev, top)
     if kind is MeanKind.ISO:
+        if not iso_eligible(h):
+            return _NOT_DENSE
         degree, terms = iso_growth(h)
         return Weight(degree, tuple((c, r) for _, c, r in terms), tuple(a for a, _, _ in terms),
                       *_count_weights(degree))
@@ -599,7 +611,7 @@ def _weight(h: BlockSet, kind: MeanKind) -> Weight:
     dim = dimension_of(h)
     if dim.kind == "zero":
         if not h.is_finite:
-            raise DomainViolation("not an s-set: infinitely many points at dimension 0")
+            return "not an s-set: infinitely many points at dimension 0"
         return _point_weight(dim, h)
     top = [b for b in h.blocks if compare_dims(block_dim(b), dim) == 0]
     centres = tuple((b.lo + b.hi) / 2 for b in top)  # of Cantor blocks by symmetry
@@ -656,12 +668,13 @@ def _mean(h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> MeanValue:
         raise EmptyResult("mean of the empty set")
     if kind is MeanKind.LIS:
         return mean_lis(h)
-    try:
-        if kind is MeanKind.ISO:
+    if kind is MeanKind.ISO:
+        try:
             return mean_iso(h, cfg)
-        return weight_of(h, kind).mean(cfg.tol)
-    except DomainViolation as exc:
-        return MeanValue.undefined(str(exc))
+        except DomainViolation as exc:
+            return MeanValue.undefined(str(exc))
+    w = _kept_weight(h, kind)
+    return MeanValue.undefined(w) if isinstance(w, str) else w.mean(cfg.tol)
 
 
 # ---------------------------------------------------------------------------

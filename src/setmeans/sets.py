@@ -44,12 +44,19 @@ INFINITE_LEVEL = math.inf
 
 
 @dataclass(frozen=True)
-class Leaf:
+class _Expr:
+    #: the canonical blocks, once normalize has evaluated the expression;
+    #: outside init, equality, hashing and repr, like BlockSet._derived
+    _blocks: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class Leaf(_Expr):
     block: Block
 
 
 @dataclass(frozen=True)
-class Union:
+class Union(_Expr):
     parts: tuple["SetExpr", ...]
 
     def __post_init__(self):
@@ -57,7 +64,7 @@ class Union:
 
 
 @dataclass(frozen=True)
-class Translate:
+class Translate(_Expr):
     child: "SetExpr"
     offset: Q
 
@@ -66,7 +73,7 @@ class Translate:
 
 
 @dataclass(frozen=True)
-class CutBelow:
+class CutBelow(_Expr):
     """The part of the child at or below the cut: H \\cap (-inf, at]."""
 
     child: "SetExpr"
@@ -77,7 +84,7 @@ class CutBelow:
 
 
 @dataclass(frozen=True)
-class CutAbove:
+class CutAbove(_Expr):
     """The part of the child at or above the cut: H \\cap [at, +inf)."""
 
     child: "SetExpr"
@@ -300,13 +307,22 @@ def normalize_blocks(blocks) -> BlockSet:
 def normalize(e: SetExpr) -> BlockSet:
     """Evaluate an expression to its canonical BlockSet.
 
+    An expression's canonical blocks are computed once per expression object
+    and kept with it.  Each call returns a fresh set over them, so what a
+    set keeps (BlockSet.memo) does not outlive its caller.
+
     Raises EmptyResult when the expression denotes the empty set and
     CutNotRepresentable when a cut lands inside a Cantor block at a point
-    that is neither a gap point nor an attained endpoint.
+    that is neither a gap point nor an attained endpoint; an expression that
+    raises keeps nothing, and raises again on the next call.
     """
+    blocks = getattr(e, "_blocks", None)  # None too for what _eval_expr rejects
+    if blocks is not None:
+        return BlockSet(blocks, e)
     bs = _canonical(_eval_expr(e), e)
     if bs.is_empty:
         raise EmptyResult("expression denotes the empty set")
+    object.__setattr__(e, "_blocks", bs.blocks)
     return bs
 
 
@@ -564,14 +580,27 @@ def _block_intersect(b1: Block, b2: Block) -> list[Block]:
     )
 
 
+def _block_intersections(h1: BlockSet, h2: BlockSet):
+    """Yield the intersection of each pair of blocks, h1's outer, as a list."""
+    for b1 in h1.blocks:
+        for b2 in h2.blocks:
+            yield _block_intersect(b1, b2)
+
+
 def intersect(h1: BlockSet, h2: BlockSet) -> BlockSet:
     """Exact intersection on the decidable fragment.
 
     Raises IntersectionNotRepresentable for undecidable block pairs, e.g.
     two overlapping Cantor blocks with different parameters.
     """
-    out: list[Block] = []
-    for b1 in h1.blocks:
-        for b2 in h2.blocks:
-            out.extend(_block_intersect(b1, b2))
-    return normalize_blocks(out)
+    return normalize_blocks([b for part in _block_intersections(h1, h2) for b in part])
+
+
+def disjoint(h1: BlockSet, h2: BlockSet) -> bool:
+    """True exactly when intersect(h1, h2) returns the empty set.
+
+    Nothing is built: the block pairs are met in intersect's order, and the
+    first pair that meets answers False.  An undecidable pair met before
+    that raises IntersectionNotRepresentable, as intersect does.
+    """
+    return not any(_block_intersections(h1, h2))

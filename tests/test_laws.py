@@ -13,6 +13,7 @@ from setmeans import (
     gen_corpus,
     mean_of,
     normalize,
+    parse,
     render,
     union_sets,
 )
@@ -138,6 +139,16 @@ def test_check_law_is_deterministic():
     a = check_law(MeanKind.AVG, LawKind.MONOTONE, corpus)
     b = check_law(MeanKind.AVG, LawKind.MONOTONE, corpus)
     assert a == b
+
+
+def test_check_law_on_kept_blocks_matches_fresh_expressions():
+    # gen_corpus has normalised its expressions and they keep their blocks;
+    # parsed again, they are fresh objects that were never normalised
+    corpus = gen_corpus(41, 30, "mixed")
+    for mean in MeanKind:
+        for law in LawKind:
+            fresh = [parse(render(e)) for e in corpus]
+            assert check_law(mean, law, corpus) == check_law(mean, law, fresh), (mean, law)
 
 
 @pytest.mark.parametrize("kab, violated", [(MeanValue.exact(1), True),

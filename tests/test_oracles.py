@@ -10,6 +10,7 @@ a walk over every subfamily.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -35,6 +36,7 @@ from setmeans import (
     parse,
 )
 from setmeans.blocks import PowerSums, block_contains, block_dist_at_least, tower_outer_points
+from setmeans.laws import _disjoint
 from setmeans.means import DEFAULT_CONFIG, MeanValue, _progressions_union, arith_mean
 from setmeans.sets import derived_set
 
@@ -123,6 +125,24 @@ def test_intersect_members_belong_to_both():
             continue
         for p in inter.finite_points()[:10]:
             assert contains(h1, p) and contains(h2, p)
+
+
+@pytest.mark.parametrize("seed", [4242, 555, 9])
+def test_disjoint_agrees_with_intersect(seed):
+    corpus = [normalize(e) for e in gen_corpus(seed, 60, "mixed")]
+    n = len(corpus)
+    outcomes = Counter()
+    for i, h1 in enumerate(corpus):
+        for h2 in (corpus[(i * 7 + 3) % n], corpus[(i * 13 + 5) % n], h1):
+            try:
+                empty = intersect(h1, h2).is_empty
+            except IntersectionNotRepresentable:
+                empty = None
+            got = _disjoint(h1, h2)
+            assert (got is True) == (empty is True), (h1, h2)
+            outcomes[empty, got] += 1
+    # disjoint pairs, meeting pairs, and undecidable pairs all occur
+    assert outcomes[True, True] and outcomes[False, False] and outcomes[None, None]
 
 
 def test_cantor_cut_partitions_membership():

@@ -32,6 +32,8 @@ from setmeans import (
     level,
     normalize,
     normalize_blocks,
+    parse,
+    render,
     translate_set,
     union_sets,
 )
@@ -39,7 +41,7 @@ from setmeans import sets
 from setmeans.blocks import block_contains, block_sort_key
 from setmeans.errors import CutNotRepresentable, MembershipUndecided
 from setmeans.laws import PROFILES
-from setmeans.sets import INFINITE_LEVEL, _geom_absorbs
+from setmeans.sets import INFINITE_LEVEL, _geom_absorbs, disjoint
 
 
 def bset(*blocks) -> BlockSet:
@@ -70,8 +72,36 @@ def test_normalize_cut_interval():
 
 
 def test_normalize_empty_raises():
-    with pytest.raises(EmptyResult):
-        normalize(CutBelow(Leaf(Interval(Q(0), Q(1))), Q(-1)))
+    e = CutBelow(Leaf(Interval(Q(0), Q(1))), Q(-1))
+    for _ in range(3):  # a call that raises keeps nothing for the next
+        with pytest.raises(EmptyResult):
+            normalize(e)
+
+
+def test_normalize_cut_at_a_cantor_non_gap_point_raises_on_every_call():
+    e = CutBelow(Leaf(Cantor(Q(0), Q(1), 2, Q(1, 3))), Q(1, 4))
+    for _ in range(3):
+        with pytest.raises(CutNotRepresentable):
+            normalize(e)
+
+
+def test_normalize_keeps_the_blocks_not_the_set():
+    e = Union((Leaf(GeomSeq(Q(0), Q(1), Q(1, 2))), Translate(Leaf(Interval(Q(0), Q(1))), Q(3))))
+    first, again = normalize(e), normalize(e)
+    assert first == again and first.blocks is again.blocks
+    # a fresh set each time: what one caller derives is not kept for the next
+    assert first is not again
+    derived_set(first)
+    assert again._derived == {}
+
+
+def test_normalize_leaves_the_expression_as_it_was():
+    for e in gen_corpus(29, 40, "mixed"):
+        fresh = parse(render(e))
+        assert fresh == e
+        seen = (hash(fresh), repr(fresh), render(fresh))
+        normalize(fresh)
+        assert fresh == e and (hash(fresh), repr(fresh), render(fresh)) == seen
 
 
 def test_normalize_merges_intervals_and_absorbs():
@@ -282,6 +312,18 @@ def test_intersect_cantor_undecidable():
     with pytest.raises(IntersectionNotRepresentable):
         intersect(c1, c2)
     assert intersect(c1, c1) == c1
+
+
+def test_disjoint_stops_at_the_first_overlap():
+    s2 = bset(Finite((Q(0),)), GeomSeq(Q(0), Q(1), Q(1, 2)))
+    s3 = bset(Finite((Q(0),)), GeomSeq(Q(0), Q(1), Q(1, 3)))
+    # the shared point comes before the undecidable pair of sequences
+    assert not disjoint(s2, s3)
+    with pytest.raises(IntersectionNotRepresentable):
+        intersect(s2, s3)
+    with pytest.raises(IntersectionNotRepresentable):
+        disjoint(bset(GeomSeq(Q(0), Q(1), Q(1, 2))), bset(GeomSeq(Q(0), Q(1), Q(1, 3))))
+    assert disjoint(s2, bset(Interval(Q(2), Q(3))))
 
 
 def test_contains_across_blocks():

@@ -32,13 +32,19 @@ from setmeans.weigh import compare_weights
     (MeanKind.ARITH, "[0,1] U {5}", "infinite set"),
     (MeanKind.ACC, "[0,1] U {5}", "infinite level"),
     (MeanKind.AVG, "seq(0,1,1/2) U {5}", "not an s-set: infinitely many points at dimension 0"),
+    (MeanKind.ISO, "[0,1] U {5}", "set has interval or cantor parts; isolated points are not dense"),
 ])
 def test_a_weight_outside_the_domain_raises(kind, expr, reason):
-    # the reason is the one the mean reports as undefined
-    h = normalize(parse(expr))
-    with pytest.raises(DomainViolation, match=reason):
-        weight_of(h, kind)
-    assert mean_of(h, kind) == MeanValue.undefined(reason)
+    # the reason is the one the mean reports as undefined, whichever is asked first
+    for mean_first in (False, True):
+        h = normalize(parse(expr))
+        if mean_first:
+            assert mean_of(h, kind) == MeanValue.undefined(reason)
+        for _ in range(2):
+            with pytest.raises(DomainViolation) as exc:
+                weight_of(h, kind)
+            assert str(exc.value) == reason
+        assert mean_of(h, kind) == MeanValue.undefined(reason)
 
 
 def test_avg_weights_outside_the_domain_are_not_equal():
