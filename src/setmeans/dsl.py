@@ -3,14 +3,13 @@
 Grammar (whitespace insignificant):
 
     expr    := term { "U" term }
-    term    := prim | "(" expr ")" | "shift(" expr "," rat ")"
-                    | "below(" expr "," rat ")" | "above(" expr "," rat ")"
-    prim    := "{" rat { "," rat } "}"
+    term    := "(" expr ")" | "{" rat { "," rat } "}" | "[" rat "," rat "]"
              | "seq(" rat "," rat "," rat ")"
              | "tower(" int "," rat "," rat [ "," rat ] ")"
-             | "[" rat "," rat "]"
              | "cantor(" rat "," rat "," int "," rat ")"
-    rat     := optionally signed integer [ "/" positive integer ]
+             | "shift(" expr "," rat ")" | "below(" expr "," rat ")" | "above(" expr "," rat ")"
+    int     := optionally signed string of decimal digits
+    rat     := int [ "/" unsigned positive int ]
 
 ``below``/``above`` keep the part of the set at or below/above the cut;
 ``shift`` translates.  ``tower`` takes an optional fourth scale argument
@@ -19,210 +18,142 @@ Grammar (whitespace insignificant):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction as Q
 
 from .blocks import Cantor, Finite, GeomSeq, Interval, Tower
 from .errors import ParseError
 from .sets import CutAbove, CutBelow, Leaf, SetExpr, Translate, Union
 
+# a mark (its own kind), an integer, a word, then the two lexical errors:
+# a sign with no digits after it, and any other character
+_TOKEN = re.compile(r"\s*(?:([()\[\]{},/U])|([+-]?\d+)|([^\W\d_]+)|([+-])|(\S))")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "word", or a literal punctuation mark
-    text: str
-    line: int
-    column: int
+# each call: its argument kinds (e an expression, r a rational, i an integer;
+# the arguments after ? are optional) and what it builds from them
+_CALLS = {
+    "seq": ("rrr", lambda a, w, r: Leaf(GeomSeq(a, w, r))),
+    "tower": ("irr?r", lambda k, a, r, w=Q(1): Leaf(Tower(k, a, w, r))),
+    "cantor": ("rrir", lambda lo, hi, m, r: Leaf(Cantor(lo, hi, m, r))),
+    "shift": ("er", Translate),
+    "below": ("er", CutBelow),
+    "above": ("er", CutAbove),
+}
+_TERM = ("{", "[", "(", *_CALLS)
 
 
-_PUNCT = set("()[]{},/U")
+def _error(src: str, offset: int, message: str, expected) -> ParseError:
+    """A ParseError at the 1-based line and column of src[offset]."""
+    line = src.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - src.rfind("\n", 0, offset), expected)
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list:
+    """(kind, text, offset) tuples, then ("end", "", len(src)); a mark is its own kind."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "U":
-            tokens.append(_Token("U", "U", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "+-" or ch.isdigit():
-            j = i + 1 if ch in "+-" else i
-            if j >= len(src) or not src[j].isdigit():
-                raise ParseError(f"stray {ch!r}", line, col, expected=("integer",))
-            k = j
-            while k < len(src) and src[k].isdigit():
-                k += 1
-            tokens.append(_Token("int", src[i:k], line, col))
-            col += k - i
-            i = k
-            continue
-        if ch.isalpha():
-            k = i
-            while k < len(src) and src[k].isalpha():
-                k += 1
-            tokens.append(_Token("word", src[i:k], line, col))
-            col += k - i
-            i = k
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col,
-                         expected=("expression",))
+    for m in _TOKEN.finditer(src):
+        group = m.lastindex
+        text, offset = m[group], m.start(group)
+        if group == 1:
+            tokens.append((text, text, offset))
+        elif group == 2:
+            tokens.append(("int", text, offset))
+        elif group == 4:
+            raise _error(src, offset, f"stray {text!r}", ("integer",))
+        elif text.isalpha():
+            tokens.append(("word", text, offset))
+        else:
+            # \w also holds numerals that are not letters, such as ½
+            bad = next(i for i, ch in enumerate(text) if not ch.isalpha())
+            raise _error(src, offset + bad, f"unexpected character {text[bad]!r}",
+                         ("expression",))
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
-        self.src = src
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def _fail(self, expected):
-        tok = self._peek()
-        if tok is None:
-            lines = self.src.split("\n")
-            line = len(lines)
-            col = len(lines[-1]) + 1
-            raise ParseError("unexpected end of input", line, col, expected=expected)
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column,
-                         expected=expected)
+        kind, text, offset = self.tokens[self.pos]
+        what = "end of input" if kind == "end" else repr(text)
+        raise _error(self.src, offset, f"unexpected {what}", expected)
 
-    def _eat(self, kind):
-        tok = self._peek()
-        if tok is None or tok.kind != kind:
+    def _eat(self, kind) -> str:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
             self._fail((kind,))
         self.pos += 1
-        return tok
+        return tok[1]
+
+    def _next_is(self, kind) -> bool:
+        """Step over the next token when it is of this kind."""
+        if self.tokens[self.pos][0] != kind:
+            return False
+        self.pos += 1
+        return True
 
     def parse(self) -> SetExpr:
         e = self.expr()
-        if self._peek() is not None:
+        if self.tokens[self.pos][0] != "end":
             self._fail(("U", "end of input"))
         return e
 
     def expr(self) -> SetExpr:
         parts = [self.term()]
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.kind == "U":
-                self.pos += 1
-                parts.append(self.term())
-            else:
-                break
+        while self._next_is("U"):
+            parts.append(self.term())
         return parts[0] if len(parts) == 1 else Union(tuple(parts))
 
     def term(self) -> SetExpr:
-        tok = self._peek()
-        if tok is None:
-            self._fail(("{", "[", "(", "seq", "tower", "cantor", "shift", "below", "above"))
-        if tok.kind == "(":
-            self.pos += 1
+        kind, text, _ = self.tokens[self.pos]
+        if self._next_is("("):
             e = self.expr()
             self._eat(")")
             return e
-        if tok.kind == "word" and tok.text in ("shift", "below", "above"):
-            self.pos += 1
-            self._eat("(")
-            child = self.expr()
-            self._eat(",")
-            at = self.rat()
-            self._eat(")")
-            if tok.text == "shift":
-                return Translate(child, at)
-            if tok.text == "below":
-                return CutBelow(child, at)
-            return CutAbove(child, at)
-        return self.prim()
-
-    def prim(self) -> SetExpr:
-        tok = self._peek()
-        if tok is None:
-            self._fail(("{", "[", "seq", "tower", "cantor"))
-        if tok.kind == "{":
-            self.pos += 1
+        if self._next_is("{"):
             pts = [self.rat()]
-            while self._peek() is not None and self._peek().kind == ",":
-                self.pos += 1
+            while self._next_is(","):
                 pts.append(self.rat())
             self._eat("}")
             return Leaf(Finite(tuple(pts)))
-        if tok.kind == "[":
-            self.pos += 1
+        if self._next_is("["):
             lo = self.rat()
             self._eat(",")
             hi = self.rat()
             self._eat("]")
             return Leaf(Interval(lo, hi))
-        if tok.kind == "word":
-            if tok.text == "seq":
-                self.pos += 1
-                self._eat("(")
-                a = self.rat()
+        if kind != "word" or text not in _CALLS:
+            self._fail(_TERM)
+        self.pos += 1
+        kinds, build = _CALLS[text]
+        self._eat("(")
+        args = []
+        for arg in kinds:
+            if arg == "?":
+                if self.tokens[self.pos][0] != ",":
+                    break
+                continue
+            if args:
                 self._eat(",")
-                w = self.rat()
-                self._eat(",")
-                r = self.rat()
-                self._eat(")")
-                return Leaf(GeomSeq(a, w, r))
-            if tok.text == "tower":
-                self.pos += 1
-                self._eat("(")
-                k_tok = self._eat("int")
-                self._eat(",")
-                a = self.rat()
-                self._eat(",")
-                r = self.rat()
-                w = Q(1)
-                if self._peek() is not None and self._peek().kind == ",":
-                    self.pos += 1
-                    w = self.rat()
-                self._eat(")")
-                return Leaf(Tower(int(k_tok.text), a, w, r))
-            if tok.text == "cantor":
-                self.pos += 1
-                self._eat("(")
-                lo = self.rat()
-                self._eat(",")
-                hi = self.rat()
-                self._eat(",")
-                m_tok = self._eat("int")
-                self._eat(",")
-                r = self.rat()
-                self._eat(")")
-                return Leaf(Cantor(lo, hi, int(m_tok.text), r))
-        self._fail(("{", "[", "(", "seq", "tower", "cantor", "shift", "below", "above"))
+            args.append(self.expr() if arg == "e" else self.rat() if arg == "r"
+                        else int(self._eat("int")))
+        self._eat(")")
+        return build(*args)
 
     def rat(self) -> Q:
-        num_tok = self._eat("int")
-        num = int(num_tok.text)
-        if self._peek() is not None and self._peek().kind == "/":
-            self.pos += 1
-            den_tok = self._eat("int")
-            den = int(den_tok.text)
-            if den <= 0 or den_tok.text[0] in "+-":
-                raise ParseError("denominator must be a positive integer",
-                                 den_tok.line, den_tok.column, expected=("positive integer",))
-            return Q(num, den)
-        return Q(num)
+        num = int(self._eat("int"))
+        if not self._next_is("/"):
+            return Q(num)
+        _, text, offset = self.tokens[self.pos]
+        den = int(self._eat("int"))
+        if den <= 0 or text[0] in "+-":
+            raise _error(self.src, offset, "denominator must be a positive integer",
+                         ("positive integer",))
+        return Q(num, den)
 
 
 def parse(src: str) -> SetExpr:

@@ -33,6 +33,14 @@ def test_parse_error_exit_code():
     assert any("parse error" in d for d in rep["diagnostics"])
 
 
+def test_a_digit_that_is_not_decimal_is_a_parse_error():
+    # "²".isdigit() holds, but int("²") fails: the parser reports it, not a crash
+    code, rep = run_command(["eval", "--mean", "arith", "{²}"])
+    assert code == 2
+    assert rep["diagnostics"] == [
+        "parse error: unexpected character '²' at line 1, column 2 (expected expression)"]
+
+
 def test_validation_error_exit_code():
     code, rep = run_command(["eval", "--mean", "lis", "tower(2, 0, 1/2)"])
     assert code == 2

@@ -1,16 +1,22 @@
 """Parser, renderer, error positions, and the round-trip property."""
 
+import random
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import pytest
 
 from setmeans import (
+    Cantor,
     CutAbove,
+    CutBelow,
     Finite,
     GeomSeq,
     Interval,
     Leaf,
     ParseError,
+    SetExpr,
+    SetMeansError,
     Tower,
     Translate,
     Union,
@@ -21,6 +27,7 @@ from setmeans import (
     render,
     render_set,
 )
+from setmeans.laws import PROFILES
 
 
 def test_parse_union_of_intervals():
@@ -73,6 +80,8 @@ MALFORMED = [
     ("cantor(0, 1, 2, 1/0)", 1, 19),
     ("1/2", 1, 1),
     ("seq(0, 1, 1/2) U U", 1, 18),
+    ("{²}", 1, 2),
+    ("{1, 5²}", 1, 6),
 ]
 
 
@@ -112,3 +121,273 @@ def test_round_trip_normalized_sets():
     for e in gen_corpus(103, 80, "mixed"):
         bs = normalize(e)
         assert normalize(parse(render_set(bs))) == bs
+
+
+# ---------------------------------------------------------------------------
+# the character-loop tokenizer and parser that the table-driven one replaced,
+# kept as written as the reference
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "int", "word", or a literal punctuation mark
+    text: str
+    line: int
+    column: int
+
+
+_PUNCT = set("()[]{},/U")
+
+
+def _tokenize(src: str) -> list[_Token]:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch == "U":
+            tokens.append(_Token("U", "U", line, col))
+            i += 1
+            col += 1
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch in "+-" or ch.isdigit():
+            j = i + 1 if ch in "+-" else i
+            if j >= len(src) or not src[j].isdigit():
+                raise ParseError(f"stray {ch!r}", line, col, expected=("integer",))
+            k = j
+            while k < len(src) and src[k].isdigit():
+                k += 1
+            tokens.append(_Token("int", src[i:k], line, col))
+            col += k - i
+            i = k
+            continue
+        if ch.isalpha():
+            k = i
+            while k < len(src) and src[k].isalpha():
+                k += 1
+            tokens.append(_Token("word", src[i:k], line, col))
+            col += k - i
+            i = k
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col,
+                         expected=("expression",))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, src: str):
+        self.tokens = _tokenize(src)
+        self.pos = 0
+        self.src = src
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _fail(self, expected):
+        tok = self._peek()
+        if tok is None:
+            lines = self.src.split("\n")
+            line = len(lines)
+            col = len(lines[-1]) + 1
+            raise ParseError("unexpected end of input", line, col, expected=expected)
+        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column,
+                         expected=expected)
+
+    def _eat(self, kind):
+        tok = self._peek()
+        if tok is None or tok.kind != kind:
+            self._fail((kind,))
+        self.pos += 1
+        return tok
+
+    def parse(self) -> SetExpr:
+        e = self.expr()
+        if self._peek() is not None:
+            self._fail(("U", "end of input"))
+        return e
+
+    def expr(self) -> SetExpr:
+        parts = [self.term()]
+        while True:
+            tok = self._peek()
+            if tok is not None and tok.kind == "U":
+                self.pos += 1
+                parts.append(self.term())
+            else:
+                break
+        return parts[0] if len(parts) == 1 else Union(tuple(parts))
+
+    def term(self) -> SetExpr:
+        tok = self._peek()
+        if tok is None:
+            self._fail(("{", "[", "(", "seq", "tower", "cantor", "shift", "below", "above"))
+        if tok.kind == "(":
+            self.pos += 1
+            e = self.expr()
+            self._eat(")")
+            return e
+        if tok.kind == "word" and tok.text in ("shift", "below", "above"):
+            self.pos += 1
+            self._eat("(")
+            child = self.expr()
+            self._eat(",")
+            at = self.rat()
+            self._eat(")")
+            if tok.text == "shift":
+                return Translate(child, at)
+            if tok.text == "below":
+                return CutBelow(child, at)
+            return CutAbove(child, at)
+        return self.prim()
+
+    def prim(self) -> SetExpr:
+        tok = self._peek()
+        if tok is None:
+            self._fail(("{", "[", "seq", "tower", "cantor"))
+        if tok.kind == "{":
+            self.pos += 1
+            pts = [self.rat()]
+            while self._peek() is not None and self._peek().kind == ",":
+                self.pos += 1
+                pts.append(self.rat())
+            self._eat("}")
+            return Leaf(Finite(tuple(pts)))
+        if tok.kind == "[":
+            self.pos += 1
+            lo = self.rat()
+            self._eat(",")
+            hi = self.rat()
+            self._eat("]")
+            return Leaf(Interval(lo, hi))
+        if tok.kind == "word":
+            if tok.text == "seq":
+                self.pos += 1
+                self._eat("(")
+                a = self.rat()
+                self._eat(",")
+                w = self.rat()
+                self._eat(",")
+                r = self.rat()
+                self._eat(")")
+                return Leaf(GeomSeq(a, w, r))
+            if tok.text == "tower":
+                self.pos += 1
+                self._eat("(")
+                k_tok = self._eat("int")
+                self._eat(",")
+                a = self.rat()
+                self._eat(",")
+                r = self.rat()
+                w = Q(1)
+                if self._peek() is not None and self._peek().kind == ",":
+                    self.pos += 1
+                    w = self.rat()
+                self._eat(")")
+                return Leaf(Tower(int(k_tok.text), a, w, r))
+            if tok.text == "cantor":
+                self.pos += 1
+                self._eat("(")
+                lo = self.rat()
+                self._eat(",")
+                hi = self.rat()
+                self._eat(",")
+                m_tok = self._eat("int")
+                self._eat(",")
+                r = self.rat()
+                self._eat(")")
+                return Leaf(Cantor(lo, hi, int(m_tok.text), r))
+        self._fail(("{", "[", "(", "seq", "tower", "cantor", "shift", "below", "above"))
+
+    def rat(self) -> Q:
+        num_tok = self._eat("int")
+        num = int(num_tok.text)
+        if self._peek() is not None and self._peek().kind == "/":
+            self.pos += 1
+            den_tok = self._eat("int")
+            den = int(den_tok.text)
+            if den <= 0 or den_tok.text[0] in "+-":
+                raise ParseError("denominator must be a positive integer",
+                                 den_tok.line, den_tok.column, expected=("positive integer",))
+            return Q(num, den)
+        return Q(num)
+
+
+def reference_parse(src: str) -> SetExpr:
+    return _Parser(src).parse()
+
+
+def outcome(parse_fn, src: str):
+    """The expression, or the error's type, message, position and expected set."""
+    try:
+        return parse_fn(src)
+    except SetMeansError as exc:
+        return (type(exc).__name__, exc.args, getattr(exc, "line", None),
+                getattr(exc, "column", None), getattr(exc, "expected", None))
+
+
+# the grammar's own characters and layout, and characters at the edges of
+# the character classes: a non-ASCII decimal digit, a non-ASCII letter,
+# numerals that are not decimal digits (superscript two, one half) and a
+# no-break space
+MUTATION_CHARS = "0123456789+-/,()[]{}U sequtowrcanihfbl\n\t_.*#٣é²½ "
+
+
+def corpus_texts():
+    return [render(e) for profile in PROFILES for seed in range(1, 21)
+            for e in gen_corpus(seed, 40, profile)]
+
+
+def mutations(texts, count, seed):
+    """count seeded one-character replacements, insertions and deletions."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        if op == 2 and i < len(text):
+            out.append(text[:i] + text[i + 1:])
+        else:
+            # op 0 replaces the character at i (or appends at the end)
+            out.append(text[:i] + rng.choice(MUTATION_CHARS) + text[i + (op == 0):])
+    return out
+
+
+def test_parser_agrees_with_the_reference_on_corpus_texts():
+    texts = corpus_texts()
+    assert len(texts) == 4800
+    for text in texts:
+        assert parse(text) == reference_parse(text)
+
+
+def test_parser_agrees_with_the_reference_on_mutated_texts():
+    accepted = rejected = exempt = 0
+    for text in mutations(corpus_texts(), 9600, seed=15):
+        got = outcome(parse, text)
+        if any(ch.isdigit() and not ch.isdecimal() for ch in text):
+            # the reference reads such a digit as part of an integer and then
+            # fails in int() with a ValueError; the parser reports it
+            assert isinstance(got, tuple) and got[0] == "ParseError", text
+            exempt += 1
+            continue
+        want = outcome(reference_parse, text)
+        assert got == want, text
+        if isinstance(want, tuple):
+            rejected += 1
+        else:
+            accepted += 1
+    assert min(accepted, rejected) > 1000 and exempt > 100, (accepted, rejected, exempt)
