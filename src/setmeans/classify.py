@@ -3,9 +3,9 @@
 A set V is small to H when unioning or removing any translate of V leaves
 the mean of H unchanged; V is big to H when H is small to V.  For each of
 the five means the family has a closed form (finiteness, level comparison,
-dimension comparison, or the degree of isolated-count growth read off
-``means.iso_growth``), so verdicts are definitive; a sampling probe over a
-translate grid supplies the evidence trail.
+dimension comparison, or the isolated-count degree that is the order of the
+set's kept ``means.Weight``), so verdicts are definitive; a sampling probe
+over a translate grid supplies the evidence trail.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .means import (
     compare_dims,
     dimension_of,
     iso_eligible,
-    iso_growth,
     mean_of,
     order,
+    weight_of,
 )
 from .sets import (
     BlockSet,
@@ -189,8 +189,6 @@ def _small(v: BlockSet, h: BlockSet, kind: MeanKind) -> Verdict:
             return _closed(Answer.YES, "finite sets never move accumulation bounds")
         return _closed(Answer.NO, "an infinite V placed far away moves an accumulation bound")
     if kind is MeanKind.ACC:
-        if v.is_finite:
-            return _closed(Answer.YES, "finite sets have level 0 and no top-level points")
         lv, lh = level(v), level(h)
         if lv < lh:
             return _closed(Answer.YES, f"lev(V)={lv} < lev(H)={lh}")
@@ -204,8 +202,7 @@ def _small(v: BlockSet, h: BlockSet, kind: MeanKind) -> Verdict:
     # ISO: the count-growth degrees decide the limit of the count ratio n/m
     if not iso_eligible(v):
         return _closed(Answer.NO, "V has interval or cantor parts, unions leave the domain")
-    dv, _ = iso_growth(v)
-    dh, _ = iso_growth(h)
+    dv, dh = weight_of(v, kind).order, weight_of(h, kind).order
     if dv < dh:
         return _closed(Answer.YES, f"count degree {dv} < {dh}: n/m -> 0")
     if dv > dh:

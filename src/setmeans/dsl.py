@@ -109,7 +109,7 @@ class _Parser:
         return parts[0] if len(parts) == 1 else Union(tuple(parts))
 
     def term(self) -> SetExpr:
-        kind, text, _ = self.tokens[self.pos]
+        text = self.tokens[self.pos][1]
         if self._next_is("("):
             e = self.expr()
             self._eat(")")
@@ -126,7 +126,7 @@ class _Parser:
             hi = self.rat()
             self._eat("]")
             return Leaf(Interval(lo, hi))
-        if kind != "word" or text not in _CALLS:
+        if text not in _CALLS:  # only a word's text can be a call name
             self._fail(_TERM)
         self.pos += 1
         kinds, build = _CALLS[text]
