@@ -593,31 +593,51 @@ def _cut_cantor(b: Cantor, y: Q, keep_low: bool) -> list[Block]:
 # enumeration helpers
 
 
-def tower_outer_points(b: PowerSums, eps: Q, below: Optional[Q] = None) -> list[Q]:
+def tower_outer_points(b: PowerSums, eps: Q, walk: Optional[list] = None) -> list[Q]:
     """Top-layer points of a sum-of-powers block whose last term is at least
-    eps, and below ``below`` when that is given; a term counts times |scale|.
+    eps; a term counts times |scale|.
 
     Only full-length index tuples are isolated in the tower; shorter sums
     are accumulation points.  The last term r**nk is the distance to the
     nearest accumulation point inside the block, which bounds the search.
     Points come by last index, so a sequence yields its points in order.
+    Given walk, a list the caller keeps (empty at first), a call resumes
+    the walk below the last floor and returns only the points below it.
     """
     k = b.level
     limit = eps / abs(b.scale)
-    top = None if below is None else below / abs(b.scale)
     # heads[m]: anchor + scale * (a sum of m terms), one per m-subset of the
-    # indices walked so far
-    heads = [[b.anchor]] + [[] for _ in range(k - 1)]
+    # indices walked so far; p: the next index's term
+    heads, p = walk or ([[b.anchor]] + [[] for _ in range(k - 1)], b.ratio)
     out = []
-    p = b.ratio
     while p >= limit:
         step = b.scale * p
-        if top is None or p < top:
-            out.extend(h + step for h in heads[k - 1])
+        out.extend(h + step for h in heads[k - 1])
         for m in range(k - 1, 0, -1):
             heads[m].extend([h + step for h in heads[m - 1]])
         p *= b.ratio
+    if walk is not None:
+        walk[:] = heads, p
     return out
+
+
+def tower_top_count(b: PowerSums, eps: Q) -> int:
+    """len(tower_outer_points(b, eps)) without enumerating: C(K, level) for
+    K = max{k >= 1 : |scale| * r**k >= eps}, or 0 when there is none.
+
+    With r = p/q it reads u * p**k >= v * q**k in integers; K is estimated
+    from their base-2 logarithms and settled exactly on each side."""
+    w, r = abs(b.scale), b.ratio
+    u, v = w.numerator * eps.denominator, eps.numerator * w.denominator
+    p, q = r.numerator, r.denominator
+    if u * p < v * q:
+        return 0
+    k = max(1, int((math.log2(u) - math.log2(v)) / (math.log2(q) - math.log2(p))))
+    while k > 1 and u * p**k < v * q**k:
+        k -= 1
+    while u * p ** (k + 1) >= v * q ** (k + 1):
+        k += 1
+    return math.comb(k, b.level)
 
 
 def points_in_box(b: Block, u: Q, v: Q):

@@ -10,12 +10,13 @@ over a translate grid supplies the evidence trail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
 
 from .blocks import Finite, Interval
-from .errors import DomainViolation, EmptyResult, IntersectionNotRepresentable
+from .errors import DomainViolation, EmptyResult, IntersectionNotRepresentable, ValidationError
 from .means import (
     DEFAULT_CONFIG,
     LadderConfig,
@@ -300,6 +301,11 @@ def k_disjoint(h1: BlockSet, h2: BlockSet, kind: MeanKind, weak: bool = False,
 # ---------------------------------------------------------------------------
 # constructive witnesses for the isolated-point mean
 
+#: the report-size budget: the most digits the points of a witness may take
+WITNESS_DIGITS = 2_000_000
+#: Python's default int_max_str_digits: no int of more digits is written as text
+INT_DIGITS = 4300
+
 
 def build_iso_witness(h2: BlockSet, which: str, depth: int,
                       cfg: LadderConfig = DEFAULT_CONFIG) -> BlockSet:
@@ -315,11 +321,16 @@ def build_iso_witness(h2: BlockSet, which: str, depth: int,
 
 def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
                              cfg: LadderConfig = DEFAULT_CONFIG):
-    """Witness plus the stage cut-offs at which its count ratio is read."""
+    """Witness plus the stage cut-offs at which its count ratio is read.
+
+    A stage whose numbers would pass INT_DIGITS digits, or its points the
+    WITNESS_DIGITS budget, raises ValidationError that names the bound and
+    the largest depth within it; a big witness checks every stage first.
+    """
     if which not in ("small", "big"):
-        raise ValueError("which must be 'small' or 'big'")
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
+        raise ValidationError("which must be 'small' or 'big'")
+    if not 2 <= depth <= WITNESS_DIGITS // 2:  # a stage's points take 2 digits or more
+        raise ValidationError(f"depth must be at least 2 and at most {WITNESS_DIGITS // 2}")
     if h2.is_empty:
         raise EmptyResult("cannot build a witness against the empty set")
     if not iso_eligible(h2):
@@ -330,6 +341,20 @@ def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
     a = bounds(h2).acc_inf
     pts: set[Q] = set()
     stages: list[Q] = []
+    spent = 0  # digits of the points, by the bound of check
+
+    def check(stage: int, lo: Q, hi: Q, count: int, placed: int):
+        # a point a - t of the band [lo, hi) of count points has t < 1 with a
+        # denominator dividing 131*(count+1)*den(lo)*den(hi): a digit bound
+        nonlocal spent
+        den = a.denominator * 131 * (count + 1) * lo.denominator * hi.denominator
+        each = math.ceil(((abs(a.numerator) // a.denominator + 2) * den).bit_length() * math.log10(2))
+        spent += 2 * placed * each
+        if each > INT_DIGITS or spent > WITNESS_DIGITS:
+            bound = (f"Python's int-to-text limit of {INT_DIGITS} digits" if each > INT_DIGITS
+                     else f"the report budget of {WITNESS_DIGITS} digits")
+            raise ValidationError(f"a {which} witness of depth {depth} is past {bound} at stage "
+                                  f"{stage}; the largest depth within it is {stage - 1}")
 
     def place(dist_lo: Q, dist_hi: Q, count: int):
         # below the least accumulation point the distance to the whole
@@ -348,10 +373,14 @@ def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
         return placed
 
     if which == "big":
+        bands = []
         for n in range(2, depth + 2):
             m = isolated_count(h2, Q(1, n))
             if m == 0:
                 continue
+            check(n - 1, Q(1, n), Q(1, n - 1), n * m, n * m)
+            bands.append((n, m))
+        for n, m in bands:
             place(Q(1, n), Q(1, n - 1), n * m)
             stages.append(Q(1, n))
     else:
@@ -360,12 +389,14 @@ def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
         for i in range(1, depth + 1):
             k = max(k + 1, 2)
             while True:
+                check(i, Q(1, k + 1), Q(1, k), 1, 0)  # k doubles: this ends the loop
                 m = isolated_count(h2, Q(1, k))
                 if m > 0 and Q(i, m) < Q(1, i + 1) and (
                     prev_ratio is None or Q(i, m) < prev_ratio
                 ):
                     break
                 k *= 2
+            check(i, Q(1, k + 1), Q(1, k), 1, 1)
             t = place(Q(1, k + 1), Q(1, k), 1)[0]
             stages.append(t)
             # the realized ratio at the placed distance bounds the next stage

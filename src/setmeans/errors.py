@@ -5,8 +5,8 @@ class SetMeansError(Exception):
     """Base class for all domain errors."""
 
 
-class ValidationError(SetMeansError):
-    """A block or expression parameter is out of its legal range."""
+class ValidationError(SetMeansError, ValueError):
+    """A parameter or argument is out of its legal range (a ValueError too)."""
 
 
 class ParseError(SetMeansError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Union as TUnion
 
 from .blocks import (
@@ -32,12 +33,14 @@ from .blocks import (
     points_in_box,
     power_block,
     tower_outer_points,
+    tower_top_count,
 )
 from .errors import (
     CutNotRepresentable,
     EmptyResult,
     IntersectionNotRepresentable,
     MembershipUndecided,
+    ValidationError,
 )
 
 INFINITE_LEVEL = math.inf
@@ -443,69 +446,94 @@ def contains(h: BlockSet, x: Q) -> bool:
 
 
 class IsolationProfile:
-    """Points sorted by their exact distance to an accumulation set.
+    """Points with their exact distances to an accumulation set acc, and the
+    count of those at distance at least eps.
 
-    The distance of a point to the blocks of acc other than Cantor ones is
-    measured once; a Cantor block, which only a set outside the ISO domain
-    has, is checked at each eps with block_dist_at_least.  Given towers, the
-    profile holds their top points whose last term times |scale| is at least
-    floor, and lowers floor, at least by half, when a smaller eps is asked
-    for.  A top point whose last term is below eps lies within eps of its own
-    shorter sum, a point of acc, so the points left out never count at eps.
+    A point's distance to the blocks of acc other than Cantor ones (only
+    sets outside the ISO domain have those; they are checked at each eps) is
+    measured once, and kept in a sorted (distance, point) list to bisect:
+    one for the finite points, one per tower.  Towers come as (sum-of-powers
+    block, apart) pairs (_apart).  At eps <= apart a tower's count is
+    C(K, level) (tower_top_count), and no point is made: a top point's last
+    term times |scale| is its distance to the block's own accumulation set,
+    and the rest of acc is no nearer.  Otherwise the tower is walked, its
+    walk kept, so a smaller eps resumes below the old floor; points with a
+    last term below eps lie within eps of their shorter sums, in acc.
     """
 
     def __init__(self, acc: BlockSet, points, towers=()):
         self.near = [b for b in acc.blocks if not isinstance(b, Cantor)]
         self.cantors = [b for b in acc.blocks if isinstance(b, Cantor)]
-        self.towers = towers
-        self.floor: Optional[Q] = None if towers else Q(0)
         self.seen: set[Q] = set()
-        self.keys: list = []  # the distances, ascending (math.inf when acc is empty)
-        self.order: list[Q] = []  # the points, in the same order
-        self._add(points)
+        self.finite = self._measured(points)
+        self.towers = [(b, apart, [], []) for b, apart in towers]  # walk, list
 
-    def _add(self, points):
+    def _measured(self, points) -> list:
+        """(distance to acc or math.inf, x), sorted, for the new points."""
+        out = []
         for x in points:
             if x not in self.seen:
                 self.seen.add(x)
-                d = min((block_min_dist(b, x) for b in self.near), default=math.inf)
-                i = bisect_right(self.keys, d)
-                self.keys.insert(i, d)
-                self.order.insert(i, x)
+                out.append((min((block_min_dist(b, x) for b in self.near), default=math.inf), x))
+        out.sort()
+        return out
 
-    def _reach(self, eps: Q):
-        if self.floor is not None and eps >= self.floor:
-            return
-        floor = eps if self.floor is None else min(eps, self.floor / 2)
-        self._add([x for b in self.towers for x in tower_outer_points(b, floor, self.floor)])
-        self.floor = floor
+    def _walked(self, tower, eps: Q) -> list:
+        """The tower's list, walked down to eps."""
+        b, _, walk, pairs = tower
+        new = self._measured(tower_outer_points(b, eps, walk))
+        if new:
+            pairs.extend(new)
+            pairs.sort()  # two sorted runs: a merge
+        return pairs
 
     def outside(self, eps: Q) -> list[Q]:
         """The points at distance at least eps from acc, in order."""
-        self._reach(eps)
-        far = self.order[bisect_left(self.keys, eps):]
+        far = []
+        for pairs in (self.finite, *(self._walked(t, eps) for t in self.towers)):
+            far.extend(x for _, x in pairs[bisect_left(pairs, eps, key=itemgetter(0)):])
         if self.cantors:
             far = [x for x in far if all(block_dist_at_least(b, x, eps) for b in self.cantors)]
         return sorted(far)
 
     def count(self, eps: Q) -> int:
-        """len(outside(eps)); a bisection when acc has no Cantor block."""
+        """len(outside(eps)), without a list when acc has no Cantor block."""
         if self.cantors:
             return len(self.outside(eps))
-        self._reach(eps)
-        return len(self.keys) - bisect_left(self.keys, eps)
+        n = len(self.finite) - bisect_left(self.finite, eps, key=itemgetter(0))
+        for t in self.towers:
+            if eps <= t[1]:
+                n += tower_top_count(t[0], eps)
+            else:
+                pairs = self._walked(t, eps)
+                n += len(pairs) - bisect_left(pairs, eps, key=itemgetter(0))
+        return n
+
+
+def _apart(h: BlockSet, i: int):
+    """The largest eps at which h.blocks[i], a sum-of-powers block b, is
+    apart, or 0.  b is apart at eps when no finite point of h lies in its
+    hull but at its anchor, and every other non-Finite block of h lies on
+    the anchor's side of b's anchor or at hull distance at least eps > 0."""
+    b, pts = h.blocks[i], h.finite_points()
+    a, lo, hi = b.anchor, b.inf, b.sup
+    if any(x != a for x in pts[bisect_left(pts, lo):bisect_right(pts, hi)]):
+        return 0
+    gaps = [max(c.inf - hi, lo - c.sup) for j, c in enumerate(h.blocks) if not (
+        j == i or isinstance(c, Finite) or (c.sup <= a if b.scale > 0 else c.inf >= a))]
+    return max(0, min(gaps, default=math.inf))
 
 
 def _isolation(h: BlockSet) -> IsolationProfile:
     """h's isolation profile, computed once per set object."""
-    return h.memo("isolation", lambda: IsolationProfile(
-        derived_set(h), h.finite_points(), [b for b in h.blocks if isinstance(b, PowerSums)]))
+    return h.memo("isolation", lambda: IsolationProfile(derived_set(h), h.finite_points(), [
+        (b, _apart(h, i)) for i, b in enumerate(h.blocks) if isinstance(b, PowerSums)]))
 
 
 def _positive(eps) -> Q:
     eps = as_q(eps)
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise ValidationError("eps must be positive")
     return eps
 
 
@@ -523,7 +551,8 @@ def isolated_outside(h: BlockSet, eps: Q) -> list[Q]:
 
 
 def isolated_count(h: BlockSet, eps: Q) -> int:
-    """len(isolated_outside(h, eps)), by bisection of h's isolation profile."""
+    """len(isolated_outside(h, eps)), from h's isolation profile: by closed
+    form for each tower apart at eps (_apart), by bisection for the rest."""
     return _isolation(h).count(_positive(eps))
 
 

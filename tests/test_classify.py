@@ -218,6 +218,18 @@ def test_witness_avoids_collisions():
         assert not contains(h2, p)
 
 
+def test_witness_arguments_are_validated():
+    from setmeans import ValidationError
+
+    h2 = bset(seq(0))
+    for which, depth in (("medium", 3), ("small", 1), ("big", -1)):
+        with pytest.raises(ValidationError):
+            build_iso_witness(h2, which, depth)
+    # a ValidationError is a ValueError too, as before
+    with pytest.raises(ValueError):
+        build_iso_witness(h2, "big", 1)
+
+
 def test_witness_domain_violations():
     with pytest.raises(DomainViolation):
         build_iso_witness(bset(Finite((Q(1), Q(2)))), "big", 3)

@@ -111,6 +111,42 @@ def test_witness_command():
     assert len(rep["result"]["ratios"]) >= 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "--iso-small", "--depth", "64", "seq(0,1,1/2)"],
+    ["witness", "--iso-small", "--depth", "128", "seq(0,1,1/2)"],
+    ["witness", "--iso-big", "--depth", "256", "seq(0,1,1/2)"],
+])
+def test_deep_witnesses_end_with_a_report(argv):
+    # each answers, or exits 2 past the depth bound; none raises (no timing
+    # is asserted: the machine may be shared)
+    code, rep = run_command(argv + ["--json"])
+    assert code in (0, 2)
+    json.dumps(rep)
+    if code == 2:
+        assert " is past " in rep["diagnostics"][0]
+        assert "the largest depth within it is" in rep["diagnostics"][0]
+
+
+def test_witness_depth_bounds_name_the_bound():
+    code, rep = run_command(["witness", "--iso-small", "--depth", "128", "seq(0,1,1/2)"])
+    assert code == 2
+    assert "int-to-text limit of 4300 digits at stage" in rep["diagnostics"][0]
+    # the largest depth named answers, and the next one does not
+    depth = int(rep["diagnostics"][0].rsplit(" ", 1)[1])
+    assert run_command(["witness", "--iso-small", "--depth", str(depth), "seq(0,1,1/2)"])[0] == 0
+    assert run_command(["witness", "--iso-small", "--depth", str(depth + 1), "seq(0,1,1/2)"])[0] == 2
+    code, rep = run_command(["witness", "--iso-big", "--depth", "256", "seq(0,1,1/2)"])
+    assert code == 2
+    assert "report budget of 2000000 digits" in rep["diagnostics"][0]
+
+
+@pytest.mark.parametrize("depth", ["1", "0", "-3", "10000000"])
+def test_witness_depth_out_of_range_exits_2(depth):
+    code, rep = run_command(["witness", "--iso-small", "--depth", depth, "seq(0,1,1/2)"])
+    assert code == 2
+    assert rep["diagnostics"][0].startswith("validation error: depth must be at least 2")
+
+
 def test_laws_command():
     code, rep = run_command(
         ["laws", "--mean", "avg", "--law", "shift-invariant",

@@ -368,6 +368,130 @@ def test_isolation_profile_matches_per_eps_enumeration():
     assert checked > 200
 
 
+def _counted_closed_forms(monkeypatch):
+    """A Counter of the blocks whose count isolated_count read in closed form."""
+    from setmeans import sets
+
+    closed = Counter()
+    real = sets.tower_top_count
+
+    def counted(b, eps):
+        closed[b] += 1
+        return real(b, eps)
+
+    monkeypatch.setattr(sets, "tower_top_count", counted)
+    return closed
+
+
+def test_isolated_count_matches_reference_over_the_corpus(monkeypatch):
+    # a fresh set at each eps, so the count comes from the closed form of
+    # every tower apart at eps, and from a walk of the others
+    from setmeans.sets import isolated_count
+
+    closed = _counted_closed_forms(monkeypatch)
+    checked = 0
+    for seed in (1, 2, 3, 101):
+        for profile in ("finite", "sequences", "towers", "mixed"):
+            for e in gen_corpus(seed, 40, profile):
+                for j in (1, 2, 3, 5, 8, 13, 21, 34):
+                    eps = Q(1, 2**j)
+                    want = len(reference_isolated_outside(normalize(e), eps))
+                    assert isolated_count(normalize(e), eps) == want, (seed, profile, e, eps)
+                    checked += bool(want)
+    assert checked > 2000
+    assert sum(closed.values()) > 2000
+
+
+# eps just below, at and just above the hull gap of 1/64 between the two
+# sequences; the point 1/2 is 1/64 from the anchor 33/64, and the closed
+# form holds for the first sequence only up to that gap
+GAP = [Q(1, 64) - Q(1, 4096), Q(1, 64), Q(1, 64) + Q(1, 4096), Q(1, 8), Q(1, 4)]
+DOWN = [Q(1, 2), Q(1, 3), Q(1, 10), Q(1, 17), Q(1, 64), Q(3, 1000), Q(1, 2**20)]
+
+
+@pytest.mark.parametrize("text, eps_list, n_closed", [
+    ("seq(0,1,1/2) U seq(33/64,1,1/4)", GAP, 2),
+    ("seq(0,1,1/2) U seq(33/64,1,1/4) U {-1}", GAP, 2),
+    # one anchor, a sequence on each side: each lies on the other's anchor side
+    ("seq(-39/16,-1/2,1/4) U seq(-39/16,1,1/3)", DOWN, 2),
+    # a finite point inside a tower's hull keeps the tower out of the closed form
+    ("seq(0,1,1/2) U {3/8}", DOWN, 0),
+    ("tower(2,0,1/4) U {1/5, 7}", DOWN, 0),
+    # hulls that overlap
+    ("seq(-13/2,-1,1/4) U seq(-7,2,1/5)", DOWN, 0),
+    ("seq(0,1,1/2) U seq(0,1,1/3)", DOWN, 0),
+    # level 3, alone and next to another tower
+    ("tower(3,0,1/4)", DOWN, 1),
+    ("tower(3,0,1/5,-2) U tower(2,1,1/4)", DOWN, 2),
+    ("tower(3,0,1/4) U seq(1/2,1,1/2)", DOWN, 2),
+])
+def test_isolated_count_matches_reference_on_constructed_sets(monkeypatch, text, eps_list, n_closed):
+    from setmeans.sets import isolated_count
+
+    closed = _counted_closed_forms(monkeypatch)
+    h = normalize(parse(text))
+    for order in (eps_list, eps_list[::-1]):
+        shared = normalize(parse(text))
+        for eps in order:
+            want = reference_isolated_outside(h, eps)
+            assert isolated_count(normalize(parse(text)), eps) == len(want), (text, eps)
+            assert isolated_count(shared, eps) == len(want), (text, eps)
+            assert isolated_outside(shared, eps) == want, (text, eps)
+    # the blocks read in closed form at some eps
+    assert len(closed) == n_closed
+
+
+def test_tower_top_count_matches_the_walk_at_exact_terms():
+    # eps at a term |w| * r**k exactly, and a hair either side: the integer
+    # logarithm estimate of K may land on either side of the true K
+    from setmeans.blocks import Tower, tower_top_count
+
+    for level, r, w in ((1, Q(1, 2), Q(1)), (1, Q(1, 3), Q(-5, 7)), (1, Q(2, 3), Q(3)),
+                        (1, Q(1, 10), Q(1, 1000)), (1, Q(99, 100), Q(1)), (2, Q(1, 4), Q(2)),
+                        (3, Q(1, 5), Q(-1, 3))):
+        b = Tower(level, Q(0), w, r)
+        for k in range(1, 61) if level == 1 else range(1, 25, 3):
+            term = abs(w) * r**k
+            for eps in (term, term * (1 + Q(1, 10**30)), term * (1 - Q(1, 10**30))):
+                assert tower_top_count(b, eps) == len(tower_outer_points(b, eps)), (b, k, eps)
+        assert tower_top_count(b, abs(w) * r * 2) == 0
+
+
+def test_tower_walk_resumes_below_the_old_floor():
+    for text in ("seq(0,1,2/3)", "tower(2,1,1/4,-3)", "tower(3,0,1/5)"):
+        b = normalize(parse(text)).blocks[0]
+        walk, got = [], []
+        for eps in (Q(1, 3), Q(1, 3), Q(1, 50), Q(1, 7), Q(1, 2**12)):
+            got.extend(tower_outer_points(b, eps, walk))
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(tower_outer_points(b, Q(1, 2**12))), text
+
+
+def test_descending_eps_measures_each_tower_point_once(monkeypatch):
+    from setmeans import sets
+
+    calls = Counter()
+    real = sets.block_min_dist
+
+    def counted(b, x):
+        calls[b, x] += 1
+        return real(b, x)
+
+    monkeypatch.setattr(sets, "block_min_dist", counted)
+    for text in ("seq(-13/2,-1,1/4) U seq(-7,2,1/5)", "tower(2,0,1/4) U {1/5} U seq(1,1,1/2)"):
+        h = normalize(parse(text))
+        acc = derived_set(h)
+        calls.clear()
+        for j in range(1, 30, 3):
+            sets.isolated_count(h, Q(1, 2**j))
+            sets.isolated_outside(h, Q(1, 2**j))
+        assert max(calls.values()) == 1
+        # every point made, and no other, was measured against every block of H'
+        made = {x for b in h.blocks if isinstance(b, PowerSums)
+                for x in tower_outer_points(b, Q(1, 2**28))} | set(h.finite_points())
+        assert set(calls) == {(b, x) for b in acc.blocks for x in made}
+
+
 def reference_progressions_union(progressions, degree: int) -> Q:
     """Inclusion-exclusion over every nonempty subfamily of the progressions
     {e_i + p_i * k}: a subfamily whose congruences have a common solution,

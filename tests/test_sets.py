@@ -245,6 +245,17 @@ def test_isolated_outside_examples():
     assert isolated_outside(h, Q(1, 4)) == [Q(1, 4), Q(1, 2), Q(5)]
 
 
+def test_isolated_outside_needs_a_positive_eps():
+    from setmeans import ValidationError
+    from setmeans.sets import isolated_count
+
+    h = bset(GeomSeq(Q(0), Q(1), Q(1, 2)))
+    for f in (isolated_outside, isolated_count):
+        for eps in (Q(0), Q(-1, 2)):
+            with pytest.raises(ValidationError, match="eps must be positive"):
+                f(h, eps)
+
+
 def test_isolated_outside_is_antitone_and_far_from_acc():
     from setmeans.blocks import block_dist_at_least
 
