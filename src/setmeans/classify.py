@@ -75,14 +75,31 @@ def _closed(answer: Answer, *evidence: str) -> Verdict:
 # sampling probe
 
 
+XMAX = 100  # the largest translate exponent of a sampling grid
+
+
+def check_xmax(xmax: int) -> None:
+    if not 0 <= xmax <= XMAX:
+        raise ValidationError(f"xmax must lie in 0..{XMAX}, not {xmax}")
+
+
 def _translate_grid(xmax: int, *hs: BlockSet) -> list[Q]:
     """The sampled translates: base * 10**j for j = 0..xmax, then their negatives.
 
     The base is the largest diameter of the sets, or 1 when all are points.
+    ValidationError when xmax lies outside 0..XMAX or the largest translate
+    does not fit a float, which the defect trend and every approximate
+    value read it as.
     """
+    check_xmax(xmax)
     d = max(diameter(h) for h in hs)
     base = d if d > 0 else Q(1)
     xs = [base * 10**j for j in range(xmax + 1)]
+    try:
+        float(xs[-1])
+    except OverflowError:
+        raise ValidationError(f"the largest translate, 10**{xmax} times the largest "
+                              "diameter, does not fit a float") from None
     return xs + [-x for x in xs]
 
 
@@ -373,11 +390,17 @@ def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
         return placed
 
     if which == "big":
+        # m_(1/n) does not fall as n grows: bisect for the first nonempty stage
+        lo, hi = 2, depth + 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if isolated_count(h2, Q(1, mid)):
+                hi = mid
+            else:
+                lo = mid + 1
         bands = []
-        for n in range(2, depth + 2):
+        for n in range(lo, depth + 2):
             m = isolated_count(h2, Q(1, n))
-            if m == 0:
-                continue
             check(n - 1, Q(1, n), Q(1, n - 1), n * m, n * m)
             bands.append((n, m))
         for n, m in bands:

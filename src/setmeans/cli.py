@@ -15,8 +15,10 @@ from fractions import Fraction as Q
 
 from . import __version__
 from .classify import (
+    XMAX,
     Verdict,
     build_iso_witness_staged,
+    check_xmax,
     classify_bundle,
     k_disjoint,
     witness_stage_ratios,
@@ -83,7 +85,7 @@ def _add_common(sub):
     sub.add_argument("--tol", type=float, default=1e-9,
                      help="largest error of an approximate value")
     sub.add_argument("--xmax", type=int, default=4,
-                     help="largest translate exponent for sampling grids")
+                     help=f"largest translate exponent for sampling grids, 0..{XMAX}")
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -209,6 +211,7 @@ def _is_inconclusive(result) -> bool:
 
 def _dispatch(args, report) -> int:
     cfg = LadderConfig(tol=args.tol)
+    check_xmax(args.xmax)
     cmd = args.command
 
     if cmd == "eval":

@@ -168,6 +168,10 @@ def _iv_at(bits: int, f):
         iv.prec = saved
 
 
+# the precisions of every enclosure ladder: doubling, then the budget is spent
+_LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
+
+
 def _separate(f, g) -> Optional[int]:
     """Certified sign of f - g (-1 or 1), or None once 4096 bits do not tell.
 
@@ -175,7 +179,7 @@ def _separate(f, g) -> Optional[int]:
     evaluated at doubling precision until the intervals are disjoint.  Equal
     values never separate, so callers decide equality exactly first.
     """
-    for bits in (64, 128, 256, 512, 1024, 2048, 4096):
+    for bits in _LADDER:
         a, b = _iv_at(bits, lambda: (f(), g()))
         if a.b < b.a:
             return -1
@@ -316,29 +320,38 @@ def _classes(items, ratio) -> dict:
 
 
 def _weighted_mean(items, ratio, enclose, tol: float) -> MeanValue:
-    """sum(w * x) / sum(w) over (weight w, x) items with positive weights.
-
-    Exact when every commensurable class of weights has the same weighted
-    mean, as one class always has; otherwise the midpoint of an mpmath.iv
-    enclosure, enclose(w) for a weight, narrowed below tol at doubling
-    precision.
-    """
+    """sum(w * x) / sum(w) over (weight w, x) items with positive weights:
+    _mean_of_sums of the class sums (first, sum(q), sum(q * x)) of the
+    commensurable classes (_classes), where an item weighs q times first."""
     sums = [(first, sum(q for q, _ in members), sum(q * x for q, x in members))
             for first, members in _classes(items, ratio).items()]
+    return _mean_of_sums(sums, enclose, tol, {})
+
+
+def _mean_of_sums(sums, enclose, tol: float, dens: dict) -> MeanValue:
+    """sum(first * num) / sum(first * den) over the class sums (first, den, num).
+
+    Exact when every class has the same mean num / den, as one class always
+    has; otherwise the midpoint of an mpmath.iv enclosure, enclose(first) for
+    a class's weight, narrowed below tol at the ladder's precisions.  dens
+    keeps the denominator's enclosure by precision, so a caller that varies
+    only the numerators passes the same dict each time.  ValidationError
+    once 4096 bits are not narrow enough for tol.
+    """
     means = {num / den for _, den, num in sums}
     if len(means) == 1:
         return MeanValue.exact(means.pop())
 
     def enclosure():
-        return (sum(enclose(first) * _iv_q(num) for first, _, num in sums)
-                / sum(enclose(first) * _iv_q(den) for first, den, _ in sums))
+        if iv.prec not in dens:
+            dens[iv.prec] = sum(enclose(first) * _iv_q(d) for first, d, _ in sums)
+        return sum(enclose(first) * _iv_q(n) for first, _, n in sums) / dens[iv.prec]
 
-    bits = 64
-    while True:
+    for bits in _LADDER:
         x = _iv_at(bits, enclosure)
         if x.delta < tol:
             return MeanValue.approximate(float(x.mid), tol)
-        bits *= 2
+    raise ValidationError(f"no enclosure within tol {tol}: {bits} bits spent, the budget")
 
 
 def _compare_sums(terms1, terms2, ratio, enclose) -> Optional[int]:
@@ -565,7 +578,8 @@ class Weight:
 
     def mean(self, tol: float) -> MeanValue:
         """sum(t * x) / sum(t) over terms and positions: direct for a rational total,
-        else _weighted_mean in block order, whose enclosure sums classes in that order."""
+        else _weighted_mean in block order, whose enclosure sums classes in that order
+        (weigh reads the separated samples of a defect curve the same way)."""
         items = zip(self.terms, self.positions)
         if self.total is not None:
             # a point's term is 1: no Fraction product for it

@@ -14,10 +14,12 @@ compares the two halves of a set the same way.
 
 The defect itself has a closed form at a translate x that separates the
 hulls strictly: the union's mean is then read from the operands' own means,
-weights and bounds, and equals the evaluation of H1 u (H2+x).  A sample
-takes it when both operand means are exact and the mean is not iso (and,
-under avg, the weights at a shared dimension are rational); every other
-sample builds the union and the translate and measures them.
+weights and bounds, and equals the evaluation of H1 u (H2+x), bit for bit
+when it is approximate.  Its class sums are affine in x, so a defect curve
+builds them once for each side of H1 and each sample encloses only its
+numerators.  A sample builds the union and the translate and measures them
+only when the hulls are not strictly separated or an operand's mean is
+undefined.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .means import (
     MeanKind,
     MeanValue,
     Weight,
+    _classes,
+    _mean_of_sums,
     combine,
     mean_of,
     weight_of,
@@ -66,13 +70,17 @@ def weight_defect(h1: BlockSet, h2: BlockSet, kind: MeanKind, x: Q,
                   cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
     """K(H1 u (H2+x)) - (K(H1) + K(H2+x))/2, exact for the exact means.
 
-    When H2+x lies strictly on one side of H1's hull, both operand means
-    are exact and the mean is not iso, the three means come in closed form
+    When H2+x lies strictly on one side of H1's hull and both operand means
+    are defined, the three means are read from the operands
     (_separated_means) and equal the evaluation of the union and the
     translate; otherwise those two sets are built and measured.
     """
     kind = MeanKind(kind)
-    means = _separated_means(h1, h2, kind, x, cfg)
+    return _defect(h1, h2, kind, x, cfg, _separated_means(h1, h2, kind, cfg))
+
+
+def _defect(h1, h2, kind, x, cfg, separated) -> MeanValue:
+    means = separated(x)
     if means is None:
         shifted = translate_set(h2, x)
         means = (mean_of(union_sets(h1, shifted), kind, cfg),
@@ -80,37 +88,77 @@ def weight_defect(h1: BlockSet, h2: BlockSet, kind: MeanKind, x: Q,
     return combine(lambda u, k1, k2: u - (k1 + k2) / 2, *means, tol=cfg.tol)
 
 
-def _separated_means(h1: BlockSet, h2: BlockSet, kind: MeanKind, x: Q,
-                     cfg: LadderConfig):
-    """(K(H1 u (H2+x)), K(H1), K(H2+x)) without building a set, or None.
+def _separated_means(h1: BlockSet, h2: BlockSet, kind: MeanKind, cfg: LadderConfig):
+    """x -> (K(H1 u (H2+x)), K(H1), K(H2+x)) without building a set, or None.
 
-    With strictly disjoint hulls (touching ones can share a point) the
-    union's derived sets are the operands' side by side.  Under lis its
-    accumulation bounds are then the outer ones; under arith, acc and avg
-    the operand of higher weight order gives the mean, and at equal order
-    rational weights give (W1*K1 + W2*(K2+x)) / (W1 + W2).
+    None when the hulls of H1 and H2+x are not strictly disjoint (touching
+    ones can share a point) or an operand's mean is undefined.  Otherwise
+    the union's derived sets are the operands' side by side.  Under lis its
+    accumulation bounds are then the outer ones.  Under every other mean an
+    exact K(H2) shifts exactly; the operand of higher weight order gives the
+    union's mean; at equal order rational totals give
+    (W1*K1 + W2*(K2+x)) / (W1 + W2); and otherwise the union's terms are the
+    operands' terms side by side, left operand first, as the union's blocks
+    are.  A term's class and its rational multiple q of the class's first
+    term depend on the terms alone, so each class's sums sum(q) and
+    sum(q * position) are affine in x: K(H2+x) and, for each side of H1,
+    K(H1 u (H2+x)) are read from class sums built once (_affine_mean).
     """
-    if kind is MeanKind.ISO:
-        return None
     b1, b2 = (h.memo("bounds", lambda h=h: bounds(h)) for h in (h1, h2))
-    if not (b2.inf + x > b1.sup or b2.sup + x < b1.inf):
-        return None
-    m1, m2 = mean_of(h1, kind, cfg), mean_of(h2, kind, cfg)
-    if not (m1.is_exact and m2.is_exact):
-        return None
-    k1, k2 = m1.value, m2.value + x
-    if kind is MeanKind.LIS:
-        k = (min(b1.acc_inf, b2.acc_inf + x) + max(b1.acc_sup, b2.acc_sup + x)) / 2
-    else:
+    tails: dict = {}  # the class sums of K(H2+x), and of the union on each side
+
+    def tail(*parts):
+        key = tuple(moves for _, moves in parts)  # (True,), (False, True) or (True, False)
+        if key not in tails:
+            tails[key] = _affine_mean(parts)
+        return tails[key]
+
+    def at(x: Q):
+        right = b2.inf + x > b1.sup
+        if not (right or b2.sup + x < b1.inf):
+            return None
+        m1, m2 = mean_of(h1, kind, cfg), mean_of(h2, kind, cfg)
+        if not (m1.is_defined and m2.is_defined):
+            return None
+        if kind is MeanKind.LIS:
+            k = (min(b1.acc_inf, b2.acc_inf + x) + max(b1.acc_sup, b2.acc_sup + x)) / 2
+            return MeanValue.exact(k), m1, m2.shifted(x)
         w1, w2 = weight_of(h1, kind), weight_of(h2, kind)
+        k2 = m2.shifted(x) if m2.is_exact else tail((w2, True))(x, cfg.tol)
         higher = w1.compare_order(w2)
         if higher:
-            k = k1 if higher > 0 else k2
-        elif w1.total is None or w2.total is None:
-            return None
+            k = m1 if higher > 0 else k2
+        elif w1.total is not None and w2.total is not None:
+            k = MeanValue.exact((w1.total * m1.value + w2.total * k2.value) / (w1.total + w2.total))
         else:
-            k = (w1.total * k1 + w2.total * k2) / (w1.total + w2.total)
-    return MeanValue.exact(k), m1, MeanValue.exact(k2)
+            sides = ((w1, False), (w2, True))
+            k = tail(*(sides if right else sides[::-1]))(x, cfg.tol)
+        return k, m1, k2
+
+    return at
+
+
+def _affine_mean(parts):
+    """x, tol -> the weighted mean of (Weight, moves) parts' terms side by
+    side in block order, the positions of a part that moves shifted by x.
+
+    Its class sums (first, den, a, b) are built once: a class's numerator
+    is a + x*b, and means._mean_of_sums keeps the denominator's enclosure
+    by precision (dens), since x moves only numerators.
+    """
+    w0 = parts[0][0]
+    items = [(t, (p, moves)) for w, moves in parts for t, p in zip(w.terms, w.positions)]
+    sums = [(first, sum(q for q, _ in members),
+             sum(q * p for q, (p, _) in members),
+             sum(q for q, (_, moves) in members if moves))
+            for first, members in _classes(items, w0.ratio).items()]
+    dens: dict = {}
+
+    def at(x: Q, tol: float) -> MeanValue:
+        return _mean_of_sums([(first, den, a + x * b) for first, den, a, b in sums],
+                             w0.enclose, tol, dens)
+
+    return at
 
 
 def classify_trend(samples, tol: float) -> tuple[Trend, Optional[float]]:
@@ -142,9 +190,14 @@ def classify_trend(samples, tol: float) -> tuple[Trend, Optional[float]]:
 
 def defect_curve(h1: BlockSet, h2: BlockSet, kind: MeanKind,
                  cfg: LadderConfig = DEFAULT_CONFIG, xmax: int = 4) -> DefectCurve:
-    samples = tuple(
-        (x, weight_defect(h1, h2, kind, x, cfg)) for x in sorted(_translate_grid(xmax, h1, h2))
-    )
+    """weight_defect over the translate grid; the separated samples share
+    one _separated_means, so its class sums are built once per curve side.
+    ValidationError when xmax lies outside 0..XMAX or the grid's largest
+    translate does not fit a float."""
+    kind = MeanKind(kind)
+    xs = sorted(_translate_grid(xmax, h1, h2))
+    separated = _separated_means(h1, h2, kind, cfg)
+    samples = tuple((x, _defect(h1, h2, kind, x, cfg, separated)) for x in xs)
     trend, slope = classify_trend(samples, cfg.tol)
     return DefectCurve(samples, trend, slope)
 

@@ -24,6 +24,7 @@ from setmeans import (
     k_disjoint,
     normalize,
     normalize_blocks,
+    parse,
     sampler_probe,
     union_sets,
     witness_stage_ratios,
@@ -198,6 +199,21 @@ def test_witness_big_trend():
     ratios = [r for _, r in witness_stage_ratios(witness, h2, stages)]
     assert len(ratios) >= 3
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_witness_big_skips_its_empty_stages():
+    # m_(1/n) is 0 up to n = 200 here: the first stage found by bisection is
+    # the first a scan over n finds, and no stage at all is a domain error
+    from setmeans.sets import isolated_count
+
+    h2 = normalize(parse("seq(0,1/100,1/2)"))
+    depth = 230
+    witness, stages = build_iso_witness_staged(h2, "big", depth)
+    assert stages == tuple(Q(1, n) for n in range(2, depth + 2)
+                           if isolated_count(h2, Q(1, n)))
+    assert stages[0] == Q(1, 200)
+    with pytest.raises(DomainViolation, match="no stage produced any points"):
+        build_iso_witness_staged(h2, "big", 198)
 
 
 def test_witness_small_trend():

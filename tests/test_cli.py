@@ -147,6 +147,39 @@ def test_witness_depth_out_of_range_exits_2(depth):
     assert rep["diagnostics"][0].startswith("validation error: depth must be at least 2")
 
 
+def test_witness_with_only_empty_stages_exits_3():
+    # every isolated point lies below 1/depth: the first nonempty stage is
+    # bisected for, not scanned, so this ends at once
+    code, rep = run_command(["witness", "--iso-big", "--depth", "1000000",
+                             "seq(0,1/1000000000000,1/2)"])
+    assert code == 3
+    assert rep["diagnostics"] == [
+        "domain error: DomainViolation: no stage produced any points at this depth"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["weigh", "--mean", "arith", "--kind", "bound", "--xmax", "-1", "{1,2}", "{3,4}"],
+    ["weigh", "--mean", "arith", "--kind", "bound", "--xmax", "4400", "{1,2}", "{3,4}"],
+    ["weigh", "--mean", "iso", "--kind", "bound", "--xmax", "1000",
+     "seq(0,1,1/2) U seq(1,1,1/3)", "seq(0,1,1/5)"],
+    ["eval", "--mean", "arith", "--xmax", "101", "{1,2}"],
+])
+def test_xmax_outside_its_range_exits_2(argv):
+    code, rep = run_command(argv)
+    assert code == 2
+    assert rep["diagnostics"][0].startswith("validation error: xmax must lie in 0..100")
+
+
+def test_weigh_grid_past_a_float_exits_2():
+    far = "{0," + "1" + "0" * 250 + "}"
+    assert run_command(["weigh", "--mean", "arith", "--kind", "bound", "--xmax", "40",
+                        far, "{3,4}"])[0] == 0
+    code, rep = run_command(["weigh", "--mean", "arith", "--kind", "bound", "--xmax", "100",
+                             far, "{3,4}"])
+    assert code == 2
+    assert "does not fit a float" in rep["diagnostics"][0]
+
+
 def test_laws_command():
     code, rep = run_command(
         ["laws", "--mean", "avg", "--law", "shift-invariant",

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 from hypothesis import assume, given, strategies as st
-from mpmath import iv, mpf
+from mpmath import iv, mp, mpf
 
 from setmeans import (
     Cantor,
@@ -14,8 +14,10 @@ from setmeans import (
     GeomSeq,
     IncomparableDimensions,
     Interval,
+    LadderConfig,
     MeanKind,
     Tower,
+    ValidationError,
     arith_mean,
     bounds,
     derived_set,
@@ -159,6 +161,24 @@ def test_progressions_with_shared_factors_sum_in_closed_form(monkeypatch, degree
     got = means._progressions_union([(0, s) for s in steps], degree)
     assert type(got) is Q and got == want
     assert len(calls) <= 4 * len(steps)
+
+
+def test_enclosure_doubles_its_precision_for_a_small_tol():
+    # 64 bits enclose the mean to about 1e-19: 1e-300 takes the ladder up
+    h = normalize(parse("seq(0,1,1/2) U seq(1,1,1/3)"))
+    coarse = mean_of(h, MeanKind.ISO)
+    fine = mean_of(h, MeanKind.ISO, LadderConfig(tol=1e-300))
+    assert (fine.status, fine.tol) == ("approx", 1e-300)
+    assert abs(fine.approx - coarse.approx) <= 1e-9
+    with mp.workdps(60):
+        assert fine.approx == float(mp.log(2) / mp.log(6))
+
+
+def test_enclosure_past_the_ladder_is_a_validation_error():
+    # near 10**1000 the enclosure at 4096 bits is about 1e-233 wide, not 5e-324
+    h = translate_set(normalize(parse("seq(0,1,1/2) U seq(1,1,1/3)")), Q(10) ** 1000)
+    with pytest.raises(ValidationError, match=r"tol 5e-324: 4096 bits spent"):
+        mean_of(h, MeanKind.ISO, LadderConfig(tol=5e-324))
 
 
 def test_iso_domain_violation():

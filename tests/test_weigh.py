@@ -8,16 +8,21 @@ from setmeans import (
     Answer,
     DEFAULT_CONFIG,
     Cantor,
+    DefectCurve,
     DomainViolation,
     Finite,
     GeomSeq,
     Interval,
     MeanKind,
+    MeanValue,
     Method,
+    SetMeansError,
     Tower,
     Trend,
+    ValidationError,
     WeightKind,
     arith_mean,
+    bounds,
     defect_curve,
     equal_weight,
     gen_corpus,
@@ -33,7 +38,7 @@ from setmeans import (
 from setmeans.classify import _translate_grid
 from setmeans.laws import PROFILES
 from setmeans.means import combine
-from setmeans.weigh import _separated_means
+from setmeans.weigh import _separated_means, classify_trend
 
 
 def bset(*blocks):
@@ -277,42 +282,118 @@ def union_evaluation(h1, h2, kind, x):
     return mean_of(union_sets(h1, shifted), kind), mean_of(h1, kind), mean_of(shifted, kind)
 
 
+def separates(h1, h2, x):
+    b1, b2 = bounds(h1), bounds(h2)
+    return b2.inf + x > b1.sup or b2.sup + x < b1.inf
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 def test_separated_samples_equal_the_union_evaluation(profile):
+    # MeanValue equality: an approximate sample carries the union's float bit for bit
     sets = [normalize(e) for e in gen_corpus(7, 25, profile)]
-    served = 0
+    served = approx = 0
     for i, h1 in enumerate(sets):
         h2 = sets[(i * 7 + 3) % len(sets)]
-        for kind in (MeanKind.ARITH, MeanKind.LIS, MeanKind.ACC, MeanKind.AVG):
+        for kind in MeanKind:
+            separated = _separated_means(h1, h2, kind, DEFAULT_CONFIG)  # one per curve
+            defined = mean_of(h1, kind).is_defined and mean_of(h2, kind).is_defined
             for x in _translate_grid(4, h1, h2) + [Q(1, 3), Q(-7, 2)]:
-                got = _separated_means(h1, h2, kind, x, DEFAULT_CONFIG)
+                got = separated(x)
+                assert (got is not None) == (defined and separates(h1, h2, x)), (i, kind, x)
                 if got is not None:
                     assert got == union_evaluation(h1, h2, kind, x), (i, kind, x)
                     served += 1
+                    approx += not got[0].is_exact
     assert served >= 300
+    if profile in ("sequences", "towers", "cantor"):
+        assert approx > 0
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_defect_curves_equal_the_union_evaluation(seed):
+    # whole curves, both sides, with the translates that do not separate
+    # the hulls; a curve that raises must raise as its reference does
+    sets = [normalize(e) for profile, n in (("mixed", 24), ("sequences", 12), ("cantor", 12))
+            for e in gen_corpus(seed, n, profile)]
+    curves = crossing = approx = 0
+    for i, h1 in enumerate(sets):
+        h2 = sets[(i * 5 + 1) % len(sets)]
+        for kind in MeanKind:
+            try:
+                samples = tuple(
+                    (x, combine(lambda u, a, b: u - (a + b) / 2,
+                                *union_evaluation(h1, h2, kind, x), tol=DEFAULT_CONFIG.tol))
+                    for x in sorted(_translate_grid(4, h1, h2)))
+            except SetMeansError as exc:
+                with pytest.raises(type(exc)):
+                    defect_curve(h1, h2, kind)
+                continue
+            trend, slope = classify_trend(samples, DEFAULT_CONFIG.tol)
+            assert defect_curve(h1, h2, kind) == DefectCurve(samples, trend, slope), (i, kind)
+            curves += 1
+            crossing += any(not separates(h1, h2, x) for x, _ in samples)
+            approx += any(d.is_defined and not d.is_exact for _, d in samples)
+    assert curves >= 100 and crossing > 0 and approx > 0
 
 
 def test_touching_hulls_take_the_union_evaluation():
     # {0,1} u ({0,3}+1) = {0,1,4} shares the point 1: its mean is 5/3, where
     # the count-weighted combination of the operands would give 3/2
     h1, h2, x = bset(Finite((Q(0), Q(1)))), bset(Finite((Q(0), Q(3)))), Q(1)
-    assert _separated_means(h1, h2, MeanKind.ARITH, x, DEFAULT_CONFIG) is None
+    assert _separated_means(h1, h2, MeanKind.ARITH, DEFAULT_CONFIG)(x) is None
     union, k1, k2 = union_evaluation(h1, h2, MeanKind.ARITH, x)
     assert union.value == Q(5, 3)
     assert weight_defect(h1, h2, MeanKind.ARITH, x).value == Q(5, 3) - (k1.value + k2.value) / 2
 
 
-def test_iso_and_cantor_weights_take_the_union_evaluation():
+def test_iso_and_cantor_separated_samples_are_read():
     cases = [
-        # iso: every sample is evaluated on the union
+        # iso counts 1/ln 2 and 1/ln 3
         (bset(seq(0)), bset(seq(0, r=Q(1, 3))), MeanKind.ISO),
-        # two Cantor blocks at one dimension: "terms" weights, not rational
+        # Cantor weights 1 and 2**(log 2/log 3) at one dimension: "terms" weights
         (bset(Cantor(Q(0), Q(1), 2, Q(1, 3))), bset(Cantor(Q(0), Q(2), 2, Q(1, 3))), MeanKind.AVG),
     ]
     for h1, h2, kind in cases:
         assert mean_of(h1, kind).is_exact and mean_of(h2, kind).is_exact
-        x = Q(10)
-        assert _separated_means(h1, h2, kind, x, DEFAULT_CONFIG) is None
-        union, k1, k2 = union_evaluation(h1, h2, kind, x)
-        assert weight_defect(h1, h2, kind, x) == combine(
-            lambda u, a, b: u - (a + b) / 2, union, k1, k2, tol=DEFAULT_CONFIG.tol)
+        for x in (Q(10), Q(-10)):
+            got = _separated_means(h1, h2, kind, DEFAULT_CONFIG)(x)
+            assert got == union_evaluation(h1, h2, kind, x)
+            assert not got[0].is_exact
+
+
+def test_cantor_classes_follow_the_union_block_order():
+    # _weight_ratio is not transitive across families: (1, 4, 9) relates to
+    # (1, 2, 3), and (1, 2, 3) to (3, 2, 3), but (1, 4, 9) not to (3, 2, 3).
+    # With H1's block first the union has two classes and an approximate
+    # mean; with H2's first it has one and the exact mean -11/2.  Classes
+    # merged per operand would give one answer on both sides.
+    h1 = normalize(parse("cantor(0,1,4,1/9)"))
+    h2 = normalize(parse("cantor(0,1,2,1/3) U cantor(2,5,2,1/3)"))
+    right = _separated_means(h1, h2, MeanKind.AVG, DEFAULT_CONFIG)(Q(10))
+    assert right == union_evaluation(h1, h2, MeanKind.AVG, Q(10))
+    assert not right[0].is_exact and abs(right[0].approx - 9.5) < 1e-9
+    left = _separated_means(h1, h2, MeanKind.AVG, DEFAULT_CONFIG)(Q(-10))
+    assert left == union_evaluation(h1, h2, MeanKind.AVG, Q(-10))
+    assert left[0] == MeanValue.exact(Q(-11, 2))
+    # a curve keeps one set of class sums per side: x = 3 and -3 differ the same way
+    for x, defect in defect_curve(h1, h2, MeanKind.AVG).samples:
+        assert defect == combine(lambda u, a, b: u - (a + b) / 2,
+                                 *union_evaluation(h1, h2, MeanKind.AVG, x), tol=DEFAULT_CONFIG.tol)
+        assert defect.is_exact is (x < 0)
+
+
+@pytest.mark.parametrize("xmax", [-1, 101, 4400])
+def test_xmax_outside_its_range_is_a_validation_error(xmax):
+    h1, h2 = bset(Finite((Q(1), Q(2)))), bset(Finite((Q(3), Q(4))))
+    with pytest.raises(ValidationError, match="0..100"):
+        defect_curve(h1, h2, MeanKind.ARITH, xmax=xmax)
+    with pytest.raises(ValidationError, match="0..100"):
+        transitivity_probe(h1, h2, h2, MeanKind.ARITH, xmax=xmax)
+
+
+def test_a_grid_past_a_float_is_a_validation_error():
+    h1 = bset(Finite((Q(0), Q(10) ** 250)))
+    h2 = bset(Finite((Q(3), Q(4))))
+    assert len(defect_curve(h1, h2, MeanKind.ARITH, xmax=50).samples) == 102
+    with pytest.raises(ValidationError, match="does not fit a float"):
+        defect_curve(h1, h2, MeanKind.ARITH, xmax=100)
