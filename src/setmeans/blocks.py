@@ -39,6 +39,10 @@ CANTOR_DEPTH = 512
 #: here and the mpmath.iv enclosures of means
 CACHE_SIZE = 1024
 
+#: Python's default int_max_str_digits: no int of more digits is read from
+#: text or written as text
+INT_DIGITS = 4300
+
 
 def as_q(value) -> Q:
     if isinstance(value, Q):
@@ -46,6 +50,14 @@ def as_q(value) -> Q:
     if isinstance(value, int):
         return Q(value)
     raise ValidationError(f"expected a rational, got {value!r}")
+
+
+def _unchecked(cls, fields: dict):
+    """A cls block holding fields as they are, without __post_init__: for a
+    block derived from a valid one by a map that keeps every invariant."""
+    b = object.__new__(cls)
+    vars(b).update(fields)
+    return b
 
 
 def _coprime_basis(nums) -> list[int]:
@@ -108,9 +120,7 @@ class Finite:
     def of_sorted(cls, points: tuple[Q, ...]) -> "Finite":
         """The block of points that are already Fractions, strictly increasing
         and at least one: taken as they are, with no check."""
-        b = object.__new__(cls)
-        object.__setattr__(b, "points", points)
-        return b
+        return _unchecked(cls, {"points": points})
 
     @property
     def inf(self) -> Q:
@@ -157,7 +167,15 @@ class PowerSums:
         return self.anchor + self.scale * self.sums[-1] if self.scale > 0 else self.anchor
 
     def translate(self, x: Q):
-        return replace(self, anchor=self.anchor + x)
+        """The block moved by x, unchecked: the cached sums depend only on
+        ratio and level and are carried, and cached bounds move by x."""
+        x = as_q(x)
+        fields = dict(vars(self))
+        fields["anchor"] = self.anchor + x
+        for end in ("inf", "sup"):
+            if end in fields:
+                fields[end] += x
+        return _unchecked(type(self), fields)
 
     def reflect(self, c: Q):
         return replace(self, anchor=2 * c - self.anchor, scale=-self.scale)
@@ -236,7 +254,8 @@ class Interval:
         return self.hi
 
     def translate(self, x: Q) -> "Interval":
-        return Interval(self.lo + x, self.hi + x)
+        x = as_q(x)
+        return _unchecked(Interval, {"lo": self.lo + x, "hi": self.hi + x})
 
     def reflect(self, c: Q) -> "Interval":
         return Interval(2 * c - self.hi, 2 * c - self.lo)
@@ -278,7 +297,9 @@ class Cantor:
         return Cantor(lo, lo + self.ratio * (self.hi - self.lo), self.pieces, self.ratio)
 
     def translate(self, x: Q) -> "Cantor":
-        return Cantor(self.lo + x, self.hi + x, self.pieces, self.ratio)
+        x = as_q(x)
+        return _unchecked(Cantor, {"lo": self.lo + x, "hi": self.hi + x,
+                                   "pieces": self.pieces, "ratio": self.ratio})
 
     def reflect(self, c: Q) -> "Cantor":
         # the equally spaced map family is symmetric, so reflection stays in class
@@ -499,7 +520,8 @@ def _cut_tower(b: PowerSums, y: Q, keep_low: bool) -> list[Block]:
             else:
                 out.append(power_block(lvl, b.anchor + b.scale * offset, b.scale * scl, b.ratio))
     if points:
-        out.append(Finite(tuple(points)))
+        points.sort()
+        out.append(Finite.of_sorted(tuple(points)))
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
 
-from .blocks import Finite, Interval
+from .blocks import INT_DIGITS, Finite, Interval
 from .errors import DomainViolation, EmptyResult, IntersectionNotRepresentable, ValidationError
 from .means import (
     DEFAULT_CONFIG,
@@ -320,8 +320,6 @@ def k_disjoint(h1: BlockSet, h2: BlockSet, kind: MeanKind, weak: bool = False,
 
 #: the report-size budget: the most digits the points of a witness may take
 WITNESS_DIGITS = 2_000_000
-#: Python's default int_max_str_digits: no int of more digits is written as text
-INT_DIGITS = 4300
 
 
 def build_iso_witness(h2: BlockSet, which: str, depth: int,

@@ -8,7 +8,7 @@ Grammar (whitespace insignificant):
              | "tower(" int "," rat "," rat [ "," rat ] ")"
              | "cantor(" rat "," rat "," int "," rat ")"
              | "shift(" expr "," rat ")" | "below(" expr "," rat ")" | "above(" expr "," rat ")"
-    int     := optionally signed string of decimal digits
+    int     := optionally signed string of at most INT_DIGITS (4300) decimal digits
     rat     := int [ "/" unsigned positive int ]
 
 ``below``/``above`` keep the part of the set at or below/above the cut;
@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 
-from .blocks import Cantor, Finite, GeomSeq, Interval, Tower
+from .blocks import INT_DIGITS, Cantor, Finite, GeomSeq, Interval, Tower
 from .errors import ParseError
 from .sets import CutAbove, CutBelow, Leaf, SetExpr, Translate, Union
 
@@ -57,6 +57,10 @@ def _tokenize(src: str) -> list:
         if group == 1:
             tokens.append((text, text, offset))
         elif group == 2:
+            # Python reads no int of more digits from text
+            if len(text) - (text[0] in "+-") > INT_DIGITS:
+                raise _error(src, offset, f"integer literal longer than {INT_DIGITS} digits",
+                             (f"integer of at most {INT_DIGITS} digits",))
             tokens.append(("int", text, offset))
         elif group == 4:
             raise _error(src, offset, f"stray {text!r}", ("integer",))

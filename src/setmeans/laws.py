@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction as Q
 from .blocks import Cantor, Finite, GeomSeq, Interval, Tower
 from .dsl import render
-from .errors import EmptyResult, IntersectionNotRepresentable
+from .errors import EmptyResult, IntersectionNotRepresentable, ValidationError
 from .means import (
     DEFAULT_CONFIG,
     LadderConfig,
@@ -159,11 +159,12 @@ def _gen_expr(rng, profile: str) -> SetExpr:
 
 
 def gen_corpus(seed: int, count: int, profile: str = "mixed") -> list[SetExpr]:
-    """Deterministic corpus of normalizable expressions for one profile."""
+    """Deterministic corpus of normalizable expressions for one profile;
+    ValidationError for a count below 1 or an unknown profile."""
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise ValidationError("count must be at least 1")
     if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
+        raise ValidationError(f"unknown profile {profile!r}; choose from {PROFILES}")
     rng = random.Random(seed * 1_000_003 + zlib.crc32(profile.encode()) % 999_983)
     out: list[SetExpr] = []
     while len(out) < count:

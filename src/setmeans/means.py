@@ -336,7 +336,8 @@ def _mean_of_sums(sums, enclose, tol: float, dens: dict) -> MeanValue:
     a class's weight, narrowed below tol at the ladder's precisions.  dens
     keeps the denominator's enclosure by precision, so a caller that varies
     only the numerators passes the same dict each time.  ValidationError
-    once 4096 bits are not narrow enough for tol.
+    once 4096 bits are not narrow enough for tol, or when the mean is past
+    the float range.
     """
     means = {num / den for _, den, num in sums}
     if len(means) == 1:
@@ -350,7 +351,11 @@ def _mean_of_sums(sums, enclose, tol: float, dens: dict) -> MeanValue:
     for bits in _LADDER:
         x = _iv_at(bits, enclosure)
         if x.delta < tol:
-            return MeanValue.approximate(float(x.mid), tol)
+            mid = float(x.mid)
+            if not math.isfinite(mid):
+                raise ValidationError("the mean is outside the float range: "
+                                      f"its enclosure's midpoint reads {mid} as a float")
+            return MeanValue.approximate(mid, tol)
     raise ValidationError(f"no enclosure within tol {tol}: {bits} bits spent, the budget")
 
 

@@ -129,8 +129,8 @@ class BlockSet:
     def memo(self, key, compute):
         """compute(), computed on first use for this key and kept for the
         life of the object.  The set is immutable, so what is derived from it
-        is too: its derived set, its means and weights, its bounds as the
-        equal-weight defect reads them, its isolation profile."""
+        is too: its derived set, its means and weights, its bounds, its
+        isolation profile."""
         derived = self._derived
         if key not in derived:
             derived[key] = compute()
@@ -330,7 +330,15 @@ def normalize(e: SetExpr) -> BlockSet:
 
 
 def translate_set(h: BlockSet, x: Q) -> BlockSet:
-    return BlockSet(tuple(b.translate(x) for b in h.blocks), provenance=None)
+    """h + x, block by block: h is canonical and so is the result, since a
+    translation keeps block_sort_key's order and every canonical property.
+
+    Each block is moved without being checked again (its translate), but
+    nothing kept with h (BlockSet.memo) is carried, so every mean of h + x is
+    computed afresh.  ValidationError when x is not rational.
+    """
+    x = as_q(x)
+    return BlockSet(tuple(b.translate(x) for b in h.blocks))
 
 
 def reflect_set(h: BlockSet, c: Q) -> BlockSet:
@@ -353,7 +361,8 @@ def cut_set(h: BlockSet, y: Q, keep_low: bool) -> BlockSet:
 
 def derived_set(h: BlockSet) -> BlockSet:
     """The set of accumulation points, block by block; computed once per set
-    object (BlockSet.memo), so bounds, top_level and level share it.
+    object (BlockSet.memo), so top_level, level and the isolation profile
+    share it.
 
     A level-k tower contributes the (k-1)-tower plus the anchor (a limit of
     the j=1 points), so a sequence, the level-1 tower, gives its anchor alone;
@@ -422,14 +431,31 @@ class Bounds:
 
 
 def bounds(h: BlockSet) -> Bounds:
+    """The hulls of h and of its derived set h' (acc_inf, acc_sup; None when
+    h' is empty), kept with the set (BlockSet.memo).
+
+    h' is the union of its blocks' derived sets, so its hull is read from
+    each block other than Finite: a sequence gives its anchor, a level-k
+    tower its anchor and the box of its (k-1)-tower, anchor + scale *
+    S_(k-1), and an interval or a Cantor block its own ends.  No derived set
+    is built.
+    """
     if h.is_empty:
         raise EmptyResult("bounds of the empty set are undefined")
-    lo = min(b.inf for b in h.blocks)
-    hi = max(b.sup for b in h.blocks)
-    acc = derived_set(h)
-    if acc.is_empty:
-        return Bounds(lo, hi, None, None)
-    return Bounds(lo, hi, min(b.inf for b in acc.blocks), max(b.sup for b in acc.blocks))
+    return h.memo("bounds", lambda: _bounds(h.blocks))
+
+
+def _bounds(blocks) -> Bounds:
+    acc = []
+    for b in blocks:
+        if isinstance(b, PowerSums):
+            acc.append(b.anchor)
+            if b.level > 1:
+                acc.append(b.anchor + b.scale * b.sums[b.level - 1])
+        elif not isinstance(b, Finite):
+            acc.extend((b.inf, b.sup))
+    return Bounds(min(b.inf for b in blocks), max(b.sup for b in blocks),
+                  min(acc, default=None), max(acc, default=None))
 
 
 def diameter(h: BlockSet) -> Q:
@@ -557,25 +583,38 @@ def isolated_count(h: BlockSet, eps: Q) -> int:
 
 
 def _block_intersect(b1: Block, b2: Block) -> list[Block]:
-    if b1 == b2:
-        return [b1]
+    """b1 and b2's common points as a list of blocks, for intersect and
+    disjoint.
+
+    The boxes are tested first: apart they share nothing, and touching only
+    their common end.  A Finite block tests only its points inside the other
+    block's box, found by bisection; two infinite blocks with a finite common
+    part list it from one of them.  IntersectionNotRepresentable when the
+    pair is outside the decidable fragment.
+    """
     if b1.sup < b2.inf or b2.sup < b1.inf:
         return []
+    if b1 == b2:
+        return [b1]
     if b1.sup == b2.inf or b2.sup == b1.inf:
         pt = b2.inf if b1.sup == b2.inf else b1.inf
         try:
             if block_contains(b1, pt) and block_contains(b2, pt):
-                return [Finite((pt,))]
+                return [Finite.of_sorted((pt,))]
             return []
         except MembershipUndecided as exc:
             raise IntersectionNotRepresentable(str(exc))
     if isinstance(b2, Finite) or (isinstance(b2, Interval) and not isinstance(b1, Finite)):
         b1, b2 = b2, b1
     if isinstance(b1, Finite):
-        try:
-            pts = tuple(p for p in b1.points if block_contains(b2, p))
-        except MembershipUndecided as exc:
-            raise IntersectionNotRepresentable(str(exc))
+        pts = b1.points
+        lo = bisect_left(pts, b2.inf)
+        pts = pts[lo:bisect_right(pts, b2.sup, lo)]
+        if not isinstance(b2, Interval):
+            try:
+                pts = tuple([p for p in pts if block_contains(b2, p)])
+            except MembershipUndecided as exc:
+                raise IntersectionNotRepresentable(str(exc))
         return [Finite.of_sorted(pts)] if pts else []
     if isinstance(b1, Interval):
         # clip the other block to [lo, hi]; exact for everything but
@@ -594,10 +633,10 @@ def _block_intersect(b1: Block, b2: Block) -> list[Block]:
         pts = points_in_box(a, u, v)
         if pts is not None:
             try:
-                hits = tuple(p for p in pts if block_contains(c, p))
+                hits = sorted(p for p in pts if block_contains(c, p))
             except MembershipUndecided as exc:
                 raise IntersectionNotRepresentable(str(exc))
-            return [Finite(hits)] if hits else []
+            return [Finite.of_sorted(tuple(hits))] if hits else []
     if isinstance(b1, GeomSeq) and isinstance(b2, GeomSeq):
         if _geom_absorbs(b1, b2):
             return [b2]

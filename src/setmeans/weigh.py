@@ -104,7 +104,7 @@ def _separated_means(h1: BlockSet, h2: BlockSet, kind: MeanKind, cfg: LadderConf
     sum(q * position) are affine in x: K(H2+x) and, for each side of H1,
     K(H1 u (H2+x)) are read from class sums built once (_affine_mean).
     """
-    b1, b2 = (h.memo("bounds", lambda h=h: bounds(h)) for h in (h1, h2))
+    b1, b2 = bounds(h1), bounds(h2)
     tails: dict = {}  # the class sums of K(H2+x), and of the union on each side
 
     def tail(*parts):

@@ -190,6 +190,47 @@ def test_laws_command():
     assert rep["result"]["trials"] > 0
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_laws_with_no_sets_exits_2(n):
+    code, rep = run_command(["laws", "--mean", "arith", "--law", "internal", "--n", n])
+    assert code == 2
+    assert rep["diagnostics"] == ["validation error: count must be at least 1"]
+
+
+@pytest.mark.parametrize("text, column", [
+    ("{" + "1" * 5000 + "}", 2),
+    ("{1,\n -" + "1" * 4301 + "}", 2),
+    ("seq(0, 1, 1/" + "3" * 4301 + ")", 13),
+    ("tower(" + "2" * 4301 + ", 0, 1/4)", 7),
+    ("cantor(0, 1, " + "3" * 4301 + ", 1/9)", 14),
+])
+def test_literal_past_the_digit_limit_is_a_parse_error(text, column):
+    code, rep = run_command(["eval", "--mean", "arith", text])
+    assert code == 2
+    line = 1 + text.count("\n")
+    assert rep["diagnostics"] == [
+        f"parse error: integer literal longer than 4300 digits at line {line}, column {column} "
+        "(expected integer of at most 4300 digits)"]
+
+
+def test_literal_at_the_digit_limit_is_read():
+    code, rep = run_command(["eval", "--mean", "arith", "{" + "1" * 4300 + "}"])
+    assert code == 0
+    assert rep["result"]["value"] == {"num": "1" * 4300, "den": "1"}
+
+
+def test_approximate_mean_past_the_float_range_exits_2():
+    a = 10**400
+    code, rep = run_command(["eval", "--mean", "iso", "--json",
+                             f"seq({a},1,1/2) U seq({a + 1},1,1/3)"])
+    assert code == 2
+    assert rep["diagnostics"][0].startswith(
+        "validation error: the mean is outside the float range")
+    # the same pair near 0 is approximate and in range
+    code, rep = run_command(["eval", "--mean", "iso", "seq(0,1,1/2) U seq(1,1,1/3)"])
+    assert code == 0 and rep["result"]["status"] == "approx"
+
+
 def test_strict_mode_exit_code():
     # an iso evaluation that cannot converge is inconclusive evidence;
     # pick a bundle with an INCONCLUSIVE member via numerically equal dims

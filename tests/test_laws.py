@@ -9,6 +9,7 @@ from setmeans import (
     GeomSeq,
     LawKind,
     MeanKind,
+    ValidationError,
     check_law,
     gen_corpus,
     mean_of,
@@ -42,9 +43,9 @@ def test_corpus_profiles():
 
 
 def test_corpus_validates_count_and_profile():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         gen_corpus(1, 0, "finite")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         gen_corpus(1, 5, "nonsense")
 
 

@@ -4,10 +4,13 @@ These oracles never touch the code paths they check: membership is
 evaluated directly on the expression tree, intersections are compared
 point by point, the isolated-point mean is recomputed from the plain
 isolation enumeration, which is itself checked against a per-eps
-enumeration, and the inclusion-exclusion of shared isolated points against
-a walk over every subfamily.
+enumeration, the inclusion-exclusion of shared isolated points against
+a walk over every subfamily, accumulation bounds against the derived set's
+hull, translated blocks against their validating constructors, and block
+intersections against a test of every finite point.
 """
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -18,6 +21,7 @@ import pytest
 from setmeans import (
     CutAbove,
     CutBelow,
+    Bounds,
     Finite,
     GeomSeq,
     IntersectionNotRepresentable,
@@ -26,6 +30,8 @@ from setmeans import (
     MembershipUndecided,
     Translate,
     Union,
+    ValidationError,
+    bounds,
     contains,
     gen_corpus,
     intersect,
@@ -34,11 +40,22 @@ from setmeans import (
     normalize,
     normalize_blocks,
     parse,
+    translate_set,
+    union_sets,
 )
-from setmeans.blocks import PowerSums, block_contains, block_dist_at_least, tower_outer_points
-from setmeans.laws import _disjoint
+from setmeans.blocks import (
+    Interval,
+    PowerSums,
+    block_contains,
+    block_dist_at_least,
+    cut_block,
+    points_in_box,
+    tower_outer_points,
+)
+from setmeans.errors import CutNotRepresentable
+from setmeans.laws import PROFILES, _disjoint
 from setmeans.means import DEFAULT_CONFIG, MeanValue, _progressions_union, arith_mean
-from setmeans.sets import derived_set
+from setmeans.sets import _geom_absorbs, derived_set, disjoint
 
 
 def expr_contains(e, x: Q) -> bool:
@@ -527,3 +544,198 @@ def test_progressions_union_matches_every_subfamily(degree):
                 want = reference_progressions_union(progressions, degree)
                 assert type(got) is Q and type(want) is Q
                 assert got == want, (progressions, degree)
+
+
+# ---------------------------------------------------------------------------
+# set algebra: bounds, translates and block intersections
+
+SHIFTS = (Q(0), Q(100), Q(-100), Q(7), Q(1, 3))
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    """Canonical sets of gen_corpus seeds 1-3 and 101, by (seed, profile)."""
+    return {(seed, profile): [normalize(e) for e in gen_corpus(seed, 40, profile)]
+            for seed in (1, 2, 3, 101) for profile in PROFILES}
+
+
+def _translated_unions(corpora):
+    """Each corpus set, its translates, and unions of it with another set's
+    translates, the other set from the same corpus and from the next profile's."""
+    for (seed, profile), hs in corpora.items():
+        others = corpora[seed, PROFILES[(PROFILES.index(profile) + 1) % len(PROFILES)]]
+        for i, h in enumerate(hs):
+            for x in SHIFTS:
+                yield translate_set(h, x)
+                for g in (hs[(i * 7 + 3) % len(hs)], others[i % len(others)]):
+                    yield union_sets(h, translate_set(g, x))
+
+
+def reference_bounds(h):
+    """The hulls of h and of its derived set, built."""
+    acc = derived_set(h)
+    lo, hi = min(b.inf for b in h.blocks), max(b.sup for b in h.blocks)
+    if acc.is_empty:
+        return Bounds(lo, hi, None, None)
+    return Bounds(lo, hi, min(b.inf for b in acc.blocks), max(b.sup for b in acc.blocks))
+
+
+def test_bounds_is_the_hull_of_the_derived_set(corpora):
+    checked = 0
+    for h in _translated_unions(corpora):
+        assert bounds(h) == reference_bounds(h), h
+        checked += 1
+    assert checked > 5000
+
+
+def constructed_translate(b, x: Q):
+    """b moved by x through the block's validating constructor."""
+    if isinstance(b, Finite):
+        return Finite(tuple(p + x for p in b.points))
+    if isinstance(b, PowerSums):
+        return dataclasses.replace(b, anchor=b.anchor + x)
+    return dataclasses.replace(b, lo=b.lo + x, hi=b.hi + x)
+
+
+def test_translated_blocks_equal_constructed_ones(corpora):
+    kinds = Counter()
+    for hs in corpora.values():
+        for h in hs:
+            for b in h.blocks:
+                # the corpus block has its bounds cached; a rebuilt one has nothing
+                for src in (b, constructed_translate(b, Q(0))):
+                    for x in SHIFTS:
+                        got, want = src.translate(x), constructed_translate(src, x)
+                        assert type(got) is type(want)
+                        assert got == want and hash(got) == hash(want)
+                        assert (got.inf, got.sup) == (want.inf, want.sup)
+                        if isinstance(got, PowerSums):
+                            assert got.sums == want.sums
+                kinds[type(b).__name__] += 1
+    assert set(kinds) == {"Finite", "GeomSeq", "Tower", "Interval", "Cantor"}
+
+
+def test_translate_set_returns_the_canonical_translate(corpora):
+    for hs in corpora.values():
+        for h in hs:
+            for x in SHIFTS:
+                got = translate_set(h, x)
+                assert got == normalize_blocks(constructed_translate(b, x) for b in h.blocks)
+
+
+def test_translate_refuses_an_irrational_offset(corpora):
+    kinds = set()
+    for hs in corpora.values():
+        for h in hs[:5]:
+            with pytest.raises(ValidationError):
+                translate_set(h, 0.5)
+            for b in h.blocks:
+                with pytest.raises(ValidationError):
+                    b.translate(0.5)
+                kinds.add(type(b).__name__)
+    assert kinds == {"Finite", "GeomSeq", "Tower", "Interval", "Cantor"}
+
+
+def test_cut_tower_points_are_a_valid_finite_block(corpora):
+    """The points of a sum-of-powers cut come sorted and distinct."""
+    rng = random.Random(18)
+    cuts = 0
+    for hs in corpora.values():
+        for h in hs:
+            for b in h.blocks:
+                if not isinstance(b, PowerSums):
+                    continue
+                for _ in range(4):
+                    y = b.inf + (b.sup - b.inf) * Q(rng.randint(0, 64), 64)
+                    for keep_low in (True, False):
+                        for part in cut_block(b, y, keep_low):
+                            if isinstance(part, Finite):
+                                assert part == Finite(part.points)
+                                cuts += 1
+    assert cuts > 500
+
+
+def reference_block_intersect(b1, b2):
+    """A block pair's intersection with every finite point tested."""
+    if b1 == b2:
+        return [b1]
+    if b1.sup < b2.inf or b2.sup < b1.inf:
+        return []
+    if b1.sup == b2.inf or b2.sup == b1.inf:
+        pt = b2.inf if b1.sup == b2.inf else b1.inf
+        try:
+            return [Finite((pt,))] if block_contains(b1, pt) and block_contains(b2, pt) else []
+        except MembershipUndecided as exc:
+            raise IntersectionNotRepresentable(str(exc))
+    if isinstance(b2, Finite) or (isinstance(b2, Interval) and not isinstance(b1, Finite)):
+        b1, b2 = b2, b1
+    if isinstance(b1, Finite):
+        try:
+            pts = tuple(p for p in b1.points if block_contains(b2, p))
+        except MembershipUndecided as exc:
+            raise IntersectionNotRepresentable(str(exc))
+        return [Finite(pts)] if pts else []
+    if isinstance(b1, Interval):
+        try:
+            return [c for b in cut_block(b2, b1.lo, keep_low=False)
+                    for c in cut_block(b, b1.hi, keep_low=True)]
+        except CutNotRepresentable as exc:
+            raise IntersectionNotRepresentable(str(exc))
+    u, v = max(b1.inf, b2.inf), min(b1.sup, b2.sup)
+    for a, c in ((b1, b2), (b2, b1)):
+        pts = points_in_box(a, u, v)
+        if pts is not None:
+            try:
+                hits = tuple(p for p in pts if block_contains(c, p))
+            except MembershipUndecided as exc:
+                raise IntersectionNotRepresentable(str(exc))
+            return [Finite(hits)] if hits else []
+    if isinstance(b1, GeomSeq) and isinstance(b2, GeomSeq):
+        if _geom_absorbs(b1, b2):
+            return [b2]
+        if _geom_absorbs(b2, b1):
+            return [b1]
+    raise IntersectionNotRepresentable("interleaved accumulation")
+
+
+def reference_intersect(h1, h2):
+    return normalize_blocks(b for b1 in h1.blocks for b2 in h2.blocks
+                            for b in reference_block_intersect(b1, b2))
+
+
+def reference_disjoint(h1, h2):
+    # block pairs in intersect's order: the first that meets answers
+    return not any(reference_block_intersect(b1, b2) for b1 in h1.blocks for b2 in h2.blocks)
+
+
+def _outcome(f, h1, h2):
+    try:
+        return f(h1, h2)
+    except IntersectionNotRepresentable:
+        return "undecidable"
+
+
+def test_intersect_and_disjoint_match_every_point_reference(corpora):
+    outcomes = Counter()
+    for (seed, profile), hs in corpora.items():
+        others = corpora[seed, PROFILES[(PROFILES.index(profile) + 2) % len(PROFILES)]]
+        for i, h in enumerate(hs):
+            for x in SHIFTS:
+                for g in (h, hs[(i * 7 + 3) % len(hs)], others[i % len(others)]):
+                    g = translate_set(g, x)
+                    assert _outcome(intersect, h, g) == _outcome(reference_intersect, h, g)
+                    want = _outcome(reference_disjoint, h, g)
+                    assert _outcome(disjoint, h, g) == want, (h, g)
+                    outcomes[want] += 1
+    # disjoint pairs, meeting pairs, and undecidable pairs all occur
+    assert outcomes[True] and outcomes[False] and outcomes["undecidable"]
+
+
+def test_common_points_of_two_sequences_come_sorted():
+    # seq(0,1,1/2) lists its points in [1/16, 1/2] downwards; the common
+    # ones, 1/2 and 1/8, make one sorted Finite block
+    a, c = GeomSeq(Q(0), Q(1), Q(1, 2)), GeomSeq(Q(1, 16), Q(49, 16), Q(1, 7))
+    for h1, h2 in ((a, c), (c, a)):
+        h1, h2 = normalize_blocks([h1]), normalize_blocks([h2])
+        assert intersect(h1, h2).blocks == (Finite((Q(1, 8), Q(1, 2))),)
+        assert intersect(h1, h2) == reference_intersect(h1, h2)
