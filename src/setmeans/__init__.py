@@ -21,7 +21,6 @@ from .classify import (
     is_big_for,
     is_small_for,
     k_disjoint,
-    sampler_probe,
     witness_stage_ratios,
 )
 from .dsl import parse, render, render_set
@@ -97,6 +96,6 @@ __all__ = [
     "is_big_for", "is_small_for", "isolated_outside", "k_bounds",
     "k_disjoint", "level", "mean_of", "normalize", "normalize_blocks",
     "parse", "reflect_set", "render", "render_set", "round_defect",
-    "round_witness", "sampler_probe", "transitivity_probe", "translate_set",
+    "round_witness", "transitivity_probe", "translate_set",
     "union_sets", "weight_defect", "witness_stage_ratios",
 ]

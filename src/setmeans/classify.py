@@ -1,11 +1,11 @@
 """Small-set and big-set classification relative to a mean.
 
 A set V is small to H when unioning or removing any translate of V leaves
-the mean of H unchanged; V is big to H when H is small to V.  For each of
-the five means the family has a closed form (finiteness, level comparison,
-dimension comparison, or the isolated-count degree that is the order of the
-set's kept ``means.Weight``), so verdicts are definitive; a sampling probe
-over a translate grid supplies the evidence trail.
+the mean of H unchanged; V is big to H when H is small to V.  Under every
+mean V is small to H exactly when V's order (``means.order_of``: the
+dimension, the level, or under lis the level capped at 1) is below H's, so
+every verdict is closed-form and definitive.  A set is globally small when
+it is small to every member of the domain, that is, to one of least order.
 """
 
 from __future__ import annotations
@@ -15,18 +15,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction as Q
 
-from .blocks import INT_DIGITS, Finite, Interval
-from .errors import DomainViolation, EmptyResult, IntersectionNotRepresentable, ValidationError
+from .blocks import INT_DIGITS, Finite, GeomSeq
+from .errors import DomainViolation, EmptyResult, ValidationError
 from .means import (
     DEFAULT_CONFIG,
     LadderConfig,
     MeanKind,
-    compare_dims,
-    dimension_of,
-    iso_eligible,
+    compare_orders,
     mean_of,
-    order,
-    weight_of,
+    order_of,
 )
 from .sets import (
     BlockSet,
@@ -39,8 +36,6 @@ from .sets import (
     isolated_count,
     level,
     normalize_blocks,
-    translate_set,
-    union_sets,
 )
 
 
@@ -72,7 +67,7 @@ def _closed(answer: Answer, *evidence: str) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# sampling probe
+# translate grids
 
 
 XMAX = 100  # the largest translate exponent of a sampling grid
@@ -103,84 +98,6 @@ def _translate_grid(xmax: int, *hs: BlockSet) -> list[Q]:
     return xs + [-x for x in xs]
 
 
-def _remove(h: BlockSet, s: BlockSet):
-    """h minus s when representable: whole-block matches or finite points."""
-    if s.is_empty:
-        return h
-    remaining = list(h.blocks)
-    loose_points: set[Q] = set()
-    for b in s.blocks:
-        if b in remaining:
-            remaining.remove(b)
-        elif isinstance(b, Finite):
-            loose_points.update(b.points)
-        else:
-            return None
-    out = []
-    for b in remaining:
-        if isinstance(b, Finite):
-            pts = tuple(p for p in b.points if p not in loose_points)
-            hit = set(b.points) & loose_points
-            loose_points -= hit
-            if pts:
-                out.append(Finite(pts))
-        else:
-            out.append(b)
-    if loose_points:
-        # a removed point sits inside an infinite block: not representable
-        for b in out:
-            if any(b.inf <= p <= b.sup for p in loose_points):
-                return None
-    return normalize_blocks(out)
-
-
-def sampler_probe(v: BlockSet, h: BlockSet, kind: MeanKind, cfg: LadderConfig,
-                  xmax: int = 3) -> Verdict:
-    """Evaluate the defining equalities of smallness at sampled translates.
-
-    Can only refute (a witness x where the mean moves) or stay inconclusive;
-    skipped non-representable probes are recorded in the evidence.
-    """
-    ref = mean_of(h, kind, cfg)
-    evidence = []
-    witness = None
-    for x in _translate_grid(xmax, h):
-        union = union_sets(h, translate_set(v, x))
-        lhs = mean_of(union, kind, cfg)
-        sign = order(lhs, ref, cfg.tol)
-        if sign is None:
-            evidence.append(f"x={x}: union left the domain ({lhs.reason}); skipped")
-        else:
-            evidence.append(f"x={x}: K(H u V+x)={lhs} vs K(H)={ref}")
-            if sign:
-                witness = x
-                break
-        try:
-            inter = intersect(h, translate_set(v, x))
-        except IntersectionNotRepresentable:
-            evidence.append(f"x={x}: difference not representable; skipped")
-            continue
-        diff = _remove(h, inter)
-        if diff is None:
-            evidence.append(f"x={x}: removal not representable; skipped")
-            continue
-        if diff.is_empty:
-            evidence.append(f"x={x}: removal empties the set; skipped")
-            continue
-        rhs = mean_of(diff, kind, cfg)
-        sign = order(rhs, ref, cfg.tol)
-        if sign is None:
-            evidence.append(f"x={x}: difference left the domain ({rhs.reason}); skipped")
-        else:
-            evidence.append(f"x={x}: K(H - (V+x))={rhs}")
-            if sign:
-                witness = x
-                break
-    if witness is not None:
-        return Verdict(Answer.NO, Method.SAMPLER, tuple(evidence))
-    return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, tuple(evidence))
-
-
 # ---------------------------------------------------------------------------
 # the classifiers
 
@@ -198,34 +115,10 @@ def _small(v: BlockSet, h: BlockSet, kind: MeanKind) -> Verdict:
     """is_small_for for an H already known to be in the domain."""
     if v.is_empty:
         return _closed(Answer.YES, "empty set is small to everything")
-    if kind is MeanKind.ARITH:
-        if v.is_finite:
-            return _closed(Answer.NO, f"|V|={len(v.finite_points())} > 0 shifts a finite mean")
-        return _closed(Answer.NO, "infinite V leaves the union outside the domain")
-    if kind is MeanKind.LIS:
-        if v.is_finite:
-            return _closed(Answer.YES, "finite sets never move accumulation bounds")
-        return _closed(Answer.NO, "an infinite V placed far away moves an accumulation bound")
-    if kind is MeanKind.ACC:
-        lv, lh = level(v), level(h)
-        if lv < lh:
-            return _closed(Answer.YES, f"lev(V)={lv} < lev(H)={lh}")
-        return _closed(Answer.NO, f"lev(V)={lv} >= lev(H)={lh}")
-    if kind is MeanKind.AVG:
-        dv, dh = dimension_of(v), dimension_of(h)
-        cmp = compare_dims(dv, dh)
-        if cmp < 0:
-            return _closed(Answer.YES, "V carries zero measure at H's dimension")
-        return _closed(Answer.NO, "V carries positive (or dominating) measure at H's dimension")
-    # ISO: the count-growth degrees decide the limit of the count ratio n/m
-    if not iso_eligible(v):
-        return _closed(Answer.NO, "V has interval or cantor parts, unions leave the domain")
-    dv, dh = weight_of(v, kind).order, weight_of(h, kind).order
-    if dv < dh:
-        return _closed(Answer.YES, f"count degree {dv} < {dh}: n/m -> 0")
-    if dv > dh:
-        return _closed(Answer.NO, f"count degree {dv} > {dh}: n/m -> infinity")
-    return _closed(Answer.NO, f"equal count degree {dv}: n/m has a positive finite limit")
+    ov, oh = order_of(v, kind), order_of(h, kind)
+    if compare_orders(ov, oh) < 0:
+        return _closed(Answer.YES, f"order(V)={ov} < order(H)={oh}")
+    return _closed(Answer.NO, f"order(V)={ov} >= order(H)={oh}")
 
 
 def is_big_for(v: BlockSet, h: BlockSet, kind: MeanKind,
@@ -246,8 +139,7 @@ def _big(v: BlockSet, h: BlockSet, kind: MeanKind, v_in_domain: bool) -> Verdict
     if not v_in_domain:
         return _closed(Answer.NO, f"a set outside Dom({kind.value}) is never big")
     inner = _small(h, v, kind)
-    return Verdict(inner.answer, inner.method,
-                   ("via duality: H small to V <=> V big to H",) + inner.evidence)
+    return _closed(inner.answer, "via duality: H small to V <=> V big to H", *inner.evidence)
 
 
 def comparable(h: BlockSet, v: BlockSet, kind: MeanKind,
@@ -279,8 +171,6 @@ def classify_bundle(h: BlockSet, v: BlockSet, kind: MeanKind,
     big = _big(v, h, kind, v_in_domain)
     if not v_in_domain:
         neither = DomainViolation(f"candidate set is outside Dom({kind.value})")
-    elif Answer.INCONCLUSIVE in (small.answer, big.answer):
-        neither = Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, small.evidence + big.evidence)
     elif small.answer is Answer.NO and big.answer is Answer.NO:
         neither = _closed(Answer.YES, *(small.evidence + big.evidence))
     else:
@@ -290,7 +180,13 @@ def classify_bundle(h: BlockSet, v: BlockSet, kind: MeanKind,
 
 def k_disjoint(h1: BlockSet, h2: BlockSet, kind: MeanKind, weak: bool = False,
                cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
-    """Is the intersection small (globally, or to both sets for the weak form)?"""
+    """Is the intersection small to both sets (the weak form), or globally
+    small: small to every member of Dom(kind), that is, to one of least order?
+
+    Those are a point, or under lis, where a finite set has no mean, a
+    sequence; so only the empty set is globally small, or under lis the
+    finite sets.
+    """
     kind = MeanKind(kind)
     inter = intersect(h1, h2)
     if inter.is_empty:
@@ -298,21 +194,14 @@ def k_disjoint(h1: BlockSet, h2: BlockSet, kind: MeanKind, weak: bool = False,
     if weak:
         a = is_small_for(inter, h1, kind, cfg)
         b = is_small_for(inter, h2, kind, cfg)
-        if a.answer is Answer.YES and b.answer is Answer.YES:
-            return _closed(Answer.YES, *(a.evidence + b.evidence))
-        if Answer.NO in (a.answer, b.answer):
-            return _closed(Answer.NO, *(a.evidence + b.evidence))
-        return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, a.evidence + b.evidence)
-    if kind is MeanKind.ARITH:
-        return _closed(Answer.NO, "only the empty set is globally small for finite means")
-    if kind is MeanKind.AVG:
-        if any(isinstance(b, Interval) for b in inter.blocks):
-            return _closed(Answer.NO, "intersection has positive Lebesgue measure")
-        return _closed(Answer.YES, "intersection is Lebesgue null")
-    # LIS, ACC, ISO: the globally small family is the finite sets
-    if inter.is_finite:
-        return _closed(Answer.YES, f"intersection is finite ({len(inter.finite_points())} points)")
-    return _closed(Answer.NO, "intersection is infinite")
+        both = a.answer is Answer.YES and b.answer is Answer.YES
+        return _closed(Answer.YES if both else Answer.NO, *(a.evidence + b.evidence))
+    least = BlockSet((Finite.of_sorted((Q(0),)),))
+    if not mean_of(least, kind, cfg).is_defined:
+        least = BlockSet((GeomSeq(Q(0), Q(1), Q(1, 2)),))
+    inner = _small(inter, least, kind)
+    return _closed(inner.answer, "globally: V is the intersection, "
+                   f"H a least member of Dom({kind.value})", *inner.evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +237,7 @@ def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
         raise ValidationError(f"depth must be at least 2 and at most {WITNESS_DIGITS // 2}")
     if h2.is_empty:
         raise EmptyResult("cannot build a witness against the empty set")
-    if not iso_eligible(h2):
+    if level(h2) == math.inf:  # interval or Cantor parts: isolated points are not dense
         raise DomainViolation("reference set is outside the isolated-point domain")
     acc = derived_set(h2)
     if acc.is_empty:

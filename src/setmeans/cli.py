@@ -23,18 +23,8 @@ from .classify import (
     k_disjoint,
     witness_stage_ratios,
 )
-from .dsl import parse, render_set
-from .errors import (
-    CutNotRepresentable,
-    DomainViolation,
-    EmptyResult,
-    IncomparableDimensions,
-    IntersectionNotRepresentable,
-    MembershipUndecided,
-    ParseError,
-    SetMeansError,
-    ValidationError,
-)
+from .dsl import int_text, parse, render_set
+from .errors import DomainViolation, ParseError, SetMeansError, ValidationError
 from .laws import PROFILES, LawKind, check_law, gen_corpus
 from .means import LadderConfig, MeanKind, MeanValue, k_bounds, mean_of
 from .roundness import round_pass
@@ -48,7 +38,7 @@ EXIT_INCONCLUSIVE = 4
 
 
 def _q_json(q: Q) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+    return {"num": int_text(q.numerator), "den": int_text(q.denominator)}
 
 
 def _float_str(v: float) -> str:
@@ -172,20 +162,17 @@ def run_command(argv) -> tuple[int, dict]:
     }
     try:
         code = _dispatch(args, report)
-    except ParseError as exc:
-        report["diagnostics"].append(
-            f"parse error: {exc} (expected {', '.join(exc.expected)})")
-        return EXIT_USAGE, report
-    except ValidationError as exc:
-        report["diagnostics"].append(f"validation error: {exc}")
-        return EXIT_USAGE, report
-    except (DomainViolation, EmptyResult, CutNotRepresentable, MembershipUndecided,
-            IntersectionNotRepresentable, IncomparableDimensions) as exc:
-        report["diagnostics"].append(f"domain error: {type(exc).__name__}: {exc}")
-        return EXIT_DOMAIN, report
     except SetMeansError as exc:
-        report["diagnostics"].append(f"error: {exc}")
-        return EXIT_DOMAIN, report
+        # bad input exits 2; any other library error is a domain error
+        if isinstance(exc, ParseError):
+            report["diagnostics"].append(
+                f"parse error: {exc} (expected {', '.join(exc.expected)})")
+        elif isinstance(exc, ValidationError):
+            report["diagnostics"].append(f"validation error: {exc}")
+        else:
+            report["diagnostics"].append(f"domain error: {type(exc).__name__}: {exc}")
+            return EXIT_DOMAIN, report
+        return EXIT_USAGE, report
     if code == EXIT_OK and args.strict and _is_inconclusive(report["result"]):
         report["diagnostics"].append("strict mode: result is INCONCLUSIVE")
         return EXIT_INCONCLUSIVE, report
@@ -199,10 +186,6 @@ def _is_inconclusive(result) -> bool:
         return True
     if result.get("trend") == "INCONCLUSIVE":
         return True
-    bundle = result.get("bundle")
-    if bundle:
-        return any(v is not None and v.get("answer") == "INCONCLUSIVE"
-                   for v in bundle.values())
     verdict = result.get("verdict")
     if isinstance(verdict, dict):
         return verdict.get("answer") == "INCONCLUSIVE"

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction as Q
 
 from .blocks import INT_DIGITS, Cantor, Finite, GeomSeq, Interval, Tower
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .sets import CutAbove, CutBelow, Leaf, SetExpr, Translate, Union
 
 # a mark (its own kind), an integer, a word, then the two lexical errors:
@@ -165,8 +165,19 @@ def parse(src: str) -> SetExpr:
     return _Parser(src).parse()
 
 
+def int_text(n: int) -> str:
+    """The decimal text of n; ValidationError past INT_DIGITS digits, where
+    Python stops converting an int to text."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ValidationError(
+            f"a result of more than {INT_DIGITS} digits cannot be written") from None
+
+
 def fmt_q(q: Q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{int_text(q.denominator)}"
 
 
 def render(e: SetExpr) -> str:

@@ -38,6 +38,7 @@ from .sets import (
     bounds,
     cut_set,
     derived_sets,
+    level,
     top_level,
     INFINITE_LEVEL,
 )
@@ -244,6 +245,9 @@ class DimValue:
     m: Optional[int] = None
     invr: Optional[Q] = None
 
+    def __str__(self):
+        return {"zero": "0", "one": "1"}.get(self.kind) or f"log {self.m}/log {self.invr}"
+
 
 DIM_ZERO = DimValue("zero")
 DIM_ONE = DimValue("one")
@@ -405,11 +409,6 @@ def _iv_weight(term):
 # isolated-count growth
 
 
-def iso_eligible(h: BlockSet) -> bool:
-    """Structural domain check: the isolated points must be dense in the set."""
-    return not any(isinstance(b, (Interval, Cantor)) for b in h.blocks)
-
-
 _NOT_DENSE = "set has interval or cantor parts; isolated points are not dense"
 
 
@@ -433,9 +432,9 @@ def iso_growth(h: BlockSet):
     (_progressions_union).  A finite set is the one term
     (its mean, its size, None).
     """
-    if not iso_eligible(h):
+    degree = level(h)
+    if degree == INFINITE_LEVEL:
         raise DomainViolation(_NOT_DENSE)
-    degree = max((b.level for b in h.blocks if isinstance(b, PowerSums)), default=0)
     if degree == 0:
         pts = h.finite_points()
         return 0, ((arith_mean(pts), Q(len(pts)), None),)
@@ -535,21 +534,41 @@ def _iv_count_weight(x, degree: int):
 
 
 # ---------------------------------------------------------------------------
-# weights
+# orders and weights
+
+
+def order_of(h: BlockSet, kind: MeanKind):
+    """The order of h under kind, outside Dom(kind) too: what smallness
+    compares.  The dimension under avg, the level capped at 1 under lis (a
+    finite set has none of lis's accumulation points, and any other has
+    them), and the level under every other mean, math.inf when h has
+    interval or Cantor parts."""
+    if kind is MeanKind.AVG:
+        return dimension_of(h)
+    if kind is MeanKind.LIS:
+        return min(level(h), 1)
+    return level(h)
+
+
+def compare_orders(a, b) -> int:
+    """Sign of order a minus order b: dimensions by compare_dims, levels as numbers."""
+    if isinstance(a, DimValue):
+        return compare_dims(a, b)
+    return (a > b) - (a < b)
 
 
 @dataclass(frozen=True, slots=True)
 class Weight:
     """What a set weighs under a mean other than lis.
 
-    order: 0 under arith, the level under acc, the dimension (a DimValue)
-    under avg, the count degree under iso.  terms and positions: those of
-    the top-order parts, in block order; a term is 1 for a point, an
-    interval's length, a Cantor block's (diam, m, invr) worth diam**s, or an
-    iso term's (c, r) worth c * (1/ln(1/r))**degree.  total: the terms' sum
-    when it is rational (an int for counts), else None and ratio and enclose
-    relate and enclose the terms.  The tuples are parallel: a weight is kept
-    with its set, and a pair per part would add objects for the collector.
+    order: order_of the set (under iso the level is the count degree).
+    terms and positions: those of the top-order parts, in block order; a
+    term is 1 for a point, an interval's length, a Cantor block's (diam, m,
+    invr) worth diam**s, or an iso term's (c, r) worth c * (1/ln(1/r))**degree.
+    total: the terms' sum when it is rational (an int for counts), else None
+    and ratio and enclose relate and enclose the terms.  The tuples are
+    parallel: a weight is kept with its set, and a pair per part would add
+    objects for the collector.
     """
 
     order: object
@@ -558,12 +577,6 @@ class Weight:
     ratio: Optional[Callable] = field(default=None, compare=False, repr=False)
     enclose: Optional[Callable] = field(default=None, compare=False, repr=False)
     total: Optional[Q] = None
-
-    def compare_order(self, other: "Weight") -> int:
-        """Sign of this order minus the other's."""
-        if isinstance(self.order, DimValue):
-            return compare_dims(self.order, other.order)
-        return (self.order > other.order) - (self.order < other.order)
 
     def compare_magnitude(self, other: "Weight") -> Optional[int]:
         """Sign of this weight minus the other's at a shared order; None when undecided."""
@@ -610,34 +623,31 @@ def _kept_weight(h: BlockSet, kind: MeanKind):
 
 
 def _weight(h: BlockSet, kind: MeanKind):
-    if kind is MeanKind.ARITH:
-        if not h.is_finite:
-            return "infinite set"
-        return _point_weight(0, h)
-    if kind is MeanKind.ACC:
-        lev, top = top_level(h)
-        if lev == INFINITE_LEVEL:
-            return "infinite level"
-        return _point_weight(lev, top)
-    if kind is MeanKind.ISO:
-        if not iso_eligible(h):
-            return _NOT_DENSE
-        degree, terms = iso_growth(h)
-        return Weight(degree, tuple((c, r) for _, c, r in terms), tuple(a for a, _, _ in terms),
-                      *_count_weights(degree))
     if kind is MeanKind.LIS:
         raise ValueError("lis has no weight: it compares accumulation bounds")
-    dim = dimension_of(h)
-    if dim.kind == "zero":
+    order = order_of(h, kind)
+    if kind is MeanKind.ARITH:
+        return _point_weight(order, h) if order == 0 else "infinite set"
+    if kind is MeanKind.ACC:
+        if order == INFINITE_LEVEL:
+            return "infinite level"
+        return _point_weight(order, top_level(h)[1])
+    if kind is MeanKind.ISO:
+        if order == INFINITE_LEVEL:
+            return _NOT_DENSE
+        terms = iso_growth(h)[1]
+        return Weight(order, tuple((c, r) for _, c, r in terms), tuple(a for a, _, _ in terms),
+                      *_count_weights(order))
+    if order.kind == "zero":
         if not h.is_finite:
             return "not an s-set: infinitely many points at dimension 0"
-        return _point_weight(dim, h)
-    top = [b for b in h.blocks if compare_dims(block_dim(b), dim) == 0]
+        return _point_weight(order, h)
+    top = [b for b in h.blocks if compare_dims(block_dim(b), order) == 0]
     centres = tuple((b.lo + b.hi) / 2 for b in top)  # of Cantor blocks by symmetry
-    if dim.kind == "one":
+    if order.kind == "one":
         lengths = tuple(b.hi - b.lo for b in top)
-        return Weight(dim, lengths, centres, total=sum(lengths, Q(0)))
-    return Weight(dim, tuple((b.hi - b.lo, b.pieces, 1 / b.ratio) for b in top), centres,
+        return Weight(order, lengths, centres, total=sum(lengths, Q(0)))
+    return Weight(order, tuple((b.hi - b.lo, b.pieces, 1 / b.ratio) for b in top), centres,
                   _weight_ratio, _iv_weight)
 
 

@@ -361,8 +361,8 @@ def cut_set(h: BlockSet, y: Q, keep_low: bool) -> BlockSet:
 
 def derived_set(h: BlockSet) -> BlockSet:
     """The set of accumulation points, block by block; computed once per set
-    object (BlockSet.memo), so top_level, level and the isolation profile
-    share it.
+    object (BlockSet.memo), so the isolation profile and the cut candidates
+    of k_bounds share it.
 
     A level-k tower contributes the (k-1)-tower plus the anchor (a limit of
     the j=1 points), so a sequence, the level-1 tower, gives its anchor alone;
@@ -385,14 +385,6 @@ def _derive(h: BlockSet) -> BlockSet:
     return normalize_blocks(out)
 
 
-def level(h: BlockSet):
-    """Cantor-Bendixson style rank: least n with the (n+1)-st derived empty.
-
-    Returns math.inf when an interval or Cantor block is present.
-    """
-    return top_level(h)[0]
-
-
 def derived_sets(h: BlockSet):
     """Yield h, h', h'', ... until the next derived set is empty or the same.
 
@@ -409,17 +401,30 @@ def derived_sets(h: BlockSet):
         cur = nxt
 
 
-def top_level(h: BlockSet):
-    """``(level(h), the level-th derived set)`` from one walk of derived sets.
+def level(h: BlockSet):
+    """Cantor-Bendixson style rank: least n with the (n+1)-st derived empty.
 
-    The derived set is None when the level is infinite.
+    (A u B)' = A' u B', so it is the largest block level, read without a
+    derived set: 0 for Finite, b.level for a sum-of-powers block, and
+    math.inf for an interval or a Cantor block, its own derived set.
     """
     if h.is_empty:
         raise EmptyResult("level of the empty set is undefined")
-    if any(isinstance(b, (Interval, Cantor)) for b in h.blocks):
-        return INFINITE_LEVEL, None
-    chain = list(derived_sets(h))
-    return len(chain) - 1, chain[-1]
+    return max(b.level if isinstance(b, PowerSums) else 0 if isinstance(b, Finite)
+               else INFINITE_LEVEL for b in h.blocks)
+
+
+def top_level(h: BlockSet):
+    """``(level(h), the level-th derived set)``: h itself at level 0, None at
+    an infinite level, else the anchors of the top-level blocks (a level-k
+    block's k-th derived set is its anchor, and a lower block's is empty)."""
+    lev = level(h)
+    if lev == 0:
+        return 0, h
+    if lev == INFINITE_LEVEL:
+        return lev, None
+    anchors = [b.anchor for b in h.blocks if isinstance(b, PowerSums) and b.level == lev]
+    return lev, BlockSet((Finite(anchors),))
 
 
 @dataclass(frozen=True)

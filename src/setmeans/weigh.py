@@ -40,6 +40,7 @@ from .means import (
     _classes,
     _mean_of_sums,
     combine,
+    compare_orders,
     mean_of,
     weight_of,
 )
@@ -125,7 +126,7 @@ def _separated_means(h1: BlockSet, h2: BlockSet, kind: MeanKind, cfg: LadderConf
             return MeanValue.exact(k), m1, m2.shifted(x)
         w1, w2 = weight_of(h1, kind), weight_of(h2, kind)
         k2 = m2.shifted(x) if m2.is_exact else tail((w2, True))(x, cfg.tol)
-        higher = w1.compare_order(w2)
+        higher = compare_orders(w1.order, w2.order)
         if higher:
             k = m1 if higher > 0 else k2
         elif w1.total is not None and w2.total is not None:
@@ -239,7 +240,7 @@ def compare_weights(w1: Weight, w2: Weight, kind: MeanKind) -> Verdict:
     two sums of transcendental terms are not separated within the interval
     budget.  kind (not lis) only words the evidence."""
     kind = MeanKind(kind)
-    higher = w1.compare_order(w2)
+    higher = compare_orders(w1.order, w2.order)
     differ = higher or w1.compare_magnitude(w2)
     if kind is MeanKind.ARITH:
         what = f"point counts {w1.total} vs {w2.total}"

@@ -1,5 +1,6 @@
 """Small/big classification, duality, disjointness, witness constructions."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -10,27 +11,33 @@ from setmeans import (
     DomainViolation,
     Finite,
     GeomSeq,
+    IntersectionNotRepresentable,
     Interval,
     MeanKind,
     Method,
+    SetMeansError,
     Tower,
     Verdict,
     build_iso_witness,
     build_iso_witness_staged,
     comparable,
     gen_corpus,
+    intersect,
     is_big_for,
     is_small_for,
     k_disjoint,
+    mean_of,
     normalize,
     normalize_blocks,
     parse,
-    sampler_probe,
+    translate_set,
     union_sets,
     witness_stage_ratios,
     DEFAULT_CONFIG,
 )
-from setmeans.means import iso_growth, weight_of
+from setmeans.classify import _translate_grid
+from setmeans.means import iso_growth, order, weight_of
+from setmeans.laws import PROFILES
 
 
 def bset(*blocks):
@@ -39,6 +46,71 @@ def bset(*blocks):
 
 def seq(a, w=Q(1), r=Q(1, 2)):
     return GeomSeq(Q(a), Q(w), Q(r))
+
+
+def _remove(h, s):
+    """h minus s when representable: whole-block matches or finite points."""
+    if s.is_empty:
+        return h
+    remaining = list(h.blocks)
+    loose_points = set()
+    for b in s.blocks:
+        if b in remaining:
+            remaining.remove(b)
+        elif isinstance(b, Finite):
+            loose_points.update(b.points)
+        else:
+            return None
+    out = []
+    for b in remaining:
+        if isinstance(b, Finite):
+            pts = tuple(p for p in b.points if p not in loose_points)
+            loose_points -= set(b.points)
+            if pts:
+                out.append(Finite(pts))
+        else:
+            out.append(b)
+    # a removed point inside an infinite block is not representable
+    if any(b.inf <= p <= b.sup for b in out for p in loose_points):
+        return None
+    return normalize_blocks(out)
+
+
+def sampler_probe(v, h, kind, cfg, xmax=3):
+    """Evaluate the defining equalities of smallness at sampled translates.
+
+    The oracle of the closed forms: it can only refute (NO, with a translate
+    x where the mean moves) or stay INCONCLUSIVE; skipped probes are
+    recorded in the evidence.
+    """
+    ref = mean_of(h, kind, cfg)
+    evidence = []
+    for x in _translate_grid(xmax, h):
+        lhs = mean_of(union_sets(h, translate_set(v, x)), kind, cfg)
+        sign = order(lhs, ref, cfg.tol)
+        if sign is None:
+            evidence.append(f"x={x}: union left the domain ({lhs.reason}); skipped")
+        else:
+            evidence.append(f"x={x}: K(H u V+x)={lhs} vs K(H)={ref}")
+            if sign:
+                return Verdict(Answer.NO, Method.SAMPLER, evidence)
+        try:
+            diff = _remove(h, intersect(h, translate_set(v, x)))
+        except IntersectionNotRepresentable:
+            evidence.append(f"x={x}: difference not representable; skipped")
+            continue
+        if diff is None or diff.is_empty:
+            evidence.append(f"x={x}: removal not representable or empties the set; skipped")
+            continue
+        rhs = mean_of(diff, kind, cfg)
+        sign = order(rhs, ref, cfg.tol)
+        if sign is None:
+            evidence.append(f"x={x}: difference left the domain ({rhs.reason}); skipped")
+        else:
+            evidence.append(f"x={x}: K(H - (V+x))={rhs}")
+            if sign:
+                return Verdict(Answer.NO, Method.SAMPLER, evidence)
+    return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, evidence)
 
 
 def test_verdict_invariant():
@@ -166,8 +238,37 @@ def test_k_disjoint_examples():
     assert k_disjoint(a, b, MeanKind.LIS).answer is Answer.YES
     v = k_disjoint(bset(Interval(Q(0), Q(2))), bset(Interval(Q(1), Q(3))), MeanKind.AVG)
     assert v.answer is Answer.NO
+    # a point is in Dom(avg), and {1} is not small to it: not globally small
     v = k_disjoint(bset(Interval(Q(0), Q(1))), bset(Finite((Q(1),))), MeanKind.AVG)
-    assert v.answer is Answer.YES
+    assert v.answer is Answer.NO
+    for kind in (MeanKind.ARITH, MeanKind.ACC, MeanKind.ISO, MeanKind.AVG):
+        assert k_disjoint(a, b, kind).answer is Answer.NO, kind
+    assert k_disjoint(bset(seq(0)), bset(seq(0)), MeanKind.LIS).answer is Answer.NO
+
+
+def test_global_disjointness_implies_weak():
+    # a globally small set is small to every member of the domain, so to
+    # both sets; the second partner shares h1's finite points, so that some
+    # nonempty intersections are finite
+    checked, shared = 0, 0
+    for profile in PROFILES:
+        corpus = [normalize(e) for e in gen_corpus(41, 20, profile)]
+        n = len(corpus)
+        for i, h1 in enumerate(corpus):
+            pts, other = h1.finite_points(), corpus[(i * 7 + 2) % n]
+            partners = (corpus[(i * 5 + 1) % n],
+                        union_sets(other, bset(Finite(pts))) if pts else other)
+            for h2, kind in itertools.product(partners, MeanKind):
+                try:
+                    strong = k_disjoint(h1, h2, kind)
+                    weak = k_disjoint(h1, h2, kind, weak=True)
+                except SetMeansError:
+                    continue
+                if strong.answer is Answer.YES:
+                    assert weak.answer is Answer.YES, (kind, h1, h2)
+                    checked += 1
+                    shared += not intersect(h1, h2).is_empty
+    assert checked > 500 and shared > 0
 
 
 def test_k_disjoint_weak():

@@ -219,6 +219,21 @@ def test_literal_at_the_digit_limit_is_read():
     assert rep["result"]["value"] == {"num": "1" * 4300, "den": "1"}
 
 
+def test_result_past_the_digit_limit_exits_2():
+    # each literal is within the limit, but the mean 2 * (10**4300 - 1) is not
+    from setmeans.dsl import fmt_q
+    from setmeans.errors import ValidationError
+
+    nines = "9" * 4300
+    code, rep = run_command(["eval", "--mean", "arith", f"shift({{{nines}}}, {nines})"])
+    assert code == 2
+    assert rep["diagnostics"] == [
+        "validation error: a result of more than 4300 digits cannot be written"]
+    for q in (Q(10**4300), Q(1, 10**4300)):
+        with pytest.raises(ValidationError, match="more than 4300 digits"):
+            fmt_q(q)
+
+
 def test_approximate_mean_past_the_float_range_exits_2():
     a = 10**400
     code, rep = run_command(["eval", "--mean", "iso", "--json",
@@ -346,7 +361,8 @@ PART_SHIFT_INPUTS = "['tower(2, 22/3, 1/6, -1)', 'seq(-9/8, 1, 1/5)', 'x="
      ["small: YES [CLOSED_FORM]", "big: NO [CLOSED_FORM]",
       "comparable: undefined (candidate set is outside Dom(lis))"]),
     (["disjoint", "--mean", "lis", "{1,2}", "{1/2, 1, 3}"], 0,
-     ["YES [CLOSED_FORM]", "  intersection is finite (1 points)"]),
+     ["YES [CLOSED_FORM]", "  globally: V is the intersection, H a least member of Dom(lis)",
+      "  order(V)=0 < order(H)=1"]),
     (["weigh", "--mean", "arith", "--kind", "bound", "{1,2}", "{3,4,5}"], 0,
      ["NO [CLOSED_FORM]", "  point counts 2 vs 3: differ"]),
     (["round", "--mean", "avg", "[0,2] U [4,5]"], 0,

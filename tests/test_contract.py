@@ -24,9 +24,11 @@ PUBLIC_NAMES = [
     "is_big_for", "is_small_for", "isolated_outside", "k_bounds",
     "k_disjoint", "level", "mean_of", "normalize", "normalize_blocks",
     "parse", "reflect_set", "render", "render_set", "round_defect",
-    "round_witness", "sampler_probe", "transitivity_probe", "translate_set",
+    "round_witness", "transitivity_probe", "translate_set",
     "union_sets", "weight_defect", "witness_stage_ratios",
 ]
+# sampler_probe is no longer public: every smallness verdict is closed-form,
+# and the probe is the oracle of those verdicts in tests/test_classify.py
 
 COMMON = ["--json", "--strict", "--tol", "--xmax", "--seed"]
 

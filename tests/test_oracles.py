@@ -6,8 +6,10 @@ point by point, the isolated-point mean is recomputed from the plain
 isolation enumeration, which is itself checked against a per-eps
 enumeration, the inclusion-exclusion of shared isolated points against
 a walk over every subfamily, accumulation bounds against the derived set's
-hull, translated blocks against their validating constructors, and block
-intersections against a test of every finite point.
+hull, translated blocks against their validating constructors, block
+intersections against a test of every finite point, levels against a walk
+of built derived sets, and the one order rule of smallness against the
+per-mean rules it replaced.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ from fractions import Fraction as Q
 import pytest
 
 from setmeans import (
+    Answer,
     CutAbove,
     CutBelow,
     Bounds,
@@ -35,7 +38,9 @@ from setmeans import (
     contains,
     gen_corpus,
     intersect,
+    is_small_for,
     isolated_outside,
+    level,
     mean_of,
     normalize,
     normalize_blocks,
@@ -44,6 +49,7 @@ from setmeans import (
     union_sets,
 )
 from setmeans.blocks import (
+    Cantor,
     Interval,
     PowerSums,
     block_contains,
@@ -54,8 +60,16 @@ from setmeans.blocks import (
 )
 from setmeans.errors import CutNotRepresentable
 from setmeans.laws import PROFILES, _disjoint
-from setmeans.means import DEFAULT_CONFIG, MeanValue, _progressions_union, arith_mean
-from setmeans.sets import _geom_absorbs, derived_set, disjoint
+from setmeans.means import (
+    DEFAULT_CONFIG,
+    MeanValue,
+    _progressions_union,
+    arith_mean,
+    compare_dims,
+    dimension_of,
+    iso_growth,
+)
+from setmeans.sets import _geom_absorbs, derived_set, disjoint, top_level
 
 
 def expr_contains(e, x: Q) -> bool:
@@ -739,3 +753,67 @@ def test_common_points_of_two_sequences_come_sorted():
         h1, h2 = normalize_blocks([h1]), normalize_blocks([h2])
         assert intersect(h1, h2).blocks == (Finite((Q(1, 8), Q(1, 2))),)
         assert intersect(h1, h2) == reference_intersect(h1, h2)
+
+
+# ---------------------------------------------------------------------------
+# levels and smallness
+
+
+def reference_top_level(h):
+    """(level, the level-th derived set) by a walk of built derived sets: the
+    level is infinite once a derived set is its own (perfect parts remain)."""
+    cur, n = h, 0
+    while True:
+        nxt = derived_set(cur)
+        if nxt.is_empty:
+            return n, cur
+        if nxt == cur:
+            return math.inf, None
+        cur, n = nxt, n + 1
+
+
+def test_top_level_is_the_derived_set_walk(corpora):
+    checked = 0
+    for i, h in enumerate(_translated_unions(corpora)):
+        if i % 3:
+            continue
+        want = reference_top_level(h)
+        assert top_level(h) == want and level(h) == want[0], h
+        if want[0] < math.inf:
+            assert iso_growth(h)[0] == want[0], h
+        checked += 1
+    assert checked > 4000
+
+
+def reference_small(v, h, kind):
+    """The per-mean rules of smallness that the order rule replaced, for an H
+    in the domain: no V under arith, the finite ones under lis, a lower level
+    under acc, a lower dimension under avg, a lower count degree under iso."""
+    if v.is_empty:
+        return Answer.YES
+    if kind is MeanKind.ARITH:
+        small = False
+    elif kind is MeanKind.LIS:
+        small = v.is_finite
+    elif kind is MeanKind.AVG:
+        small = compare_dims(dimension_of(v), dimension_of(h)) < 0
+    elif kind is MeanKind.ISO and any(isinstance(b, (Interval, Cantor)) for b in v.blocks):
+        small = False  # the isolated points of a union with V are not dense
+    else:  # the level under acc, the count degree under iso
+        small = reference_top_level(v)[0] < reference_top_level(h)[0]
+    return Answer.YES if small else Answer.NO
+
+
+def test_order_rule_matches_the_per_mean_rules(corpora):
+    checked = 0
+    for seed in (1, 2, 3):
+        sets = [h for profile in PROFILES for h in corpora[seed, profile][::2]]
+        for kind in MeanKind:
+            hosts = [h for h in sets if mean_of(h, kind).is_defined]
+            for i, h in enumerate(hosts):
+                for v in sets[i % 4::4]:
+                    assert is_small_for(v, h, kind).answer is reference_small(v, h, kind), (
+                        kind, v, h)
+                    checked += 1
+    assert checked > 10000
+
