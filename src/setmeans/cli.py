@@ -179,17 +179,10 @@ def run_command(argv) -> tuple[int, dict]:
     return code, report
 
 
-def _is_inconclusive(result) -> bool:
-    if not isinstance(result, dict):
-        return False
-    if result.get("answer") == "INCONCLUSIVE":
-        return True
-    if result.get("trend") == "INCONCLUSIVE":
-        return True
-    verdict = result.get("verdict")
-    if isinstance(verdict, dict):
-        return verdict.get("answer") == "INCONCLUSIVE"
-    return False
+def _is_inconclusive(result: dict) -> bool:
+    """Whether the result's own answer, its verdict or its witness verdict is INCONCLUSIVE."""
+    return any(v.get("answer") == "INCONCLUSIVE"
+               for v in (result, result.get("verdict") or {}, result.get("witness_verdict") or {}))
 
 
 def _dispatch(args, report) -> int:

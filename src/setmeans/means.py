@@ -30,18 +30,9 @@ from typing import Callable, Optional
 
 from mpmath import iv
 
-from .blocks import CACHE_SIZE, Cantor, Finite, Interval, PowerSums, Q, _log_ratio
-from .errors import DomainViolation, EmptyResult, IncomparableDimensions
-from .errors import CutNotRepresentable, ValidationError
-from .sets import (
-    BlockSet,
-    bounds,
-    cut_set,
-    derived_sets,
-    level,
-    top_level,
-    INFINITE_LEVEL,
-)
+from .blocks import CACHE_SIZE, Cantor, Interval, PowerSums, Q, _log_ratio
+from .errors import DomainViolation, EmptyResult, IncomparableDimensions, ValidationError
+from .sets import BlockSet, bounds, level, top_level, INFINITE_LEVEL
 
 
 class MeanKind(str, Enum):
@@ -642,13 +633,18 @@ def _weight(h: BlockSet, kind: MeanKind):
         if not h.is_finite:
             return "not an s-set: infinitely many points at dimension 0"
         return _point_weight(order, h)
-    top = [b for b in h.blocks if compare_dims(block_dim(b), order) == 0]
+    top = _top_blocks(h, order)
     centres = tuple((b.lo + b.hi) / 2 for b in top)  # of Cantor blocks by symmetry
     if order.kind == "one":
         lengths = tuple(b.hi - b.lo for b in top)
         return Weight(order, lengths, centres, total=sum(lengths, Q(0)))
     return Weight(order, tuple((b.hi - b.lo, b.pieces, 1 / b.ratio) for b in top), centres,
                   _weight_ratio, _iv_weight)
+
+
+def _top_blocks(h: BlockSet, dim: DimValue) -> list:
+    """h's blocks at dimension dim: at h's own dimension, the parts avg weighs."""
+    return [b for b in h.blocks if compare_dims(block_dim(b), dim) == 0]
 
 
 def _point_weight(at, h: BlockSet) -> Weight:
@@ -714,74 +710,29 @@ def _mean(h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> MeanValue:
 class KBounds:
     k_liminf: MeanValue
     k_limsup: MeanValue
+    # always empty, since k_bounds builds no cut; the JSON report keeps the key
     skipped: tuple[str, ...] = ()
-
-
-def _cut_candidates(h: BlockSet) -> list[Q]:
-    cands: set[Q] = set()
-    for cur in derived_sets(h):
-        for b in cur.blocks:
-            cands.add(b.inf)
-            cands.add(b.sup)
-            if isinstance(b, Finite):
-                cands.update(b.points)
-            elif isinstance(b, PowerSums):
-                cands.add(b.anchor)
-    return sorted(cands)
 
 
 def k_bounds(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) -> KBounds:
     """Largest lower cut and smallest upper cut that leave the mean unchanged.
 
-    The mean of a cut set is piecewise constant-or-affine between block
-    parameters, so a lattice of the parameters plus midpoints captures every
-    regime; a midpoint witnessing an unchanged open interval pushes the
-    bound to the base candidate beyond it.
+    The mean reads only h's top-order parts, and a cut that takes away an
+    end of them moves it, so the bounds are their hull: the accumulation
+    hull under lis, the blocks at the set's dimension under avg, and the
+    top derived set under arith, acc and iso (h itself at level 0, else the
+    anchors of the top-level blocks, which are the anchors of the iso
+    terms).
     """
-    base = _cut_candidates(h)
+    kind = MeanKind(kind)
     reference = mean_of(h, kind, cfg)
     if not reference.is_defined:
         raise DomainViolation(f"mean is undefined: {reference.reason}")
-    lattice: list[tuple[Q, bool]] = []
-    for i, x in enumerate(base):
-        lattice.append((x, True))
-        if i + 1 < len(base):
-            lattice.append(((x + base[i + 1]) / 2, False))
-    skipped: list[str] = []
-
-    def equal_after(x: Q, keep_low: bool):
-        try:
-            piece = cut_set(h, x, keep_low)
-        except CutNotRepresentable:
-            skipped.append(f"cut at {x} not representable")
-            return None
-        if piece.is_empty:
-            skipped.append(f"cut at {x} empties the set")
-            return None
-        if piece == h:
-            piece = h  # a cut that keeps all of h reuses h's mean
-        val = mean_of(piece, kind, cfg)
-        if not val.is_defined:
-            skipped.append(f"cut at {x} leaves the domain: {val.reason}")
-            return None
-        return order(reference, val, cfg.tol) == 0
-
-    def scan(path, keep_low: bool, side: str) -> MeanValue:
-        # walk the lattice along this path while the cut keeps the mean; a
-        # matching midpoint carries the bound on to the next base candidate
-        last = None
-        for i, (x, is_base) in enumerate(path):
-            res = equal_after(x, keep_low)
-            if res is None:
-                continue
-            if not res:
-                break
-            last = x if is_base else next(bx for bx, bb in path[i + 1:] if bb)
-        if last is None:
-            return MeanValue.undefined(f"no representable unchanged {side} cut")
-        return MeanValue.exact(last)
-
-    # liminf scans upward over K(H^{+x}), limsup downward over K(H^{-x})
-    k_liminf = scan(lattice, False, "lower")
-    k_limsup = scan(lattice[::-1], True, "upper")
-    return KBounds(k_liminf, k_limsup, tuple(skipped))
+    if kind is MeanKind.LIS:
+        bd = bounds(h)
+        lo, hi = bd.acc_inf, bd.acc_sup
+    else:
+        parts = (_top_blocks(h, weight_of(h, kind).order) if kind is MeanKind.AVG
+                 else top_level(h)[1].blocks)
+        lo, hi = min(b.inf for b in parts), max(b.sup for b in parts)
+    return KBounds(MeanValue.exact(lo), MeanValue.exact(hi))

@@ -361,8 +361,8 @@ def cut_set(h: BlockSet, y: Q, keep_low: bool) -> BlockSet:
 
 def derived_set(h: BlockSet) -> BlockSet:
     """The set of accumulation points, block by block; computed once per set
-    object (BlockSet.memo), so the isolation profile and the cut candidates
-    of k_bounds share it.
+    object (BlockSet.memo), so the isolation profile and the iso witnesses
+    of one set share it.
 
     A level-k tower contributes the (k-1)-tower plus the anchor (a limit of
     the j=1 points), so a sequence, the level-1 tower, gives its anchor alone;
@@ -383,22 +383,6 @@ def _derive(h: BlockSet) -> BlockSet:
         else:
             out.append(b)
     return normalize_blocks(out)
-
-
-def derived_sets(h: BlockSet):
-    """Yield h, h', h'', ... until the next derived set is empty or the same.
-
-    Each step lowers every sum-of-powers level by one and drops the finite
-    points outside the perfect parts, so a set of level k without interval
-    or Cantor parts yields k + 1 sets, and one with them at most one more.
-    """
-    cur = h
-    while True:
-        yield cur
-        nxt = derived_set(cur)
-        if nxt.is_empty or nxt == cur:
-            return
-        cur = nxt
 
 
 def level(h: BlockSet):

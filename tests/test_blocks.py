@@ -272,9 +272,10 @@ def test_cut_cantor_stops_when_the_orbit_cycles(monkeypatch):
         with pytest.raises(CutNotRepresentable):
             cut_block(Cantor(Q(0), Q(1), 3, Q(1, 4)), Q(1, 2), keep_low)
         assert len(built) <= 3 * (2 + 1), len(built)
+    # kbounds reads the bounds without a cut, so it skips none at 1/2
     code, rep = run_command(["kbounds", "--mean", "avg", "cantor(0,1,3,1/4)"])
     assert code == 0
-    assert rep["result"]["skipped"] == ["cut at 1/2 not representable"] * 2
+    assert rep["result"]["skipped"] == []
 
 
 def cut_cantor_reference(b, y, keep_low):

@@ -162,6 +162,22 @@ def test_comparable_examples():
     assert v.answer is Answer.YES
 
 
+def test_classify_against_a_reference_set_outside_the_domain():
+    # seq(0,1,1/2) has no arith mean, so no verdict of the bundle is defined
+    from setmeans.cli import run_command
+
+    code, rep = run_command(["classify", "--mean", "arith", "--of", "seq(0,1,1/2)", "{1}"])
+    assert code == 0
+    assert rep["result"]["bundle"] == dict.fromkeys(("small", "big", "comparable"))
+    assert rep["diagnostics"] == [f"{name}: undefined (reference set is outside Dom(arith))"
+                                  for name in ("small", "big", "comparable")]
+
+
+def test_comparable_refuses_a_reference_set_outside_the_domain():
+    with pytest.raises(DomainViolation, match=r"reference set is outside Dom\(arith\)"):
+        comparable(normalize(parse("seq(0,1,1/2)")), normalize(parse("{1}")), MeanKind.ARITH)
+
+
 def test_duality_on_corpus():
     corpus = [normalize(e) for e in gen_corpus(19, 60, "mixed")]
     pairs = [(corpus[i], corpus[(i * 7 + 3) % len(corpus)]) for i in range(len(corpus))]

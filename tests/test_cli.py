@@ -309,6 +309,20 @@ def test_strict_mode_flags_inconclusive():
     assert code == 4
 
 
+def test_strict_mode_reads_the_witness_verdict():
+    # the round's own verdict is YES, but its witness weighs the same two
+    # Cantor blocks as the weigh pair above and spends the separation budget
+    n = 10**1300
+    argv = ["round", "--mean", "avg", f"cantor(0,1,2,1/3) U cantor(5,{6 * n + 1}/{n},2,1/3)"]
+    code, rep = run_command(argv)
+    assert code == 0
+    assert rep["result"]["verdict"]["answer"] == "YES"
+    assert rep["result"]["witness_verdict"]["answer"] == "INCONCLUSIVE"
+    code, rep = run_command(argv + ["--strict"])
+    assert code == 4
+    assert rep["diagnostics"][-1] == "strict mode: result is INCONCLUSIVE"
+
+
 def test_json_reports_are_byte_identical():
     argv = ["laws", "--mean", "lis", "--law", "self-shift-invariant",
             "--seed", "11", "--n", "30", "--profile", "sequences", "--json"]

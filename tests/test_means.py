@@ -36,7 +36,6 @@ from setmeans.means import (
     DIM_ZERO,
     DimValue,
     MeanValue,
-    _cut_candidates,
     _iv_at,
     _iv_count_weight,
     _iv_log,
@@ -356,9 +355,12 @@ def test_k_bounds_examples():
 
 
 def test_cut_candidates_hold_the_ends_of_every_derived_set():
-    # 67 derived sets, from level 66 down to the anchor alone
+    # the k-bounds oracle's cut candidates: 67 derived sets, from level 66
+    # down to the anchor alone
+    from test_oracles import reference_cut_candidates
+
     h = normalize(parse("tower(66,0,1/4)"))
-    cands = set(_cut_candidates(h))
+    cands = set(reference_cut_candidates(h))
     cur, walked = h, 0
     while not cur.is_empty:
         assert all(b.inf in cands and b.sup in cands for b in cur.blocks), walked
@@ -371,19 +373,21 @@ def test_cut_candidates_hold_the_ends_of_every_derived_set():
     ("seq(0,1,1/2) U seq(1,1,1/3) U {5}", MeanKind.ISO),
     ("tower(2,0,1/4) U seq(5,1,1/2)", MeanKind.ACC),
 ])
-def test_k_bounds_reuses_the_mean_of_a_cut_equal_to_h(monkeypatch, text, kind):
-    # a cut that keeps all of h is h: its mean is h's, not computed again
-    from setmeans import means
+def test_k_bounds_builds_no_cut_and_evaluates_only_h(monkeypatch, text, kind):
+    # the bounds are read from h's top-order parts: no cut is built, and the
+    # one mean evaluated is h's own
+    from setmeans import blocks, means, sets
 
     h = normalize(parse(text))
-    pieces, evaluated = [], []
-    cut_set, mean = means.cut_set, means._mean
-    monkeypatch.setattr(means, "cut_set", lambda *a: pieces.append(cut_set(*a)) or pieces[-1])
+    cuts, evaluated = [], []
+    for module in (blocks, sets, means):
+        for name in ("cut_block", "cut_set"):
+            monkeypatch.setattr(module, name, lambda *a: cuts.append(a), raising=False)
+    mean = means._mean
     monkeypatch.setattr(means, "_mean", lambda g, *a: evaluated.append(g) or mean(g, *a))
-    k_bounds(h, kind)
-    assert any(p == h for p in pieces)
-    assert evaluated[0] is h
-    assert len(evaluated) == 1 + sum(p != h and not p.is_empty for p in pieces)
+    kb = k_bounds(h, kind)
+    assert cuts == [] and evaluated == [h] and evaluated[0] is h
+    assert kb.skipped == ()
 
 
 def test_k_bounds_acc_tower():

@@ -8,8 +8,8 @@ enumeration, the inclusion-exclusion of shared isolated points against
 a walk over every subfamily, accumulation bounds against the derived set's
 hull, translated blocks against their validating constructors, block
 intersections against a test of every finite point, levels against a walk
-of built derived sets, and the one order rule of smallness against the
-per-mean rules it replaced.
+of built derived sets, the one order rule of smallness against the
+per-mean rules it replaced, and k-bounds against a scan of cuts.
 """
 
 import dataclasses
@@ -28,18 +28,22 @@ from setmeans import (
     Finite,
     GeomSeq,
     IntersectionNotRepresentable,
+    KBounds,
     Leaf,
     MeanKind,
     MembershipUndecided,
+    SetMeansError,
     Translate,
     Union,
     ValidationError,
     bounds,
     contains,
+    cut_set,
     gen_corpus,
     intersect,
     is_small_for,
     isolated_outside,
+    k_bounds,
     level,
     mean_of,
     normalize,
@@ -58,7 +62,7 @@ from setmeans.blocks import (
     points_in_box,
     tower_outer_points,
 )
-from setmeans.errors import CutNotRepresentable
+from setmeans.errors import CutNotRepresentable, DomainViolation
 from setmeans.laws import PROFILES, _disjoint
 from setmeans.means import (
     DEFAULT_CONFIG,
@@ -68,6 +72,7 @@ from setmeans.means import (
     compare_dims,
     dimension_of,
     iso_growth,
+    order,
 )
 from setmeans.sets import _geom_absorbs, derived_set, disjoint, top_level
 
@@ -817,3 +822,147 @@ def test_order_rule_matches_the_per_mean_rules(corpora):
                     checked += 1
     assert checked > 10000
 
+
+
+# ---------------------------------------------------------------------------
+# k-bounds
+
+
+def reference_derived_sets(h):
+    """Yield h, h', h'', ... until the next derived set is empty or the same.
+
+    Each step lowers every sum-of-powers level by one and drops the finite
+    points outside the perfect parts, so a set of level k without interval
+    or Cantor parts yields k + 1 sets, and one with them at most one more.
+    """
+    cur = h
+    while True:
+        yield cur
+        nxt = derived_set(cur)
+        if nxt.is_empty or nxt == cur:
+            return
+        cur = nxt
+
+
+def reference_cut_candidates(h) -> list:
+    """The ends, finite points and anchors of every block of every derived set."""
+    cands = set()
+    for cur in reference_derived_sets(h):
+        for b in cur.blocks:
+            cands.add(b.inf)
+            cands.add(b.sup)
+            if isinstance(b, Finite):
+                cands.update(b.points)
+            elif isinstance(b, PowerSums):
+                cands.add(b.anchor)
+    return sorted(cands)
+
+
+def reference_k_bounds(h, kind, cfg=DEFAULT_CONFIG) -> KBounds:
+    """The k-bounds by a scan of cuts, as they were first computed.
+
+    The mean of a cut set is piecewise constant-or-affine between block
+    parameters, so a lattice of the parameters plus midpoints captures every
+    regime; a midpoint witnessing an unchanged open interval pushes the
+    bound to the base candidate beyond it.  Cuts are compared with the
+    mean by means.order, so approximate means within 2*tol pass as equal.
+    """
+    base = reference_cut_candidates(h)
+    reference = mean_of(h, kind, cfg)
+    if not reference.is_defined:
+        raise DomainViolation(f"mean is undefined: {reference.reason}")
+    lattice = []
+    for i, x in enumerate(base):
+        lattice.append((x, True))
+        if i + 1 < len(base):
+            lattice.append(((x + base[i + 1]) / 2, False))
+    skipped = []
+
+    def equal_after(x, keep_low: bool):
+        try:
+            piece = cut_set(h, x, keep_low)
+        except CutNotRepresentable:
+            skipped.append(f"cut at {x} not representable")
+            return None
+        if piece.is_empty:
+            skipped.append(f"cut at {x} empties the set")
+            return None
+        if piece == h:
+            piece = h  # a cut that keeps all of h reuses h's mean
+        val = mean_of(piece, kind, cfg)
+        if not val.is_defined:
+            skipped.append(f"cut at {x} leaves the domain: {val.reason}")
+            return None
+        return order(reference, val, cfg.tol) == 0
+
+    def scan(path, keep_low: bool, side: str) -> MeanValue:
+        # walk the lattice along this path while the cut keeps the mean; a
+        # matching midpoint carries the bound on to the next base candidate
+        last = None
+        for i, (x, is_base) in enumerate(path):
+            res = equal_after(x, keep_low)
+            if res is None:
+                continue
+            if not res:
+                break
+            last = x if is_base else next(bx for bx, bb in path[i + 1:] if bb)
+        if last is None:
+            return MeanValue.undefined(f"no representable unchanged {side} cut")
+        return MeanValue.exact(last)
+
+    # liminf scans upward over K(H^{+x}), limsup downward over K(H^{-x})
+    return KBounds(scan(lattice, False, "lower"), scan(lattice[::-1], True, "upper"),
+                   tuple(skipped))
+
+
+def _k_bounds_outcome(f, h, kind):
+    try:
+        kb = f(h, kind)
+    except SetMeansError as exc:
+        return type(exc)
+    return kb.k_liminf, kb.k_limsup
+
+
+def _unions_and_cuts(corpora):
+    """About 200 unions of seed-101 sets with translates of one another, and
+    cuts of them at a block end or between two."""
+    rng = random.Random(20)
+    hs = [h for profile in PROFILES for h in corpora[101, profile]]
+    for _ in range(100):
+        h, g = rng.choice(hs), rng.choice(hs)
+        u = union_sets(h, translate_set(g, rng.choice(SHIFTS)))
+        yield u
+        ends = sorted({e for b in u.blocks for e in (b.inf, b.sup)})
+        i = rng.randrange(len(ends))
+        at = ends[i] if i + 1 == len(ends) or rng.random() < 0.5 else (ends[i] + ends[i + 1]) / 2
+        try:
+            yield cut_set(u, at, rng.random() < 0.5)
+        except CutNotRepresentable:
+            continue
+
+
+def test_k_bounds_is_the_scan_of_cuts(corpora):
+    sets = [h for seed in (1, 2, 3) for profile in PROFILES for h in corpora[seed, profile]]
+    sets += [h for h in _unions_and_cuts(corpora) if not h.is_empty]
+    outcomes = Counter()
+    for h in sets:
+        for kind in MeanKind:
+            want = _k_bounds_outcome(reference_k_bounds, h, kind)
+            assert _k_bounds_outcome(k_bounds, h, kind) == want, (kind, h)
+            outcomes[isinstance(want, tuple)] += 1
+    assert outcomes[True] > 1500 and outcomes[False] > 1500, outcomes
+
+
+def test_k_bounds_differs_from_the_scan_only_past_its_slack():
+    # the one known difference: the scan compares cuts within 2*tol, so on
+    # the set of seq(0,-1,1/2) U seq(1/1000,1,1/3) scaled by 10**-9 cuts that
+    # move the iso mean pass as unchanged, and its liminf lands above its
+    # limsup; the closed form answers the unscaled (0, 1/1000) scaled
+    n = 10**9
+    h = normalize(parse(f"seq(0,-1/{n},1/2) U seq(1/{n * 1000},1/{n},1/3)"))
+    kb = k_bounds(h, MeanKind.ISO)
+    assert (kb.k_liminf, kb.k_limsup) == (MeanValue.exact(0), MeanValue.exact(Q(1, n * 1000)))
+    ref = reference_k_bounds(h, MeanKind.ISO)
+    assert (ref.k_liminf.value, ref.k_limsup.value) == (Q(1003, 3 * n * 1000), Q(-1, 2 * n))
+    unscaled = k_bounds(normalize(parse("seq(0,-1,1/2) U seq(1/1000,1,1/3)")), MeanKind.ISO)
+    assert (unscaled.k_liminf.value, unscaled.k_limsup.value) == (0, Q(1, 1000))
