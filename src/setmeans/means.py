@@ -374,19 +374,18 @@ def _weight_ratio(a, b) -> Optional[Q]:
     """The rational diam_a**s / diam_b**s of two (diam, m, invr) terms, or None.
 
     Both terms have one dimension s.  The ratio is 1 for equal diameters;
-    m**j in one (m, invr) family with diam_a == diam_b * invr**j for an
-    integer j, because invr**s == m; and, across families too,
-    (diam_a / diam_b)**s when s is rational and that power is rational.
+    (diam_a / diam_b)**s when s is rational and that power is rational; and,
+    in one family or across families, m_b**t when diam_a / diam_b == invr_b**t
+    for a rational t and that power is rational, because invr_b**s == m_b.
     """
     (da, m, invr), (db, mb, invrb) = a, b
     if da == db:
         return Q(1)
-    if (m, invr) == (mb, invrb):
-        j = _log_ratio(da / db, invr)
-        if j is not None and j.denominator == 1:
-            return Q(m) ** j.numerator
     s = _log_ratio(m, invr)
-    return None if s is None else _rational_power(da / db, s)
+    if s is not None:
+        return _rational_power(da / db, s)
+    t = _log_ratio(da / db, invrb)
+    return None if t is None else _rational_power(Q(mb), t)
 
 
 @_per_precision

@@ -1,16 +1,16 @@
 """Roundness of a set with respect to a mean.
 
 A set is round when its mean value k cuts it into a lower and an upper part
-whose means average back to the whole mean.  The witness route decides the
-same question without the defect: the two halves at k have equal weight
-(``weigh.compare_weights`` on their ``means.weight_of``), or, under lis, the
-midpoint of the halves' inner accumulation bounds is k.  Under iso, halves
-whose means are both back at k are round at once.
+whose means K- and K+ average back to k.  Both routes read one decision,
+the sign of the exact defect: YES when K- and K+ are both exactly k, else
+whether the halves' weights (``means.weight_of``) are equal
+(``weigh.compare_weights``); under lis, whether the midpoint of the halves'
+inner accumulation bounds is k.  The float defect is shown but decides nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as Q
 from functools import cached_property
 
@@ -23,7 +23,6 @@ from .means import (
     MeanValue,
     combine,
     mean_of,
-    order,
     weight_of,
 )
 from .sets import BlockSet, bounds, cut_set
@@ -43,8 +42,8 @@ class RoundReport:
 class _Halves:
     """The mean k of a set, its two halves at k, and what is read off them.
 
-    Both roundness routes start here.  Each per-half quantity is computed on
-    first use and kept, so one pass serves the defect and the witness.
+    Both roundness routes start here.  Each per-half quantity and the decision
+    are computed on first use and kept, so one pass serves both routes.
     """
 
     def __init__(self, h: BlockSet, kind: MeanKind, cfg: LadderConfig):
@@ -73,6 +72,21 @@ class _Halves:
         b1, b2 = bounds(self.low), bounds(self.high)
         return None if b1.acc_sup is None or b2.acc_inf is None else (b1.acc_sup + b2.acc_inf) / 2
 
+    @cached_property
+    def decision(self) -> Verdict:
+        """Is the set round: is its exact defect (K- + K+)/2 - k zero?  It is
+        (K+ - K-)(W- - W+) / (2(W- + W+)) at equal weight order, else
+        +-(K+ - K-)/2, so zero when K- = K+ (both then k) or W- = W+."""
+        if self.kind is MeanKind.LIS:
+            if self.half_mid is None:
+                raise DomainViolation("a half is finite, outside Dom(lis)")
+            return _closed(Answer.YES if self.half_mid == self.kq else Answer.NO,
+                           f"(limsup H- + liminf H+)/2 = {self.half_mid} vs k = {self.kq}")
+        k1, k2 = self.means
+        if k1.is_exact and k2.is_exact and k1.value == k2.value:
+            return _closed(Answer.YES, f"half means {k1}, {k2} vs k={self.k}")
+        return compare_weights(*self.weights, self.kind)
+
 
 def round_defect(h: BlockSet, kind: MeanKind,
                  cfg: LadderConfig = DEFAULT_CONFIG) -> RoundReport:
@@ -86,8 +100,8 @@ def round_defect(h: BlockSet, kind: MeanKind,
 
 def round_witness(h: BlockSet, kind: MeanKind,
                   cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
-    """Evaluate the per-mean roundness characterization directly."""
-    return _witness(_Halves(h, MeanKind(kind), cfg))
+    """The roundness decision alone, without the defect."""
+    return _Halves(h, MeanKind(kind), cfg).decision
 
 
 def round_pass(h: BlockSet, kind: MeanKind,
@@ -97,7 +111,7 @@ def round_pass(h: BlockSet, kind: MeanKind,
     Raises what round_defect raises first, then what round_witness raises.
     """
     halves = _Halves(h, MeanKind(kind), cfg)
-    return _defect(halves), _witness(halves)
+    return _defect(halves), halves.decision
 
 
 def _defect(halves: _Halves) -> RoundReport:
@@ -107,8 +121,7 @@ def _defect(halves: _Halves) -> RoundReport:
     if not defect.is_defined:
         raise DomainViolation(f"a half lies outside Dom({kind.value}): {defect.reason}")
     shown = defect.value if defect.is_exact else f"{defect.approx:.3g}"
-    verdict = _closed(Answer.NO if order(defect, MeanValue.exact(0), cfg.tol) else Answer.YES,
-                      f"defect {shown}")
+    verdict = replace(halves.decision, evidence=(f"defect {shown}",))
     return RoundReport(k, k1, k2, defect, verdict, _witness_payload(halves))
 
 
@@ -123,20 +136,3 @@ def _witness_payload(halves: _Halves) -> dict:
     if halves.kind is MeanKind.AVG:
         return {"measures": [str(w) for w in halves.weights]}
     return {"levels": [w.order for w in halves.weights], "counts": totals}
-
-
-def _witness(halves: _Halves) -> Verdict:
-    kind, cfg, k, kq = halves.kind, halves.cfg, halves.k, halves.kq
-    if kind is MeanKind.LIS:
-        if halves.half_mid is None:
-            raise DomainViolation("a half is finite, outside Dom(lis)")
-        return _closed(Answer.YES if halves.half_mid == kq else Answer.NO,
-                       f"(limsup H- + liminf H+)/2 = {halves.half_mid} vs k = {kq}")
-    if kind is not MeanKind.ISO:
-        return compare_weights(*halves.weights, kind)
-    k1, k2 = halves.means
-    ev = f"half means {k1.as_float():.6g}, {k2.as_float():.6g} vs k={k.as_float():.6g}"
-    if order(k1, k, cfg.tol) == 0 and order(k2, k, cfg.tol) == 0:
-        return _closed(Answer.YES, ev)
-    v = compare_weights(*halves.weights, kind)
-    return Verdict(v.answer, v.method, (ev,) + v.evidence)

@@ -122,16 +122,20 @@ def _finite_sets(seed, count, max_size=12, max_den=16, span=100):
     return out
 
 
+def _round_iff_zero_defect(h, kind):
+    """Both routes answer YES exactly when the exact defect is 0."""
+    rep, wit = round_defect(h, kind), round_witness(h, kind)
+    assert rep.defect.is_exact, h
+    want = Answer.YES if rep.defect.value == 0 else Answer.NO
+    assert (rep.verdict.answer, wit.answer) == (want, want), h
+    return want
+
+
 def test_criterion_4_round_oracle_arith():
-    agree = 0
-    for h in _finite_sets(2024, 1000):
-        rep = round_defect(h, MeanKind.ARITH)
-        wit = round_witness(h, MeanKind.ARITH)
-        assert rep.verdict.answer == wit.answer, h
-        assert rep.defect.is_exact
-        agree += 1
-    assert agree == 1000
-    _report(4, "arith round defect matches the cardinality split on 1000/1000 sets")
+    answers = [_round_iff_zero_defect(h, MeanKind.ARITH) for h in _finite_sets(2024, 1000)]
+    assert len(answers) == 1000 and set(answers) == {Answer.YES, Answer.NO}
+    _report(4, "arith round verdict and cardinality split are YES iff the exact defect is 0 "
+               "on 1000/1000 sets")
 
 
 def _interval_unions(seed, count, max_parts=4):
@@ -150,14 +154,10 @@ def _interval_unions(seed, count, max_parts=4):
 
 
 def test_criterion_5_round_oracle_avg():
-    agree = 0
-    for h in _interval_unions(512, 500):
-        rep = round_defect(h, MeanKind.AVG)
-        wit = round_witness(h, MeanKind.AVG)
-        assert rep.verdict.answer == wit.answer, h
-        agree += 1
-    assert agree == 500
-    _report(5, "avg round defect matches the measure split on 500/500 interval unions")
+    answers = [_round_iff_zero_defect(h, MeanKind.AVG) for h in _interval_unions(512, 500)]
+    assert len(answers) == 500 and set(answers) == {Answer.YES, Answer.NO}
+    _report(5, "avg round verdict and measure split are YES iff the exact defect is 0 "
+               "on 500/500 interval unions")
 
 
 def test_criterion_6_duality():

@@ -310,13 +310,15 @@ def test_strict_mode_flags_inconclusive():
 
 
 def test_strict_mode_reads_the_witness_verdict():
-    # the round's own verdict is YES, but its witness weighs the same two
-    # Cantor blocks as the weigh pair above and spends the separation budget
+    # both routes weigh the same two Cantor blocks as the weigh pair above and
+    # spend the separation budget: the round's own verdict is INCONCLUSIVE
+    # too, though its float defect reads 0
     n = 10**1300
     argv = ["round", "--mean", "avg", f"cantor(0,1,2,1/3) U cantor(5,{6 * n + 1}/{n},2,1/3)"]
     code, rep = run_command(argv)
     assert code == 0
-    assert rep["result"]["verdict"]["answer"] == "YES"
+    assert rep["result"]["verdict"] == {"answer": "INCONCLUSIVE", "method": "SAMPLER",
+                                        "evidence": ["defect 0"]}
     assert rep["result"]["witness_verdict"]["answer"] == "INCONCLUSIVE"
     code, rep = run_command(argv + ["--strict"])
     assert code == 4

@@ -9,7 +9,8 @@ a walk over every subfamily, accumulation bounds against the derived set's
 hull, translated blocks against their validating constructors, block
 intersections against a test of every finite point, levels against a walk
 of built derived sets, the one order rule of smallness against the
-per-mean rules it replaced, and k-bounds against a scan of cuts.
+per-mean rules it replaced, k-bounds against a scan of cuts, and the
+roundness decision against the exact defect of the halves' means.
 """
 
 import dataclasses
@@ -74,6 +75,7 @@ from setmeans.means import (
     iso_growth,
     order,
 )
+from setmeans.roundness import round_pass
 from setmeans.sets import _geom_absorbs, derived_set, disjoint, top_level
 
 
@@ -966,3 +968,34 @@ def test_k_bounds_differs_from_the_scan_only_past_its_slack():
     assert (ref.k_liminf.value, ref.k_limsup.value) == (Q(1003, 3 * n * 1000), Q(-1, 2 * n))
     unscaled = k_bounds(normalize(parse("seq(0,-1,1/2) U seq(1/1000,1,1/3)")), MeanKind.ISO)
     assert (unscaled.k_liminf.value, unscaled.k_limsup.value) == (0, Q(1, 1000))
+
+
+def reference_defect(h, kind):
+    """(K(H-) + K(H+))/2 - K(H) from the means of the halves at k, exact or None."""
+    k = mean_of(h, kind)
+    if not k.is_exact:
+        return None
+    k1, k2 = (mean_of(cut_set(h, k.value, keep_low=side), kind) for side in (True, False))
+    return (k1.value + k2.value) / 2 - k.value if k1.is_exact and k2.is_exact else None
+
+
+def test_round_is_whether_the_exact_defect_is_zero(corpora):
+    # both routes decide from the halves' weights; the halves' own means
+    # give the defect, and where it is exact the set is round iff it is 0
+    exact = Counter()
+    for seed in (1, 2, 3):
+        for profile in PROFILES:
+            for h in corpora[seed, profile]:
+                for kind in MeanKind:
+                    try:
+                        rep, wit = round_pass(h, kind)
+                    except SetMeansError:
+                        continue
+                    defect = reference_defect(h, kind)
+                    if defect is None:
+                        continue
+                    assert rep.defect == MeanValue.exact(defect), (kind, h)
+                    want = Answer.YES if defect == 0 else Answer.NO
+                    assert (rep.verdict.answer, wit.answer) == (want, want), (kind, h)
+                    exact[want] += 1
+    assert sum(exact.values()) >= 1427 and exact[Answer.YES] and exact[Answer.NO], exact

@@ -361,25 +361,23 @@ def test_iso_and_cantor_separated_samples_are_read():
             assert not got[0].is_exact
 
 
-def test_cantor_classes_follow_the_union_block_order():
-    # _weight_ratio is not transitive across families: (1, 4, 9) relates to
-    # (1, 2, 3), and (1, 2, 3) to (3, 2, 3), but (1, 4, 9) not to (3, 2, 3).
-    # With H1's block first the union has two classes and an approximate
-    # mean; with H2's first it has one and the exact mean -11/2.  Classes
-    # merged per operand would give one answer on both sides.
+def test_cantor_classes_do_not_depend_on_the_union_block_order():
+    # (1, 4, 9) relates to (1, 2, 3) and to (3, 2, 3) alike, across the
+    # families: the diameter ratios 1 = 9**0 and 3 = 9**(1/2) give the weight
+    # ratios 4**0 = 1 and 4**(1/2) = 2.  So the union has one class and an
+    # exact mean whichever operand's blocks come first.
     h1 = normalize(parse("cantor(0,1,4,1/9)"))
     h2 = normalize(parse("cantor(0,1,2,1/3) U cantor(2,5,2,1/3)"))
     right = _separated_means(h1, h2, MeanKind.AVG, DEFAULT_CONFIG)(Q(10))
     assert right == union_evaluation(h1, h2, MeanKind.AVG, Q(10))
-    assert not right[0].is_exact and abs(right[0].approx - 9.5) < 1e-9
+    assert right[0] == MeanValue.exact(Q(19, 2))
     left = _separated_means(h1, h2, MeanKind.AVG, DEFAULT_CONFIG)(Q(-10))
     assert left == union_evaluation(h1, h2, MeanKind.AVG, Q(-10))
     assert left[0] == MeanValue.exact(Q(-11, 2))
-    # a curve keeps one set of class sums per side: x = 3 and -3 differ the same way
     for x, defect in defect_curve(h1, h2, MeanKind.AVG).samples:
         assert defect == combine(lambda u, a, b: u - (a + b) / 2,
                                  *union_evaluation(h1, h2, MeanKind.AVG, x), tol=DEFAULT_CONFIG.tol)
-        assert defect.is_exact is (x < 0)
+        assert defect.is_exact
 
 
 @pytest.mark.parametrize("xmax", [-1, 101, 4400])

@@ -187,3 +187,15 @@ def test_weights_match_the_per_kind_reference(kind):
             answers.add(same_verdict(h1, h2, kind))
     assert Answer.YES in answers and Answer.NO in answers
     assert halves > 10
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ((Q(3), 2, Q(3)), (Q(1), 2, Q(3)), Q(2)),  # one family: 3 = 3**1, 2**1
+    ((Q(3), 2, Q(3)), (Q(1), 4, Q(9)), Q(2)),  # across families: 3 = 9**(1/2), 4**(1/2)
+    ((Q(1), 4, Q(9)), (Q(3), 2, Q(3)), Q(1, 2)),  # 1/3 = 3**-1, 2**-1
+    ((Q(4), 2, Q(4)), (Q(1), 2, Q(4)), Q(2)),  # s = 1/2 is rational: 4**(1/2)
+    ((Q(3), 2, Q(9)), (Q(1), 2, Q(9)), None),  # 3 = 9**(1/2), but 2**(1/2) is irrational
+    ((Q(2), 2, Q(3)), (Q(1), 2, Q(3)), None),  # 2 is no rational power of 3
+])
+def test_cantor_weight_ratios_read_across_families(a, b, want):
+    assert _weight_ratio(a, b) == want
