@@ -575,14 +575,19 @@ class Weight:
         return _compare_sums(self.terms, other.terms, self.ratio, self.enclose)
 
     def __str__(self) -> str:
-        """The magnitude under arith, acc and avg: the rational total, or the
-        Cantor terms diam**s written diam^(log m/log invr), fractions bracketed."""
+        """The magnitude: the rational total; else the Cantor terms diam**s
+        written diam^(log m/log invr), or the iso terms written
+        c·(1/ln(1/r))^degree (c at degree 0); fractions bracketed."""
         if self.total is not None:
             return str(self.total)
 
         def atom(q):
             return str(q) if q.denominator == 1 else f"({q})"
-        return " + ".join(f"{atom(d)}^(log {m}/log {atom(invr)})" for d, m, invr in self.terms)
+        if isinstance(self.order, DimValue):
+            return " + ".join(f"{atom(d)}^(log {m}/log {atom(invr)})" for d, m, invr in self.terms)
+        if self.order == 0:
+            return " + ".join(atom(c) for c, _ in self.terms)
+        return " + ".join(f"{atom(c)}·(1/ln {atom(1 / r)})^{self.order}" for c, r in self.terms)
 
     def mean(self, tol: float) -> MeanValue:
         """sum(t * x) / sum(t) over terms and positions: direct for a rational total,

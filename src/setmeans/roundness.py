@@ -120,8 +120,7 @@ def _defect(halves: _Halves) -> RoundReport:
     defect = combine(lambda k, k1, k2: (k1 + k2) / 2 - k, k, k1, k2, tol=cfg.tol)
     if not defect.is_defined:
         raise DomainViolation(f"a half lies outside Dom({kind.value}): {defect.reason}")
-    shown = defect.value if defect.is_exact else f"{defect.approx:.3g}"
-    verdict = replace(halves.decision, evidence=(f"defect {shown}",))
+    verdict = replace(halves.decision, evidence=(f"defect {defect}",))
     return RoundReport(k, k1, k2, defect, verdict, _witness_payload(halves))
 
 

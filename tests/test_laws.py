@@ -1,5 +1,6 @@
 """Corpus generation and the law-checking harness."""
 
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -169,6 +170,38 @@ def test_union_monotone_trusts_a_strict_step_only_between_exact_values(monkeypat
     rep = check_law(MeanKind.ARITH, LawKind.UNION_MONOTONE, corpus)
     assert (rep.trials, rep.skipped) == (3, 2)
     assert [v.inputs for v in rep.violations] == ([("{0}", "{10}", "{20}")] if violated else [])
+
+
+def test_a_skipped_trial_builds_nothing(monkeypatch):
+    # every arith mean of an infinite set is undefined, so LAW_TABLE has every
+    # trial of this corpus skipped: hypotheses are read before any translate or
+    # union is built, except part-shift-invariant's, which is K(H1 u H2) itself
+    built = Counter()
+
+    def counted(name, f):
+        def g(*args):
+            built[name] += 1
+            return f(*args)
+        return g
+
+    def disjoint(h1, h2, _disjoint=laws._disjoint):
+        out = _disjoint(h1, h2)
+        built["disjoint pair"] += out is True
+        return out
+
+    monkeypatch.setattr(laws, "union_sets", counted("union", laws.union_sets))
+    monkeypatch.setattr(laws, "translate_set", counted("translate", laws.translate_set))
+    monkeypatch.setattr(laws, "_disjoint", disjoint)
+    corpus = gen_corpus(4, 30, "sequences")
+    for law in LawKind:
+        built.clear()
+        rep = check_law(MeanKind.ARITH, law, corpus)
+        assert rep.skipped == rep.trials, law
+        assert built["translate"] == 0, law
+        if law is LawKind.PART_SHIFT_INVARIANT:
+            assert built["union"] == built["disjoint pair"] > 0
+        else:
+            assert built["union"] == 0, law
 
 
 # (trials, skipped, violations) of each law, in LawKind order, for each

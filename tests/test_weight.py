@@ -199,3 +199,29 @@ def test_weights_match_the_per_kind_reference(kind):
 ])
 def test_cantor_weight_ratios_read_across_families(a, b, want):
     assert _weight_ratio(a, b) == want
+
+
+@pytest.mark.parametrize("expr, want", [
+    ("{1,2}", "2"),
+    ("seq(0,1,1/2)", "1·(1/ln 2)^1"),
+    ("seq(0,1,1/2) U seq(1,1,1/3)", "1·(1/ln 2)^1 + 1·(1/ln 3)^1"),
+    ("tower(2,0,1/4)", "1·(1/ln 4)^2"),
+], ids=["finite", "seq", "two-seqs", "tower"])
+def test_an_iso_weight_prints_its_terms(expr, want):
+    assert str(weight_of(normalize(parse(expr)), MeanKind.ISO)) == want
+
+
+def test_every_corpus_weight_prints():
+    # lis has no weight; a set outside a mean's domain has none under it
+    printed = set()
+    for profile in PROFILES:
+        for e in gen_corpus(7, 20, profile):
+            h = normalize(e)
+            for kind in (MeanKind.ARITH, MeanKind.ACC, MeanKind.AVG, MeanKind.ISO):
+                try:
+                    w = weight_of(h, kind)
+                except DomainViolation:
+                    continue
+                assert str(w), (kind, e)
+                printed.add(kind)
+    assert len(printed) == 4
