@@ -1,7 +1,7 @@
 """Primitive blocks: the exactly-representable pieces of a bounded set.
 
-Every coordinate is a Fraction, so membership, distances, bounds and cuts
-are exact.  Five block kinds exist:
+Every coordinate is a ``Q``, the library's exact rational, so membership,
+distances, bounds and cuts are exact.  Five block kinds exist:
 
 * ``Finite``   -- a sorted tuple of distinct points.
 * ``GeomSeq``  -- ``{a + w*r**n : n >= 1}``, a geometric sequence
@@ -28,8 +28,7 @@ from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 from .errors import CutNotRepresentable, MembershipUndecided, ValidationError
-
-Q = Fraction
+from .rational import Q
 
 #: levels a Cantor descent may spend on an orbit that neither cycles nor
 #: exits; with r = 1/q each orbit does one or the other within L + 1 levels
@@ -45,9 +44,10 @@ INT_DIGITS = 4300
 
 
 def as_q(value) -> Q:
-    if isinstance(value, Q):
+    """value as a Q: an int or any Fraction is accepted."""
+    if type(value) is Q:
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Q(value)
     raise ValidationError(f"expected a rational, got {value!r}")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction as Q
 
 from .blocks import INT_DIGITS, Finite, GeomSeq
 from .errors import DomainViolation, EmptyResult, ValidationError
@@ -25,6 +24,7 @@ from .means import (
     mean_of,
     order_of,
 )
+from .rational import Q
 from .sets import (
     BlockSet,
     IsolationProfile,

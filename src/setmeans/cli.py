@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction as Q
 
 from . import __version__
 from .classify import (
@@ -27,6 +26,7 @@ from .dsl import int_text, parse, render_set
 from .errors import DomainViolation, ParseError, SetMeansError, ValidationError
 from .laws import PROFILES, LawKind, check_law, gen_corpus
 from .means import LadderConfig, MeanKind, MeanValue, k_bounds, mean_of
+from .rational import Q
 from .roundness import round_pass
 from .sets import normalize
 from .weigh import WeightKind, defect_curve, equal_weight
@@ -303,8 +303,7 @@ def _human_lines(report) -> list[str]:
     elif result["type"] == "mean":
         st = result["status"]
         if st == "exact":
-            lines.append(f"{result['kind']} mean = "
-                         f"{result['value']['num']}/{result['value']['den']}")
+            lines.append(f"{result['kind']} mean = {_fmt_val(result)}")
         elif st == "approx":
             lines.append(f"{result['kind']} mean ~ {result['value']['approx']} "
                          f"(tol {result['value']['tol']})")

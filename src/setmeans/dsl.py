@@ -19,10 +19,10 @@ Grammar (whitespace insignificant):
 from __future__ import annotations
 
 import re
-from fractions import Fraction as Q
 
 from .blocks import INT_DIGITS, Cantor, Finite, GeomSeq, Interval, Tower
 from .errors import ParseError, ValidationError
+from .rational import Q
 from .sets import CutAbove, CutBelow, Leaf, SetExpr, Translate, Union
 
 # a mark (its own kind), an integer, a word, then the two lexical errors:

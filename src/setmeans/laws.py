@@ -16,7 +16,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction as Q
+
 from .blocks import Cantor, Finite, GeomSeq, Interval, Tower
 from .dsl import render
 from .errors import EmptyResult, IntersectionNotRepresentable, ValidationError
@@ -28,6 +28,7 @@ from .means import (
     mean_of,
     order,
 )
+from .rational import Q
 from .sets import (
     BlockSet,
     CutAbove,

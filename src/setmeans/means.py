@@ -130,9 +130,10 @@ class LadderConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        # an enclosure is narrowed until it is narrower than tol
-        if not self.tol > 0:
-            raise ValidationError("tol must be positive")
+        # an enclosure is narrowed until it is narrower than tol, and
+        # combine's 2*tol must be a finite bound
+        if not 0 < 2 * self.tol < math.inf:
+            raise ValidationError("tol must be positive and finite")
 
 
 DEFAULT_CONFIG = LadderConfig()

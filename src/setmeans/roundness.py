@@ -11,7 +11,6 @@ inner accumulation bounds is k.  The float defect is shown but decides nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction as Q
 from functools import cached_property
 
 from .classify import Answer, Verdict, _closed
@@ -25,6 +24,7 @@ from .means import (
     mean_of,
     weight_of,
 )
+from .rational import Q
 from .sets import BlockSet, bounds, cut_set
 from .weigh import compare_weights
 

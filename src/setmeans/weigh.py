@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction as Q
 from typing import Optional
 
 from .classify import Answer, Method, Verdict, _closed, _translate_grid
@@ -44,6 +43,7 @@ from .means import (
     mean_of,
     weight_of,
 )
+from .rational import Q
 from .sets import BlockSet, bounds, translate_set, union_sets
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import setmeans
 from setmeans import (
     Cantor,
     CutNotRepresentable,
@@ -408,11 +409,11 @@ def test_finite_builders_return_strictly_increasing_fractions():
         built += _block_intersect(f, Interval(y, y + 5))
         built += _block_intersect(f, GeomSeq(y, Q(1), Q(1, 2)))
         for b in built:
-            assert all(type(p) is Q for p in b.points)
+            assert all(type(p) is setmeans.Q for p in b.points)
             assert all(p < q for p, q in zip(b.points, b.points[1:]))
             assert b == Finite(b.points)
     h = normalize_blocks([GeomSeq(2, 1, Q(1, 2)), Tower(2, -1, 1, Q(1, 4))])
     (anchors,) = [b for b in derived_set(h).blocks if isinstance(b, Finite)]
-    assert anchors.points == (Q(-1), Q(2)) and all(type(p) is Q for p in anchors.points)
+    assert anchors.points == (Q(-1), Q(2)) and all(type(p) is setmeans.Q for p in anchors.points)
     with pytest.raises(ValidationError):
         f.translate(0.5)

@@ -279,8 +279,9 @@ def test_tol_flag_reaches_the_evaluator():
 
 
 def test_tol_must_be_positive():
-    # an enclosure is narrowed until it is narrower than tol, which needs tol > 0
-    for tol in ("0", "-1", "nan"):
+    # an enclosure is narrowed until it is narrower than tol, which needs tol > 0,
+    # and an approximate combination is within 2*tol, which must be finite
+    for tol in ("0", "-1", "nan", "inf", "1e308"):
         code, rep = run_command(["eval", "--mean", "iso", "--tol", tol,
                                  "seq(0,1,1/2) U seq(1,1,1/3)"])
         assert code == 2, tol
@@ -395,6 +396,7 @@ PART_SHIFT_INPUTS = "['tower(2, 22/3, 1/6, -1)', 'seq(-9/8, 1, 1/5)', 'x="
     (["witness", "--iso-big", "--depth", "3", "seq(0,1,1/2)"], 0,
      ["witness (big): {-5/6, -2/3, -11/24, -5/12, -3/8, -35/108, -17/54, -11/36, -8/27, "
       "-31/108, -5/18, -29/108, -7/27}", "stage ratios: 2/1, 5/1, 13/2"]),
+    (["eval", "--mean", "arith", "{1}"], 0, ["arith mean = 1"]),
 ])
 def test_main_prints_human_lines(capsys, argv, code, lines):
     from setmeans.cli import main

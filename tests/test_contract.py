@@ -5,6 +5,7 @@ edit here.
 """
 
 import argparse
+import fractions
 
 import setmeans
 from setmeans import cli
@@ -55,6 +56,11 @@ def test_public_names():
     assert len(setmeans.__all__) == len(set(setmeans.__all__))
     for name in setmeans.__all__:
         assert hasattr(setmeans, name), name
+
+
+def test_the_rational_is_a_fraction():
+    # every rational the library makes is a setmeans.Q, an exact Fraction
+    assert issubclass(setmeans.Q, fractions.Fraction)
 
 
 def test_cli_subcommands_and_options():

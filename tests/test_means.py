@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from mpmath import iv, mp, mpf
 
+import setmeans
 from setmeans import (
     Cantor,
     DomainViolation,
@@ -158,7 +159,7 @@ def test_progressions_with_shared_factors_sum_in_closed_form(monkeypatch, degree
     real = means._lcm_sum
     monkeypatch.setattr(means, "_lcm_sum", lambda *a: calls.append(a) or real(*a))
     got = means._progressions_union([(0, s) for s in steps], degree)
-    assert type(got) is Q and got == want
+    assert type(got) is setmeans.Q and got == want
     assert len(calls) <= 4 * len(steps)
 
 

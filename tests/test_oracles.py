@@ -21,6 +21,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import setmeans
 from setmeans import (
     Answer,
     CutAbove,
@@ -563,7 +564,7 @@ def test_progressions_union_matches_every_subfamily(degree):
             for progressions in (agreeing, clashing):
                 got = _progressions_union(progressions, degree)
                 want = reference_progressions_union(progressions, degree)
-                assert type(got) is Q and type(want) is Q
+                assert type(got) is setmeans.Q and type(want) is Q
                 assert got == want, (progressions, degree)
 
 
