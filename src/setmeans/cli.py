@@ -339,16 +339,19 @@ def _human_lines(report) -> list[str]:
                      f"k-limsup = {_fmt_val(result['k_limsup'])}")
     elif result["type"] == "witness":
         lines.append(f"witness ({result['direction']}): {result['expr']}")
-        ratio_bits = [f"{r['ratio']['num']}/{r['ratio']['den']}" for r in result["ratios"]]
-        lines.append("stage ratios: " + ", ".join(ratio_bits))
+        lines.append("stage ratios: " + ", ".join(_fmt_q(r["ratio"]) for r in result["ratios"]))
     lines.extend(d for d in report["diagnostics"] if d not in said)
     return lines
 
 
+def _fmt_q(qj) -> str:
+    """A JSON rational as text: an integer prints as n, not n/1."""
+    return qj["num"] if qj["den"] == "1" else f"{qj['num']}/{qj['den']}"
+
+
 def _fmt_val(mj) -> str:
     if mj["status"] == "exact":
-        num, den = mj["value"]["num"], mj["value"]["den"]
-        return num if den == "1" else f"{num}/{den}"
+        return _fmt_q(mj["value"])
     if mj["status"] == "approx":
         return f"~{mj['value']['approx']}"
     return f"undefined({mj['reason']})"

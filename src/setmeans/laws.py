@@ -1,13 +1,14 @@
 """Property harness for the mean axioms over generated corpora.
 
-Each law is instantiated with corpus elements and deterministic shifts;
-inputs outside a law's hypotheses count as skipped, never as violations.
-A trial reads its hypotheses first, the corpus means before disjointness,
-and stops at the first that fails: a skipped trial builds no translate or
-union and evaluates no mean of its conclusion, so an error that only the
+Each law is one row of ``check_law``'s table, instantiated with corpus
+elements and deterministic shifts.  Inputs outside a law's hypotheses are
+skipped trials, never violations, and each names the hypothesis that failed.
+A row reads its hypotheses first, the corpus means before disjointness, and
+stops at the first that fails: a skipped trial builds no translate or union
+and evaluates no mean of its conclusion, so an error that only the
 conclusion would raise is not raised for it.  The harness never claims a
-law holds, only that no violation turned up in the trials it ran, and
-every recorded violation replays from its rendered inputs.
+law holds, only that no violation turned up in the trials it ran, and every
+recorded violation replays from its rendered inputs.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class LawReport:
     skipped: int
 
 
-PROFILES = ("finite", "sequences", "towers", "intervals", "cantor", "mixed")
-
-
 def _rq(rng: random.Random, lo: int, hi: int, dens=(1, 2, 3, 4, 8, 16)) -> Q:
     d = rng.choice(dens)
     return Q(rng.randint(lo * d, hi * d), d)
@@ -117,34 +115,29 @@ def _gen_cantor(rng) -> Cantor:
     return Cantor(a, a + length, m, r)
 
 
-def _profile_block(rng, profile: str):
-    if profile == "finite":
-        return _gen_finite(rng)
-    if profile == "sequences":
-        return _gen_seq(rng)
-    if profile == "towers":
-        return _gen_tower(rng)
-    if profile == "intervals":
-        return _gen_interval(rng)
-    if profile == "cantor":
-        return _gen_cantor(rng)
+# the mixed profile draws the first block kind whose odds exceed rng.random()
+_MIXED = ((0.3, _gen_finite), (0.55, _gen_seq), (0.65, _gen_tower),
+          (0.85, _gen_interval), (1, _gen_cantor))
+
+
+def _gen_mixed(rng):
     pick = rng.random()
-    if pick < 0.3:
-        return _gen_finite(rng)
-    if pick < 0.55:
-        return _gen_seq(rng)
-    if pick < 0.65:
-        return _gen_tower(rng)
-    if pick < 0.85:
-        return _gen_interval(rng)
-    return _gen_cantor(rng)
+    for odds, gen in _MIXED:
+        if pick < odds:
+            return gen(rng)
+
+
+_GENERATORS = {"finite": _gen_finite, "sequences": _gen_seq, "towers": _gen_tower,
+               "intervals": _gen_interval, "cantor": _gen_cantor, "mixed": _gen_mixed}
+PROFILES = tuple(_GENERATORS)
 
 
 def _gen_expr(rng, profile: str) -> SetExpr:
-    parts: list[SetExpr] = [Leaf(_profile_block(rng, profile))]
+    gen = _GENERATORS[profile]
+    parts: list[SetExpr] = [Leaf(gen(rng))]
     extra = rng.randint(0, 2) if profile == "mixed" else rng.randint(0, 1)
     for _ in range(extra):
-        parts.append(Leaf(_profile_block(rng, profile)))
+        parts.append(Leaf(gen(rng)))
     if profile == "towers":
         # keep the profile contract: a tower must be present
         if not any(isinstance(p.block, Tower) for p in parts):
@@ -184,11 +177,14 @@ def gen_corpus(seed: int, count: int, profile: str = "mixed") -> list[SetExpr]:
 # ---------------------------------------------------------------------------
 # law checking
 
-
-def _between(lo: MeanValue, v: MeanValue, hi: MeanValue, tol: float):
-    """lo <= v <= hi; None when any of the three is undefined."""
-    below, above = order(lo, v, tol), order(v, hi, tol)
-    return None if below is None or above is None else below <= 0 and above <= 0
+# Why a trial was skipped: each names the hypothesis that failed.
+UNDEFINED = "a mean is undefined"
+NOT_DISJOINT = "the sets are not known to be disjoint"
+NO_ACCUMULATION = "a set has no accumulation point"
+NOT_ONE_SIDE = "K(A) is not on one side of both unions"
+WRONG_SIDE = "K(L u B) is not exactly on the side of x from K(L)"
+INEXACT = "K(L u B u B+x) is not exact"
+UNRESOLVED = "the sign is not resolvable at tolerance"
 
 
 def _disjoint(h1: BlockSet, h2: BlockSet):
@@ -198,33 +194,6 @@ def _disjoint(h1: BlockSet, h2: BlockSet):
         return disjoint(h1, h2)
     except IntersectionNotRepresentable:
         return None
-
-
-class _Run:
-    def __init__(self, law, mean):
-        self.law = law
-        self.mean = mean
-        self.trials = 0
-        self.skipped = 0
-        self.violations: list[Violation] = []
-
-    def skip(self):
-        self.check(None, None)
-
-    def check(self, condition, describe):
-        """One trial: skipped when condition is None, a violation when it is
-        false; describe() gives a violation's (inputs, observed), and is
-        called for violations only."""
-        self.trials += 1
-        if condition is None:
-            self.skipped += 1
-        elif not condition:
-            inputs, observed = describe()
-            self.violations.append(Violation(tuple(inputs), observed))
-
-    def report(self) -> LawReport:
-        return LawReport(self.law, self.mean, self.trials,
-                         tuple(self.violations), self.skipped)
 
 
 def _shifts(h: BlockSet) -> list[Q]:
@@ -237,17 +206,15 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
               cfg: LadderConfig = DEFAULT_CONFIG) -> LawReport:
     """Instantiate one law for one mean over the corpus.
 
-    Mean values compare through ``means.order``.  A strict inequality is
-    only trusted between exact values.
+    A law's row maps a corpus index to one trial, or to a list of one trial
+    per translate: the reason it was skipped, or ``(holds, describe)``, where
+    describe() gives a violation's (inputs, observed).  Mean values compare
+    through ``means.order``; a strict step is trusted only between exact values.
     """
     mean, law = MeanKind(mean), LawKind(law)
     sets = [normalize(e) for e in corpus]
-    run = _Run(law, mean)
     n = len(sets)
     tol = cfg.tol
-
-    def kv(h):
-        return mean_of(h, mean, cfg)
 
     def text(i):
         """The rendered corpus item i, for a violation that cites it."""
@@ -268,173 +235,187 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
             k = (k + 1) % n
         return (i, j, k)
 
-    if law in (LawKind.INTERNAL, LawKind.STRONG_INTERNAL):
-        for i, h in enumerate(sets):
-            v, bd = kv(h), bounds(h)
-            lo, hi = ((bd.acc_inf, bd.acc_sup) if law is LawKind.STRONG_INTERNAL
-                      else (bd.inf, bd.sup))
-            if lo is None:
-                run.skip()
-                continue
-            run.check(_between(MeanValue.exact(lo), v, MeanValue.exact(hi), tol),
-                      lambda: ((text(i),), f"K={v} outside [{lo}, {hi}]"))
-    elif law in (LawKind.MONOTONE, LawKind.STRONG_MONOTONE, LawKind.DISJOINT_MONOTONE):
-        for i in range(n):
-            a, b = pair(i)
-            h1, h2 = sets[a], sets[b]
-            shift = None
-            if law is LawKind.DISJOINT_MONOTONE:
-                v1, v2 = kv(h1), kv(h2)
-                sign = order(v1, v2, tol)
-                if sign is None or _disjoint(h1, h2) is not True:
-                    run.skip()
-                    continue
-                if sign > 0:
-                    h1, h2, v1, v2 = h2, h1, v2, v1
-            else:
-                b1, b2 = bounds(h1), bounds(h2)
-                if law is LawKind.STRONG_MONOTONE:
-                    top1, low2 = b1.acc_sup, b2.acc_inf
-                    if top1 is None or low2 is None:
-                        run.skip()
-                        continue
-                else:
-                    top1, low2 = b1.sup, b2.inf
-                v1 = kv(h1)
-                if not v1.is_defined:
-                    run.skip()
-                    continue
-                shift = top1 - low2 + i % 3
-                h2 = translate_set(h2, shift)
-                v2 = kv(h2)
-                if not v2.is_defined:
-                    run.skip()
-                    continue
-            vu = kv(union_sets(h1, h2))
-            run.check(_between(v1, vu, v2, tol),
-                      lambda: ((text(a), text(b)) + (() if shift is None else (f"shift={shift}",)),
-                               f"K1={v1} Ku={vu} K2={v2}"))
-    elif law is LawKind.UNION_MONOTONE:
-        for i in range(n):
-            ia, ib, ic = triple(i)
-            a, b, c = sets[ia], sets[ib], sets[ic]
-            va = kv(a)
-            if not va.is_defined or _disjoint(b, c) is not True:
-                run.skip()
-                continue
-            unions = []
-            for parts in ((b,), (c,), (b, c)):  # K(A u B), K(A u C), K(A u B u C)
-                v = kv(union_sets(a, *parts))
-                if not v.is_defined:
-                    break
-                unions.append(v)
-            if len(unions) < 3:
-                run.skip()
-                continue
-            vab, vac, vabc = unions
-            sab, sac, sabc = (order(va, v, tol) for v in unions)
-            checked = bad = False
-            for s in (-1, 1):  # K(A) at or below both unions, then at or above both
-                if s * sab < 0 or s * sac < 0:
-                    continue
-                checked = True
-                strict = va.is_exact and any(sv == s and v.is_exact
-                                             for sv, v in ((sab, vab), (sac, vac)))
-                bad = bad or sabc == -s or (strict and vabc.is_exact and sabc == 0)
-            run.check(not bad if checked else None,
-                      lambda: ((text(ia), text(ib), text(ic)),
-                               f"Ka={va} Kab={vab} Kac={vac} Kabc={vabc}"))
-    elif law is LawKind.D_MONOTONE:
-        for i in range(n):
-            a, b = pair(i)
-            L, B = sets[a], sets[b]
-            vl = kv(L)
-            if not vl.is_defined or _disjoint(L, B) is not True:
-                run.skip()
-                continue
-            lb = union_sets(L, B)
-            vlb = kv(lb)
-            if not vlb.is_defined:
-                run.skip()
-                continue
-            # the law needs K(L u B) strictly on the side of x from K(L), both exact
-            side = order(vlb, vl, tol) if vl.is_exact and vlb.is_exact else None
-            for x in _shifts(lb):
-                s = 1 if x > 0 else -1
-                if side != s:
-                    run.skip()
-                    continue
-                bx = translate_set(B, x)
-                if _disjoint(lb, bx) is not True:
-                    run.skip()
-                    continue
-                vfull = kv(union_sets(lb, bx))
-                if not vfull.is_exact:
-                    run.skip()
-                    continue
-                run.check(order(vfull, vlb, tol) == s,
-                          lambda: ((text(a), text(b), f"x={x}"),
-                                   f"KL={vl} KLB={vlb} Kfull={vfull}"))
-    elif law is LawKind.SHIFT_INVARIANT:
-        for i, h in enumerate(sets):
-            v = kv(h)
+    def between(lo, v, hi, describe):
+        """The trial lo <= v <= hi."""
+        below, above = order(lo, v, tol), order(v, hi, tol)
+        if below is None or above is None:
+            return UNDEFINED
+        return below <= 0 and above <= 0, describe
+
+    def same(i, x, name, v, name_x, vx):
+        """The trial v == vx, for item i at translate x."""
+        sign = order(v, vx, tol)
+        if sign is None:
+            return UNDEFINED
+        return sign == 0, lambda: ((text(i), f"x={x}"), f"{name}={v} vs {name_x}={vx}")
+
+    def internal(i):
+        h = sets[i]
+        v, bd = mean_of(h, mean, cfg), bounds(h)
+        lo, hi = ((bd.acc_inf, bd.acc_sup) if law is LawKind.STRONG_INTERNAL
+                  else (bd.inf, bd.sup))
+        if lo is None:
+            return NO_ACCUMULATION
+        return between(MeanValue.exact(lo), v, MeanValue.exact(hi),
+                       lambda: ((text(i),), f"K={v} outside [{lo}, {hi}]"))
+
+    def monotone(i):
+        a, b = pair(i)
+        h1, h2 = sets[a], sets[b]
+        b1, b2 = bounds(h1), bounds(h2)
+        top1, low2 = ((b1.acc_sup, b2.acc_inf) if law is LawKind.STRONG_MONOTONE
+                      else (b1.sup, b2.inf))
+        if top1 is None or low2 is None:
+            return NO_ACCUMULATION
+        v1 = mean_of(h1, mean, cfg)
+        if not v1.is_defined:
+            return UNDEFINED
+        shift = top1 - low2 + i % 3
+        h2 = translate_set(h2, shift)
+        v2 = mean_of(h2, mean, cfg)
+        if not v2.is_defined:
+            return UNDEFINED
+        vu = mean_of(union_sets(h1, h2), mean, cfg)
+        return between(v1, vu, v2, lambda: ((text(a), text(b), f"shift={shift}"),
+                                            f"K1={v1} Ku={vu} K2={v2}"))
+
+    def disjoint_monotone(i):
+        a, b = pair(i)
+        h1, h2 = sets[a], sets[b]
+        v1, v2 = mean_of(h1, mean, cfg), mean_of(h2, mean, cfg)
+        sign = order(v1, v2, tol)
+        if sign is None:
+            return UNDEFINED
+        if _disjoint(h1, h2) is not True:
+            return NOT_DISJOINT
+        if sign > 0:
+            h1, h2, v1, v2 = h2, h1, v2, v1
+        vu = mean_of(union_sets(h1, h2), mean, cfg)
+        return between(v1, vu, v2, lambda: ((text(a), text(b)), f"K1={v1} Ku={vu} K2={v2}"))
+
+    def union_monotone(i):
+        ia, ib, ic = triple(i)
+        a, b, c = sets[ia], sets[ib], sets[ic]
+        va = mean_of(a, mean, cfg)
+        if not va.is_defined:
+            return UNDEFINED
+        if _disjoint(b, c) is not True:
+            return NOT_DISJOINT
+        unions = []
+        for parts in ((b,), (c,), (b, c)):  # K(A u B), K(A u C), K(A u B u C)
+            v = mean_of(union_sets(a, *parts), mean, cfg)
             if not v.is_defined:
-                run.skip()
+                return UNDEFINED
+            unions.append(v)
+        vab, vac, vabc = unions
+        sab, sac, sabc = (order(va, v, tol) for v in unions)
+        checked = bad = False
+        for s in (-1, 1):  # K(A) at or below both unions, then at or above both
+            if s * sab < 0 or s * sac < 0:
                 continue
-            for x in _shifts(h):
-                vs = kv(translate_set(h, x))
-                sign = order(vs, v.shifted(x), tol)
-                run.check(None if sign is None else sign == 0,
-                          lambda: ((text(i), f"x={x}"), f"K(H+x)={vs} vs K(H)+x={v.shifted(x)}"))
-    elif law is LawKind.SELF_SHIFT_INVARIANT:
-        for i, h in enumerate(sets):
-            v = kv(h)
-            if not v.is_defined:
-                run.skip()
-                continue
-            d = diameter(h)
-            for mult in (1, 2, 7):
-                x = d + mult  # strict separation keeps the union overlap-free
-                vu = kv(union_sets(h, translate_set(h, x)))
-                sign = order(vu, v.shifted(x / 2), tol)
-                run.check(None if sign is None else sign == 0,
-                          lambda: ((text(i), f"x={x}"),
-                                   f"K(H u H+x)={vu} vs K(H)+x/2={v.shifted(x / 2)}"))
-    elif law is LawKind.PART_SHIFT_INVARIANT:
-        for i in range(n):
-            a, b = pair(i)
-            h1, h2 = sets[a], sets[b]
-            if _disjoint(h1, h2) is not True:
-                run.skip()
-                continue
-            v0 = kv(union_sets(h1, h2))
-            if not v0.is_defined:
-                run.skip()
-                continue
-            for x in _shifts(h2):
-                h2x = translate_set(h2, x)
-                if _disjoint(h1, h2x) is not True:
-                    run.skip()
-                    continue
-                vx = kv(union_sets(h1, h2x))
-                sign, exact = order(vx, v0, tol), vx.is_exact and v0.is_exact
-                if sign is None or (sign == 0 and not exact):
-                    run.skip()  # outside the domain, or the sign is not resolvable at tolerance
-                    continue
-                # K moves the way of x, and by at most |x|
-                s = 1 if x > 0 else -1
-                run.check(sign == s and order(vx, v0.shifted(x), tol) != s,
-                          lambda: ((text(a), text(b), f"x={x}"),
-                                   f"K(H1 u H2+x)-K(H1 u H2)={vx.value - v0.value} vs x={x}"
-                                   if exact else
-                                   f"difference {vx.as_float() - v0.as_float():.6g} vs x={x}"))
-    else:
-        raise ValueError(f"unhandled law {law}")
-    return run.report()
+            checked = True
+            strict = va.is_exact and any(sv == s and v.is_exact
+                                         for sv, v in ((sab, vab), (sac, vac)))
+            bad = bad or sabc == -s or (strict and vabc.is_exact and sabc == 0)
+        if not checked:
+            return NOT_ONE_SIDE
+        return not bad, lambda: ((text(ia), text(ib), text(ic)),
+                                 f"Ka={va} Kab={vab} Kac={vac} Kabc={vabc}")
+
+    def d_monotone(i):
+        a, b = pair(i)
+        L, B = sets[a], sets[b]
+        vl = mean_of(L, mean, cfg)
+        if not vl.is_defined:
+            return UNDEFINED
+        if _disjoint(L, B) is not True:
+            return NOT_DISJOINT
+        lb = union_sets(L, B)
+        vlb = mean_of(lb, mean, cfg)
+        if not vlb.is_defined:
+            return UNDEFINED
+        # the law needs K(L u B) strictly on the side of x from K(L), both exact
+        side = order(vlb, vl, tol) if vl.is_exact and vlb.is_exact else None
+
+        def at(x):
+            s = 1 if x > 0 else -1
+            if side != s:
+                return WRONG_SIDE
+            bx = translate_set(B, x)
+            if _disjoint(lb, bx) is not True:
+                return NOT_DISJOINT
+            vfull = mean_of(union_sets(lb, bx), mean, cfg)
+            if not vfull.is_exact:
+                return INEXACT
+            return order(vfull, vlb, tol) == s, lambda: ((text(a), text(b), f"x={x}"),
+                                                        f"KL={vl} KLB={vlb} Kfull={vfull}")
+        return [at(x) for x in _shifts(lb)]
+
+    def shift_invariant(i):
+        h = sets[i]
+        v = mean_of(h, mean, cfg)
+        if not v.is_defined:
+            return UNDEFINED
+        return [same(i, x, "K(H+x)", mean_of(translate_set(h, x), mean, cfg),
+                     "K(H)+x", v.shifted(x)) for x in _shifts(h)]
+
+    def self_shift_invariant(i):
+        h = sets[i]
+        v = mean_of(h, mean, cfg)
+        if not v.is_defined:
+            return UNDEFINED
+        d = diameter(h)  # x past the diameter keeps the union overlap-free
+        return [same(i, x, "K(H u H+x)", mean_of(union_sets(h, translate_set(h, x)), mean, cfg),
+                     "K(H)+x/2", v.shifted(x / 2)) for x in (d + 1, d + 2, d + 7)]
+
+    def part_shift_invariant(i):
+        a, b = pair(i)
+        h1, h2 = sets[a], sets[b]
+        if _disjoint(h1, h2) is not True:
+            return NOT_DISJOINT
+        v0 = mean_of(union_sets(h1, h2), mean, cfg)
+        if not v0.is_defined:
+            return UNDEFINED
+
+        def at(x):
+            h2x = translate_set(h2, x)
+            if _disjoint(h1, h2x) is not True:
+                return NOT_DISJOINT
+            vx = mean_of(union_sets(h1, h2x), mean, cfg)
+            sign, exact = order(vx, v0, tol), vx.is_exact and v0.is_exact
+            if sign is None:
+                return UNDEFINED
+            if sign == 0 and not exact:
+                return UNRESOLVED
+            # K moves the way of x, and by at most |x|
+            s = 1 if x > 0 else -1
+            return sign == s and order(vx, v0.shifted(x), tol) != s, lambda: (
+                (text(a), text(b), f"x={x}"),
+                f"K(H1 u H2+x)-K(H1 u H2)={vx.value - v0.value} vs x={x}" if exact else
+                f"difference {vx.as_float() - v0.as_float():.6g} vs x={x}")
+        return [at(x) for x in _shifts(h2)]
+
+    row = {LawKind.INTERNAL: internal, LawKind.STRONG_INTERNAL: internal,
+           LawKind.MONOTONE: monotone, LawKind.STRONG_MONOTONE: monotone,
+           LawKind.DISJOINT_MONOTONE: disjoint_monotone, LawKind.UNION_MONOTONE: union_monotone,
+           LawKind.D_MONOTONE: d_monotone, LawKind.SHIFT_INVARIANT: shift_invariant,
+           LawKind.SELF_SHIFT_INVARIANT: self_shift_invariant,
+           LawKind.PART_SHIFT_INVARIANT: part_shift_invariant}[law]
+    trials = skipped = 0
+    violations = []
+    for i in range(n):
+        out = row(i)
+        for trial in out if isinstance(out, list) else (out,):
+            trials += 1
+            if isinstance(trial, str):
+                skipped += 1
+            elif not trial[0]:
+                inputs, observed = trial[1]()
+                violations.append(Violation(tuple(inputs), observed))
+    return LawReport(law, mean, trials, tuple(violations), skipped)
 
 
-def replay_violation(mean: MeanKind, violation: Violation,
-                     cfg: LadderConfig = DEFAULT_CONFIG):
+def replay_violation(violation: Violation):
     """Re-normalize the recorded inputs; the caller re-runs the check.
 
     Expression items come back as BlockSets, recorded parameters

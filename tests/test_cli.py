@@ -395,7 +395,7 @@ PART_SHIFT_INPUTS = "['tower(2, 22/3, 1/6, -1)', 'seq(-9/8, 1, 1/5)', 'x="
     (["kbounds", "--mean", "arith", "{0, 10}"], 0, ["k-liminf = 0, k-limsup = 10"]),
     (["witness", "--iso-big", "--depth", "3", "seq(0,1,1/2)"], 0,
      ["witness (big): {-5/6, -2/3, -11/24, -5/12, -3/8, -35/108, -17/54, -11/36, -8/27, "
-      "-31/108, -5/18, -29/108, -7/27}", "stage ratios: 2/1, 5/1, 13/2"]),
+      "-31/108, -5/18, -29/108, -7/27}", "stage ratios: 2, 5, 13/2"]),
     (["eval", "--mean", "arith", "{1}"], 0, ["arith mean = 1"]),
 ])
 def test_main_prints_human_lines(capsys, argv, code, lines):

@@ -1,5 +1,7 @@
 """Corpus generation and the law-checking harness."""
 
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -108,7 +110,7 @@ def test_part_shift_invariant_finds_acc_witnesses():
     from setmeans import mean_of, translate_set, union_sets
 
     v = rep.violations[0]
-    h1, h2, x = replay_violation(MeanKind.ACC, v)
+    h1, h2, x = replay_violation(v)
     base = mean_of(union_sets(h1, h2), MeanKind.ACC)
     moved = mean_of(union_sets(h1, translate_set(h2, x)), MeanKind.ACC)
     assert base.value == moved.value  # zero difference, sign(0) != sign(x)
@@ -250,10 +252,23 @@ LAW_TABLE = {
 }
 
 
+# sha256 over json.dumps([mean, law, inputs, observed]) of each violation,
+# means then laws in enum order: pins the texts that LAW_TABLE only counts
+VIOLATION_DIGEST = {
+    "mixed": "91f644e53106571ba9287e222adf02f362431642bec6c56f4d2432e8c202c99e",
+    "sequences": hashlib.sha256().hexdigest(),  # no violation
+}
+
+
 @pytest.mark.parametrize("seed, profile", [(3, "mixed"), (4, "sequences")])
 def test_law_table(seed, profile):
     corpus = gen_corpus(seed, 30, profile)
+    digest = hashlib.sha256()
     for mean in MeanKind:
         reports = [check_law(mean, law, corpus) for law in LawKind]
         assert [(r.trials, r.skipped, len(r.violations)) for r in reports] \
             == LAW_TABLE[profile, mean.value], mean
+        for r in reports:
+            for v in r.violations:
+                digest.update(json.dumps([mean, r.law, list(v.inputs), v.observed]).encode())
+    assert digest.hexdigest() == VIOLATION_DIGEST[profile]
