@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Optional, Union
 
 from .errors import CutNotRepresentable, MembershipUndecided, ValidationError
@@ -111,7 +112,8 @@ class Finite:
     points: tuple[Q, ...]
 
     def __post_init__(self):
-        pts = tuple(sorted(set(as_q(p) for p in self.points)))
+        # sorted, then adjacent equal points dropped: no Fraction is hashed
+        pts = tuple(p for p, _ in groupby(sorted(map(as_q, self.points))))
         if not pts:
             raise ValidationError("finite block needs at least one point")
         object.__setattr__(self, "points", pts)

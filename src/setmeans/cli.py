@@ -143,13 +143,71 @@ def _norm(text: str):
     return normalize(parse(text))
 
 
+@functools.cache
+def _reader_table() -> dict:
+    """Per subcommand, what `_read_argv` needs from its subparser's own actions;
+    help, like any action whose default is suppressed, is left out."""
+    (subs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {}
+    for name, p in subs.choices.items():
+        acts = [a for a in p._actions if a.default is not argparse.SUPPRESS]
+        table[name] = (p, {subs.dest: name, **{a.dest: a.default for a in acts}},
+                       {o: a for a in acts for o in a.option_strings},
+                       [a for a in acts if not a.option_strings],
+                       {a for a in acts if a.required},
+                       [(g.required, g._group_actions) for g in p._mutually_exclusive_groups])
+    return table
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The Namespace that `parse_args(argv)` returns, read in one pass, for a
+    plain argv: a subcommand, then flags spelled in full, each followed by its
+    values, and the positionals, no value starting with "-".  Any other argv
+    (help, an abbreviation, "--flag=value", a usage error) gives None."""
+    entry = _reader_table().get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    parser, defaults, options, positionals, required, groups = entry
+    ns, seen, rest, positionals = argparse.Namespace(**defaults), set(), argv[1:], iter(positionals)
+    i = 0
+    while i < len(rest):
+        if rest[i].startswith("-"):
+            action, i = options.get(rest[i]), i + 1
+        else:
+            action = next(positionals, None)
+        if action is None or not isinstance(n := 1 if action.nargs is None else action.nargs, int):
+            return None
+        strings, i = rest[i:i + n], i + n
+        if len(strings) < n or any(s.startswith("-") for s in strings):
+            return None
+        try:
+            values = [(action.type or str)(s) for s in strings]
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and any(v not in action.choices for v in values):
+            return None
+        value = values[0] if action.nargs is None else values
+        action(parser, ns, value)
+        if value is not action.default:  # what argparse counts as seen in a group
+            seen.add(action)
+    if not required <= seen or any(not req <= sum(a in seen for a in acts) <= 1
+                                   for req, acts in groups):
+        return None
+    return ns
+
+
 def run_command(argv) -> tuple[int, dict]:
     """Execute one CLI invocation and return (exit code, report)."""
-    parser = _build_parser()
+    return _run(argv)[1:]
+
+
+def _run(argv) -> tuple[argparse.Namespace | None, int, dict]:
+    """The parsed argv, or None after a usage error, with run_command's
+    exit code and report."""
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return (EXIT_USAGE if exc.code not in (0, None) else 0,
+        return (None, EXIT_USAGE if exc.code not in (0, None) else 0,
                 {"command": " ".join(argv), "inputs": [], "result": None,
                  "diagnostics": ["usage error" if exc.code else "help"],
                  "version": __version__})
@@ -171,12 +229,12 @@ def run_command(argv) -> tuple[int, dict]:
             report["diagnostics"].append(f"validation error: {exc}")
         else:
             report["diagnostics"].append(f"domain error: {type(exc).__name__}: {exc}")
-            return EXIT_DOMAIN, report
-        return EXIT_USAGE, report
+            return args, EXIT_DOMAIN, report
+        return args, EXIT_USAGE, report
     if code == EXIT_OK and args.strict and _is_inconclusive(report["result"]):
         report["diagnostics"].append("strict mode: result is INCONCLUSIVE")
-        return EXIT_INCONCLUSIVE, report
-    return code, report
+        return args, EXIT_INCONCLUSIVE, report
+    return args, code, report
 
 
 def _is_inconclusive(result: dict) -> bool:
@@ -359,9 +417,9 @@ def _fmt_val(mj) -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    code, report = run_command(argv)
-    json_mode = "--json" in argv
-    if json_mode:
+    args, code, report = _run(argv)
+    # a usage error has no parsed flags: its report is JSON when the text asks
+    if ("--json" in argv) if args is None else args.json:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
         for line in _human_lines(report):

@@ -130,6 +130,9 @@ def _gen_mixed(rng):
 _GENERATORS = {"finite": _gen_finite, "sequences": _gen_seq, "towers": _gen_tower,
                "intervals": _gen_interval, "cantor": _gen_cantor, "mixed": _gen_mixed}
 PROFILES = tuple(_GENERATORS)
+#: the largest corpus gen_corpus draws: a law check over it takes seconds,
+#: where a count like 10**30 would draw sets until memory ran out
+CORPUS_MAX = 10_000
 
 
 def _gen_expr(rng, profile: str) -> SetExpr:
@@ -157,9 +160,11 @@ def _gen_expr(rng, profile: str) -> SetExpr:
 
 def gen_corpus(seed: int, count: int, profile: str = "mixed") -> list[SetExpr]:
     """Deterministic corpus of normalizable expressions for one profile;
-    ValidationError for a count below 1 or an unknown profile."""
+    ValidationError for a count outside 1..CORPUS_MAX or an unknown profile."""
     if count < 1:
         raise ValidationError("count must be at least 1")
+    if count > CORPUS_MAX:
+        raise ValidationError(f"count must be at most {CORPUS_MAX}")
     if profile not in PROFILES:
         raise ValidationError(f"unknown profile {profile!r}; choose from {PROFILES}")
     rng = random.Random(seed * 1_000_003 + zlib.crc32(profile.encode()) % 999_983)

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from setmeans import cli
 from setmeans.cli import run_command
 
 
@@ -197,6 +198,14 @@ def test_laws_with_no_sets_exits_2(n):
     assert rep["diagnostics"] == ["validation error: count must be at least 1"]
 
 
+def test_laws_past_the_corpus_bound_exits_2():
+    # a count like 10**30 drew sets until memory ran out
+    for n in ("10001", str(10**30)):
+        code, rep = run_command(["laws", "--mean", "arith", "--law", "internal", "--n", n])
+        assert code == 2
+        assert rep["diagnostics"] == ["validation error: count must be at most 10000"]
+
+
 @pytest.mark.parametrize("text, column", [
     ("{" + "1" * 5000 + "}", 2),
     ("{1,\n -" + "1" * 4301 + "}", 2),
@@ -356,6 +365,17 @@ def test_main_prints_json(capsys):
     assert parsed["result"]["value"] == {"num": "2", "den": "1"}
 
 
+def test_main_reads_json_from_the_parsed_flag(capsys):
+    from setmeans.cli import main
+
+    # argparse reads --js as --json; the text "--json" never appears
+    assert main(["eval", "--mean", "arith", "{1, 2}", "--js"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["value"] == {"num": "3", "den": "2"}
+    # a usage error has no parsed flags: the text asks for JSON
+    assert main(["eval", "--mean", "mode", "--json", "{1}"]) == 2
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == ["usage error"]
+
+
 def test_main_prints_human(capsys):
     from setmeans.cli import main
 
@@ -469,9 +489,12 @@ def test_parser_is_built_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    tables = cli._reader_table.cache_info().misses
     code, rep = run_command(["eval", "--mean", "arith", "{1,2}"])
     assert code == 0 and rep["result"]["value"] == {"num": "3", "den": "2"}
     assert built == []
+    # the reader's table is read from the parser once, as the parser is built once
+    assert cli._reader_table.cache_info().misses == tables == 1
 
 
 def test_usage_error_leaves_the_parser_usable():
