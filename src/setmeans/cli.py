@@ -203,7 +203,9 @@ def run_command(argv) -> tuple[int, dict]:
 
 def _run(argv) -> tuple[argparse.Namespace | None, int, dict]:
     """The parsed argv, or None after a usage error, with run_command's
-    exit code and report."""
+    exit code and report; argv None reads sys.argv[1:], as main does."""
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         args = _read_argv(argv) or _build_parser().parse_args(argv)
     except SystemExit as exc:

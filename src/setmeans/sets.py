@@ -205,7 +205,9 @@ def _canonical(blocks: list[Block], provenance: Optional[SetExpr] = None) -> Blo
     """The canonical BlockSet of a block collection: one sort, then sweeps.
 
     The blocks other than Finite are sorted once by block_sort_key, so equal
-    blocks are neighbours and each kind comes out in order; intervals are
+    blocks are neighbours and each kind comes out in order; the sort runs
+    only for two such blocks or more, since the key reads each block's inf
+    and sup and one block is in order as it stands.  Intervals are
     merged as they come, and a block is tested only against the merged
     interval that could hold its box and, for finite points, only against
     the points inside its box.  No Fraction is hashed and nothing is sorted
@@ -220,7 +222,8 @@ def _canonical(blocks: list[Block], provenance: Optional[SetExpr] = None) -> Blo
             others.append(GeomSeq(b.anchor, b.scale, b.ratio))
         else:
             others.append(b)
-    others.sort(key=block_sort_key)
+    if len(others) > 1:
+        others.sort(key=block_sort_key)
 
     seqs: list[GeomSeq] = []
     towers: list[Tower] = []

@@ -1,6 +1,7 @@
 """CLI commands, exit codes, and JSON report determinism."""
 
 import json
+import sys
 import time
 from fractions import Fraction as Q
 
@@ -272,6 +273,20 @@ def test_usage_error():
     assert code == 2
     code, _ = run_command(["frobnicate"])
     assert code == 2
+
+
+def test_no_argv_reads_the_process_argv(monkeypatch):
+    # a usage error reports the argv it read, as main does
+    monkeypatch.setattr(sys, "argv", ["x", "frobnicate"])
+    code, rep = run_command(None)
+    assert code == 2
+    assert rep["command"] == "frobnicate"
+
+
+def test_a_parenthesised_union_is_one_part():
+    code, rep = run_command(["eval", "--mean", "arith", "({1} U {2}) U {3}"])
+    assert code == 0
+    assert rep["result"]["value"] == {"num": "2", "den": "1"}
 
 
 def test_tol_flag_reaches_the_evaluator():

@@ -27,6 +27,7 @@ from setmeans import (
     render,
     render_set,
 )
+from setmeans import dsl
 from setmeans.laws import PROFILES
 
 
@@ -391,3 +392,61 @@ def test_parser_agrees_with_the_reference_on_mutated_texts():
         else:
             accepted += 1
     assert min(accepted, rejected) > 1000 and exempt > 100, (accepted, rejected, exempt)
+
+
+# ---------------------------------------------------------------------------
+# the term patterns against the token parser: parse reads a text by its
+# patterns and leaves every other text to the token parser, so each text
+# must read the same, or fail with the same error, both ways
+
+
+def token_parse(src: str) -> SetExpr:
+    return dsl._Parser(src).parse()
+
+
+PATTERN_EDGES = [
+    "{1}Useq(0,1,1/2)",  # the tokenizer reads U as a mark before a word
+    "seq (0,1,1/2)",
+    "seq(0,1,2) U {",  # the ValidationError comes before the syntax error
+    "seq(0,1,2) U ½",  # the lexical error comes first
+    "{1/-2}",
+    "{1/0}",
+    "{}",
+    "tower(2,0,1/4,)",
+    "{٣}",
+    "({1} U {2}) U {3}",
+    # a literal past the digit limit in each argument kind
+    "{" + "1" * 4301 + "}",
+    "{1/" + "3" * 4301 + "}",
+    "tower(" + "2" * 4301 + ", 0, 1/4)",
+    "cantor(0, 1, " + "3" * 4301 + ", 1/9)",
+    # nested deeper than the stack allows: the lexical error still comes first
+    "(" * 5000 + "½",
+]
+
+
+@pytest.mark.parametrize("src", PATTERN_EDGES, ids=range(len(PATTERN_EDGES)))
+def test_patterns_agree_with_the_token_parser_at_the_edges(src):
+    assert outcome(parse, src) == outcome(token_parse, src)
+
+
+def test_patterns_agree_with_the_token_parser_on_corpus_and_mutated_texts():
+    texts = corpus_texts()
+    for text in texts + mutations(texts, 9600, seed=15):
+        assert outcome(parse, text) == outcome(token_parse, text), text
+
+
+@pytest.mark.parametrize("seed", [101, 9001])
+@pytest.mark.parametrize("workload", ["query-exact", "query-iso"])
+def test_patterns_read_every_benchmark_operand(workload, seed, monkeypatch):
+    import setmeans
+    from test_argv import _workloads
+
+    def unbuilt(src):
+        raise AssertionError(f"the token parser read {src!r}")
+
+    token = dsl._Parser
+    monkeypatch.setattr(dsl, "_Parser", unbuilt)
+    texts = {t for op in _workloads().build(setmeans, workload, seed).ops for t in op.operands}
+    for text in texts:
+        assert parse(text) == token(text).parse(), text

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from setmeans import (
+    Answer,
     BlockSet,
     Cantor,
     CutAbove,
@@ -19,17 +20,22 @@ from setmeans import (
     Interval,
     IntersectionNotRepresentable,
     Leaf,
+    MeanKind,
     Tower,
     Translate,
     Union,
+    arith_mean,
     bounds,
+    build_iso_witness_staged,
     contains,
     cut_set,
     derived_set,
     gen_corpus,
     intersect,
+    is_small_for,
     isolated_outside,
     level,
+    mean_of,
     normalize,
     normalize_blocks,
     parse,
@@ -41,6 +47,7 @@ from setmeans import sets
 from setmeans.blocks import block_contains, block_sort_key
 from setmeans.errors import CutNotRepresentable, MembershipUndecided
 from setmeans.laws import PROFILES
+from setmeans.means import dimension_of
 from setmeans.sets import INFINITE_LEVEL, _geom_absorbs, disjoint
 
 
@@ -76,6 +83,25 @@ def test_normalize_empty_raises():
     for _ in range(3):  # a call that raises keeps nothing for the next
         with pytest.raises(EmptyResult):
             normalize(e)
+
+
+@pytest.mark.parametrize("read", [
+    lambda h: mean_of(h, MeanKind.ARITH),
+    dimension_of,
+    level,
+    bounds,
+    lambda h: build_iso_witness_staged(h, "small", 4),
+], ids=["mean_of", "dimension_of", "level", "bounds", "build_iso_witness_staged"])
+def test_the_empty_set_has_no_mean_dimension_level_bounds_or_witness(read):
+    with pytest.raises(EmptyResult):
+        read(sets.EMPTY)
+
+
+def test_the_mean_of_nothing_raises_and_the_empty_set_is_small():
+    with pytest.raises(EmptyResult):
+        arith_mean([])
+    verdict = is_small_for(sets.EMPTY, normalize(parse("{1, 2}")), MeanKind.ARITH)
+    assert verdict.answer is Answer.YES
 
 
 def test_normalize_cut_at_a_cantor_non_gap_point_raises_on_every_call():
