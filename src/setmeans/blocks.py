@@ -16,7 +16,10 @@ distances, bounds and cuts are exact.  Five block kinds exist:
 
 ``GeomSeq`` and ``Tower`` are the two sum-of-powers blocks: a sequence is
 the level-1 tower, and one set of kernels serves both.  Normalization keeps
-``GeomSeq`` as the canonical form of a level-1 block.
+``GeomSeq`` as the canonical form of a level-1 block.  Those kernels are two
+loops down a tower's cluster chain: the distance (membership is distance 0
+off the anchor) and the cut (a block's points in a box are two cuts).  Every
+Cantor kernel follows one descent of the piece tree.
 """
 
 from __future__ import annotations
@@ -339,47 +342,31 @@ def is_infinite_block(b: Block) -> bool:
 
 
 def block_contains(b: Block, x: Q) -> bool:
-    """Exact membership; MembershipUndecided only for a Cantor orbit that
-    neither cycles nor exits within CANTOR_DEPTH levels (_cantor_descend)."""
+    """Exact membership: a sum-of-powers block holds the points at distance
+    0 from it (_tower_dist_t) but its anchor; MembershipUndecided only for a
+    Cantor orbit that neither cycles nor exits within CANTOR_DEPTH levels."""
     x = as_q(x)
     if isinstance(b, Finite):
         return x in b.points
     if isinstance(b, Interval):
         return b.lo <= x <= b.hi
     if isinstance(b, PowerSums):
-        return _tower_contains_t((x - b.anchor) / b.scale, b.level, b.ratio, b.sums)
-    for depth, (t, i, gap) in enumerate(_cantor_descend(b, x, box=False)):
+        t = (x - b.anchor) / b.scale
+        return t > 0 and _tower_dist_t(t, b.level, b.ratio, b.sums) == 0
+    for depth, ((lo, hi), i, gap) in enumerate(_cantor_descend(b, x)):
         if depth == CANTOR_DEPTH:
             raise MembershipUndecided(f"cantor membership of {x} unresolved at depth {CANTOR_DEPTH}")
         if i is None:
-            return t == 0 or t == 1  # x is an end of the box, or outside it
+            return x == lo or x == hi  # x is an end of the box, or outside it
         if gap:
             return False
     return True  # the orbit cycles without falling in a gap: x is in the attractor
 
 
-def _tower_contains_t(t: Q, k: int, r: Q, sums) -> bool:
-    """Is t a sum r**n1 + .. + r**nj with 1 <= j <= k, increasing indices?"""
-    while True:
-        if t <= 0 or t > sums[k]:
-            return False
-        # locate the first-index cluster: r**n1 <= t < r**(n1-1)
-        p = r
-        while p > t:
-            p *= r
-        if t == p:
-            return True
-        if k == 1:
-            return False
-        # strip the leading term and recurse with indices shifted down
-        t = (t - p) / p
-        k -= 1
+def _cantor_descend(b: Cantor, y: Q):
+    """Walk b's piece tree towards y: yield ((lo, hi), i, gap) at each level.
 
-
-def _cantor_descend(b: Cantor, y: Q, box: bool = True):
-    """Walk b's piece tree towards y: yield (where, i, gap) at each level.
-
-    where is the level's box (lo, hi), and i the piece of it at or left of y
+    (lo, hi) is the level's box, and i the piece of it at or left of y
     (clamped to the last piece).  gap is None, or the ends of the gap right
     of piece i when y lies in it; the walk stops there.  i None means y is
     at or beyond an end of the box, and ends the walk.  It stops with no
@@ -387,9 +374,6 @@ def _cantor_descend(b: Cantor, y: Q, box: bool = True):
     has it as an end.  Each level maps t to (t - i*u)/r, so for r = 1/q t
     stays in (1/L)Z with L = lcm(den(t), m - 1), and a repeat or an exit
     comes within L + 1 levels; the callers bound the other orbits.
-
-    With box False no box is tracked: where is t itself and gap is True in
-    place of its ends, which is all that membership needs.
     """
     m, r = b.pieces, b.ratio
     u = (1 - r) / (m - 1)  # normalised piece spacing
@@ -403,19 +387,13 @@ def _cantor_descend(b: Cantor, y: Q, box: bool = True):
         i = min(int(t / u), m - 1)
         iu = i * u
         if t > iu + r:
-            if box:
-                yield (lo, lo + d), i, (lo + (iu + r) * d, lo + (iu + u) * d)
-            else:
-                yield t, i, True
+            yield (lo, lo + d), i, (lo + (iu + r) * d, lo + (iu + u) * d)
             return
-        if box:
-            yield (lo, lo + d), i, None
-            lo += iu * d
-            d *= r
-        else:
-            yield t, i, None
+        yield (lo, lo + d), i, None
+        lo += iu * d
+        d *= r
         t = (t - iu) / r
-    yield ((lo, lo + d) if box else t), None, None
+    yield (lo, lo + d), None, None
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +418,28 @@ def block_min_dist(b: Block, x: Q) -> Q:
 
 
 def _tower_dist_t(t: Q, k: int, r: Q, sums) -> Q:
-    """Distance from t to {r**n1 + ... + r**nj : 1 <= j <= k, increasing}."""
-    if t <= 0:
-        return -t
-    if t >= sums[k]:
-        return t - sums[k]
-    p = r
-    while p > t:
-        p *= r
-    # p = r**n1 <= t: the cluster with first index n1 is p + p*({0} u P_(k-1)),
-    # so its distance to t is the smaller of t - p and the scaled sub-distance
-    # (which is t - p*(1 + S_(k-1)) past the cluster's top)
-    d = t - p
-    if p < r:
-        d = min(d, p / r - t)  # the first point of the cluster above
-    if k >= 2:
-        d = min(d, p * _tower_dist_t((t - p) / p, k - 1, r, sums))
-    return d
+    """Distance from t to {r**n1 + ... + r**nj : 1 <= j <= k, increasing}.
+
+    A loop down the cluster chain.  For p = r**n1 <= t the cluster of first
+    index n1 is p + p*({0} u P_(k-1)): its distance to t is the smaller of
+    t - p and p times that of (t - p)/p to P_(k-1), which the next level
+    measures; w is the product of the p's so far.
+    """
+    best, w = None, 1
+    while 0 < t < sums[k]:
+        above, p = None, r
+        while p > t:
+            above, p = p, p * r
+        e = t - p
+        if not e:
+            return e  # t is the cluster's first point
+        d = w * (e if above is None else min(e, above - t))  # or the first point above
+        best = d if best is None or d < best else best
+        if k == 1:
+            return best
+        t, w, k = e / p, w * p, k - 1
+    d = w * (-t if t <= 0 else t - sums[k])
+    return d if best is None or d < best else best
 
 
 def block_dist_at_least(b: Block, x: Q, eps: Q) -> bool:
@@ -507,69 +490,63 @@ def cut_block(b: Block, y: Q, keep_low: bool) -> list[Block]:
 
 
 def _cut_tower(b: PowerSums, y: Q, keep_low: bool) -> list[Block]:
-    # work in t-space; the scale's sign flips the side
-    t = (y - b.anchor) / b.scale
-    keep_small_t = keep_low if b.scale > 0 else not keep_low
+    """Cut a sum-of-powers block at y: one loop down the cluster chain.
+
+    Each level is a + w * P_k, cut at t = (y - a)/w; the sign of w decides
+    which side of t is kept.  For p = r**n <= t < r**(n-1), the cluster at
+    each q = r**m above p is the point a + w*q and the level-(k-1) block
+    a + w*q + w*q * P_(k-1); the clusters below p form the tail a + w*p * P_k;
+    and the cluster at p holds the cut, so the walk goes on into it.
+    """
+    r, sums, k = b.ratio, b.sums, b.level
+    a, w = b.anchor, b.scale
+    t = (y - a) / w
+    keep_small = keep_low == (w > 0)
     out: list[Block] = []
     points = []
-    for kind, payload in _cut_tower_t(t, b.level, b.ratio, b.sums, keep_small_t):
-        if kind == "point":
-            points.append(b.anchor + b.scale * payload)
+
+    def part(level, anchor, scale):
+        if level == b.level and scale == b.scale:
+            return b  # the whole block: every proper part is moved or scaled down
+        block = power_block(level, anchor, scale, r)
+        vars(block)["sums"] = sums[:level + 1]  # the sums depend only on ratio and level
+        return block
+
+    while True:
+        if t <= 0 or t >= sums[k]:
+            if keep_small == (t > 0):
+                out.append(part(k, a, w))
+            elif t == sums[k]:
+                points.append(y)
+            break
+        above, p = [], r
+        while p > t:
+            above.append(p)
+            p *= r
+        wp = w * p  # the cluster at p starts at a + wp
+        if keep_small:
+            if t >= p * (1 + sums[k - 1]):
+                # the whole cluster at p is kept too (always so at level 1,
+                # where it is the single point p): the tail starts at index n
+                out.append(part(k, a, wp / r))
+                break
+            out.append(part(k, a, wp))  # the tail: indices >= n+1
+            points.append(a + wp)
         else:
-            lvl, offset, scl = payload
-            if offset == 0 and scl == 1:
-                out.append(b)  # the whole block: every proper part is moved or scaled down
-            else:
-                out.append(power_block(lvl, b.anchor + b.scale * offset, b.scale * scl, b.ratio))
+            for q in above:
+                wq = w * q
+                points.append(a + wq)
+                if k >= 2:
+                    out.append(part(k - 1, points[-1], wq))
+            if t <= p:
+                points.append(a + wp)
+        if k == 1:
+            break
+        a, w, t, k = a + wp, wp, (t - p) / p, k - 1
     if points:
         points.sort()
         out.append(Finite.of_sorted(tuple(points)))
     return out
-
-
-def _cut_tower_t(t: Q, k: int, r: Q, sums, keep_small: bool):
-    """Cut the normalized tower point set at t.
-
-    Returns a list of ("point", value) and ("tower", (level, offset, scale))
-    parts, where the tower part denotes offset + scale * P_level.
-    """
-    max_sum = sums[k]
-    if t <= 0:
-        return [] if keep_small else [("tower", (k, 0, 1))]
-    if t >= max_sum:
-        return [("tower", (k, 0, 1))] if keep_small else (
-            [("point", max_sum)] if t == max_sum else []
-        )
-    n, p = 1, r
-    while p > t:
-        p *= r
-        n += 1
-    # clusters with first index > n form the tail p*P_k; clusters with first
-    # index < n are, each, an anchor point plus a scaled (k-1)-tower; the
-    # cluster at p = r**n, the point p plus p + p*P_(k-1), holds the cut
-    if keep_small:
-        if t >= p * (1 + sums[k - 1]):
-            # the whole cluster at p is kept too (always so at level 1, where
-            # it is the single point p): the tail starts at index n
-            return [("tower", (k, 0, p / r))]
-        parts = [("tower", (k, 0, p)), ("point", p)]  # tail: indices >= n+1
-    else:
-        parts = []
-        for m in range(1, n):
-            q = r**m
-            parts.append(("point", q))
-            if k >= 2:
-                parts.append(("tower", (k - 1, q, q)))
-        if t <= p:
-            parts.append(("point", p))
-    if k >= 2:
-        for kind, payload in _cut_tower_t((t - p) / p, k - 1, r, sums, keep_small):
-            if kind == "point":
-                parts.append(("point", p + p * payload))
-            else:
-                lvl, off, scl = payload
-                parts.append(("tower", (lvl, p + p * off, p * scl)))
-    return parts
 
 
 def _cut_cantor(b: Cantor, y: Q, keep_low: bool) -> list[Block]:
@@ -662,58 +639,3 @@ def tower_top_count(b: PowerSums, eps: Q) -> int:
     while u * p ** (k + 1) >= v * q ** (k + 1):
         k += 1
     return math.comb(k, b.level)
-
-
-def points_in_box(b: Block, u: Q, v: Q):
-    """Exact list of the block's points inside [u, v], or None when infinite.
-
-    The result is infinite exactly when the closed box reaches an
-    accumulation point with approach room on the accumulation side.
-    Cantor and Interval blocks are never enumerable (None unless disjoint).
-    Sum-of-powers points come cluster by cluster from the one farthest from
-    the anchor, so a sequence lists its points in order.
-    """
-    if v < u:
-        return []
-    if isinstance(b, Finite):
-        return [p for p in b.points if u <= p <= v]
-    if v < b.inf or u > b.sup:
-        return []
-    if isinstance(b, (Interval, Cantor)):
-        return None
-    # sum-of-powers block: enumerate in normalized coordinates
-    if b.scale > 0:
-        tmin = (u - b.anchor) / b.scale
-        tmax = (v - b.anchor) / b.scale
-    else:
-        tmin = (v - b.anchor) / b.scale
-        tmax = (u - b.anchor) / b.scale
-    ts = _tower_pts_in_t(b.level, b.ratio, b.sums, tmin, tmax)
-    if ts is None:
-        return None
-    return [b.anchor + b.scale * t for t in ts]
-
-
-def _tower_pts_in_t(k: int, r: Q, sums, tmin: Q, tmax: Q):
-    """Points of the normalized tower set inside [tmin, tmax], or None."""
-    if tmax <= 0 or tmin > sums[k]:
-        return []
-    if tmin <= 0:
-        # the set accumulates at 0 from above, so any room above 0 is infinite
-        return None
-    grow = 1 + sums[k - 1]
-    out = []
-    p = r
-    while p * grow >= tmin:
-        # the first-index cluster at p = r**n spans [p, p*(1+S_(k-1))];
-        # every point of it is >= p, so clusters above tmax contribute nothing
-        if p <= tmax:
-            if tmin <= p:
-                out.append(p)
-            if k >= 2:
-                sub = _tower_pts_in_t(k - 1, r, sums, (tmin - p) / p, (tmax - p) / p)
-                if sub is None:
-                    return None
-                out.extend(p + p * s for s in sub)
-        p *= r
-    return out

@@ -22,6 +22,10 @@ every block it builds is valid.  Any other text, and so every malformed
 or invalid one, is read again from the start by the token parser, which
 alone raises ParseError and ValidationError, with their order, messages and
 positions.
+
+Parentheses and ``shift``, ``below`` and ``above`` calls nest at most
+NESTING_DEPTH deep: a deeper text leaves the patterns, and the token parser,
+after its lexical scan, raises ParseError at the first opener past the bound.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ from .blocks import INT_DIGITS, Cantor, Finite, GeomSeq, Interval, Tower
 from .errors import ParseError, SetMeansError, ValidationError
 from .rational import Q
 from .sets import CutAbove, CutBelow, Leaf, SetExpr, Translate, Union
+
+#: the deepest nesting a text may hold: parse, normalize, every mean and render
+#: then run within Python's default recursion limit from a caller 100 frames deep
+NESTING_DEPTH = 200
 
 # a mark (its own kind), an integer, a word, then the two lexical errors:
 # a sign with no digits after it, and any other character
@@ -145,6 +153,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def _fail(self, expected):
         kind, text, offset = self.tokens[self.pos]
@@ -177,10 +186,21 @@ class _Parser:
             parts.append(self.term())
         return parts[0] if len(parts) == 1 else Union(tuple(parts))
 
+    def _nested(self, offset: int) -> SetExpr:
+        """The expression inside the opener at offset, one level deeper;
+        ParseError when that is past NESTING_DEPTH."""
+        if self.depth == NESTING_DEPTH:
+            raise _error(self.src, offset, f"nesting deeper than {NESTING_DEPTH} levels",
+                         (f"at most {NESTING_DEPTH} nested terms",))
+        self.depth += 1
+        e = self.expr()
+        self.depth -= 1
+        return e
+
     def term(self) -> SetExpr:
-        text = self.tokens[self.pos][1]
+        _, text, offset = self.tokens[self.pos]
         if self._next_is("("):
-            e = self.expr()
+            e = self._nested(offset)
             self._eat(")")
             return e
         if self._next_is("{"):
@@ -208,7 +228,7 @@ class _Parser:
                 continue
             if args:
                 self._eat(",")
-            args.append(self.expr() if arg == "e" else self.rat() if arg == "r"
+            args.append(self._nested(offset) if arg == "e" else self.rat() if arg == "r"
                         else int(self._eat("int")))
         self._eat(")")
         return build(*args)
@@ -233,17 +253,17 @@ def _values(places: tuple, groups: tuple) -> list:
             for i, kind in places if groups[i] is not None]
 
 
-def _expr(src: str, pos: int) -> tuple[SetExpr, int]:
-    """The fast path: the expression at src[pos:] and where it ends."""
-    e, pos = _term(src, pos)
+def _expr(src: str, pos: int, depth: int) -> tuple[SetExpr, int]:
+    """The fast path: the expression at src[pos:], depth deep, and where it ends."""
+    e, pos = _term(src, pos, depth)
     parts = [e]
     while m := _UNION.match(src, pos):
-        e, pos = _term(src, m.end())
+        e, pos = _term(src, m.end(), depth)
         parts.append(e)
     return (e if len(parts) == 1 else Union(tuple(parts))), pos
 
 
-def _term(src: str, pos: int) -> tuple[SetExpr, int]:
+def _term(src: str, pos: int, depth: int) -> tuple[SetExpr, int]:
     m = _HEAD.match(src, pos)
     if m is None:
         raise _Unmatched
@@ -254,7 +274,9 @@ def _term(src: str, pos: int) -> tuple[SetExpr, int]:
     places, tail, tail_places, build = _ROWS[m.lastindex]
     args, pos = _values(places, m.groups()), m.end()
     if tail is not None:
-        child, pos = _expr(src, pos)
+        if depth == NESTING_DEPTH:
+            raise _Unmatched  # the token parser reports the nesting
+        child, pos = _expr(src, pos, depth + 1)
         if (m := tail.match(src, pos)) is None:
             raise _Unmatched
         args += [child, *_values(tail_places, m.groups())]
@@ -265,12 +287,11 @@ def _term(src: str, pos: int) -> tuple[SetExpr, int]:
 def parse(src: str) -> SetExpr:
     """Parse source text; ParseError carries 1-based line/column."""
     try:
-        e, pos = _expr(src, 0)
+        e, pos = _expr(src, 0, 0)
         if _END.match(src, pos):
             return e
-    except (_Unmatched, SetMeansError, RecursionError):
-        # the token parser finds the first error, a lexical one before any
-        # other, also in a text nested deeper than the stack allows
+    except (_Unmatched, SetMeansError):
+        # the token parser finds the first error, a lexical one before any other
         pass
     return _Parser(src).parse()
 

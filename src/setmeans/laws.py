@@ -141,10 +141,6 @@ def _gen_expr(rng, profile: str) -> SetExpr:
     extra = rng.randint(0, 2) if profile == "mixed" else rng.randint(0, 1)
     for _ in range(extra):
         parts.append(Leaf(gen(rng)))
-    if profile == "towers":
-        # keep the profile contract: a tower must be present
-        if not any(isinstance(p.block, Tower) for p in parts):
-            parts[0] = Leaf(_gen_tower(rng))
     e: SetExpr = parts[0] if len(parts) == 1 else Union(tuple(parts))
     roll = rng.random()
     if roll < 0.25:

@@ -30,7 +30,6 @@ from .blocks import (
     block_sort_key,
     cut_block,
     is_infinite_block,
-    points_in_box,
     power_block,
     tower_outer_points,
     tower_top_count,
@@ -574,15 +573,23 @@ def isolated_count(h: BlockSet, eps: Q) -> int:
     return _isolation(h).count(_positive(eps))
 
 
+def _clip(b: Block, lo: Q, hi: Q) -> list[Block]:
+    """b's part in [lo, hi], from two cuts."""
+    return [c for part in cut_block(b, lo, keep_low=False)
+            for c in cut_block(part, hi, keep_low=True)]
+
+
 def _block_intersect(b1: Block, b2: Block) -> list[Block]:
     """b1 and b2's common points as a list of blocks, for intersect and
     disjoint.
 
     The boxes are tested first: apart they share nothing, and touching only
     their common end.  A Finite block tests only its points inside the other
-    block's box, found by bisection; two infinite blocks with a finite common
-    part list it from one of them.  IntersectionNotRepresentable when the
-    pair is outside the decidable fragment.
+    block's box, found by bisection.  An Interval clips the other (_clip), and
+    so does a sum-of-powers block with finitely many points in the common box,
+    listing them for the other to test.  IntersectionNotRepresentable when the
+    pair is outside the decidable fragment; a Cantor membership or cut that is
+    not decided raises its own error, which _block_intersections reports.
     """
     if b1.sup < b2.inf or b2.sup < b1.inf:
         return []
@@ -590,12 +597,9 @@ def _block_intersect(b1: Block, b2: Block) -> list[Block]:
         return [b1]
     if b1.sup == b2.inf or b2.sup == b1.inf:
         pt = b2.inf if b1.sup == b2.inf else b1.inf
-        try:
-            if block_contains(b1, pt) and block_contains(b2, pt):
-                return [Finite.of_sorted((pt,))]
-            return []
-        except MembershipUndecided as exc:
-            raise IntersectionNotRepresentable(str(exc))
+        if block_contains(b1, pt) and block_contains(b2, pt):
+            return [Finite.of_sorted((pt,))]
+        return []
     if isinstance(b2, Finite) or (isinstance(b2, Interval) and not isinstance(b1, Finite)):
         b1, b2 = b2, b1
     if isinstance(b1, Finite):
@@ -603,31 +607,17 @@ def _block_intersect(b1: Block, b2: Block) -> list[Block]:
         lo = bisect_left(pts, b2.inf)
         pts = pts[lo:bisect_right(pts, b2.sup, lo)]
         if not isinstance(b2, Interval):
-            try:
-                pts = tuple([p for p in pts if block_contains(b2, p)])
-            except MembershipUndecided as exc:
-                raise IntersectionNotRepresentable(str(exc))
+            pts = tuple([p for p in pts if block_contains(b2, p)])
         return [Finite.of_sorted(pts)] if pts else []
     if isinstance(b1, Interval):
-        # clip the other block to [lo, hi]; exact for everything but
-        # interior non-gap cuts of a Cantor block
-        try:
-            low = cut_block(b2, b1.lo, keep_low=False)
-            out: list[Block] = []
-            for b in low:
-                out.extend(cut_block(b, b1.hi, keep_low=True))
-            return out
-        except CutNotRepresentable as exc:
-            raise IntersectionNotRepresentable(str(exc))
+        # exact for everything but interior non-gap cuts of a Cantor block
+        return _clip(b2, b1.lo, b1.hi)
     # both are infinite non-interval blocks with overlapping boxes
     u, v = max(b1.inf, b2.inf), min(b1.sup, b2.sup)
     for a, c in ((b1, b2), (b2, b1)):
-        pts = points_in_box(a, u, v)
-        if pts is not None:
-            try:
-                hits = sorted(p for p in pts if block_contains(c, p))
-            except MembershipUndecided as exc:
-                raise IntersectionNotRepresentable(str(exc))
+        parts = _clip(a, u, v) if isinstance(a, PowerSums) else [a]  # a Cantor block is never listed
+        if all(isinstance(part, Finite) for part in parts):
+            hits = sorted(p for part in parts for p in part.points if block_contains(c, p))
             return [Finite.of_sorted(tuple(hits))] if hits else []
     if isinstance(b1, GeomSeq) and isinstance(b2, GeomSeq):
         if _geom_absorbs(b1, b2):
@@ -641,10 +631,15 @@ def _block_intersect(b1: Block, b2: Block) -> list[Block]:
 
 
 def _block_intersections(h1: BlockSet, h2: BlockSet):
-    """Yield the intersection of each pair of blocks, h1's outer, as a list."""
-    for b1 in h1.blocks:
-        for b2 in h2.blocks:
-            yield _block_intersect(b1, b2)
+    """Yield the intersection of each pair of blocks, h1's outer, as a list;
+    a pair whose Cantor membership or cut is not decided raises
+    IntersectionNotRepresentable."""
+    try:
+        for b1 in h1.blocks:
+            for b2 in h2.blocks:
+                yield _block_intersect(b1, b2)
+    except (MembershipUndecided, CutNotRepresentable) as exc:
+        raise IntersectionNotRepresentable(str(exc))
 
 
 def intersect(h1: BlockSet, h2: BlockSet) -> BlockSet:

@@ -24,10 +24,10 @@ from setmeans.blocks import (
     block_dist_at_least,
     block_min_dist,
     cut_block,
-    points_in_box,
     tower_outer_points,
 )
 from setmeans.cli import run_command
+from setmeans.sets import _clip
 
 
 def tower_points_brute(k, a, w, r, max_index):
@@ -368,21 +368,69 @@ def test_outer_point_enumeration():
 
 
 def test_points_in_box():
+    # a block's part of a box comes from two cuts (sets._clip): finitely
+    # many points make one Finite part, and an infinite part means the box
+    # reaches an accumulation point with approach room
     b = GeomSeq(Q(0), Q(1), Q(1, 2))
-    assert points_in_box(b, Q(1, 8), Q(1, 2)) == [Q(1, 2), Q(1, 4), Q(1, 8)]
-    assert points_in_box(b, Q(0), Q(1, 2)) is None  # the box reaches the anchor
-    assert points_in_box(b, Q(3, 4), Q(2)) == []
+    assert _clip(b, Q(1, 8), Q(1, 2)) == [Finite((Q(1, 8), Q(1, 4), Q(1, 2)))]
+    assert _clip(b, Q(0), Q(1, 2)) == [b]  # the box reaches the anchor
+    assert _clip(b, Q(3, 4), Q(2)) == []
     t = Tower(2, Q(0), Q(1), Q(1, 4))
     # [1/5, 1/2] straddles the accumulation point 1/4, hence infinite
-    assert points_in_box(t, Q(1, 5), Q(1, 2)) is None
+    assert _clip(t, Q(1, 5), Q(1, 2)) == [GeomSeq(Q(1, 4), Q(1, 4), Q(1, 4)), Finite((Q(1, 4),))]
     # [13/48, 1/2] avoids every accumulation point, hence exactly {5/16}
-    got = points_in_box(t, Q(13, 48), Q(1, 2))
+    (got,) = _clip(t, Q(13, 48), Q(1, 2))
     brute = sorted(
         p
         for p in tower_points_brute(2, Q(0), Q(1), Q(1, 4), 30)
         if Q(13, 48) <= p <= Q(1, 2)
     )
-    assert got == brute == [Q(5, 16)]
+    assert list(got.points) == brute == [Q(5, 16)]
+
+
+# S_1200 = 4**-1 + ... + 4**-1200, a point 1,200 clusters deep in a tower
+S_1200 = Q(4**1200 - 1, 3 * 4**1200)
+DEEP = Tower(1500, Q(0), Q(1), Q(1, 4))
+
+
+def test_kernels_walk_a_deep_tower_in_a_loop():
+    assert block_contains(DEEP, S_1200)
+    assert block_min_dist(DEEP, S_1200) == 0
+    # halfway from S_1200 to the next point up: the nearest point is in the block
+    x = S_1200 + Q(1, 2 * 4**1300)
+    d = block_min_dist(DEEP, x)
+    assert 0 < d <= Q(1, 2 * 4**1300)
+    assert block_contains(DEEP, x - d) or block_contains(DEEP, x + d)
+    low, high = cut_block(DEEP, S_1200, True), cut_block(DEEP, S_1200, False)
+    # the tower parts hold the cut block's sums as built: none computes its own
+    towers = [b for b in low + high if not isinstance(b, Finite)]
+    assert len(towers) > 1000
+    assert all(vars(b)["sums"] == DEEP.sums[:b.level + 1] for b in towers)
+    # the cut point is in the set, so it stays on both sides
+    assert max(b.sup for b in low) == S_1200 == min(b.inf for b in high)
+    assert all(block_contains(b, S_1200) for b in low + high if isinstance(b, Finite))
+
+
+def test_intersect_clips_a_deep_tower():
+    from setmeans.sets import intersect, normalize_blocks
+
+    h = normalize_blocks([DEEP])
+    got = intersect(h, normalize_blocks([Interval(S_1200, Q(1))]))
+    assert got.blocks == normalize_blocks(cut_block(DEEP, S_1200, False)).blocks
+    assert got.blocks[0].points[0] == S_1200
+
+
+def test_distance_kernels_at_interval_and_cantor_blocks():
+    from setmeans import isolated_outside, normalize, parse
+
+    # 2 is 1 from [0, 1]; the other points of the sequence are within 1/8 of it
+    assert isolated_outside(normalize(parse("[0,1] U seq(0,4,1/2)")), Q(1, 8)) == [Q(2)]
+    assert block_min_dist(Interval(Q(0), Q(1)), Q(1, 2)) == 0
+    c = Cantor(Q(0), Q(1), 2, Q(1, 3))
+    with pytest.raises(TypeError):
+        block_min_dist(c, Q(1, 2))
+    # 1/4 is in c, so a box of c within 1/2 of it has an end in c
+    assert block_dist_at_least(c, Q(1, 4), Q(1, 2)) is False
 
 
 def test_reflect_blocks():

@@ -223,6 +223,19 @@ def test_literal_past_the_digit_limit_is_a_parse_error(text, column):
         "(expected integer of at most 4300 digits)"]
 
 
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("shift(", ", 1)")])
+def test_nesting_past_the_bound_exits_2(opener, closer):
+    # 1,000 levels raised RecursionError, and the CLI exited 1 with a traceback
+    for n in (201, 400, 1000, 5000):
+        code, rep = run_command(["eval", "--mean", "arith", opener * n + "{1}" + closer * n])
+        assert code == 2
+        assert rep["diagnostics"] == [
+            f"parse error: nesting deeper than 200 levels at line 1, column {200 * len(opener) + 1} "
+            "(expected at most 200 nested terms)"]
+    code, rep = run_command(["eval", "--mean", "arith", opener * 200 + "{1}" + closer * 200])
+    assert code == 0
+
+
 def test_literal_at_the_digit_limit_is_read():
     code, rep = run_command(["eval", "--mean", "arith", "{" + "1" * 4300 + "}"])
     assert code == 0
@@ -483,6 +496,19 @@ def test_eval_iso_on_a_deep_tower_is_fast():
         assert code == 0
         assert rep["result"]["value"] == {"num": "0", "den": "1"}
     assert best < 0.010, best
+
+
+def test_queries_on_a_point_deep_in_a_tower_answer():
+    # S_1200 = 4**-1 + ... + 4**-1200 lies 1,200 clusters deep in the tower;
+    # the cut and the clip walk the cluster chain in a loop
+    s = f"{4**1200 - 1}/{3 * 4**1200}"
+    code, rep = run_command(["eval", "--mean", "acc", f"below(tower(1500,0,1/4), {s})"])
+    assert code == 0
+    assert rep["result"]["value"] == {"num": "0", "den": "1"}
+    code, rep = run_command(["disjoint", "--mean", "acc", "tower(1500,0,1/4)", f"[{s}, 1]"])
+    assert code == 0
+    assert rep["result"]["answer"] == "NO"
+    assert rep["result"]["evidence"][1] == "order(V)=300 >= order(H)=0"
 
 
 def test_round_iso_cuts_at_the_exact_mean():

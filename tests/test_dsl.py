@@ -1,6 +1,7 @@
 """Parser, renderer, error positions, and the round-trip property."""
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -14,6 +15,7 @@ from setmeans import (
     GeomSeq,
     Interval,
     Leaf,
+    MeanKind,
     ParseError,
     SetExpr,
     SetMeansError,
@@ -22,6 +24,7 @@ from setmeans import (
     Union,
     ValidationError,
     gen_corpus,
+    mean_of,
     normalize,
     parse,
     render,
@@ -420,8 +423,11 @@ PATTERN_EDGES = [
     "{1/" + "3" * 4301 + "}",
     "tower(" + "2" * 4301 + ", 0, 1/4)",
     "cantor(0, 1, " + "3" * 4301 + ", 1/9)",
-    # nested deeper than the stack allows: the lexical error still comes first
+    # nested past NESTING_DEPTH: the lexical error still comes first
     "(" * 5000 + "½",
+    # nested at NESTING_DEPTH and one past it
+    *(opener * n + "{1}" + closer * n for opener, closer in (("(", ")"), ("shift(", ", 1)"))
+      for n in (dsl.NESTING_DEPTH, dsl.NESTING_DEPTH + 1)),
 ]
 
 
@@ -450,3 +456,34 @@ def test_patterns_read_every_benchmark_operand(workload, seed, monkeypatch):
     texts = {t for op in _workloads().build(setmeans, workload, seed).ops for t in op.operands}
     for text in texts:
         assert parse(text) == token(text).parse(), text
+
+
+def _from_frames(depth: int, f):
+    """f() called from a caller depth frames deeper than this one."""
+    return f() if depth == 0 else _from_frames(depth - 1, f)
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("shift(", ", 1)")])
+def test_nesting_answers_at_the_bound_and_is_a_parse_error_past_it(opener, closer):
+    n = dsl.NESTING_DEPTH
+    body = "{1} U seq(0,1,1/2)"
+
+    def read(depth):
+        e = parse(opener * depth + body + closer * depth)
+        h = normalize(e)
+        return [mean_of(h, kind).status for kind in MeanKind], render(e)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # Python's default
+    try:
+        statuses, text = _from_frames(100, lambda: read(n))
+        with pytest.raises(ParseError) as exc:
+            _from_frames(100, lambda: read(n + 1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert statuses == read(0)[0]
+    assert text.count("shift(") == (n if opener == "shift(" else 0)
+    err = exc.value
+    assert err.args == (f"nesting deeper than {n} levels",)
+    assert (err.line, err.column) == (1, len(opener) * n + 1)
+    assert err.expected == (f"at most {n} nested terms",)

@@ -14,6 +14,7 @@ roundness decision against the exact defect of the halves' means.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -61,7 +62,6 @@ from setmeans.blocks import (
     block_contains,
     block_dist_at_least,
     cut_block,
-    points_in_box,
     tower_outer_points,
 )
 from setmeans.errors import CutNotRepresentable, DomainViolation
@@ -677,6 +677,45 @@ def test_cut_tower_points_are_a_valid_finite_block(corpora):
     assert cuts > 500
 
 
+def reference_tower_contains(b, x) -> bool:
+    """Membership in a sum-of-powers block by stripping leading terms: is
+    t = (x - anchor)/scale a sum r**n1 + .. + r**nj, 1 <= j <= level, of
+    increasing indices?"""
+    t, k, r = (x - b.anchor) / b.scale, b.level, b.ratio
+    while True:
+        if t <= 0 or t > b.sums[k]:
+            return False
+        p = r
+        while p > t:  # the first-index cluster: r**n1 <= t < r**(n1-1)
+            p *= r
+        if t == p:
+            return True
+        if k == 1:
+            return False
+        t, k = (t - p) / p, k - 1  # strip the leading term
+
+
+def test_tower_membership_matches_the_stripping_reference():
+    blocks_seen, answers = 0, Counter()
+    for seed in range(1, 6):
+        for profile in PROFILES:
+            for e in gen_corpus(seed, 40, profile):
+                for b in normalize(e).blocks:
+                    if not isinstance(b, PowerSums):
+                        continue
+                    blocks_seen += 1
+                    # every point of indices up to 7, their midpoints, and the anchor
+                    pts = sorted({b.anchor + b.scale * sum(b.ratio**n for n in combo)
+                                  for j in range(1, b.level + 1)
+                                  for combo in itertools.combinations(range(1, 8), j)})
+                    mids = [(p + q) / 2 for p, q in zip(pts, pts[1:])]
+                    for x in pts + mids + [b.anchor]:
+                        want = reference_tower_contains(b, x)
+                        assert block_contains(b, x) == want, (b, x)
+                        answers[want] += 1
+    assert blocks_seen > 700 and answers[True] > 10_000 and answers[False] > 10_000
+
+
 def reference_block_intersect(b1, b2):
     """A block pair's intersection with every finite point tested."""
     if b1 == b2:
@@ -705,10 +744,12 @@ def reference_block_intersect(b1, b2):
             raise IntersectionNotRepresentable(str(exc))
     u, v = max(b1.inf, b2.inf), min(b1.sup, b2.sup)
     for a, c in ((b1, b2), (b2, b1)):
-        pts = points_in_box(a, u, v)
-        if pts is not None:
+        if isinstance(a, Cantor):
+            continue  # its part of the box is never listed
+        parts = [d for b in cut_block(a, u, keep_low=False) for d in cut_block(b, v, keep_low=True)]
+        if all(isinstance(d, Finite) for d in parts):
             try:
-                hits = tuple(p for p in pts if block_contains(c, p))
+                hits = tuple(p for d in parts for p in d.points if block_contains(c, p))
             except MembershipUndecided as exc:
                 raise IntersectionNotRepresentable(str(exc))
             return [Finite(hits)] if hits else []
