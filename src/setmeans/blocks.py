@@ -39,7 +39,7 @@ from .rational import Q
 CANTOR_DEPTH = 512
 
 #: entries kept by each memoised constant of the number layer: _log_ratio
-#: here and the mpmath.iv enclosures of means
+#: here and the enclosures of means, each kept per value and precision
 CACHE_SIZE = 1024
 
 #: Python's default int_max_str_digits: no int of more digits is read from

@@ -6,7 +6,7 @@ points under acc, its intervals, Cantor blocks or points at the maximal
 dimension under avg, and under iso the anchors that the isolated points
 crowd at (``iso_growth``), weighted by their count coefficients.  A mean is
 exact when its weights are rational multiples of one another and otherwise
-the midpoint of an mpmath.iv enclosure narrower than tol.  Equal weight and
+the midpoint of an enclosure narrower than tol.  Equal weight and
 roundness compare Weights: their orders, then their magnitudes.
 
 The verdicts order Hausdorff dimensions log m / log(1/r), Cantor weights
@@ -14,10 +14,13 @@ sum diam**s and isolated-count coefficients sum c * (1/ln(1/r))**d through
 one number layer: ``blocks._log_ratio`` decides exactly whether a rational
 is a power of another (exponent vectors over a coprime basis, gcds only),
 sums compare exactly class by commensurable class, and ``_separate`` orders
-what is left by mpmath.iv enclosures at 64 to 4096 bits.  Once that budget
-is spent the comparison is undecided: IncomparableDimensions, or an
-INCONCLUSIVE verdict.  Each power test and enclosure is computed once per
-value and precision and kept (blocks.CACHE_SIZE entries each).
+what is left by enclosures at 64 to 4096 bits.  Once that budget is spent
+the comparison is undecided: IncomparableDimensions, or an INCONCLUSIVE
+verdict.  An enclosure is a (lo, hi) pair of mpmath's interval kernel
+(mpmath.libmp), built at a precision passed as an argument and read at 53
+bits, so mpmath's global precision neither changes nor matters.  Each power
+test and enclosure is computed once per value and precision and kept
+(blocks.CACHE_SIZE entries each).
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Callable, Optional
 
-from mpmath import iv
+from mpmath.libmp import (fzero, from_float, from_int, mpf_lt, mpi_add, mpi_delta, mpi_div,
+                          mpi_exp, mpi_log, mpi_lt, mpi_mid, mpi_mul, mpi_pow, mpi_sub,
+                          round_ceiling, round_floor, to_float)
 
 from .blocks import CACHE_SIZE, Cantor, Interval, PowerSums, Q, _log_ratio
 from .errors import DomainViolation, EmptyResult, IncomparableDimensions, ValidationError
@@ -151,63 +156,52 @@ def arith_mean(values) -> Q:
 # certified separation
 
 
-def _iv_at(bits: int, f):
-    """f() evaluated with iv.prec set to bits; iv.prec is restored after."""
-    saved = iv.prec
-    try:
-        iv.prec = bits
-        return f()
-    finally:
-        iv.prec = saved
-
-
 # the precisions of every enclosure ladder: doubling, then the budget is spent
 _LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
+# the precision an enclosure's width and midpoint are read at: mpmath's default
+_READ_BITS = 53
+_IV_ZERO = (fzero, fzero)
 
 
 def _separate(f, g) -> Optional[int]:
     """Certified sign of f - g (-1 or 1), or None once 4096 bits do not tell.
 
-    f and g build mpmath.iv enclosures at the current iv.prec; they are
-    evaluated at doubling precision until the intervals are disjoint.  Equal
-    values never separate, so callers decide equality exactly first.
+    f(bits) and g(bits) build enclosures at bits; they are evaluated at
+    doubling precision until the intervals are disjoint.  Equal values never
+    separate, so callers decide equality exactly first.
     """
     for bits in _LADDER:
-        a, b = _iv_at(bits, lambda: (f(), g()))
-        if a.b < b.a:
+        a, b = f(bits), g(bits)
+        if mpi_lt(a, b):
             return -1
-        if b.b < a.a:
+        if mpi_lt(b, a):
             return 1
     return None
 
 
-def _per_precision(f):
-    """f memoised on its arguments and the current iv.prec.
-
-    An enclosure depends on the precision it is built at, so the key holds
-    it: each step of _separate's ladder gets its own, narrower interval, and
-    a kept one is the interval f returns at that precision.
-    """
-    cached = lru_cache(maxsize=CACHE_SIZE)(lambda bits, *args: f(*args))
-
-    @wraps(f)
-    def at_current_precision(*args):
-        return cached(iv.prec, *args)
-
-    at_current_precision.cache_info = cached.cache_info
-    at_current_precision.cache_clear = cached.cache_clear
-    return at_current_precision
+def _iv_int(n: int, bits: int):
+    """Enclosure of an integer n: its floor and ceiling roundings to bits."""
+    return from_int(n, bits, round_floor), from_int(n, bits, round_ceiling)
 
 
-def _iv_q(q):
+def _iv_q(q, bits: int):
     """Enclosure of a rational (or integer) q."""
-    return iv.mpf(q.numerator) / q.denominator
+    return mpi_div(_iv_int(q.numerator, bits), _iv_int(q.denominator, bits), bits)
 
 
-@_per_precision
-def _iv_log(q):
+def _iv_sum(xs, bits: int):
+    """The sum of enclosures, from an exact 0 as sum() starts."""
+    total = _IV_ZERO
+    for x in xs:
+        total = mpi_add(total, x, bits)
+    return total
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _iv_log(q, bits: int):
     """Enclosure of ln q for a positive rational (or integer) q."""
-    return iv.log(iv.mpf(q.numerator)) - iv.log(iv.mpf(q.denominator))
+    return mpi_sub(mpi_log(_iv_int(q.numerator, bits), bits),
+                   mpi_log(_iv_int(q.denominator, bits), bits), bits)
 
 
 def _rational_power(q: Q, s: Q) -> Optional[Q]:
@@ -275,8 +269,8 @@ def compare_dims(d1: DimValue, d2: DimValue) -> int:
     t = _log_ratio(d1.m, d2.m)
     if t is not None and t == _log_ratio(d1.invr, d2.invr):
         return 0
-    sign = _separate(lambda: _iv_log(d1.m) / _iv_log(d1.invr),
-                     lambda: _iv_log(d2.m) / _iv_log(d2.invr))
+    sign = _separate(lambda bits: mpi_div(_iv_log(d1.m, bits), _iv_log(d1.invr, bits), bits),
+                     lambda bits: mpi_div(_iv_log(d2.m, bits), _iv_log(d2.invr, bits), bits))
     if sign is None:
         raise IncomparableDimensions(
             f"cannot separate log {d1.m}/log {d1.invr} from log {d2.m}/log {d2.invr}"
@@ -328,26 +322,28 @@ def _mean_of_sums(sums, enclose, tol: float, dens: dict) -> MeanValue:
     """sum(first * num) / sum(first * den) over the class sums (first, den, num).
 
     Exact when every class has the same mean num / den, as one class always
-    has; otherwise the midpoint of an mpmath.iv enclosure, enclose(first) for
-    a class's weight, narrowed below tol at the ladder's precisions.  dens
-    keeps the denominator's enclosure by precision, so a caller that varies
-    only the numerators passes the same dict each time.  ValidationError
-    once 4096 bits are not narrow enough for tol, or when the mean is past
-    the float range.
+    has; otherwise the midpoint of an enclosure, enclose(first, bits) for a
+    class's weight, narrowed below tol at the ladder's precisions; its width
+    and midpoint are read at 53 bits.  dens keeps the class enclosures and
+    the denominator's by precision, so a caller that varies only the
+    numerators passes the same dict each time.  ValidationError once 4096
+    bits are not narrow enough for tol, or when the mean is past the float
+    range.
     """
-    means = {num / den for _, den, num in sums}
-    if len(means) == 1:
-        return MeanValue.exact(means.pop())
-
-    def enclosure():
-        if iv.prec not in dens:
-            dens[iv.prec] = sum(enclose(first) * _iv_q(d) for first, d, _ in sums)
-        return sum(enclose(first) * _iv_q(n) for first, _, n in sums) / dens[iv.prec]
-
+    _, den0, num0 = sums[0]
+    if all(num * den0 == num0 * den for _, den, num in sums):
+        return MeanValue.exact(num0 / den0)
+    width = from_float(tol)
     for bits in _LADDER:
-        x = _iv_at(bits, enclosure)
-        if x.delta < tol:
-            mid = float(x.mid)
+        if bits not in dens:
+            weights = [enclose(first, bits) for first, _, _ in sums]
+            dens[bits] = weights, _iv_sum([mpi_mul(w, _iv_q(d, bits), bits)
+                                           for w, (_, d, _) in zip(weights, sums)], bits)
+        weights, den = dens[bits]
+        x = mpi_div(_iv_sum([mpi_mul(w, _iv_q(n, bits), bits)
+                             for w, (_, _, n) in zip(weights, sums)], bits), den, bits)
+        if mpf_lt(mpi_delta(x, _READ_BITS), width):
+            mid = to_float(mpi_mid(x, _READ_BITS))
             if not math.isfinite(mid):
                 raise ValidationError("the mean is outside the float range: "
                                       f"its enclosure's midpoint reads {mid} as a float")
@@ -368,7 +364,8 @@ def _compare_sums(terms1, terms2, ratio, enclose) -> Optional[int]:
         return 0
     if len(diffs) == 1:
         return 1 if diffs[0] > 0 else -1
-    return _separate(lambda: sum(map(enclose, terms1)), lambda: sum(map(enclose, terms2)))
+    return _separate(lambda bits: _iv_sum([enclose(x, bits) for x in terms1], bits),
+                     lambda bits: _iv_sum([enclose(x, bits) for x in terms2], bits))
 
 
 def _weight_ratio(a, b) -> Optional[Q]:
@@ -389,11 +386,12 @@ def _weight_ratio(a, b) -> Optional[Q]:
     return None if t is None else _rational_power(Q(mb), t)
 
 
-@_per_precision
-def _iv_weight(term):
+@lru_cache(maxsize=CACHE_SIZE)
+def _iv_weight(term, bits: int):
     """Enclosure of the weight diam**s of a (diam, m, invr) term, s = log m / log invr."""
     d, m, invr = term
-    return iv.exp(_iv_log(m) / _iv_log(invr) * _iv_log(d))
+    s = mpi_div(_iv_log(m, bits), _iv_log(invr, bits), bits)
+    return mpi_exp(mpi_mul(s, _iv_log(d, bits), bits), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +513,14 @@ def _count_weights(degree: int):
         t = _log_ratio(x[1], x0[1]) if degree else Q(1)
         return None if t is None else x[0] / x0[0] / t**degree
 
-    return ratio, lambda x: _iv_count_weight(x, degree)
+    return ratio, lambda x, bits: _iv_count_weight(x, degree, bits)
 
 
-@_per_precision
-def _iv_count_weight(x, degree: int):
+@lru_cache(maxsize=CACHE_SIZE)
+def _iv_count_weight(x, degree: int, bits: int):
     """Enclosure of c * (1/ln(1/r))**degree for a (c, r) count term."""
-    return _iv_q(x[0]) / _iv_log(1 / x[1]) ** degree
+    power = mpi_pow(_iv_log(1 / x[1], bits), _iv_int(degree, bits), bits)
+    return mpi_div(_iv_q(x[0], bits), power, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +676,8 @@ def mean_iso(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
     Terms whose ratios are powers of one another form a class whose weights
     are rational multiples of each other.  When every class has the same
     weighted mean (always so for one class) the value is exact; otherwise
-    it is the midpoint of an mpmath.iv enclosure narrowed below tol at
-    doubling precision.
+    it is the midpoint of an enclosure narrowed below tol at doubling
+    precision.
     """
     return weight_of(h, MeanKind.ISO).mean(cfg.tol)
 

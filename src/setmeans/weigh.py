@@ -104,29 +104,36 @@ def _separated_means(h1: BlockSet, h2: BlockSet, kind: MeanKind, cfg: LadderConf
     term depend on the terms alone, so each class's sums sum(q) and
     sum(q * position) are affine in x: K(H2+x) and, for each side of H1,
     K(H1 u (H2+x)) are read from class sums built once (_affine_mean).
+    K(H1), K(H2), the Weights and their order are read once too, at the
+    first separated translate, so a function never called at one reads none.
     """
     b1, b2 = bounds(h1), bounds(h2)
-    tails: dict = {}  # the class sums of K(H2+x), and of the union on each side
+    # the operands' means, Weights and order, and the class sums of K(H2+x)
+    # and of the union on each side, each read when first needed
+    kept: dict = {}
+
+    def keep(key, f):
+        if key not in kept:
+            kept[key] = f()
+        return kept[key]
 
     def tail(*parts):
-        key = tuple(moves for _, moves in parts)  # (True,), (False, True) or (True, False)
-        if key not in tails:
-            tails[key] = _affine_mean(parts)
-        return tails[key]
+        # keyed (True,), (False, True) or (True, False)
+        return keep(tuple(moves for _, moves in parts), lambda: _affine_mean(parts))
 
     def at(x: Q):
         right = b2.inf + x > b1.sup
         if not (right or b2.sup + x < b1.inf):
             return None
-        m1, m2 = mean_of(h1, kind, cfg), mean_of(h2, kind, cfg)
+        m1, m2 = keep("means", lambda: (mean_of(h1, kind, cfg), mean_of(h2, kind, cfg)))
         if not (m1.is_defined and m2.is_defined):
             return None
         if kind is MeanKind.LIS:
             k = (min(b1.acc_inf, b2.acc_inf + x) + max(b1.acc_sup, b2.acc_sup + x)) / 2
             return MeanValue.exact(k), m1, m2.shifted(x)
-        w1, w2 = weight_of(h1, kind), weight_of(h2, kind)
+        w1, w2 = keep("weights", lambda: (weight_of(h1, kind), weight_of(h2, kind)))
         k2 = m2.shifted(x) if m2.is_exact else tail((w2, True))(x, cfg.tol)
-        higher = compare_orders(w1.order, w2.order)
+        higher = keep("order", lambda: compare_orders(w1.order, w2.order))
         if higher:
             k = m1 if higher > 0 else k2
         elif w1.total is not None and w2.total is not None:
@@ -144,8 +151,8 @@ def _affine_mean(parts):
     side in block order, the positions of a part that moves shifted by x.
 
     Its class sums (first, den, a, b) are built once: a class's numerator
-    is a + x*b, and means._mean_of_sums keeps the denominator's enclosure
-    by precision (dens), since x moves only numerators.
+    is a + x*b, and means._mean_of_sums keeps the class enclosures and the
+    denominator's by precision (dens), since x moves only numerators.
     """
     w0 = parts[0][0]
     items = [(t, (p, moves)) for w, moves in parts for t, p in zip(w.terms, w.positions)]

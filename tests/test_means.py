@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from mpmath import iv, mp, mpf
 
 import setmeans
@@ -37,10 +37,12 @@ from setmeans.means import (
     DIM_ZERO,
     DimValue,
     MeanValue,
-    _iv_at,
+    _count_weights,
     _iv_count_weight,
     _iv_log,
+    _iv_q,
     _iv_weight,
+    _mean_of_sums,
     compare_dims,
     mean_iso,
     order,
@@ -493,35 +495,163 @@ def test_order_agrees_with_the_reference_comparisons(dist):
         assert (s < 0 if a.is_exact and b.is_exact else None) == _lt_strict(a, b), (a, b)
 
 
+# The oracle of the enclosure kernel: the same expressions in mpmath.iv,
+# evaluated under its global iv.prec.
+
+
+LADDER = (64, 128, 256, 512, 1024, 2048, 4096)
+
+
+def at_iv_prec(bits, f):
+    """f() evaluated with mpmath's global iv.prec set to bits; restored after."""
+    saved = iv.prec
+    try:
+        iv.prec = bits
+        return f()
+    finally:
+        iv.prec = saved
+
+
+def iv_q_reference(q):
+    return iv.mpf(q.numerator) / q.denominator
+
+
 def iv_log_reference(q):
     return iv.log(iv.mpf(q.numerator)) - iv.log(iv.mpf(q.denominator))
 
 
+def iv_weight_reference(term):
+    d, m, invr = term
+    return iv.exp(iv_log_reference(Q(m)) / iv_log_reference(invr) * iv_log_reference(d))
+
+
+def iv_count_weight_reference(x, degree):
+    return iv_q_reference(x[0]) / iv_log_reference(1 / x[1]) ** degree
+
+
 ENCLOSURES = [
-    (lambda: _iv_log(Q(1, 3)), lambda: iv_log_reference(Q(1, 3))),
-    (lambda: _iv_log(7), lambda: iv_log_reference(Q(7))),
-    (lambda: _iv_weight((Q(2, 9), 2, Q(3))),
+    (lambda bits: _iv_q(Q(-7, 3), bits), lambda: iv_q_reference(Q(-7, 3))),
+    (lambda bits: _iv_log(Q(1, 3), bits), lambda: iv_log_reference(Q(1, 3))),
+    (lambda bits: _iv_log(7, bits), lambda: iv_log_reference(Q(7))),
+    (lambda bits: _iv_weight((Q(2, 9), 2, Q(3)), bits),
      lambda: iv.exp(iv_log_reference(Q(2)) / iv_log_reference(Q(3))
                     * iv_log_reference(Q(2, 9)))),
-    (lambda: _iv_count_weight((Q(5, 2), Q(1, 3)), 2),
+    (lambda bits: _iv_count_weight((Q(5, 2), Q(1, 3)), 2, bits),
      lambda: iv.mpf(5) / 2 / iv_log_reference(Q(3)) ** 2),
 ]
 
 
-@pytest.mark.parametrize("cached, fresh", ENCLOSURES,
-                         ids=["log", "log-of-int", "cantor-weight", "count-weight"])
-def test_kept_enclosures_are_the_fresh_ones_at_each_precision(cached, fresh):
+@pytest.mark.parametrize("kernel, fresh", ENCLOSURES,
+                         ids=["rational", "log", "log-of-int", "cantor-weight", "count-weight"])
+def test_kept_enclosures_are_the_fresh_ones_at_each_precision(kernel, fresh):
     # high precision first, so a key without the precision would hand the
     # 4096-bit interval to the 64-bit call; each is asked twice, once kept
-    for bits in (4096, 64, 128, 4096, 64, 128):
-        assert _iv_at(bits, cached)._mpi_ == _iv_at(bits, fresh)._mpi_, bits
+    for bits in (4096,) + LADDER + LADDER[:2]:
+        assert kernel(bits) == at_iv_prec(bits, fresh)._mpi_, bits
 
 
 def test_a_high_precision_log_is_not_the_kept_low_one():
     _iv_log.cache_clear()
-    _iv_at(64, lambda: _iv_log(Q(1, 3)))
-    x = _iv_at(4096, lambda: _iv_log(Q(1, 3)))
+    _iv_log(Q(1, 3), 64)
+    x = iv.make_mpf(_iv_log(Q(1, 3), 4096))
     assert x.delta.b < mpf(2) ** -4000
+
+
+def reference_mean_of_sums(sums, enclose, tol):
+    """_mean_of_sums as mpmath.iv computes it: a set of the class means,
+    and the ladder under iv.prec, the width and midpoint read at 53 bits."""
+    means = {num / den for _, den, num in sums}
+    if len(means) == 1:
+        return MeanValue.exact(means.pop())
+
+    def enclosure():
+        den = sum(enclose(first) * iv_q_reference(d) for first, d, _ in sums)
+        return sum(enclose(first) * iv_q_reference(n) for first, _, n in sums) / den
+
+    for bits in LADDER:
+        x = at_iv_prec(bits, enclosure)
+        if at_iv_prec(53, lambda: x.delta < tol):
+            mid = at_iv_prec(53, lambda: float(x.mid))
+            if not math.isfinite(mid):
+                raise ValidationError("the mean is outside the float range: "
+                                      f"its enclosure's midpoint reads {mid} as a float")
+            return MeanValue.approximate(mid, tol)
+    raise ValidationError(f"no enclosure within tol {tol}: {bits} bits spent, the budget")
+
+
+# each class's first term is not commensurable with another's: ratios
+# 1/2, 1/3, 1/5, 1/7 for counts; diameters 1, 2, 3, 5 at log 2 / log 3
+FIRSTS = {
+    "count": [(Q(1), Q(1, 2)), (Q(3, 2), Q(1, 3)), (Q(2), Q(1, 5)), (Q(5, 7), Q(1, 7))],
+    "cantor": [(Q(1), 2, Q(3)), (Q(2), 2, Q(3)), (Q(3), 2, Q(3)), (Q(5), 2, Q(3))],
+}
+# past 10**308 a mean leaves the float range, and past about 10**910 its
+# 4096-bit enclosure is wider than 5e-324
+RATIONALS = st.builds(Q, st.one_of(st.integers(-10**6, 10**6), st.integers(-10**300, 10**300),
+                                   st.integers(-10**1200, 10**1200)),
+                      st.integers(1, 10**6))
+
+
+@given(family=st.sampled_from(["count", "cantor"]), degree=st.integers(1, 3),
+       classes=st.lists(st.tuples(RATIONALS.map(abs).filter(bool), RATIONALS),
+                        min_size=2, max_size=4),
+       same=st.booleans(), tol=st.sampled_from([1e-3, 1e-9, 1e-15, 1e-60, 1e-300, 5e-324]))
+@example(family="count", degree=1, classes=[(Q(1), Q(10**1000)), (Q(3), -Q(10**1000))],
+         same=False, tol=5e-324)  # the budget is spent
+@example(family="cantor", degree=1, classes=[(Q(1), Q(-1, 3)), (Q(2), Q(7))],
+         same=False, tol=1e-300)
+def test_mean_of_sums_is_the_iv_formula(family, degree, classes, same, tol):
+    if family == "count":
+        enclose = _count_weights(degree)[1]
+        reference = lambda x: iv_count_weight_reference(x, degree)  # noqa: E731
+    else:
+        enclose, reference = _iv_weight, iv_weight_reference
+    # same: every class has the first class's mean, so the mean is exact
+    sums = [(first, den, den * classes[0][1] if same else num)
+            for first, (den, num) in zip(FIRSTS[family], classes)]
+
+    def outcome(f):
+        try:
+            return f()
+        except ValidationError as exc:
+            return str(exc)
+
+    got = outcome(lambda: _mean_of_sums(sums, enclose, tol, {}))
+    want = outcome(lambda: reference_mean_of_sums(sums, reference, tol))
+    assert got == want
+    if isinstance(got, MeanValue) and got.status == "approx":
+        assert got.approx.hex() == want.approx.hex()
+
+
+PRECISION_QUERIES = [
+    ["eval", "--mean", "iso", "seq(0,1,1/2) U seq(1,1,1/3)"],
+    ["round", "--mean", "iso", "seq(0,-1,1/2) U seq(1/1000,1,1/3)"],
+    ["weigh", "--mean", "iso", "--kind", "bound", "seq(0,1,1/2) U seq(1,1,1/3)", "seq(0,1,1/5)"],
+    ["eval", "--mean", "avg", "cantor(0,1,2,1/3) U cantor(5,7,4,1/9)"],
+    ["round", "--mean", "avg", "cantor(0,1,2,1/3) U cantor(5,7,4,1/9)"],
+    ["weigh", "--mean", "avg", "--kind", "bound", "cantor(0,1,2,1/3)", "cantor(0,2,4,1/9)"],
+]
+
+
+@pytest.mark.parametrize("argv", PRECISION_QUERIES, ids=lambda a: f"{a[0]}-{a[2]}")
+def test_reports_ignore_mpmath_global_precision(argv):
+    from setmeans.cli import run_command
+
+    # fresh caches, so no enclosure kept at the default precision is reused
+    for f in (_iv_log, _iv_weight, _iv_count_weight):
+        f.cache_clear()
+    default = run_command(argv + ["--json"])
+    assert default[0] == 0 and "approx" in str(default[1]["result"]), default
+    saved = iv.prec
+    try:
+        for bits in (20, 300):
+            iv.prec = bits
+            for f in (_iv_log, _iv_weight, _iv_count_weight):
+                f.cache_clear()
+            assert run_command(argv + ["--json"]) == default, bits
+            assert iv.prec == bits
+    finally:
+        iv.prec = saved
 
 
 @pytest.mark.parametrize("kind, h1, h2", [

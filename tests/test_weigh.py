@@ -395,3 +395,50 @@ def test_a_grid_past_a_float_is_a_validation_error():
     assert len(defect_curve(h1, h2, MeanKind.ARITH, xmax=50).samples) == 102
     with pytest.raises(ValidationError, match="does not fit a float"):
         defect_curve(h1, h2, MeanKind.ARITH, xmax=100)
+
+
+@pytest.mark.parametrize("kind, text1, text2", [
+    (MeanKind.ISO, "seq(0,1,1/2)", "seq(0,1,1/3) U seq(2,1,1/5)"),
+    (MeanKind.ACC, "seq(0,1,1/2)", "seq(0,1,1/3) U seq(2,1,1/5)"),
+    (MeanKind.AVG, "cantor(0,1,2,1/3)", "cantor(0,2,4,1/9)"),
+])
+@pytest.mark.parametrize("xmax", [0, 3])
+def test_a_curve_reads_the_operands_once(monkeypatch, kind, text1, text2, xmax):
+    import setmeans.weigh as weigh
+
+    h1, h2 = normalize(parse(text1)), normalize(parse(text2))
+    events = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            if name == "x":
+                events.append(("x", args[3]))
+            else:
+                events.append((name, {id(h1): "h1", id(h2): "h2"}.get(id(args[0]))))
+            return f(*args, **kwargs)
+        monkeypatch.setattr(weigh, f.__name__, wrapper)
+
+    for name, f in (("x", weigh._defect), ("mean", weigh.mean_of),
+                    ("weight", weigh.weight_of), ("order", weigh.compare_orders)):
+        counted(name, f)
+    curve = defect_curve(h1, h2, kind, xmax=xmax)
+    xs = [x for x, _ in curve.samples]
+    # -diam only touches H1's hull, so it takes the union evaluation: at
+    # xmax 0 it is the first translate, and nothing is read before it
+    assert not separates(h1, h2, xs[xmax]) and separates(h1, h2, xs[-1])
+    reads, x = [], None
+    for event in events:
+        if event[0] == "x":
+            x = event[1]
+        elif separates(h1, h2, x):
+            reads.append(event)
+        else:
+            # the union evaluation measures H1 and two built sets, no Weight
+            assert event in (("mean", "h1"), ("mean", None)), (x, event)
+    assert reads == [("mean", "h1"), ("mean", "h2"), ("weight", "h1"), ("weight", "h2"),
+                     ("order", None)]
+
+    # a translate whose hulls overlap reads no Weight and no order
+    events.clear()
+    weight_defect(h1, h2, kind, xs[xmax])
+    assert not [e for e in events if e[0] in ("weight", "order")] and events
