@@ -586,9 +586,11 @@ def _block_intersect(b1: Block, b2: Block) -> list[Block]:
     The boxes are tested first: apart they share nothing, and touching only
     their common end.  A Finite block tests only its points inside the other
     block's box, found by bisection.  An Interval clips the other (_clip), and
-    so does a sum-of-powers block with finitely many points in the common box,
-    listing them for the other to test.  IntersectionNotRepresentable when the
-    pair is outside the decidable fragment; a Cantor membership or cut that is
+    so does a sum-of-powers or Cantor block with finitely many points in the
+    common box (a Cantor block's lie at the ends of one gap), listing them for
+    the other to test; a clip that is not representable tries the other
+    order.  IntersectionNotRepresentable when the pair is outside the
+    decidable fragment; a Cantor membership, or a cut by an Interval, that is
     not decided raises its own error, which _block_intersections reports.
     """
     if b1.sup < b2.inf or b2.sup < b1.inf:
@@ -615,7 +617,10 @@ def _block_intersect(b1: Block, b2: Block) -> list[Block]:
     # both are infinite non-interval blocks with overlapping boxes
     u, v = max(b1.inf, b2.inf), min(b1.sup, b2.sup)
     for a, c in ((b1, b2), (b2, b1)):
-        parts = _clip(a, u, v) if isinstance(a, PowerSums) else [a]  # a Cantor block is never listed
+        try:
+            parts = _clip(a, u, v)
+        except CutNotRepresentable:  # a Cantor cut at a non-gap point
+            continue
         if all(isinstance(part, Finite) for part in parts):
             hits = sorted(p for part in parts for p in part.points if block_contains(c, p))
             return [Finite.of_sorted(tuple(hits))] if hits else []

@@ -716,6 +716,22 @@ def test_tower_membership_matches_the_stripping_reference():
     assert blocks_seen > 700 and answers[True] > 10_000 and answers[False] > 10_000
 
 
+def reference_cantor_gap_points(b, u, v):
+    """Cantor block b's part in [u, v], u < v inside its box, when (u, v)
+    lies in one of its gaps: none, or the gap's ends, found by descending
+    the piece tree.  None when (u, v) meets a piece, so the part is infinite."""
+    box = b
+    while True:
+        pieces = [box.piece(j) for j in range(box.pieces)]
+        for p, q in zip(pieces, pieces[1:]):
+            if p.hi <= u and v <= q.lo:
+                return [Finite((x,)) for x in (u, v) if x in (p.hi, q.lo)]
+        inside = [p for p in pieces if p.lo <= u and v <= p.hi]
+        if not inside:
+            return None
+        box = inside[0]
+
+
 def reference_block_intersect(b1, b2):
     """A block pair's intersection with every finite point tested."""
     if b1 == b2:
@@ -745,8 +761,12 @@ def reference_block_intersect(b1, b2):
     u, v = max(b1.inf, b2.inf), min(b1.sup, b2.sup)
     for a, c in ((b1, b2), (b2, b1)):
         if isinstance(a, Cantor):
-            continue  # its part of the box is never listed
-        parts = [d for b in cut_block(a, u, keep_low=False) for d in cut_block(b, v, keep_low=True)]
+            parts = reference_cantor_gap_points(a, u, v)
+            if parts is None:
+                continue
+        else:
+            parts = [d for b in cut_block(a, u, keep_low=False)
+                     for d in cut_block(b, v, keep_low=True)]
         if all(isinstance(d, Finite) for d in parts):
             try:
                 hits = tuple(p for d in parts for p in d.points if block_contains(c, p))

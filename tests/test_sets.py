@@ -351,6 +351,22 @@ def test_intersect_cantor_undecidable():
     assert intersect(c1, c1) == c1
 
 
+def test_a_sequence_in_one_cantor_gap_is_decided():
+    # the common box of each pair lies in the closure of the gap (1/3, 2/3):
+    # seq(1/2,-1/6,1/2) lies inside it, and seq(1/2,-1/3,1/2) meets the
+    # Cantor set only at the gap's end 1/3
+    c = bset(Cantor(Q(0), Q(1), 2, Q(1, 3)))
+    inside = bset(GeomSeq(Q(1, 2), Q(-1, 6), Q(1, 2)))
+    touching = bset(GeomSeq(Q(1, 2), Q(-1, 3), Q(1, 2)))
+    for a, b in ((c, inside), (inside, c)):
+        assert intersect(a, b).is_empty and disjoint(a, b)
+    for a, b in ((c, touching), (touching, c)):
+        assert intersect(a, b) == bset(Finite((Q(1, 3),))) and not disjoint(a, b)
+    # a box that meets a Cantor piece stays undecided
+    with pytest.raises(IntersectionNotRepresentable):
+        intersect(c, bset(GeomSeq(Q(1, 2), Q(-1, 2), Q(1, 2))))
+
+
 def test_disjoint_stops_at_the_first_overlap():
     s2 = bset(Finite((Q(0),)), GeomSeq(Q(0), Q(1), Q(1, 2)))
     s3 = bset(Finite((Q(0),)), GeomSeq(Q(0), Q(1), Q(1, 3)))
