@@ -330,8 +330,8 @@ def _mean_of_sums(sums, enclose, tol: float, dens: dict) -> MeanValue:
     bits are not narrow enough for tol, or when the mean is past the float
     range.
     """
-    _, den0, num0 = sums[0]
-    if all(num * den0 == num0 * den for _, den, num in sums):
+    (_, den0, num0), *rest = sums
+    if all(num * den0 == num0 * den for _, den, num in rest):
         return MeanValue.exact(num0 / den0)
     width = from_float(tol)
     for bits in _LADDER:
