@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as Q
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -598,12 +599,14 @@ RATIONALS = st.builds(Q, st.one_of(st.integers(-10**6, 10**6), st.integers(-10**
        same=st.booleans(), tol=st.sampled_from([1e-3, 1e-9, 1e-15, 1e-60, 1e-300, 5e-324]))
 @example(family="count", degree=1, classes=[(Q(1), Q(10**1000)), (Q(3), -Q(10**1000))],
          same=False, tol=5e-324)  # the budget is spent
+@example(family="count", degree=2, classes=[(Q(1), Q(10**400)), (Q(2), Q(10**400 + 1))],
+         same=False, tol=1e-9)  # past the float range
 @example(family="cantor", degree=1, classes=[(Q(1), Q(-1, 3)), (Q(2), Q(7))],
          same=False, tol=1e-300)
 def test_mean_of_sums_is_the_iv_formula(family, degree, classes, same, tol):
     if family == "count":
-        enclose = _count_weights(degree)[1]
-        reference = lambda x: iv_count_weight_reference(x, degree)  # noqa: E731
+        enclose, reference = _count_weights(degree)[1], partial(iv_count_weight_reference,
+                                                                degree=degree)
     else:
         enclose, reference = _iv_weight, iv_weight_reference
     # same: every class has the first class's mean, so the mean is exact
