@@ -12,14 +12,15 @@ count, top-level count, measure, count coefficient), and
 ``compare_weights`` compares the two Weights, order first.  Roundness
 compares the two halves of a set the same way.
 
-The defect itself has a closed form at a translate x that separates the
-hulls strictly: the union's mean is then read from the operands' own means,
-weights and bounds, and equals the evaluation of H1 u (H2+x), bit for bit
-when it is approximate.  Its class sums are affine in x, so a defect curve
-builds them once for each side of H1 and each sample encloses only its
-numerators.  A sample builds the union and the translate and measures them
-only when the hulls are not strictly separated or an operand's mean is
-undefined.
+The defect is read from the operands' own means, weights and bounds, and
+equals the evaluation of H1 u (H2+x), bit for bit when it is approximate.
+With both operand means exact it is one affine form on each side of H1's
+hull, built once per curve, and under lis one closed form at every
+translate.  Otherwise, at a translate that separates the hulls strictly,
+the union's class sums are affine in x, so a curve builds them once for
+each side of H1 and each sample encloses only its numerators.  A sample
+builds the union and the translate and measures them only when an operand's
+mean is undefined or, outside lis, the hulls are not strictly separated.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from .blocks import as_q
 from .classify import Answer, Method, Verdict, _closed, _translate_grid
 from .errors import DomainViolation
 from .means import (
@@ -71,45 +73,58 @@ def weight_defect(h1: BlockSet, h2: BlockSet, kind: MeanKind, x: Q,
                   cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
     """K(H1 u (H2+x)) - (K(H1) + K(H2+x))/2, exact for the exact means.
 
-    When H2+x lies strictly on one side of H1's hull and both operand means
-    are defined, the three means are read from the operands
-    (_separated_means) and equal the evaluation of the union and the
-    translate; otherwise those two sets are built and measured.
+    Read from the operands' means, weights and bounds where _read_defect
+    can (it equals the evaluation of the union and the translate);
+    otherwise those two sets are built and measured.  ValidationError when
+    x is not rational.
     """
-    kind = MeanKind(kind)
-    return _defect(h1, h2, kind, x, cfg, _separated_means(h1, h2, kind, cfg))
+    kind, x = MeanKind(kind), as_q(x)
+    return _defect(h1, h2, kind, x, cfg, _read_defect(h1, h2, kind, cfg))
 
 
-def _defect(h1, h2, kind, x, cfg, separated) -> MeanValue:
-    means = separated(x)
-    if means is None:
+def _defect(h1, h2, kind, x, cfg, read) -> MeanValue:
+    d = read(x)
+    if d is None:
         shifted = translate_set(h2, x)
-        means = (mean_of(union_sets(h1, shifted), kind, cfg),
-                 mean_of(h1, kind, cfg), mean_of(shifted, kind, cfg))
-    return combine(lambda u, k1, k2: u - (k1 + k2) / 2, *means, tol=cfg.tol)
+        d = combine(_defect_of, mean_of(union_sets(h1, shifted), kind, cfg),
+                    mean_of(h1, kind, cfg), mean_of(shifted, kind, cfg), tol=cfg.tol)
+    return d
 
 
-def _separated_means(h1: BlockSet, h2: BlockSet, kind: MeanKind, cfg: LadderConfig):
-    """x -> (K(H1 u (H2+x)), K(H1), K(H2+x)) without building a set, or None.
+def _defect_of(u, k1, k2):
+    return u - (k1 + k2) / 2
 
-    None when the hulls of H1 and H2+x are not strictly disjoint (touching
-    ones can share a point) or an operand's mean is undefined.  Otherwise
-    the union's derived sets are the operands' side by side.  Under lis its
-    accumulation bounds are then the outer ones.  Under every other mean an
-    exact K(H2) shifts exactly; the operand of higher weight order gives the
-    union's mean; at equal order rational totals give
-    (W1*K1 + W2*(K2+x)) / (W1 + W2); and otherwise the union's terms are the
-    operands' terms side by side, left operand first, as the union's blocks
-    are.  A term's class and its rational multiple q of the class's first
-    term depend on the terms alone, so each class's sums sum(q) and
-    sum(q * position) are affine in x: K(H2+x) and, for each side of H1,
-    K(H1 u (H2+x)) are read from class sums built once (_affine_mean).
-    K(H1), K(H2), the Weights and their order are read once too, at the
-    first separated translate, so a function never called at one reads none.
+
+def _read_defect(h1: BlockSet, h2: BlockSet, kind: MeanKind, cfg: LadderConfig):
+    """x -> the defect at x read from the operands, without building a set, or None.
+
+    None when an operand's mean is undefined or, outside lis, the hulls of
+    H1 and H2+x are not strictly disjoint (touching ones can share a point).
+    With exact K1 = K(H1) and K2 = K(H2) the defect is a closed form, and
+    each value the reduced rational of the union's evaluation:
+    - under lis at every x, as (H1 u H2+x)' = H1' u (H2+x)': with the
+      accumulation bounds a_i, s_i, (min(a1, a2+x) + max(s1, s2+x) - x - K1 - K2)/2;
+    - else, at a separated x, where the union's derived sets are the
+      operands' side by side, beta * (x + K2 - K1): the operand of higher
+      weight order gives the union's mean (beta = -1/2 for H1, 1/2 for H2),
+      and at equal order rational totals give (W1*K1 + W2*(K2+x)) /
+      (W1 + W2), so beta = (W2 - W1) / (2*(W1 + W2)).
+    Otherwise (an approximate operand, or equal orders without rational
+    totals) the union's terms are the operands' terms side by side, left
+    operand first, as the union's blocks are.  A term's class and its
+    rational multiple q of the class's first term depend on the terms alone,
+    so each class's sums sum(q) and sum(q * position) are affine in x:
+    K(H2+x) and, for each side of H1, K(H1 u (H2+x)) are read from class
+    sums built once (_affine_mean).  K(H1), K(H2), the Weights and their
+    order are read once, at the first translate that needs them, so a
+    function never called at one reads none.
     """
     b1, b2 = bounds(h1), bounds(h2)
-    # the operands' means, Weights and order, and the class sums of K(H2+x)
-    # and of the union on each side, each read when first needed
+    # H2+x lies right of H1's hull past one threshold and left below the other
+    right_of, left_of = b1.sup - b2.inf, b1.inf - b2.sup
+    lis = kind is MeanKind.LIS
+    # the operands' means, Weights and order, the closed form, and the class
+    # sums of K(H2+x) and of the union on each side, each read when first needed
     kept: dict = {}
 
     def keep(key, f):
@@ -117,31 +132,52 @@ def _separated_means(h1: BlockSet, h2: BlockSet, kind: MeanKind, cfg: LadderConf
             kept[key] = f()
         return kept[key]
 
+    def weights():
+        return keep("weights", lambda: (weight_of(h1, kind), weight_of(h2, kind)))
+
+    def higher():
+        return keep("order", lambda: compare_orders(*(w.order for w in weights())))
+
     def tail(*parts):
         # keyed (True,), (False, True) or (True, False)
         return keep(tuple(moves for _, moves in parts), lambda: _affine_mean(parts))
 
-    def at(x: Q):
-        right = b2.inf + x > b1.sup
-        if not (right or b2.sup + x < b1.inf):
-            return None
+    def closed():
         m1, m2 = keep("means", lambda: (mean_of(h1, kind, cfg), mean_of(h2, kind, cfg)))
+        if not (m1.is_exact and m2.is_exact):
+            return None
+        if lis:
+            a1, s1, a2, s2 = b1.acc_inf, b1.acc_sup, b2.acc_inf, b2.acc_sup
+            k = m1.value + m2.value
+            return lambda x: (min(a1, a2 + x) + max(s1, s2 + x) - x - k) / 2
+        (w1, w2), sign = weights(), higher()
+        if sign:
+            beta = Q(-sign, 2)
+        elif w1.total is not None and w2.total is not None:
+            beta = Q(w2.total - w1.total) / (2 * (w1.total + w2.total))
+        else:
+            return None
+        c = m2.value - m1.value
+        return lambda x: beta * (x + c)
+
+    def at(x: Q):
+        right = x > right_of
+        if not (lis or right or x < left_of):
+            return None
+        form = keep("closed", closed)
+        if form:
+            return MeanValue.exact(form(x))
+        m1, m2 = kept["means"]
         if not (m1.is_defined and m2.is_defined):
             return None
-        if kind is MeanKind.LIS:
-            k = (min(b1.acc_inf, b2.acc_inf + x) + max(b1.acc_sup, b2.acc_sup + x)) / 2
-            return MeanValue.exact(k), m1, m2.shifted(x)
-        w1, w2 = keep("weights", lambda: (weight_of(h1, kind), weight_of(h2, kind)))
+        w1, w2 = weights()
         k2 = m2.shifted(x) if m2.is_exact else tail((w2, True))(x, cfg.tol)
-        higher = keep("order", lambda: compare_orders(w1.order, w2.order))
-        if higher:
-            k = m1 if higher > 0 else k2
-        elif w1.total is not None and w2.total is not None:
-            k = MeanValue.exact((w1.total * m1.value + w2.total * k2.value) / (w1.total + w2.total))
+        if higher():
+            k = m1 if higher() > 0 else k2
         else:
             sides = ((w1, False), (w2, True))
             k = tail(*(sides if right else sides[::-1]))(x, cfg.tol)
-        return k, m1, k2
+        return combine(_defect_of, k, m1, k2, tol=cfg.tol)
 
     return at
 
@@ -198,14 +234,15 @@ def classify_trend(samples, tol: float) -> tuple[Trend, Optional[float]]:
 
 def defect_curve(h1: BlockSet, h2: BlockSet, kind: MeanKind,
                  cfg: LadderConfig = DEFAULT_CONFIG, xmax: int = 4) -> DefectCurve:
-    """weight_defect over the translate grid; the separated samples share
-    one _separated_means, so its class sums are built once per curve side.
+    """weight_defect over the translate grid; the samples share one
+    _read_defect, so its closed form is built once per curve and its class
+    sums once per curve side.
     ValidationError when xmax lies outside 0..XMAX or the grid's largest
     translate does not fit a float."""
     kind = MeanKind(kind)
     xs = sorted(_translate_grid(xmax, h1, h2))
-    separated = _separated_means(h1, h2, kind, cfg)
-    samples = tuple((x, _defect(h1, h2, kind, x, cfg, separated)) for x in xs)
+    read = _read_defect(h1, h2, kind, cfg)
+    samples = tuple((x, _defect(h1, h2, kind, x, cfg, read)) for x in xs)
     trend, slope = classify_trend(samples, cfg.tol)
     return DefectCurve(samples, trend, slope)
 

@@ -13,6 +13,7 @@ from setmeans import (
     Finite,
     GeomSeq,
     Interval,
+    LadderConfig,
     MeanKind,
     MeanValue,
     Method,
@@ -35,10 +36,11 @@ from setmeans import (
     union_sets,
     weight_defect,
 )
+from setmeans import cli
 from setmeans.classify import _translate_grid
 from setmeans.laws import PROFILES
 from setmeans.means import combine
-from setmeans.weigh import _separated_means, classify_trend
+from setmeans.weigh import _read_defect, classify_trend
 
 
 def bset(*blocks):
@@ -276,10 +278,17 @@ def test_equal_weight_avg_across_families_at_a_rational_dimension():
     assert (v.answer, v.method) == (Answer.YES, Method.CLOSED_FORM)
 
 
-def union_evaluation(h1, h2, kind, x):
+def union_evaluation(h1, h2, kind, x, cfg=DEFAULT_CONFIG):
     """K(H1 u (H2+x)), K(H1), K(H2+x) from the built union and translate."""
     shifted = translate_set(h2, x)
-    return mean_of(union_sets(h1, shifted), kind), mean_of(h1, kind), mean_of(shifted, kind)
+    return (mean_of(union_sets(h1, shifted), kind, cfg), mean_of(h1, kind, cfg),
+            mean_of(shifted, kind, cfg))
+
+
+def union_defect(h1, h2, kind, x, cfg=DEFAULT_CONFIG):
+    """The defect at x from union_evaluation."""
+    return combine(lambda u, a, b: u - (a + b) / 2, *union_evaluation(h1, h2, kind, x, cfg),
+                   tol=cfg.tol)
 
 
 def separates(h1, h2, x):
@@ -289,21 +298,24 @@ def separates(h1, h2, x):
 
 @pytest.mark.parametrize("profile", PROFILES)
 def test_separated_samples_equal_the_union_evaluation(profile):
-    # MeanValue equality: an approximate sample carries the union's float bit for bit
+    # MeanValue equality: an exact sample is the union's rational, and an
+    # approximate one carries the union's float bit for bit
     sets = [normalize(e) for e in gen_corpus(7, 25, profile)]
     served = approx = 0
     for i, h1 in enumerate(sets):
         h2 = sets[(i * 7 + 3) % len(sets)]
         for kind in MeanKind:
-            separated = _separated_means(h1, h2, kind, DEFAULT_CONFIG)  # one per curve
+            read = _read_defect(h1, h2, kind, DEFAULT_CONFIG)  # one per curve
             defined = mean_of(h1, kind).is_defined and mean_of(h2, kind).is_defined
             for x in _translate_grid(4, h1, h2) + [Q(1, 3), Q(-7, 2)]:
-                got = separated(x)
-                assert (got is not None) == (defined and separates(h1, h2, x)), (i, kind, x)
+                got = read(x)
+                # lis reads the defect at every translate
+                served_here = defined and (kind is MeanKind.LIS or separates(h1, h2, x))
+                assert (got is not None) == served_here, (i, kind, x)
                 if got is not None:
-                    assert got == union_evaluation(h1, h2, kind, x), (i, kind, x)
+                    assert got == union_defect(h1, h2, kind, x), (i, kind, x)
                     served += 1
-                    approx += not got[0].is_exact
+                    approx += not got.is_exact
     assert served >= 300
     if profile in ("sequences", "towers", "cantor"):
         assert approx > 0
@@ -340,7 +352,7 @@ def test_touching_hulls_take_the_union_evaluation():
     # {0,1} u ({0,3}+1) = {0,1,4} shares the point 1: its mean is 5/3, where
     # the count-weighted combination of the operands would give 3/2
     h1, h2, x = bset(Finite((Q(0), Q(1)))), bset(Finite((Q(0), Q(3)))), Q(1)
-    assert _separated_means(h1, h2, MeanKind.ARITH, DEFAULT_CONFIG)(x) is None
+    assert _read_defect(h1, h2, MeanKind.ARITH, DEFAULT_CONFIG)(x) is None
     union, k1, k2 = union_evaluation(h1, h2, MeanKind.ARITH, x)
     assert union.value == Q(5, 3)
     assert weight_defect(h1, h2, MeanKind.ARITH, x).value == Q(5, 3) - (k1.value + k2.value) / 2
@@ -356,9 +368,10 @@ def test_iso_and_cantor_separated_samples_are_read():
     for h1, h2, kind in cases:
         assert mean_of(h1, kind).is_exact and mean_of(h2, kind).is_exact
         for x in (Q(10), Q(-10)):
-            got = _separated_means(h1, h2, kind, DEFAULT_CONFIG)(x)
-            assert got == union_evaluation(h1, h2, kind, x)
-            assert not got[0].is_exact
+            got = _read_defect(h1, h2, kind, DEFAULT_CONFIG)(x)
+            assert got == union_defect(h1, h2, kind, x)
+            # K(H1) and K(H2+x) are exact, so the union's mean is not
+            assert not got.is_exact
 
 
 def test_cantor_classes_do_not_depend_on_the_union_block_order():
@@ -368,16 +381,108 @@ def test_cantor_classes_do_not_depend_on_the_union_block_order():
     # exact mean whichever operand's blocks come first.
     h1 = normalize(parse("cantor(0,1,4,1/9)"))
     h2 = normalize(parse("cantor(0,1,2,1/3) U cantor(2,5,2,1/3)"))
-    right = _separated_means(h1, h2, MeanKind.AVG, DEFAULT_CONFIG)(Q(10))
-    assert right == union_evaluation(h1, h2, MeanKind.AVG, Q(10))
-    assert right[0] == MeanValue.exact(Q(19, 2))
-    left = _separated_means(h1, h2, MeanKind.AVG, DEFAULT_CONFIG)(Q(-10))
-    assert left == union_evaluation(h1, h2, MeanKind.AVG, Q(-10))
-    assert left[0] == MeanValue.exact(Q(-11, 2))
+    for x, union in ((Q(10), Q(19, 2)), (Q(-10), Q(-11, 2))):
+        got = _read_defect(h1, h2, MeanKind.AVG, DEFAULT_CONFIG)(x)
+        assert got == union_defect(h1, h2, MeanKind.AVG, x)
+        _, k1, k2 = union_evaluation(h1, h2, MeanKind.AVG, x)
+        assert got == MeanValue.exact(union - (k1.value + k2.value) / 2)
     for x, defect in defect_curve(h1, h2, MeanKind.AVG).samples:
-        assert defect == combine(lambda u, a, b: u - (a + b) / 2,
-                                 *union_evaluation(h1, h2, MeanKind.AVG, x), tol=DEFAULT_CONFIG.tol)
+        assert defect == union_defect(h1, h2, MeanKind.AVG, x)
         assert defect.is_exact
+
+
+def test_lis_reads_the_defect_where_the_hulls_overlap():
+    # (H1 u H2+x)' = H1' u (H2+x)' at every x, so no translate here, where
+    # H2+x's hull touches, crosses or lies inside H1's, builds a union
+    h1 = normalize(parse("seq(0,1,1/2) U [2,3] U {5}"))
+    h2 = normalize(parse("cantor(0,1,2,1/3) U seq(1,1,1/3)"))
+    read = _read_defect(h1, h2, MeanKind.LIS, DEFAULT_CONFIG)
+    for x in (Q(-4, 3), Q(-1), Q(-1, 2), Q(0), Q(1, 3), Q(1), Q(2), Q(3), Q(4), Q(5)):
+        assert not separates(h1, h2, x)
+        got = read(x)
+        assert got.is_exact and got == union_defect(h1, h2, MeanKind.LIS, x), x
+        assert weight_defect(h1, h2, MeanKind.LIS, x) == got
+    # a finite operand has no lis mean: the union's evaluation says why
+    h3 = bset(Finite((Q(0), Q(1))))
+    assert _read_defect(h1, h3, MeanKind.LIS, DEFAULT_CONFIG)(Q(1)) is None
+    assert weight_defect(h1, h3, MeanKind.LIS, Q(1)) == union_defect(h1, h3, MeanKind.LIS, Q(1))
+
+
+@pytest.mark.parametrize("kind", list(MeanKind))
+def test_a_translate_that_is_not_rational_is_a_validation_error(kind):
+    # 1/2 puts the hulls across each other, 5/2 apart; a sample read without
+    # a built translate checks x as translate_set does
+    h1, h2 = normalize(parse("seq(0,1,1/2)")), normalize(parse("seq(0,1,1/3)"))
+    for x in (0.5, 2.5):
+        with pytest.raises(ValidationError, match="expected a rational"):
+            weight_defect(h1, h2, kind, x)
+
+
+@pytest.mark.parametrize("kind, text1, text2", [
+    (MeanKind.ARITH, "{0,1,5}", "{0,6}"),
+    (MeanKind.ACC, "seq(0,1,1/2) U {3}", "tower(2,0,1/4)"),
+    (MeanKind.AVG, "[0,2] U {7}", "[0,1] U [3,4]"),
+    # equal dimensions, Cantor weights without a rational total
+    (MeanKind.AVG, "cantor(0,1,2,1/3)", "cantor(0,2,4,1/9)"),
+    # one class of count terms
+    (MeanKind.ISO, "seq(0,1,1/2)", "seq(1,1,1/4)"),
+    (MeanKind.LIS, "seq(0,1,1/2) U [2,3]", "cantor(0,1,2,1/3)"),
+])
+def test_a_curve_of_exact_means_builds_unions_only_where_the_hulls_meet(monkeypatch, kind,
+                                                                         text1, text2):
+    import setmeans.weigh as weigh
+
+    h1, h2 = normalize(parse(text1)), normalize(parse(text2))
+    assert mean_of(h1, kind).is_exact and mean_of(h2, kind).is_exact
+    shifts, unions = [], []
+
+    def translated(h, x):
+        shifts.append(x)
+        return translate_set(h, x)
+
+    def united(*hs):
+        unions.append(hs)
+        return union_sets(*hs)
+
+    monkeypatch.setattr(weigh, "translate_set", translated)
+    monkeypatch.setattr(weigh, "union_sets", united)
+    curve = defect_curve(h1, h2, kind)
+    met = [x for x, _ in curve.samples if not separates(h1, h2, x)]
+    assert met and len(met) < len(curve.samples)
+    assert shifts == ([] if kind is MeanKind.LIS else met) and len(unions) == len(shifts)
+    for x, d in curve.samples:
+        assert d == union_defect(h1, h2, kind, x), x
+
+
+def reference_curve(h1, h2, kind, cfg, xmax):
+    """defect_curve from the built union and translate at each translate."""
+    samples = tuple((x, union_defect(h1, h2, kind, x, cfg))
+                    for x in sorted(_translate_grid(xmax, h1, h2)))
+    return DefectCurve(samples, *classify_trend(samples, cfg.tol))
+
+
+@pytest.mark.parametrize("seed", [101, 9001])
+@pytest.mark.parametrize("workload", ["query-exact", "query-iso"])
+def test_benchmark_weigh_curves_equal_the_built_unions(workload, seed):
+    # every weigh query the benchmark replays, read as the CLI reads it
+    import setmeans
+    from test_argv import _workloads
+
+    ops = [op for op in _workloads().build(setmeans, workload, seed).ops if op.command == "weigh"]
+    raised = 0
+    for op in ops:
+        args = cli._read_argv(op.argv)
+        kind, cfg = MeanKind(args.mean), LadderConfig(tol=args.tol)
+        h1, h2 = normalize(parse(args.h1)), normalize(parse(args.h2))
+        try:
+            want = reference_curve(h1, h2, kind, cfg, args.xmax)
+        except SetMeansError as exc:
+            with pytest.raises(type(exc)):
+                defect_curve(h1, h2, kind, cfg, xmax=args.xmax)
+            raised += 1
+            continue
+        assert defect_curve(h1, h2, kind, cfg, xmax=args.xmax) == want, op.argv
+    assert len(ops) >= 16 and raised < len(ops)
 
 
 @pytest.mark.parametrize("xmax", [-1, 101, 4400])
