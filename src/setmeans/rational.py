@@ -22,10 +22,19 @@ rational; the library uses none of them on a rational.
 """
 
 import operator
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 _new = object.__new__
+_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+@lru_cache(maxsize=1024)
+def _inverse(d: int) -> int:
+    """d's inverse modulo the hash modulus, or 0 when d is a multiple of it."""
+    return pow(d, -1, _MODULUS) if d % _MODULUS else 0
 
 
 def _q(n: int, d: int) -> "Q":
@@ -179,5 +188,16 @@ class Q(Fraction):
     __gt__ = _compare(operator.gt, "gt")
     __ge__ = _compare(operator.ge, "ge")
     __eq__ = _compare(operator.eq, "eq")
-    # overriding __eq__ drops the inherited hash
-    __hash__ = Fraction.__hash__
+
+    def __hash__(a):
+        """Fraction's hash: |n| * inverse(d) modulo the hash modulus, with
+        n's sign; an integer's is the int's, and the inverses of recent
+        denominators are kept (_inverse), where Fraction computes one on
+        every call."""
+        n, d = a._numerator, a._denominator
+        if d == 1:
+            return hash(n)
+        inv = _inverse(d)
+        h = hash(hash(abs(n)) * inv) if inv else _INF
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h

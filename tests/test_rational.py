@@ -7,6 +7,7 @@ makes must be a Q, never a stdlib Fraction.
 
 import dataclasses
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,25 @@ def test_a_q_equals_its_fraction(a):
     assert Q(a.numerator, a.denominator) == q and Q(q) is q
     if a.denominator == 1:
         assert q == a.numerator and hash(q) == hash(a.numerator)
+
+
+M = sys.hash_info.modulus
+HASH_INTS = st.one_of(INTS, st.integers(-3 * M, 3 * M), st.sampled_from([M, 2 * M, M - 1, M + 1, M + 2]))
+
+
+@given(n=HASH_INTS, d=HASH_INTS.filter(bool))
+# a denominator that is a multiple of the modulus hashes to +-inf's hash;
+# -(M + 2)/2 is the rational whose hash would be -1, which reads -2
+@example(n=1, d=M)
+@example(n=-3, d=2 * M)
+@example(n=-(M + 2), d=2)
+@example(n=-1, d=1)
+@example(n=-1, d=M + 1)
+def test_hash_is_fractions_hash(n, d):
+    q, f = Q(n, d), Fraction(n, d)
+    assert hash(q) == hash(f) and hash(Q(n, d)) == hash(f)  # the second from a kept inverse
+    # hash() itself turns -1 into -2; the method must too
+    assert q.__hash__() == f.__hash__()
 
 
 def test_construction_matches_fraction():
