@@ -470,12 +470,13 @@ class IsolationProfile:
     sets outside the ISO domain have those; they are checked at each eps) is
     measured once, and kept in a sorted (distance, point) list to bisect:
     one for the finite points, one per tower.  Towers come as (sum-of-powers
-    block, apart) pairs (_apart).  At eps <= apart a tower's count is
-    C(K, level) (tower_top_count), and no point is made: a top point's last
-    term times |scale| is its distance to the block's own accumulation set,
-    and the rest of acc is no nearer.  Otherwise the tower is walked, its
-    walk kept, so a smaller eps resumes below the old floor; points with a
-    last term below eps lie within eps of their shorter sums, in acc.
+    block, apart) pairs (_apart).  At eps <= apart, or at every eps when
+    apart is None, a tower's count is C(K, level) (tower_top_count), and no
+    point is made: a top point's last term times |scale| is its distance to
+    the block's own accumulation set, and the rest of acc is no nearer.
+    Otherwise the tower is walked, its walk kept, so a smaller eps resumes
+    below the old floor; points with a last term below eps lie within eps of
+    their shorter sums, in acc.
     """
 
     def __init__(self, acc: BlockSet, points, towers=()):
@@ -519,7 +520,7 @@ class IsolationProfile:
             return len(self.outside(eps))
         n = len(self.finite) - bisect_left(self.finite, eps, key=itemgetter(0))
         for t in self.towers:
-            if eps <= t[1]:
+            if t[1] is None or eps <= t[1]:
                 n += tower_top_count(t[0], eps)
             else:
                 pairs = self._walked(t, eps)
@@ -529,16 +530,17 @@ class IsolationProfile:
 
 def _apart(h: BlockSet, i: int):
     """The largest eps at which h.blocks[i], a sum-of-powers block b, is
-    apart, or 0.  b is apart at eps when no finite point of h lies in its
-    hull but at its anchor, and every other non-Finite block of h lies on
-    the anchor's side of b's anchor or at hull distance at least eps > 0."""
+    apart, 0, or None when b is apart at every eps.  b is apart at eps when
+    no finite point of h lies in its hull but at its anchor, and every other
+    non-Finite block of h lies on the anchor's side of b's anchor or at hull
+    distance at least eps > 0."""
     b, pts = h.blocks[i], h.finite_points()
     a, lo, hi = b.anchor, b.inf, b.sup
     if any(x != a for x in pts[bisect_left(pts, lo):bisect_right(pts, hi)]):
         return 0
     gaps = [max(c.inf - hi, lo - c.sup) for j, c in enumerate(h.blocks) if not (
         j == i or isinstance(c, Finite) or (c.sup <= a if b.scale > 0 else c.inf >= a))]
-    return max(0, min(gaps, default=math.inf))
+    return max(0, min(gaps)) if gaps else None
 
 
 def _isolation(h: BlockSet) -> IsolationProfile:
@@ -587,9 +589,9 @@ def _block_intersect(b1: Block, b2: Block) -> list[Block]:
     their common end.  A Finite block tests only its points inside the other
     block's box, found by bisection.  An Interval clips the other (_clip), and
     so does a sum-of-powers or Cantor block with finitely many points in the
-    common box (a Cantor block's lie at the ends of one gap), listing them for
-    the other to test; a clip that is not representable tries the other
-    order.  IntersectionNotRepresentable when the pair is outside the
+    common box (a Cantor block's lie at the ends of one gap, so a box wider
+    than its top gap is not clipped), listing them for the other to test; a
+    clip that is not representable tries the other order.  IntersectionNotRepresentable when the pair is outside the
     decidable fragment; a Cantor membership, or a cut by an Interval, that is
     not decided raises its own error, which _block_intersections reports.
     """
@@ -617,6 +619,10 @@ def _block_intersect(b1: Block, b2: Block) -> list[Block]:
     # both are infinite non-interval blocks with overlapping boxes
     u, v = max(b1.inf, b2.inf), min(b1.sup, b2.sup)
     for a, c in ((b1, b2), (b2, b1)):
+        # no gap of a Cantor block is wider than its top one, so a wider box
+        # holds a point of the block inside it, and with it infinitely many
+        if isinstance(a, Cantor) and v - u > a.gap_step - a.ratio * (a.hi - a.lo):
+            continue
         try:
             parts = _clip(a, u, v)
         except CutNotRepresentable:  # a Cantor cut at a non-gap point

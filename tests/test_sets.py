@@ -48,7 +48,7 @@ from setmeans.blocks import block_contains, block_sort_key
 from setmeans.errors import CutNotRepresentable, MembershipUndecided
 from setmeans.laws import PROFILES
 from setmeans.means import dimension_of
-from setmeans.sets import INFINITE_LEVEL, _geom_absorbs, disjoint
+from setmeans.sets import INFINITE_LEVEL, _geom_absorbs, disjoint, isolated_count
 
 
 def bset(*blocks) -> BlockSet:
@@ -365,6 +365,56 @@ def test_a_sequence_in_one_cantor_gap_is_decided():
     # a box that meets a Cantor piece stays undecided
     with pytest.raises(IntersectionNotRepresentable):
         intersect(c, bset(GeomSeq(Q(1, 2), Q(-1, 2), Q(1, 2))))
+
+
+def test_a_cantor_block_is_clipped_only_to_a_box_one_gap_can_hold(monkeypatch):
+    # the widest gap of cantor(0,1,2,1/3) is its top one, (1/3, 2/3): a
+    # common box wider than 1/3 holds Cantor points, so the Cantor block's
+    # part in it is infinite and its clip is skipped
+    c = bset(Cantor(Q(0), Q(1), 2, Q(1, 3)))
+    wide = bset(GeomSeq(Q(1), Q(-1), Q(1, 2)))
+    one_gap = bset(GeomSeq(Q(1, 2), Q(-1, 6), Q(1, 2)))
+    clipped = []
+    clip = sets._clip
+
+    def counted(b, lo, hi):
+        clipped.append((type(b), hi - lo))
+        return clip(b, lo, hi)
+
+    monkeypatch.setattr(sets, "_clip", counted)
+    for a, b in ((c, wide), (wide, c)):
+        clipped.clear()
+        with pytest.raises(IntersectionNotRepresentable):
+            intersect(a, b)
+        assert clipped == [(GeomSeq, Q(1, 2))]
+    for a, b in ((c, one_gap), (one_gap, c)):
+        clipped.clear()
+        assert intersect(a, b).is_empty and disjoint(a, b)
+        assert (Cantor, Q(1, 12)) in clipped
+    # a box as wide as the top gap is the gap's closure, whose ends are kept
+    edge = bset(GeomSeq(Q(2, 3), Q(-2, 3), Q(1, 2)))
+    clipped.clear()
+    assert intersect(c, edge) == bset(Finite((Q(1, 3),)))
+    assert clipped == [(Cantor, Q(1, 3))]
+
+
+def test_a_lone_tower_counts_with_no_float(monkeypatch):
+    # no other block comes near the tower, so it is apart at every eps (None,
+    # not a float infinity), its count is the closed form, and no rational
+    # is compared with a float on the way
+    import fractions
+
+    h = bset(Tower(2, Q(0), Q(1), Q(1, 4)))
+    assert sets._apart(h, 0) is None
+    richcmp = fractions.Fraction._richcmp
+
+    def checked(a, b, op):
+        assert not isinstance(b, float), (a, b)
+        return richcmp(a, b, op)
+
+    monkeypatch.setattr(fractions.Fraction, "_richcmp", checked)
+    for eps in (Q(1, 16), Q(1, 64), Q(1, 1000)):
+        assert isolated_count(h, eps) == len(isolated_outside(h, eps)) > 0
 
 
 def test_disjoint_stops_at_the_first_overlap():
