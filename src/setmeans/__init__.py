@@ -8,7 +8,7 @@ the isolated points, and the Hausdorff-measure average.  The higher layers
 classify small/big sets, test equal-weight relations, and decide roundness.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .blocks import Cantor, Finite, GeomSeq, Interval, Q, Tower
 from .classify import (
@@ -76,7 +76,6 @@ from .weigh import (
     WeightKind,
     defect_curve,
     equal_weight,
-    transitivity_probe,
     weight_defect,
 )
 
@@ -96,6 +95,6 @@ __all__ = [
     "is_big_for", "is_small_for", "isolated_outside", "k_bounds",
     "k_disjoint", "level", "mean_of", "normalize", "normalize_blocks",
     "parse", "reflect_set", "render", "render_set", "round_defect",
-    "round_witness", "transitivity_probe", "translate_set",
-    "union_sets", "weight_defect", "witness_stage_ratios",
+    "round_witness", "translate_set", "union_sets", "weight_defect",
+    "witness_stage_ratios",
 ]

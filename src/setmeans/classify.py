@@ -83,8 +83,7 @@ def _translate_grid(xmax: int, *hs: BlockSet) -> list[Q]:
 
     The base is the largest diameter of the sets, or 1 when all are points.
     ValidationError when xmax lies outside 0..XMAX or the largest translate
-    does not fit a float, which the defect trend and every approximate
-    value read it as.
+    does not fit a float, which every approximate value reads it as.
     """
     check_xmax(xmax)
     d = max(diameter(h) for h in hs)

@@ -331,7 +331,6 @@ def _dispatch(args, report) -> int:
             "type": "kbounds",
             "k_liminf": _mean_json(kb.k_liminf),
             "k_limsup": _mean_json(kb.k_limsup),
-            "skipped": list(kb.skipped),
         }
         return EXIT_OK
 

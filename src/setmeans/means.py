@@ -714,8 +714,6 @@ def _mean(h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> MeanValue:
 class KBounds:
     k_liminf: MeanValue
     k_limsup: MeanValue
-    # always empty, since k_bounds builds no cut; the JSON report keeps the key
-    skipped: tuple[str, ...] = ()
 
 
 def k_bounds(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) -> KBounds:

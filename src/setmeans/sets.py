@@ -104,7 +104,7 @@ class BlockSet:
     """A bounded set as a finite union of blocks.
 
     The sets that normalize, normalize_blocks and the set operations return
-    are canonical (_canonical), which means:
+    are canonical, which means:
 
     * at most one Finite block, and it comes first;
     * the other blocks are strictly increasing by block_sort_key, so no two
@@ -118,7 +118,6 @@ class BlockSet:
     """
 
     blocks: tuple[Block, ...]
-    provenance: Optional[SetExpr] = field(default=None, compare=False, repr=False)
     #: what is derived from the set, by key: see memo
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -200,8 +199,9 @@ def _geom_absorbs(a: GeomSeq, b: GeomSeq):
     return j is not None and j.denominator == 1 and j + p >= 1
 
 
-def _canonical(blocks: list[Block], provenance: Optional[SetExpr] = None) -> BlockSet:
-    """The canonical BlockSet of a block collection: one sort, then sweeps.
+def normalize_blocks(blocks) -> BlockSet:
+    """The canonical BlockSet of a block collection, empty or not: one sort,
+    then sweeps.
 
     The blocks other than Finite are sorted once by block_sort_key, so equal
     blocks are neighbours and each kind comes out in order; the sort runs
@@ -269,7 +269,7 @@ def _canonical(blocks: list[Block], provenance: Optional[SetExpr] = None) -> Blo
 
     rest = [*seqs, *towers, *merged, *cantors]
     if not finites:
-        return BlockSet(tuple(rest), provenance)
+        return BlockSet(tuple(rest))
     if len(finites) == 1:
         pts = finites[0].points
     else:
@@ -301,12 +301,7 @@ def _canonical(blocks: list[Block], provenance: Optional[SetExpr] = None) -> Blo
         # sweep-laws' peak memory about 0.5 MB higher
         pts = tuple([p for i, p in enumerate(pts) if i not in gone])
         finites = [Finite.of_sorted(pts)] if pts else []
-    return BlockSet((*finites, *rest), provenance)
-
-
-def normalize_blocks(blocks) -> BlockSet:
-    """Canonicalize a plain block collection; empty input is allowed."""
-    return _canonical(list(blocks))
+    return BlockSet((*finites, *rest))
 
 
 def normalize(e: SetExpr) -> BlockSet:
@@ -323,8 +318,8 @@ def normalize(e: SetExpr) -> BlockSet:
     """
     blocks = getattr(e, "_blocks", None)  # None too for what _eval_expr rejects
     if blocks is not None:
-        return BlockSet(blocks, e)
-    bs = _canonical(_eval_expr(e), e)
+        return BlockSet(blocks)
+    bs = normalize_blocks(_eval_expr(e))
     if bs.is_empty:
         raise EmptyResult("expression denotes the empty set")
     object.__setattr__(e, "_blocks", bs.blocks)

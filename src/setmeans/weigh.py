@@ -21,6 +21,11 @@ the union's class sums are affine in x, so a curve builds them once for
 each side of H1 and each sample encloses only its numerators.  A sample
 builds the union and the translate and measures them only when an operand's
 mean is undefined or, outside lis, the hulls are not strictly separated.
+
+A curve's trend is the equal-weight decision from the same Weights, not a
+reading of its samples: the separated defect beta * (x + K2 - K1) grows
+unless the Weights are equal, and under lis it is (d2 - d1)/4, vanishing
+for equal accumulation diameters.
 """
 
 from __future__ import annotations
@@ -116,8 +121,9 @@ def _read_defect(h1: BlockSet, h2: BlockSet, kind: MeanKind, cfg: LadderConfig):
     so each class's sums sum(q) and sum(q * position) are affine in x:
     K(H2+x) and, for each side of H1, K(H1 u (H2+x)) are read from class
     sums built once (_affine_mean).  K(H1), K(H2), the Weights and their
-    order are read once, at the first translate that needs them, so a
-    function never called at one reads none.
+    order are read once, when a translate or trend() first needs them.
+    trend() gives the curve's (Trend, slope) from them; beta is exact for
+    rational totals, else read as an approximate mean is (joint class sums).
     """
     b1, b2 = bounds(h1), bounds(h2)
     # H2+x lies right of H1's hull past one threshold and left below the other
@@ -142,23 +148,46 @@ def _read_defect(h1: BlockSet, h2: BlockSet, kind: MeanKind, cfg: LadderConfig):
         # keyed (True,), (False, True) or (True, False)
         return keep(tuple(moves for _, moves in parts), lambda: _affine_mean(parts))
 
+    def means():
+        return keep("means", lambda: (mean_of(h1, kind, cfg), mean_of(h2, kind, cfg)))
+
+    def beta():  # None for equal orders without rational totals
+        (w1, w2), sign = weights(), higher()
+        if sign:
+            return Q(-sign, 2)
+        if w1.total is not None and w2.total is not None:
+            return Q(w2.total - w1.total) / (2 * (w1.total + w2.total))
+        return None
+
     def closed():
-        m1, m2 = keep("means", lambda: (mean_of(h1, kind, cfg), mean_of(h2, kind, cfg)))
+        m1, m2 = means()
         if not (m1.is_exact and m2.is_exact):
             return None
         if lis:
             a1, s1, a2, s2 = b1.acc_inf, b1.acc_sup, b2.acc_inf, b2.acc_sup
             k = m1.value + m2.value
             return lambda x: (min(a1, a2 + x) + max(s1, s2 + x) - x - k) / 2
-        (w1, w2), sign = weights(), higher()
-        if sign:
-            beta = Q(-sign, 2)
-        elif w1.total is not None and w2.total is not None:
-            beta = Q(w2.total - w1.total) / (2 * (w1.total + w2.total))
-        else:
-            return None
-        c = m2.value - m1.value
-        return lambda x: beta * (x + c)
+        b, c = beta(), m2.value - m1.value
+        return None if b is None else lambda x: b * (x + c)
+
+    def trend():
+        m1, m2 = means()
+        if not (m1.is_defined and m2.is_defined):
+            return Trend.INCONCLUSIVE, None
+        if lis:
+            same = b1.acc_sup - b1.acc_inf == b2.acc_sup - b2.acc_inf
+            return Trend.TO_ZERO if same else Trend.BOUNDED, 0.0
+        b = beta()
+        if b is None:
+            w1, w2 = weights()
+            differ = w1.compare_magnitude(w2)
+            if not differ:
+                return (Trend.INCONCLUSIVE, None) if differ is None else (Trend.TO_ZERO, 0.0)
+            items = [(t, -1) for t in w1.terms] + [(t, 1) for t in w2.terms]
+            sums = [(first, 2 * sum(q for q, _ in members), sum(q * side for q, side in members))
+                    for first, members in _classes(items, w1.ratio).items()]
+            return Trend.LINEAR_GROWTH, _mean_of_sums(sums, w1.enclose, cfg.tol, {}).as_float()
+        return Trend.LINEAR_GROWTH if b else Trend.TO_ZERO, float(b)
 
     def at(x: Q):
         right = x > right_of
@@ -179,6 +208,7 @@ def _read_defect(h1: BlockSet, h2: BlockSet, kind: MeanKind, cfg: LadderConfig):
             k = tail(*(sides if right else sides[::-1]))(x, cfg.tol)
         return combine(_defect_of, k, m1, k2, tol=cfg.tol)
 
+    at.trend = trend
     return at
 
 
@@ -205,46 +235,18 @@ def _affine_mean(parts):
     return at
 
 
-def classify_trend(samples, tol: float) -> tuple[Trend, Optional[float]]:
-    """Trend of the defect over the positive tail of the grid.
-
-    Linear growth is declared when the last three samples fit an affine
-    model with a significant slope; vanishing when they decrease below
-    tolerance; bounded when they are level.
-    """
-    pos = [(x, v) for x, v in samples if x > 0 and v.is_defined]
-    if len(pos) < 3:
-        return Trend.INCONCLUSIVE, None
-    (x1, v1), (x2, v2), (x3, v3) = pos[-3:]
-    f1, f2, f3 = (Q(v.as_float()) if not v.is_exact else v.value for v in (v1, v2, v3))
-    qtol = Q(tol)
-    if max(abs(f1), abs(f2), abs(f3)) <= qtol:
-        return Trend.TO_ZERO, 0.0
-    s1 = (f2 - f1) / (x2 - x1)
-    s2 = (f3 - f2) / (x3 - x2)
-    slope = float(s2)
-    if abs(s2 - s1) <= max(qtol, abs(s2) / 1000) and abs(s2) > 10 * qtol:
-        return Trend.LINEAR_GROWTH, slope
-    if abs(f1) > abs(f2) > abs(f3) and abs(f3) < qtol:
-        return Trend.TO_ZERO, slope
-    if max(f1, f2, f3) - min(f1, f2, f3) <= 10 * qtol:
-        return Trend.BOUNDED, slope
-    return Trend.INCONCLUSIVE, slope
-
-
 def defect_curve(h1: BlockSet, h2: BlockSet, kind: MeanKind,
                  cfg: LadderConfig = DEFAULT_CONFIG, xmax: int = 4) -> DefectCurve:
-    """weight_defect over the translate grid; the samples share one
-    _read_defect, so its closed form is built once per curve and its class
-    sums once per curve side.
+    """weight_defect over the translate grid, with the equal-weight trend;
+    the samples and the trend share one _read_defect, so the operands are
+    read once per curve and its class sums built once per curve side.
     ValidationError when xmax lies outside 0..XMAX or the grid's largest
     translate does not fit a float."""
     kind = MeanKind(kind)
     xs = sorted(_translate_grid(xmax, h1, h2))
     read = _read_defect(h1, h2, kind, cfg)
     samples = tuple((x, _defect(h1, h2, kind, x, cfg, read)) for x in xs)
-    trend, slope = classify_trend(samples, cfg.tol)
-    return DefectCurve(samples, trend, slope)
+    return DefectCurve(samples, *read.trend())
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +308,3 @@ def compare_weights(w1: Weight, w2: Weight, kind: MeanKind) -> Verdict:
     return _closed(Answer.NO if differ else Answer.YES,
                    f"{what}: {'differ' if differ else 'equal'}")
 
-
-def transitivity_probe(h1: BlockSet, h2: BlockSet, h3: BlockSet, kind: MeanKind,
-                       cfg: LadderConfig = DEFAULT_CONFIG, xmax: int = 4) -> DefectCurve:
-    """Sample the four-term combination whose collapse makes the relation transitive."""
-    kind = MeanKind(kind)
-    samples = []
-    for x in sorted(_translate_grid(xmax, h1, h2, h3)):
-        h2x, h3xx = translate_set(h2, x), translate_set(h3, 2 * x)
-        terms = (union_sets(h1, h2x), union_sets(h2x, h3xx), union_sets(h1, h3xx), h2x)
-        samples.append((x, combine(lambda u12, u23, u13, m2: u12 + u23 - u13 - m2,
-                                   *(mean_of(t, kind, cfg) for t in terms), tol=cfg.tol)))
-    trend, slope = classify_trend(samples, cfg.tol)
-    return DefectCurve(tuple(samples), trend, slope)

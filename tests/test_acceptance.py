@@ -184,7 +184,7 @@ def test_criterion_6_duality():
 
 
 def test_criterion_7_equal_weight_characterizations():
-    # finite pairs: the in-bound sampler trend against the cardinality rule
+    # finite pairs: the defect curve's trend against the cardinality rule
     finites = _finite_sets(77, 1000, max_size=8, span=40)
     decided = matched = 0
     for i in range(500):

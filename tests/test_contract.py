@@ -25,11 +25,15 @@ PUBLIC_NAMES = [
     "is_big_for", "is_small_for", "isolated_outside", "k_bounds",
     "k_disjoint", "level", "mean_of", "normalize", "normalize_blocks",
     "parse", "reflect_set", "render", "render_set", "round_defect",
-    "round_witness", "transitivity_probe", "translate_set",
-    "union_sets", "weight_defect", "witness_stage_ratios",
+    "round_witness", "translate_set", "union_sets", "weight_defect",
+    "witness_stage_ratios",
 ]
 # sampler_probe is no longer public: every smallness verdict is closed-form,
-# and the probe is the oracle of those verdicts in tests/test_classify.py
+# and the probe is the oracle of those verdicts in tests/test_classify.py.
+# Removed in 0.2.0: transitivity_probe (equal weight is equality of Weights,
+# so it is transitive by construction), KBounds.skipped with the kbounds
+# report's "skipped" key (always empty, as no cut is built), and
+# BlockSet.provenance (written, never read).
 
 COMMON = ["--json", "--strict", "--tol", "--xmax", "--seed"]
 
@@ -112,7 +116,7 @@ REPORT_SHAPES = [
      {"type": None, "law": None, "mean": None, "trials": None, "skipped": None,
       "violations": []}),
     (["kbounds", "--mean", "arith", "{0,10}"], 0,
-     {"type": None, "k_liminf": EXACT, "k_limsup": EXACT, "skipped": []}),
+     {"type": None, "k_liminf": EXACT, "k_limsup": EXACT}),
     (["witness", "--iso-big", "--depth", "2", "seq(0,1,1/2)"], 0,
      {"type": None, "direction": None, "expr": None, "stages": [Q_JSON],
       "ratios": [{"eps": Q_JSON, "ratio": Q_JSON}]}),
@@ -134,6 +138,7 @@ def test_report_schema():
         got_code, rep = cli.run_command(argv)
         assert got_code == code, argv
         assert list(rep) == top, argv
+        assert rep["version"] == setmeans.__version__ == "0.2.0", argv
         assert _shape(rep["result"]) == result, argv
         assert list(rep["result"]) == list(result), argv
     code, rep = cli.run_command(["frobnicate"])

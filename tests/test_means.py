@@ -389,9 +389,8 @@ def test_k_bounds_builds_no_cut_and_evaluates_only_h(monkeypatch, text, kind):
             monkeypatch.setattr(module, name, lambda *a: cuts.append(a), raising=False)
     mean = means._mean
     monkeypatch.setattr(means, "_mean", lambda g, *a: evaluated.append(g) or mean(g, *a))
-    kb = k_bounds(h, kind)
+    k_bounds(h, kind)
     assert cuts == [] and evaluated == [h] and evaluated[0] is h
-    assert kb.skipped == ()
 
 
 def test_k_bounds_acc_tower():

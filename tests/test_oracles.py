@@ -17,7 +17,7 @@ import dataclasses
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction as Q
 
 import pytest
@@ -31,7 +31,6 @@ from setmeans import (
     Finite,
     GeomSeq,
     IntersectionNotRepresentable,
-    KBounds,
     Leaf,
     MeanKind,
     MembershipUndecided,
@@ -922,7 +921,11 @@ def reference_cut_candidates(h) -> list:
     return sorted(cands)
 
 
-def reference_k_bounds(h, kind, cfg=DEFAULT_CONFIG) -> KBounds:
+# the scan's bounds, and the cuts it skipped with the reason
+ScanBounds = namedtuple("ScanBounds", "k_liminf k_limsup skipped")
+
+
+def reference_k_bounds(h, kind, cfg=DEFAULT_CONFIG) -> ScanBounds:
     """The k-bounds by a scan of cuts, as they were first computed.
 
     The mean of a cut set is piecewise constant-or-affine between block
@@ -975,8 +978,8 @@ def reference_k_bounds(h, kind, cfg=DEFAULT_CONFIG) -> KBounds:
         return MeanValue.exact(last)
 
     # liminf scans upward over K(H^{+x}), limsup downward over K(H^{-x})
-    return KBounds(scan(lattice, False, "lower"), scan(lattice[::-1], True, "upper"),
-                   tuple(skipped))
+    return ScanBounds(scan(lattice, False, "lower"), scan(lattice[::-1], True, "upper"),
+                      tuple(skipped))
 
 
 def _k_bounds_outcome(f, h, kind):

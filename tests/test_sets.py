@@ -331,6 +331,7 @@ def test_intersect_geomseq_cases():
         intersect(s2, s3)
     s4 = bset(GeomSeq(Q(0), Q(1), Q(1, 4)))
     assert intersect(s2, s4) == s4  # the 4^-n points are a subsequence
+    assert intersect(s4, s2) == s4  # and so when they are the left operand
     shifted = bset(GeomSeq(Q(1, 4), Q(1), Q(1, 2)))
     got = intersect(s2, shifted)
     # points of the shifted copy above its own anchor: 1/4 + 2^-n
@@ -513,17 +514,17 @@ def reference_canonical(blocks: list) -> BlockSet:
 @contextmanager
 def canonical_calls():
     """Yield a list that collects (input blocks, result) of every
-    sets._canonical call made inside the with statement."""
+    sets.normalize_blocks call made inside the with statement."""
     calls = []
-    real = sets._canonical
+    real = sets.normalize_blocks
 
-    def spy(blocks, provenance=None):
+    def spy(blocks):
         blocks = list(blocks)
-        out = real(list(blocks), provenance)
+        out = real(list(blocks))
         calls.append((blocks, out))
         return out
 
-    with mock.patch.object(sets, "_canonical", spy):
+    with mock.patch.object(sets, "normalize_blocks", spy):
         yield calls
 
 

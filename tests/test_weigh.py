@@ -1,7 +1,8 @@
-"""Equal-weight relations, defect curves, and the transitivity probe."""
+"""Equal-weight relations and defect curves."""
 
 from fractions import Fraction as Q
 
+import mpmath
 import pytest
 
 from setmeans import (
@@ -31,7 +32,6 @@ from setmeans import (
     normalize,
     normalize_blocks,
     parse,
-    transitivity_probe,
     translate_set,
     union_sets,
     weight_defect,
@@ -39,8 +39,8 @@ from setmeans import (
 from setmeans import cli
 from setmeans.classify import _translate_grid
 from setmeans.laws import PROFILES
-from setmeans.means import combine
-from setmeans.weigh import _read_defect, classify_trend
+from setmeans.means import combine, compare_orders, weight_of
+from setmeans.weigh import _read_defect
 
 
 def bset(*blocks):
@@ -199,25 +199,121 @@ def test_defect_curve_trends():
     assert c.trend is Trend.BOUNDED
 
 
-def test_transitivity_probe_arith_translates():
-    h = bset(Finite((Q(0), Q(1))))
-    t = transitivity_probe(h, bset(Finite((Q(2), Q(3)))), bset(Finite((Q(5), Q(6)))),
-                           MeanKind.ARITH)
-    assert all(v.value == 0 for _, v in t.samples if v.is_defined)
-    assert t.trend is Trend.TO_ZERO
+@pytest.mark.parametrize("profile", PROFILES)
+def test_a_curves_trend_is_the_equal_weight_decision(profile):
+    # TO_ZERO exactly when the sets have equal weight (in limit, which is
+    # lis's vanishing defect), INCONCLUSIVE exactly when that is undecided,
+    # and otherwise growth, or under lis a bounded defect
+    sets = [normalize(e) for e in gen_corpus(5, 20, profile)]
+    answers = set()
+    for i, h1 in enumerate(sets):
+        for h2 in (sets[(i * 3 + 1) % len(sets)], translate_set(h1, Q(7, 2))):
+            for kind in MeanKind:
+                try:
+                    v = equal_weight(h1, h2, kind, WeightKind.IN_LIMIT)
+                except DomainViolation:
+                    continue
+                trend = defect_curve(h1, h2, kind, xmax=1).trend
+                apart = Trend.BOUNDED if kind is MeanKind.LIS else Trend.LINEAR_GROWTH
+                assert trend is {Answer.YES: Trend.TO_ZERO, Answer.NO: apart,
+                                 Answer.INCONCLUSIVE: Trend.INCONCLUSIVE}[v.answer], (i, kind)
+                answers.add((kind, v.answer))
+    assert {a for _, a in answers} == {Answer.YES, Answer.NO}
+    assert len({k for k, _ in answers}) >= 2
 
 
-def test_transitivity_probe_avg():
-    a = bset(Interval(Q(0), Q(1)))
-    b = bset(Interval(Q(2), Q(3)))
-    c = bset(Interval(Q(5), Q(6)))
-    t = transitivity_probe(a, b, c, MeanKind.AVG)
-    assert t.trend is Trend.TO_ZERO
-    assert all(v.value == 0 for _, v in t.samples if v.is_defined)
-    # asymmetric outer measures leave a linear residue
-    t = transitivity_probe(a, bset(Interval(Q(2), Q(4))), bset(Interval(Q(5), Q(8))),
-                           MeanKind.AVG)
-    assert t.trend is Trend.LINEAR_GROWTH
+def test_a_slow_growth_reads_as_growth():
+    # every sample lies below tol = 1e-9, yet the count coefficients differ:
+    # beta = (W2 - W1) / (2*(W1 + W2)), read within tol as an approximate mean
+    h1, h2 = normalize(parse("seq(0,1,1/1000000)")), normalize(parse("seq(0,1,1/1000001)"))
+    assert equal_weight(h1, h2, MeanKind.ISO, WeightKind.IN_BOUND).answer is Answer.NO
+    c = defect_curve(h1, h2, MeanKind.ISO)
+    assert all(abs(d.as_float()) < DEFAULT_CONFIG.tol for _, d in c.samples)
+    assert c.trend is Trend.LINEAR_GROWTH
+    assert f"{c.slope_estimate:.15g}" == "-1.80955937099412e-08"
+    assert c.slope_estimate == pytest.approx(float(reference_trend(h1, h2, MeanKind.ISO)[1]),
+                                             rel=1e-12)
+
+
+def test_undecided_weights_read_inconclusive():
+    # two Cantor blocks whose weights differ by less than 2**-4096
+    n = 10**1300
+    h1 = normalize(parse("cantor(0,1,2,1/3)"))
+    h2 = normalize(parse(f"cantor(5,{6 * n + 1}/{n},2,1/3)"))
+    assert equal_weight(h1, h2, MeanKind.AVG, WeightKind.IN_BOUND).answer is Answer.INCONCLUSIVE
+    c = defect_curve(h1, h2, MeanKind.AVG)
+    assert (c.trend, c.slope_estimate) == (Trend.INCONCLUSIVE, None)
+
+
+def test_an_operand_outside_the_domain_reads_inconclusive():
+    c = defect_curve(bset(seq(0)), bset(Finite((Q(1), Q(2)))), MeanKind.ARITH)
+    assert (c.trend, c.slope_estimate) == (Trend.INCONCLUSIVE, None)
+    assert not any(d.is_defined for _, d in c.samples)
+
+
+@pytest.mark.parametrize("kind, text1, text2, trend, slope", [
+    (MeanKind.ARITH, "{1,2}", "{3,4,5}", Trend.LINEAR_GROWTH, 0.1),
+    (MeanKind.ISO, "seq(0,1,1/2)", "seq(5,1,1/2)", Trend.TO_ZERO, 0.0),
+    (MeanKind.LIS, "seq(0,1,1/2) U seq(1,1,1/2)", "seq(0,1,1/3) U seq(2,1,1/3)",
+     Trend.BOUNDED, 0.0),
+    (MeanKind.ACC, "tower(2,0,1/4)", "seq(0,1,1/2)", Trend.LINEAR_GROWTH, -0.5),
+])
+def test_the_trend_does_not_depend_on_the_grid(kind, text1, text2, trend, slope):
+    # xmax 0 and 1 give fewer than three positive translates, which a
+    # reading of the samples could not decide
+    h1, h2 = normalize(parse(text1)), normalize(parse(text2))
+    for xmax in (0, 1, 4):
+        c = defect_curve(h1, h2, kind, xmax=xmax)
+        assert (c.trend, c.slope_estimate) == (trend, slope), xmax
+
+
+def sampled_trend(samples, tol: float):
+    """(Trend, slope) read from the last three positive samples against fixed
+    thresholds (10*tol, |s2|/1000), as defect curves once read their trend:
+    a sampled oracle of the equal-weight trend, which a slow growth fools."""
+    pos = [(x, v) for x, v in samples if x > 0 and v.is_defined]
+    if len(pos) < 3:
+        return Trend.INCONCLUSIVE, None
+    (x1, v1), (x2, v2), (x3, v3) = pos[-3:]
+    f1, f2, f3 = (Q(v.as_float()) if not v.is_exact else v.value for v in (v1, v2, v3))
+    qtol = Q(tol)
+    if max(abs(f1), abs(f2), abs(f3)) <= qtol:
+        return Trend.TO_ZERO, 0.0
+    s1 = (f2 - f1) / (x2 - x1)
+    s2 = (f3 - f2) / (x3 - x2)
+    if abs(s2 - s1) <= max(qtol, abs(s2) / 1000) and abs(s2) > 10 * qtol:
+        return Trend.LINEAR_GROWTH, float(s2)
+    if abs(f1) > abs(f2) > abs(f3) and abs(f3) < qtol:
+        return Trend.TO_ZERO, float(s2)
+    if max(f1, f2, f3) - min(f1, f2, f3) <= 10 * qtol:
+        return Trend.BOUNDED, float(s2)
+    return Trend.INCONCLUSIVE, float(s2)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_sampled_trend_agrees_where_it_decides(seed):
+    sets = [normalize(e) for profile in PROFILES for e in gen_corpus(seed, 8, profile)]
+    decided = 0
+    for i, h1 in enumerate(sets):
+        h2 = sets[(i * 5 + 1) % len(sets)]
+        for kind in MeanKind:
+            try:
+                curve = defect_curve(h1, h2, kind)
+            except SetMeansError:
+                continue
+            trend, slope = sampled_trend(curve.samples, DEFAULT_CONFIG.tol)
+            if trend is Trend.INCONCLUSIVE:
+                continue
+            decided += 1
+            assert trend is curve.trend, (i, kind)
+            if trend is Trend.LINEAR_GROWTH:
+                assert slope == pytest.approx(curve.slope_estimate, rel=1e-9), (i, kind)
+    assert decided >= 80
+    # where every sample lies below tol, the thresholds read a vanishing defect
+    h1, h2 = normalize(parse("seq(0,1,1/1000000)")), normalize(parse("seq(0,1,1/1000001)"))
+    curve = defect_curve(h1, h2, MeanKind.ISO)
+    assert sampled_trend(curve.samples, DEFAULT_CONFIG.tol) == (Trend.TO_ZERO, 0.0)
+    assert curve.trend is Trend.LINEAR_GROWTH
 
 
 def test_curve_samples_are_exact_for_exact_means():
@@ -296,6 +392,57 @@ def separates(h1, h2, x):
     return b2.inf + x > b1.sup or b2.sup + x < b1.inf
 
 
+def reference_trend(h1, h2, kind, cfg=DEFAULT_CONFIG):
+    """(Trend, slope) of the equal-weight decision, from the operands' bounds
+    and Weights: under lis the accumulation diameters, else the slope
+    beta = (W2 - W1) / (2*(W1 + W2)) of the separated defect, -1/2 or 1/2
+    when one order is higher.  beta is a Q for rational totals, else an mpf
+    summed from the terms' enclosures at 300 bits."""
+    if not (mean_of(h1, kind, cfg).is_defined and mean_of(h2, kind, cfg).is_defined):
+        return Trend.INCONCLUSIVE, None
+    if kind is MeanKind.LIS:
+        (a1, s1), (a2, s2) = ((b.acc_inf, b.acc_sup) for b in (bounds(h1), bounds(h2)))
+        return (Trend.TO_ZERO if s1 - a1 == s2 - a2 else Trend.BOUNDED), Q(0)
+    w1, w2 = weight_of(h1, kind), weight_of(h2, kind)
+    higher = compare_orders(w1.order, w2.order)
+    differ = higher or w1.compare_magnitude(w2)
+    if differ is None:
+        return Trend.INCONCLUSIVE, None
+    if not differ:
+        return Trend.TO_ZERO, Q(0)
+    if higher:
+        return Trend.LINEAR_GROWTH, Q(-higher, 2)
+    if w1.total is not None and w2.total is not None:
+        return Trend.LINEAR_GROWTH, beta(Q(w1.total), Q(w2.total))
+    with mpmath.workprec(300):
+        return Trend.LINEAR_GROWTH, beta(*(mpmath.fsum(term(w, t) for t in w.terms)
+                                           for w in (w1, w2)))
+
+
+def beta(t1, t2):
+    return (t2 - t1) / (2 * (t1 + t2))
+
+
+def term(w, t):
+    """A Weight's term as an mpf: its enclosure's lower end at 300 bits, or
+    its count c at iso's degree 0, where it has no ratio to enclose."""
+    if w.order == 0:
+        return mpmath.mpf(t[0].numerator) / t[0].denominator
+    return mpmath.mp.make_mpf(w.enclose(t, 300)[0])
+
+
+def assert_reference_trend(curve, h1, h2, kind, cfg=DEFAULT_CONFIG):
+    """curve's trend is reference_trend's, and its slope that slope: the float
+    of a rational one, and an enclosed one within tol, as an approximate
+    mean is."""
+    trend, slope = reference_trend(h1, h2, kind, cfg)
+    assert curve.trend is trend
+    if slope is None or isinstance(slope, Q):
+        assert curve.slope_estimate == (None if slope is None else float(slope))
+    else:
+        assert abs(curve.slope_estimate - float(slope)) <= cfg.tol
+
+
 @pytest.mark.parametrize("profile", PROFILES)
 def test_separated_samples_equal_the_union_evaluation(profile):
     # MeanValue equality: an exact sample is the union's rational, and an
@@ -340,8 +487,9 @@ def test_defect_curves_equal_the_union_evaluation(seed):
                 with pytest.raises(type(exc)):
                     defect_curve(h1, h2, kind)
                 continue
-            trend, slope = classify_trend(samples, DEFAULT_CONFIG.tol)
-            assert defect_curve(h1, h2, kind) == DefectCurve(samples, trend, slope), (i, kind)
+            curve = defect_curve(h1, h2, kind)
+            assert curve.samples == samples, (i, kind)
+            assert_reference_trend(curve, h1, h2, kind)
             curves += 1
             crossing += any(not separates(h1, h2, x) for x, _ in samples)
             approx += any(d.is_defined and not d.is_exact for _, d in samples)
@@ -454,11 +602,10 @@ def test_a_curve_of_exact_means_builds_unions_only_where_the_hulls_meet(monkeypa
         assert d == union_defect(h1, h2, kind, x), x
 
 
-def reference_curve(h1, h2, kind, cfg, xmax):
-    """defect_curve from the built union and translate at each translate."""
-    samples = tuple((x, union_defect(h1, h2, kind, x, cfg))
-                    for x in sorted(_translate_grid(xmax, h1, h2)))
-    return DefectCurve(samples, *classify_trend(samples, cfg.tol))
+def reference_samples(h1, h2, kind, cfg, xmax):
+    """defect_curve's samples from the built union and translate at each translate."""
+    return tuple((x, union_defect(h1, h2, kind, x, cfg))
+                 for x in sorted(_translate_grid(xmax, h1, h2)))
 
 
 @pytest.mark.parametrize("seed", [101, 9001])
@@ -475,13 +622,15 @@ def test_benchmark_weigh_curves_equal_the_built_unions(workload, seed):
         kind, cfg = MeanKind(args.mean), LadderConfig(tol=args.tol)
         h1, h2 = normalize(parse(args.h1)), normalize(parse(args.h2))
         try:
-            want = reference_curve(h1, h2, kind, cfg, args.xmax)
+            want = reference_samples(h1, h2, kind, cfg, args.xmax)
         except SetMeansError as exc:
             with pytest.raises(type(exc)):
                 defect_curve(h1, h2, kind, cfg, xmax=args.xmax)
             raised += 1
             continue
-        assert defect_curve(h1, h2, kind, cfg, xmax=args.xmax) == want, op.argv
+        curve = defect_curve(h1, h2, kind, cfg, xmax=args.xmax)
+        assert curve.samples == want, op.argv
+        assert_reference_trend(curve, h1, h2, kind, cfg)
     assert len(ops) >= 16 and raised < len(ops)
 
 
@@ -490,8 +639,6 @@ def test_xmax_outside_its_range_is_a_validation_error(xmax):
     h1, h2 = bset(Finite((Q(1), Q(2)))), bset(Finite((Q(3), Q(4))))
     with pytest.raises(ValidationError, match="0..100"):
         defect_curve(h1, h2, MeanKind.ARITH, xmax=xmax)
-    with pytest.raises(ValidationError, match="0..100"):
-        transitivity_probe(h1, h2, h2, MeanKind.ARITH, xmax=xmax)
 
 
 def test_a_grid_past_a_float_is_a_validation_error():
