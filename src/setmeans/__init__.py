@@ -8,7 +8,7 @@ the isolated points, and the Hausdorff-measure average.  The higher layers
 classify small/big sets, test equal-weight relations, and decide roundness.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .blocks import Cantor, Finite, GeomSeq, Interval, Q, Tower
 from .classify import (

@@ -31,7 +31,6 @@ from .sets import (
     bounds,
     contains,
     derived_set,
-    diameter,
     intersect,
     isolated_count,
     level,
@@ -64,37 +63,6 @@ class Verdict:
 
 def _closed(answer: Answer, *evidence: str) -> Verdict:
     return Verdict(answer, Method.CLOSED_FORM, tuple(evidence))
-
-
-# ---------------------------------------------------------------------------
-# translate grids
-
-
-XMAX = 100  # the largest translate exponent of a sampling grid
-
-
-def check_xmax(xmax: int) -> None:
-    if not 0 <= xmax <= XMAX:
-        raise ValidationError(f"xmax must lie in 0..{XMAX}, not {xmax}")
-
-
-def _translate_grid(xmax: int, *hs: BlockSet) -> list[Q]:
-    """The sampled translates: base * 10**j for j = 0..xmax, then their negatives.
-
-    The base is the largest diameter of the sets, or 1 when all are points.
-    ValidationError when xmax lies outside 0..XMAX or the largest translate
-    does not fit a float, which every approximate value reads it as.
-    """
-    check_xmax(xmax)
-    d = max(diameter(h) for h in hs)
-    base = d if d > 0 else Q(1)
-    xs = [base * 10**j for j in range(xmax + 1)]
-    try:
-        float(xs[-1])
-    except OverflowError:
-        raise ValidationError(f"the largest translate, 10**{xmax} times the largest "
-                              "diameter, does not fit a float") from None
-    return xs + [-x for x in xs]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,8 @@ import sys
 
 from . import __version__
 from .classify import (
-    XMAX,
     Verdict,
     build_iso_witness_staged,
-    check_xmax,
     classify_bundle,
     k_disjoint,
     witness_stage_ratios,
@@ -29,7 +27,7 @@ from .means import LadderConfig, MeanKind, MeanValue, k_bounds, mean_of
 from .rational import Q
 from .roundness import round_pass
 from .sets import normalize
-from .weigh import WeightKind, defect_curve, equal_weight
+from .weigh import WeightKind, weigh_pair
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,12 +58,10 @@ def _verdict_json(v: Verdict) -> dict:
 
 
 def _curve_json(curve) -> dict:
-    return {
-        "type": "curve",
-        "samples": [{"x": _q_json(x), "defect": _mean_json(d)} for x, d in curve.samples],
-        "trend": curve.trend.value,
-        "slope": None if curve.slope_estimate is None else _float_str(curve.slope_estimate),
-    }
+    def tail(end, t):
+        return {end: _q_json(t.threshold), "alpha": _mean_json(t.alpha), "beta": _mean_json(t.beta)}
+    return {"type": "curve", "trend": curve.trend.value,
+            "right": tail("from", curve.right), "left": tail("to", curve.left)}
 
 
 def _add_common(sub):
@@ -74,8 +70,6 @@ def _add_common(sub):
                      help="treat INCONCLUSIVE results as failures (exit 4)")
     sub.add_argument("--tol", type=float, default=1e-9,
                      help="largest error of an approximate value")
-    sub.add_argument("--xmax", type=int, default=4,
-                     help=f"largest translate exponent for sampling grids, 0..{XMAX}")
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -247,7 +241,6 @@ def _is_inconclusive(result: dict) -> bool:
 
 def _dispatch(args, report) -> int:
     cfg = LadderConfig(tol=args.tol)
-    check_xmax(args.xmax)
     cmd = args.command
 
     if cmd == "eval":
@@ -283,9 +276,8 @@ def _dispatch(args, report) -> int:
 
     if cmd == "weigh":
         report["inputs"] = [args.h1, args.h2]
-        h1, h2 = _norm(args.h1), _norm(args.h2)
-        v = equal_weight(h1, h2, MeanKind(args.mean), WeightKind(args.kind), cfg)
-        curve = defect_curve(h1, h2, MeanKind(args.mean), cfg, xmax=args.xmax)
+        v, curve = weigh_pair(_norm(args.h1), _norm(args.h2), MeanKind(args.mean),
+                              WeightKind(args.kind), cfg)
         report["result"] = {"type": "verdict", **_verdict_json(v),
                             "curve": _curve_json(curve)}
         return EXIT_OK

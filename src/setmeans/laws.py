@@ -198,6 +198,9 @@ def _disjoint(h1: BlockSet, h2: BlockSet):
 
 
 def _shifts(h: BlockSet) -> list[Q]:
+    """The translates a shift law is tried at, from h's diameter (1 for a
+    point): the library's only translate grid, since a defect curve is read
+    as its exact tails."""
     d = diameter(h)
     base = d if d > 0 else Q(1)
     return [base + 1, 10 * base + 3, Q(1, 3), -(base + 1)]

@@ -315,31 +315,26 @@ def _weighted_mean(items, ratio, enclose, tol: float) -> MeanValue:
     commensurable classes (_classes), where an item weighs q times first."""
     sums = [(first, sum(q for q, _ in members), sum(q * x for q, x in members))
             for first, members in _classes(items, ratio).items()]
-    return _mean_of_sums(sums, enclose, tol, {})
+    return _mean_of_sums(sums, enclose, tol)
 
 
-def _mean_of_sums(sums, enclose, tol: float, dens: dict) -> MeanValue:
+def _mean_of_sums(sums, enclose, tol: float) -> MeanValue:
     """sum(first * num) / sum(first * den) over the class sums (first, den, num).
 
     Exact when every class has the same mean num / den, as one class always
     has; otherwise the midpoint of an enclosure, enclose(first, bits) for a
     class's weight, narrowed below tol at the ladder's precisions; its width
-    and midpoint are read at 53 bits.  dens keeps the class enclosures and
-    the denominator's by precision, so a caller that varies only the
-    numerators passes the same dict each time.  ValidationError once 4096
-    bits are not narrow enough for tol, or when the mean is past the float
-    range.
+    and midpoint are read at 53 bits.  ValidationError once 4096 bits are
+    not narrow enough for tol, or when the mean is past the float range.
     """
     (_, den0, num0), *rest = sums
     if all(num * den0 == num0 * den for _, den, num in rest):
         return MeanValue.exact(num0 / den0)
     width = from_float(tol)
     for bits in _LADDER:
-        if bits not in dens:
-            weights = [enclose(first, bits) for first, _, _ in sums]
-            dens[bits] = weights, _iv_sum([mpi_mul(w, _iv_q(d, bits), bits)
-                                           for w, (_, d, _) in zip(weights, sums)], bits)
-        weights, den = dens[bits]
+        weights = [enclose(first, bits) for first, _, _ in sums]
+        den = _iv_sum([mpi_mul(w, _iv_q(d, bits), bits) for w, (_, d, _) in zip(weights, sums)],
+                      bits)
         x = mpi_div(_iv_sum([mpi_mul(w, _iv_q(n, bits), bits)
                              for w, (_, _, n) in zip(weights, sums)], bits), den, bits)
         if mpf_lt(mpi_delta(x, _READ_BITS), width):
@@ -351,15 +346,26 @@ def _mean_of_sums(sums, enclose, tol: float, dens: dict) -> MeanValue:
     raise ValidationError(f"no enclosure within tol {tol}: {bits} bits spent, the budget")
 
 
-def _compare_sums(terms1, terms2, ratio, enclose) -> Optional[int]:
+def _joint_sums(terms1, terms2, ratio) -> list:
+    """(first, sum(q), sum(q * side)) for each commensurable class (see
+    _classes) of terms1 (side 1) and terms2 (side -1) together: the class's
+    sum over both lists and its difference, in its first term's units."""
+    classes = _classes([(x, 1) for x in terms1] + [(x, -1) for x in terms2], ratio)
+    return [(first, sum(q for q, _ in members), sum(q * side for q, side in members))
+            for first, members in classes.items()]
+
+
+def _compare_sums(terms1, terms2, ratio, enclose, sums=None) -> Optional[int]:
     """Sign of sum(terms1) - sum(terms2) for positive terms; None when undecided.
 
-    The sums are equal when every commensurable class (see _classes) sums to
-    the same on both sides, and a single class compares exactly in its first
-    term's units; otherwise the enclose(x) intervals are separated.
+    The sums are equal when every commensurable class sums to the same on
+    both sides, and a single class compares exactly in its first term's
+    units; otherwise the enclose(x) intervals are separated.  sums is
+    _joint_sums(terms1, terms2, ratio), built here unless the caller has it.
     """
-    classes = _classes([(x, 1) for x in terms1] + [(x, -1) for x in terms2], ratio)
-    diffs = [sum(q * side for q, side in members) for members in classes.values()]
+    if sums is None:
+        sums = _joint_sums(terms1, terms2, ratio)
+    diffs = [d for _, _, d in sums]
     if not any(diffs):
         return 0
     if len(diffs) == 1:
@@ -568,11 +574,13 @@ class Weight:
     enclose: Optional[Callable] = field(default=None, compare=False, repr=False)
     total: Optional[Q] = None
 
-    def compare_magnitude(self, other: "Weight") -> Optional[int]:
-        """Sign of this weight minus the other's at a shared order; None when undecided."""
+    def compare_magnitude(self, other: "Weight", sums=None) -> Optional[int]:
+        """Sign of this weight minus the other's at a shared order; None when
+        undecided.  Without two rational totals it reads the joint class sums
+        of both Weights' terms: sums when the caller has built them."""
         if self.total is not None and other.total is not None:
             return (self.total > other.total) - (self.total < other.total)
-        return _compare_sums(self.terms, other.terms, self.ratio, self.enclose)
+        return _compare_sums(self.terms, other.terms, self.ratio, self.enclose, sums)
 
     def __str__(self) -> str:
         """The magnitude: the rational total; else the Cantor terms diam**s
@@ -592,7 +600,7 @@ class Weight:
     def mean(self, tol: float) -> MeanValue:
         """sum(t * x) / sum(t) over terms and positions: direct for a rational total,
         else _weighted_mean in block order, whose enclosure sums classes in that order
-        (weigh reads the separated samples of a defect curve the same way)."""
+        (weigh.weight_defect reads a separated defect the same way)."""
         items = zip(self.terms, self.positions)
         if self.total is not None:
             # a point's term is 1: no Fraction product for it

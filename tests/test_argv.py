@@ -117,7 +117,7 @@ def test_run_command_is_total(argv):
     (["eval", "--me", "arith", "{1}"], False),
     (["eval", "--mean=arith", "{1}"], False),
     (["eval", "--mean", "arith", "--", "{1}"], False),
-    (["eval", "--mean", "arith", "--xmax", "-1", "{1}"], False),
+    (["eval", "--mean", "arith", "--seed", "-1", "{1}"], False),
     (["eval", "--mean", "arith", "-h"], False),
     (["eval", "--mean", "mode", "{1}"], False),
     (["eval", "--mean", "arith", "{1}", "{2}"], False),

@@ -159,27 +159,19 @@ def test_witness_with_only_empty_stages_exits_3():
         "domain error: DomainViolation: no stage produced any points at this depth"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["weigh", "--mean", "arith", "--kind", "bound", "--xmax", "-1", "{1,2}", "{3,4}"],
-    ["weigh", "--mean", "arith", "--kind", "bound", "--xmax", "4400", "{1,2}", "{3,4}"],
-    ["weigh", "--mean", "iso", "--kind", "bound", "--xmax", "1000",
-     "seq(0,1,1/2) U seq(1,1,1/3)", "seq(0,1,1/5)"],
-    ["eval", "--mean", "arith", "--xmax", "101", "{1,2}"],
-])
-def test_xmax_outside_its_range_exits_2(argv):
-    code, rep = run_command(argv)
-    assert code == 2
-    assert rep["diagnostics"][0].startswith("validation error: xmax must lie in 0..100")
-
-
-def test_weigh_grid_past_a_float_exits_2():
+def test_a_far_operands_curve_is_exact_and_exits_0():
+    # the tails read no float, however far the operands lie
     far = "{0," + "1" + "0" * 250 + "}"
-    assert run_command(["weigh", "--mean", "arith", "--kind", "bound", "--xmax", "40",
-                        far, "{3,4}"])[0] == 0
-    code, rep = run_command(["weigh", "--mean", "arith", "--kind", "bound", "--xmax", "100",
-                             far, "{3,4}"])
-    assert code == 2
-    assert "does not fit a float" in rep["diagnostics"][0]
+    code, rep = run_command(["weigh", "--mean", "arith", "--kind", "bound", far, "{3,4,5}"])
+    assert code == 0
+    curve = rep["result"]["curve"]
+    assert curve["right"]["from"] == {"num": str(10**250 - 3), "den": "1"}
+    assert curve["left"]["to"] == {"num": "-5", "den": "1"}
+    alpha = (4 - Q(10**250, 2)) / 10
+    for tail in (curve["right"], curve["left"]):
+        assert tail["beta"] == {"status": "exact", "value": {"num": "1", "den": "10"}}
+        assert tail["alpha"] == {"status": "exact", "value": {"num": str(alpha.numerator),
+                                                              "den": str(alpha.denominator)}}
 
 
 def test_laws_command():
@@ -285,6 +277,10 @@ def test_usage_error():
     code, _ = run_command(["eval", "--mean", "nonsense", "{1}"])
     assert code == 2
     code, _ = run_command(["frobnicate"])
+    assert code == 2
+    # a curve has no translate grid to size
+    code, _ = run_command(["weigh", "--mean", "arith", "--kind", "bound", "--xmax", "4",
+                           "{1,2}", "{3,4}"])
     assert code == 2
 
 

@@ -34,8 +34,12 @@ PUBLIC_NAMES = [
 # so it is transitive by construction), KBounds.skipped with the kbounds
 # report's "skipped" key (always empty, as no cut is built), and
 # BlockSet.provenance (written, never read).
+# Removed in 0.3.0: the --xmax flag of every subcommand, DefectCurve.samples
+# and DefectCurve.slope_estimate, and the weigh report's curve "samples" and
+# "slope" keys (a curve is its exact tails: D(x) = alpha + beta*x right of
+# "from" and left of "to", so no translate grid is sampled).
 
-COMMON = ["--json", "--strict", "--tol", "--xmax", "--seed"]
+COMMON = ["--json", "--strict", "--tol", "--seed"]
 
 # subcommand -> (option strings in declaration order, positional arguments)
 SUBCOMMANDS = {
@@ -110,8 +114,9 @@ REPORT_SHAPES = [
      {"type": None, **VERDICT}),
     (["weigh", "--mean", "arith", "--kind", "bound", "{1,2}", "{3}"], 0,
      {"type": None, **VERDICT,
-      "curve": {"type": None, "samples": [{"x": Q_JSON, "defect": EXACT}],
-                "trend": None, "slope": None}}),
+      "curve": {"type": None, "trend": None,
+                "right": {"from": Q_JSON, "alpha": EXACT, "beta": EXACT},
+                "left": {"to": Q_JSON, "alpha": EXACT, "beta": EXACT}}}),
     (["laws", "--mean", "arith", "--law", "shift-invariant", "--n", "3"], 0,
      {"type": None, "law": None, "mean": None, "trials": None, "skipped": None,
       "violations": []}),
@@ -138,7 +143,7 @@ def test_report_schema():
         got_code, rep = cli.run_command(argv)
         assert got_code == code, argv
         assert list(rep) == top, argv
-        assert rep["version"] == setmeans.__version__ == "0.2.0", argv
+        assert rep["version"] == setmeans.__version__ == "0.3.0", argv
         assert _shape(rep["result"]) == result, argv
         assert list(rep["result"]) == list(result), argv
     code, rep = cli.run_command(["frobnicate"])

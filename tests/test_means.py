@@ -618,7 +618,7 @@ def test_mean_of_sums_is_the_iv_formula(family, degree, classes, same, tol):
         except ValidationError as exc:
             return str(exc)
 
-    got = outcome(lambda: _mean_of_sums(sums, enclose, tol, {}))
+    got = outcome(lambda: _mean_of_sums(sums, enclose, tol))
     want = outcome(lambda: reference_mean_of_sums(sums, reference, tol))
     assert got == want
     if isinstance(got, MeanValue) and got.status == "approx":

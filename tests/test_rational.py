@@ -24,9 +24,11 @@ from setmeans import (
     k_bounds,
     mean_of,
     normalize,
+    weight_defect,
 )
 from setmeans.laws import PROFILES
 from setmeans.means import weight_of
+from test_weigh import translate_grid
 
 BIG = 10**1000
 INTS = st.one_of(
@@ -185,9 +187,11 @@ def test_every_library_rational_is_a_q(profile):
                         assert w.total is None or type(w.total) is (int if counts else Q)
                 if i % 2:
                     try:
-                        curve = defect_curve(sets[i - 1], h, kind, xmax=2)
+                        curve = defect_curve(sets[i - 1], h, kind)
+                        for x in translate_grid(2, sets[i - 1], h):
+                            seen += _exact(weight_defect(sets[i - 1], h, kind, x))
                     except SetMeansError:
                         continue
-                    for x, v in curve.samples:
-                        seen += [x] + _exact(v)
+                    for tail in (curve.right, curve.left):
+                        seen += [tail.threshold] + _exact(tail.alpha) + _exact(tail.beta)
         assert seen and all(type(x) is Q for x in seen), {type(x) for x in seen}

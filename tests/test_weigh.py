@@ -26,6 +26,7 @@ from setmeans import (
     arith_mean,
     bounds,
     defect_curve,
+    diameter,
     equal_weight,
     gen_corpus,
     mean_of,
@@ -37,10 +38,9 @@ from setmeans import (
     weight_defect,
 )
 from setmeans import cli
-from setmeans.classify import _translate_grid
 from setmeans.laws import PROFILES
 from setmeans.means import combine, compare_orders, weight_of
-from setmeans.weigh import _read_defect
+from setmeans.weigh import _Pair
 
 
 def bset(*blocks):
@@ -49,6 +49,16 @@ def bset(*blocks):
 
 def seq(a, w=Q(1), r=Q(1, 2)):
     return GeomSeq(Q(a), Q(w), Q(r))
+
+
+def translate_grid(xmax, *hs):
+    """base * 10**j for j = 0..xmax, then their negatives, base the largest
+    diameter of the sets or 1 when all are points: the translates the tests
+    sample a defect at."""
+    d = max(diameter(h) for h in hs)
+    base = d if d > 0 else 1
+    xs = [base * 10**j for j in range(xmax + 1)]
+    return xs + [-x for x in xs]
 
 
 def test_weight_defect_examples():
@@ -188,7 +198,7 @@ def test_defect_curve_trends():
     c = defect_curve(bset(Finite((Q(1), Q(2)))), bset(Finite((Q(3), Q(4), Q(5)))),
                      MeanKind.ARITH)
     assert c.trend is Trend.LINEAR_GROWTH
-    assert abs(c.slope_estimate - (3 / 5 - 1 / 2)) < 1e-12
+    assert c.right.beta == c.left.beta == MeanValue.exact(Q(3, 5) - Q(1, 2))
     c = defect_curve(bset(Finite((Q(1), Q(2)))), bset(Finite((Q(30), Q(41)))),
                      MeanKind.ARITH)
     assert c.trend is Trend.TO_ZERO
@@ -213,7 +223,7 @@ def test_a_curves_trend_is_the_equal_weight_decision(profile):
                     v = equal_weight(h1, h2, kind, WeightKind.IN_LIMIT)
                 except DomainViolation:
                     continue
-                trend = defect_curve(h1, h2, kind, xmax=1).trend
+                trend = defect_curve(h1, h2, kind).trend
                 apart = Trend.BOUNDED if kind is MeanKind.LIS else Trend.LINEAR_GROWTH
                 assert trend is {Answer.YES: Trend.TO_ZERO, Answer.NO: apart,
                                  Answer.INCONCLUSIVE: Trend.INCONCLUSIVE}[v.answer], (i, kind)
@@ -223,16 +233,22 @@ def test_a_curves_trend_is_the_equal_weight_decision(profile):
 
 
 def test_a_slow_growth_reads_as_growth():
-    # every sample lies below tol = 1e-9, yet the count coefficients differ:
-    # beta = (W2 - W1) / (2*(W1 + W2)), read within tol as an approximate mean
+    # the defect lies below tol = 1e-9 at 10**4 diameters, yet the count
+    # coefficients differ: beta = (W2 - W1) / (2*(W1 + W2)), read within tol
+    # as an approximate mean, which the 300-bit beta lies within
     h1, h2 = normalize(parse("seq(0,1,1/1000000)")), normalize(parse("seq(0,1,1/1000001)"))
     assert equal_weight(h1, h2, MeanKind.ISO, WeightKind.IN_BOUND).answer is Answer.NO
+    tol = DEFAULT_CONFIG.tol
+    assert all(abs(weight_defect(h1, h2, MeanKind.ISO, x).as_float()) < tol
+               for x in translate_grid(4, h1, h2))
     c = defect_curve(h1, h2, MeanKind.ISO)
-    assert all(abs(d.as_float()) < DEFAULT_CONFIG.tol for _, d in c.samples)
     assert c.trend is Trend.LINEAR_GROWTH
-    assert f"{c.slope_estimate:.15g}" == "-1.80955937099412e-08"
-    assert c.slope_estimate == pytest.approx(float(reference_trend(h1, h2, MeanKind.ISO)[1]),
-                                             rel=1e-12)
+    beta = c.right.beta
+    assert c.left.beta == beta and c.right.alpha == c.left.alpha == MeanValue.exact(0)
+    assert (f"{beta.approx:.15g}", beta.tol) == ("-1.80955937099412e-08", tol)
+    ref = reference_trend(h1, h2, MeanKind.ISO)[1]
+    assert f"{float(ref):.15g}" == "-1.80955937099388e-08"
+    assert abs(beta.approx - ref) <= beta.tol
 
 
 def test_undecided_weights_read_inconclusive():
@@ -242,29 +258,22 @@ def test_undecided_weights_read_inconclusive():
     h2 = normalize(parse(f"cantor(5,{6 * n + 1}/{n},2,1/3)"))
     assert equal_weight(h1, h2, MeanKind.AVG, WeightKind.IN_BOUND).answer is Answer.INCONCLUSIVE
     c = defect_curve(h1, h2, MeanKind.AVG)
-    assert (c.trend, c.slope_estimate) == (Trend.INCONCLUSIVE, None)
+    assert c.trend is Trend.INCONCLUSIVE
+    undefined = MeanValue.undefined("the weights are numerically inseparable")
+    for tail in (c.right, c.left):
+        assert tail.alpha == tail.beta == undefined
 
 
 def test_an_operand_outside_the_domain_reads_inconclusive():
-    c = defect_curve(bset(seq(0)), bset(Finite((Q(1), Q(2)))), MeanKind.ARITH)
-    assert (c.trend, c.slope_estimate) == (Trend.INCONCLUSIVE, None)
-    assert not any(d.is_defined for _, d in c.samples)
-
-
-@pytest.mark.parametrize("kind, text1, text2, trend, slope", [
-    (MeanKind.ARITH, "{1,2}", "{3,4,5}", Trend.LINEAR_GROWTH, 0.1),
-    (MeanKind.ISO, "seq(0,1,1/2)", "seq(5,1,1/2)", Trend.TO_ZERO, 0.0),
-    (MeanKind.LIS, "seq(0,1,1/2) U seq(1,1,1/2)", "seq(0,1,1/3) U seq(2,1,1/3)",
-     Trend.BOUNDED, 0.0),
-    (MeanKind.ACC, "tower(2,0,1/4)", "seq(0,1,1/2)", Trend.LINEAR_GROWTH, -0.5),
-])
-def test_the_trend_does_not_depend_on_the_grid(kind, text1, text2, trend, slope):
-    # xmax 0 and 1 give fewer than three positive translates, which a
-    # reading of the samples could not decide
-    h1, h2 = normalize(parse(text1)), normalize(parse(text2))
-    for xmax in (0, 1, 4):
-        c = defect_curve(h1, h2, kind, xmax=xmax)
-        assert (c.trend, c.slope_estimate) == (trend, slope), xmax
+    h1, h2 = bset(seq(0)), bset(Finite((Q(1), Q(2))))
+    c = defect_curve(h1, h2, MeanKind.ARITH)
+    assert c.trend is Trend.INCONCLUSIVE
+    undefined = MeanValue.undefined(mean_of(h1, MeanKind.ARITH).reason)
+    assert undefined.reason
+    for tail in (c.right, c.left):
+        assert tail.alpha == tail.beta == undefined
+    assert not any(weight_defect(h1, h2, MeanKind.ARITH, x).is_defined
+                   for x in translate_grid(4, h1, h2))
 
 
 def sampled_trend(samples, tol: float):
@@ -299,28 +308,35 @@ def test_the_sampled_trend_agrees_where_it_decides(seed):
         for kind in MeanKind:
             try:
                 curve = defect_curve(h1, h2, kind)
+                samples = grid_samples(h1, h2, kind)
             except SetMeansError:
                 continue
-            trend, slope = sampled_trend(curve.samples, DEFAULT_CONFIG.tol)
+            trend, slope = sampled_trend(samples, DEFAULT_CONFIG.tol)
             if trend is Trend.INCONCLUSIVE:
                 continue
             decided += 1
             assert trend is curve.trend, (i, kind)
             if trend is Trend.LINEAR_GROWTH:
-                assert slope == pytest.approx(curve.slope_estimate, rel=1e-9), (i, kind)
+                assert slope == pytest.approx(curve.right.beta.as_float(), rel=1e-9), (i, kind)
     assert decided >= 80
     # where every sample lies below tol, the thresholds read a vanishing defect
     h1, h2 = normalize(parse("seq(0,1,1/1000000)")), normalize(parse("seq(0,1,1/1000001)"))
     curve = defect_curve(h1, h2, MeanKind.ISO)
-    assert sampled_trend(curve.samples, DEFAULT_CONFIG.tol) == (Trend.TO_ZERO, 0.0)
+    assert sampled_trend(grid_samples(h1, h2, MeanKind.ISO), DEFAULT_CONFIG.tol) == (Trend.TO_ZERO, 0.0)
     assert curve.trend is Trend.LINEAR_GROWTH
 
 
+def grid_samples(h1, h2, kind):
+    """The defect at each translate of the grid, in order."""
+    return [(x, weight_defect(h1, h2, kind, x)) for x in sorted(translate_grid(4, h1, h2))]
+
+
 def test_curve_samples_are_exact_for_exact_means():
-    c = defect_curve(bset(Finite((Q(1), Q(3)))), bset(Finite((Q(2), Q(6)))),
-                     MeanKind.ARITH)
-    for x, v in c.samples:
-        assert v.is_exact
+    h1, h2 = bset(Finite((Q(1), Q(3)))), bset(Finite((Q(2), Q(6))))
+    assert all(v.is_exact for _, v in grid_samples(h1, h2, MeanKind.ARITH))
+    c = defect_curve(h1, h2, MeanKind.ARITH)
+    for tail in (c.right, c.left):
+        assert tail.alpha.is_exact and tail.beta.is_exact
 
 
 def test_equal_weight_iso_sees_a_far_power_subsequence():
@@ -432,15 +448,54 @@ def term(w, t):
 
 
 def assert_reference_trend(curve, h1, h2, kind, cfg=DEFAULT_CONFIG):
-    """curve's trend is reference_trend's, and its slope that slope: the float
-    of a rational one, and an enclosed one within tol, as an approximate
-    mean is."""
+    """curve's trend is reference_trend's, and both tails' beta that slope:
+    exactly a rational one, and the 300-bit one within beta's tol (or, for a
+    beta that one class makes exact, to a float's precision); an undecided
+    trend has no beta."""
     trend, slope = reference_trend(h1, h2, kind, cfg)
     assert curve.trend is trend
-    if slope is None or isinstance(slope, Q):
-        assert curve.slope_estimate == (None if slope is None else float(slope))
-    else:
-        assert abs(curve.slope_estimate - float(slope)) <= cfg.tol
+    for b in (curve.right.beta, curve.left.beta):
+        if slope is None:
+            assert not b.is_defined
+        elif isinstance(slope, Q):
+            assert b == MeanValue.exact(slope)
+        else:
+            assert abs(b.as_float() - slope) <= (b.tol or 1e-15)
+
+
+def tail_translates(curve, h1, h2):
+    """(tail, x) at the grid's translates strictly beyond each tail's
+    threshold, and at the threshold moved 1 past it."""
+    xs, right, left = translate_grid(4, h1, h2), curve.right, curve.left
+    return ([(right, x) for x in xs if x > right.threshold] + [(right, right.threshold + 1)]
+            + [(left, x) for x in xs if x < left.threshold] + [(left, left.threshold - 1)])
+
+
+def assert_tails_are_the_defect(curve, h1, h2, kind, cfg=DEFAULT_CONFIG):
+    """At every translate of tail_translates, alpha + beta*x is the defect of
+    the built union and translate: exactly where the three are exact, else
+    within alpha's tol, |x| times beta's and the union defect's summed.  An
+    undefined defect leaves alpha and beta undefined; they are also undefined
+    where an undecided comparison of the Weights makes the trend
+    INCONCLUSIVE.  Returns how many translates were checked."""
+    checked = 0
+    for tail, x in tail_translates(curve, h1, h2):
+        want = union_defect(h1, h2, kind, x, cfg)
+        alpha, beta = tail.alpha, tail.beta
+        assert alpha.is_defined == beta.is_defined
+        if not want.is_defined:
+            assert not alpha.is_defined, x
+            continue
+        if not alpha.is_defined:
+            assert curve.trend is Trend.INCONCLUSIVE
+            continue
+        if alpha.is_exact and beta.is_exact and want.is_exact:
+            assert alpha.value + beta.value * x == want.value, x
+        else:
+            tol = (alpha.tol or 0) + abs(float(x)) * (beta.tol or 0) + (want.tol or 0)
+            assert abs(alpha.as_float() + beta.as_float() * float(x) - want.as_float()) <= tol, x
+        checked += 1
+    return checked
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -452,10 +507,10 @@ def test_separated_samples_equal_the_union_evaluation(profile):
     for i, h1 in enumerate(sets):
         h2 = sets[(i * 7 + 3) % len(sets)]
         for kind in MeanKind:
-            read = _read_defect(h1, h2, kind, DEFAULT_CONFIG)  # one per curve
+            pair = _Pair(h1, h2, kind, DEFAULT_CONFIG)  # kept across the translates
             defined = mean_of(h1, kind).is_defined and mean_of(h2, kind).is_defined
-            for x in _translate_grid(4, h1, h2) + [Q(1, 3), Q(-7, 2)]:
-                got = read(x)
+            for x in translate_grid(4, h1, h2) + [Q(1, 3), Q(-7, 2)]:
+                got = pair.at(x)
                 # lis reads the defect at every translate
                 served_here = defined and (kind is MeanKind.LIS or separates(h1, h2, x))
                 assert (got is not None) == served_here, (i, kind, x)
@@ -470,40 +525,41 @@ def test_separated_samples_equal_the_union_evaluation(profile):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_defect_curves_equal_the_union_evaluation(seed):
-    # whole curves, both sides, with the translates that do not separate
-    # the hulls; a curve that raises must raise as its reference does
+    # whole curves, both tails, against the built unions beyond each
+    # threshold; a curve that raises must raise as its reference does
     sets = [normalize(e) for profile, n in (("mixed", 24), ("sequences", 12), ("cantor", 12))
             for e in gen_corpus(seed, n, profile)]
-    curves = crossing = approx = 0
+    curves = checked = approx = 0
     for i, h1 in enumerate(sets):
         h2 = sets[(i * 5 + 1) % len(sets)]
         for kind in MeanKind:
             try:
-                samples = tuple(
-                    (x, combine(lambda u, a, b: u - (a + b) / 2,
-                                *union_evaluation(h1, h2, kind, x), tol=DEFAULT_CONFIG.tol))
-                    for x in sorted(_translate_grid(4, h1, h2)))
+                curve = defect_curve(h1, h2, kind)
             except SetMeansError as exc:
                 with pytest.raises(type(exc)):
-                    defect_curve(h1, h2, kind)
+                    union_defect(h1, h2, kind, bounds(h1).sup - bounds(h2).inf + 1)
                 continue
-            curve = defect_curve(h1, h2, kind)
-            assert curve.samples == samples, (i, kind)
             assert_reference_trend(curve, h1, h2, kind)
+            checked += assert_tails_are_the_defect(curve, h1, h2, kind)
             curves += 1
-            crossing += any(not separates(h1, h2, x) for x, _ in samples)
-            approx += any(d.is_defined and not d.is_exact for _, d in samples)
-    assert curves >= 100 and crossing > 0 and approx > 0
+            approx += curve.right.alpha.is_defined and not curve.right.alpha.is_exact
+    assert curves >= 100 and checked >= 800 and approx > 0
 
 
 def test_touching_hulls_take_the_union_evaluation():
     # {0,1} u ({0,3}+1) = {0,1,4} shares the point 1: its mean is 5/3, where
     # the count-weighted combination of the operands would give 3/2
     h1, h2, x = bset(Finite((Q(0), Q(1)))), bset(Finite((Q(0), Q(3)))), Q(1)
-    assert _read_defect(h1, h2, MeanKind.ARITH, DEFAULT_CONFIG)(x) is None
+    assert _Pair(h1, h2, MeanKind.ARITH, DEFAULT_CONFIG).at(x) is None
     union, k1, k2 = union_evaluation(h1, h2, MeanKind.ARITH, x)
     assert union.value == Q(5, 3)
-    assert weight_defect(h1, h2, MeanKind.ARITH, x).value == Q(5, 3) - (k1.value + k2.value) / 2
+    defect = weight_defect(h1, h2, MeanKind.ARITH, x).value
+    assert defect == Q(5, 3) - (k1.value + k2.value) / 2
+    # so the right tail, which starts at x, holds only strictly past it
+    tail = defect_curve(h1, h2, MeanKind.ARITH).right
+    assert tail.threshold == x
+    assert tail.alpha.value + tail.beta.value * x != defect
+    assert tail.alpha.value + tail.beta.value * (x + 1) == weight_defect(h1, h2, MeanKind.ARITH, x + 1).value
 
 
 def test_iso_and_cantor_separated_samples_are_read():
@@ -516,7 +572,7 @@ def test_iso_and_cantor_separated_samples_are_read():
     for h1, h2, kind in cases:
         assert mean_of(h1, kind).is_exact and mean_of(h2, kind).is_exact
         for x in (Q(10), Q(-10)):
-            got = _read_defect(h1, h2, kind, DEFAULT_CONFIG)(x)
+            got = _Pair(h1, h2, kind, DEFAULT_CONFIG).at(x)
             assert got == union_defect(h1, h2, kind, x)
             # K(H1) and K(H2+x) are exact, so the union's mean is not
             assert not got.is_exact
@@ -530,13 +586,17 @@ def test_cantor_classes_do_not_depend_on_the_union_block_order():
     h1 = normalize(parse("cantor(0,1,4,1/9)"))
     h2 = normalize(parse("cantor(0,1,2,1/3) U cantor(2,5,2,1/3)"))
     for x, union in ((Q(10), Q(19, 2)), (Q(-10), Q(-11, 2))):
-        got = _read_defect(h1, h2, MeanKind.AVG, DEFAULT_CONFIG)(x)
+        got = _Pair(h1, h2, MeanKind.AVG, DEFAULT_CONFIG).at(x)
         assert got == union_defect(h1, h2, MeanKind.AVG, x)
         _, k1, k2 = union_evaluation(h1, h2, MeanKind.AVG, x)
         assert got == MeanValue.exact(union - (k1.value + k2.value) / 2)
-    for x, defect in defect_curve(h1, h2, MeanKind.AVG).samples:
+    for x, defect in grid_samples(h1, h2, MeanKind.AVG):
         assert defect == union_defect(h1, h2, MeanKind.AVG, x)
         assert defect.is_exact
+    # one class makes beta exact, and with it alpha
+    curve = defect_curve(h1, h2, MeanKind.AVG)
+    assert curve.right.alpha.is_exact and curve.right.beta.is_exact
+    assert assert_tails_are_the_defect(curve, h1, h2, MeanKind.AVG) > 0
 
 
 def test_lis_reads_the_defect_where_the_hulls_overlap():
@@ -544,15 +604,15 @@ def test_lis_reads_the_defect_where_the_hulls_overlap():
     # H2+x's hull touches, crosses or lies inside H1's, builds a union
     h1 = normalize(parse("seq(0,1,1/2) U [2,3] U {5}"))
     h2 = normalize(parse("cantor(0,1,2,1/3) U seq(1,1,1/3)"))
-    read = _read_defect(h1, h2, MeanKind.LIS, DEFAULT_CONFIG)
+    pair = _Pair(h1, h2, MeanKind.LIS, DEFAULT_CONFIG)
     for x in (Q(-4, 3), Q(-1), Q(-1, 2), Q(0), Q(1, 3), Q(1), Q(2), Q(3), Q(4), Q(5)):
         assert not separates(h1, h2, x)
-        got = read(x)
+        got = pair.at(x)
         assert got.is_exact and got == union_defect(h1, h2, MeanKind.LIS, x), x
         assert weight_defect(h1, h2, MeanKind.LIS, x) == got
     # a finite operand has no lis mean: the union's evaluation says why
     h3 = bset(Finite((Q(0), Q(1))))
-    assert _read_defect(h1, h3, MeanKind.LIS, DEFAULT_CONFIG)(Q(1)) is None
+    assert _Pair(h1, h3, MeanKind.LIS, DEFAULT_CONFIG).at(Q(1)) is None
     assert weight_defect(h1, h3, MeanKind.LIS, Q(1)) == union_defect(h1, h3, MeanKind.LIS, Q(1))
 
 
@@ -595,58 +655,58 @@ def test_a_curve_of_exact_means_builds_unions_only_where_the_hulls_meet(monkeypa
     monkeypatch.setattr(weigh, "translate_set", translated)
     monkeypatch.setattr(weigh, "union_sets", united)
     curve = defect_curve(h1, h2, kind)
-    met = [x for x, _ in curve.samples if not separates(h1, h2, x)]
-    assert met and len(met) < len(curve.samples)
+    assert shifts == unions == []  # a curve builds no set
+    samples = grid_samples(h1, h2, kind)
+    met = [x for x, _ in samples if not separates(h1, h2, x)]
+    assert met and len(met) < len(samples)
     assert shifts == ([] if kind is MeanKind.LIS else met) and len(unions) == len(shifts)
-    for x, d in curve.samples:
+    for x, d in samples:
         assert d == union_defect(h1, h2, kind, x), x
-
-
-def reference_samples(h1, h2, kind, cfg, xmax):
-    """defect_curve's samples from the built union and translate at each translate."""
-    return tuple((x, union_defect(h1, h2, kind, x, cfg))
-                 for x in sorted(_translate_grid(xmax, h1, h2)))
+    assert assert_tails_are_the_defect(curve, h1, h2, kind) > 0
 
 
 @pytest.mark.parametrize("seed", [101, 9001])
 @pytest.mark.parametrize("workload", ["query-exact", "query-iso"])
 def test_benchmark_weigh_curves_equal_the_built_unions(workload, seed):
-    # every weigh query the benchmark replays, read as the CLI reads it
+    # every weigh query the benchmark replays, read as the CLI reads it; the
+    # CLI's curve, read with its verdict, is the curve read alone
     import setmeans
     from test_argv import _workloads
 
     ops = [op for op in _workloads().build(setmeans, workload, seed).ops if op.command == "weigh"]
-    raised = 0
+    raised = checked = 0
     for op in ops:
         args = cli._read_argv(op.argv)
         kind, cfg = MeanKind(args.mean), LadderConfig(tol=args.tol)
         h1, h2 = normalize(parse(args.h1)), normalize(parse(args.h2))
         try:
-            want = reference_samples(h1, h2, kind, cfg, args.xmax)
+            curve = defect_curve(h1, h2, kind, cfg)
         except SetMeansError as exc:
             with pytest.raises(type(exc)):
-                defect_curve(h1, h2, kind, cfg, xmax=args.xmax)
+                union_defect(h1, h2, kind, bounds(h1).sup - bounds(h2).inf + 1, cfg)
             raised += 1
             continue
-        curve = defect_curve(h1, h2, kind, cfg, xmax=args.xmax)
-        assert curve.samples == want, op.argv
         assert_reference_trend(curve, h1, h2, kind, cfg)
-    assert len(ops) >= 16 and raised < len(ops)
+        checked += assert_tails_are_the_defect(curve, h1, h2, kind, cfg)
+        code, rep = cli.run_command(op.argv)
+        if code == 0:
+            assert rep["result"]["curve"] == cli._curve_json(curve), op.argv
+    assert len(ops) >= 16 and raised < len(ops) and checked >= 5 * len(ops)
 
 
-@pytest.mark.parametrize("xmax", [-1, 101, 4400])
-def test_xmax_outside_its_range_is_a_validation_error(xmax):
-    h1, h2 = bset(Finite((Q(1), Q(2)))), bset(Finite((Q(3), Q(4))))
-    with pytest.raises(ValidationError, match="0..100"):
-        defect_curve(h1, h2, MeanKind.ARITH, xmax=xmax)
-
-
-def test_a_grid_past_a_float_is_a_validation_error():
+def test_a_far_operands_curve_is_exact():
+    # a curve and its tails read no float, so no operand is too far for them
     h1 = bset(Finite((Q(0), Q(10) ** 250)))
-    h2 = bset(Finite((Q(3), Q(4))))
-    assert len(defect_curve(h1, h2, MeanKind.ARITH, xmax=50).samples) == 102
-    with pytest.raises(ValidationError, match="does not fit a float"):
-        defect_curve(h1, h2, MeanKind.ARITH, xmax=100)
+    h2 = bset(Finite((Q(3), Q(4), Q(5))))
+    c = defect_curve(h1, h2, MeanKind.ARITH)
+    beta = Q(3 - 2, 2 * (2 + 3))
+    alpha = beta * (4 - Q(10) ** 250 / 2)
+    assert c.trend is Trend.LINEAR_GROWTH
+    assert (c.right.threshold, c.left.threshold) == (Q(10) ** 250 - 3, Q(-5))
+    for tail in (c.right, c.left):
+        assert (tail.alpha, tail.beta) == (MeanValue.exact(alpha), MeanValue.exact(beta))
+    x = Q(10) ** 400
+    assert weight_defect(h1, h2, MeanKind.ARITH, x) == MeanValue.exact(alpha + beta * x)
 
 
 @pytest.mark.parametrize("kind, text1, text2", [
@@ -663,34 +723,71 @@ def test_a_curve_reads_the_operands_once(monkeypatch, kind, text1, text2, xmax):
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
-            if name == "x":
-                events.append(("x", args[3]))
-            else:
-                events.append((name, {id(h1): "h1", id(h2): "h2"}.get(id(args[0]))))
+            events.append((name, {id(h1): "h1", id(h2): "h2"}.get(id(args[0]))))
             return f(*args, **kwargs)
         monkeypatch.setattr(weigh, f.__name__, wrapper)
 
-    for name, f in (("x", weigh._defect), ("mean", weigh.mean_of),
-                    ("weight", weigh.weight_of), ("order", weigh.compare_orders)):
+    for name, f in (("mean", weigh.mean_of), ("weight", weigh.weight_of),
+                    ("order", weigh.compare_orders), ("translate", weigh.translate_set),
+                    ("union", weigh.union_sets)):
         counted(name, f)
-    curve = defect_curve(h1, h2, kind, xmax=xmax)
-    xs = [x for x, _ in curve.samples]
-    # -diam only touches H1's hull, so it takes the union evaluation: at
-    # xmax 0 it is the first translate, and nothing is read before it
-    assert not separates(h1, h2, xs[xmax]) and separates(h1, h2, xs[-1])
-    reads, x = [], None
-    for event in events:
-        if event[0] == "x":
-            x = event[1]
-        elif separates(h1, h2, x):
-            reads.append(event)
-        else:
-            # the union evaluation measures H1 and two built sets, no Weight
-            assert event in (("mean", "h1"), ("mean", None)), (x, event)
-    assert reads == [("mean", "h1"), ("mean", "h2"), ("weight", "h1"), ("weight", "h2"),
-                     ("order", None)]
-
-    # a translate whose hulls overlap reads no Weight and no order
+    defect_curve(h1, h2, kind)
+    reads = [("mean", "h1"), ("mean", "h2"), ("weight", "h1"), ("weight", "h2"), ("order", None)]
+    assert events == reads
+    # the CLI's verdict and curve read each once between them
     events.clear()
-    weight_defect(h1, h2, kind, xs[xmax])
-    assert not [e for e in events if e[0] in ("weight", "order")] and events
+    weigh.weigh_pair(h1, h2, kind, WeightKind.IN_BOUND)
+    assert sorted(events, key=str) == sorted(reads, key=str)
+
+    # the defect at one translate of the grid reads the operands as a curve
+    # does where the hulls are apart; where they meet (-diam only touches
+    # H1's hull) it reads no Weight and no order, and builds the union
+    xs = translate_grid(xmax, h1, h2)
+    assert separates(h1, h2, xs[0]) and not separates(h1, h2, xs[xmax + 1])
+    for x in xs:
+        events.clear()
+        weight_defect(h1, h2, kind, x)
+        if separates(h1, h2, x):
+            assert events == reads, x
+        else:
+            assert not [e for e in events if e[0] in ("weight", "order")], x
+            assert ("union", "h1") in events, x
+
+
+@pytest.mark.parametrize("mean, h1, h2", [
+    # one family, irrational weights that differ: beta is enclosed
+    pytest.param("avg", "cantor(0,1,2,1/3)", "cantor(0,2,4,1/9)", id="avg-differ"),
+    # the 10**1300 pair: the comparison spends the separation budget
+    pytest.param("avg", "cantor(0,1,2,1/3)", f"cantor(5,{6 * 10**1300 + 1}/{10**1300},2,1/3)",
+                 id="avg-inseparable"),
+    # two classes of count terms against one
+    pytest.param("iso", "seq(0,1,1/2) U seq(1,1,1/3)", "seq(0,1,1/5)", id="iso-differ"),
+    # equal counts
+    pytest.param("iso", "seq(0,1,1/2)", "seq(5,1,1/2)", id="iso-equal"),
+])
+def test_a_weigh_compares_the_weights_once(monkeypatch, mean, h1, h2):
+    # the verdict, the trend and beta come from one comparison of the
+    # Weights and one build of their joint class sums
+    import setmeans.means as means
+    import setmeans.weigh as weigh
+
+    comparisons, builds = [], []
+    compare, joint = means.Weight.compare_magnitude, means._joint_sums
+
+    def compared(self, other, sums=None):
+        comparisons.append(sums)
+        return compare(self, other, sums)
+
+    def built(*args):
+        builds.append(args)
+        return joint(*args)
+
+    monkeypatch.setattr(means.Weight, "compare_magnitude", compared)
+    monkeypatch.setattr(means, "_joint_sums", built)
+    monkeypatch.setattr(weigh, "_joint_sums", built)
+    for kind in WeightKind:
+        comparisons.clear(), builds.clear()
+        code, rep = cli.run_command(["weigh", "--mean", mean, "--kind", kind.value, h1, h2])
+        assert code == 0, rep["diagnostics"]
+        assert len(comparisons) <= 1 and len(builds) <= 1, kind
+    assert comparisons and builds
