@@ -32,15 +32,11 @@ from itertools import groupby
 from typing import Optional, Union
 
 from .errors import CutNotRepresentable, MembershipUndecided, ValidationError
-from .rational import Q
+from .rational import CACHE_SIZE, Q
 
 #: levels a Cantor descent may spend on an orbit that neither cycles nor
 #: exits; with r = 1/q each orbit does one or the other within L + 1 levels
 CANTOR_DEPTH = 512
-
-#: entries kept by each memoised constant of the number layer: _log_ratio
-#: here and the enclosures of means, each kept per value and precision
-CACHE_SIZE = 1024
 
 #: Python's default int_max_str_digits: no int of more digits is read from
 #: text or written as text

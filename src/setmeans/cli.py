@@ -24,7 +24,7 @@ from .dsl import int_text, parse, render_set
 from .errors import DomainViolation, ParseError, SetMeansError, ValidationError
 from .laws import PROFILES, LawKind, check_law, gen_corpus
 from .means import LadderConfig, MeanKind, MeanValue, k_bounds, mean_of
-from .rational import Q
+from .rational import CACHE_SIZE, Q
 from .roundness import round_pass
 from .sets import normalize
 from .weigh import WeightKind, weigh_pair
@@ -133,8 +133,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _parsed(text: str):
+    """The expression parsed from text, kept for the next query on the same
+    text; a text that raises is not kept.  parse is looked up at call time,
+    so a wrapper put on cli.parse (the benchmark's tracer) sees each miss."""
+    return parse(text)
+
+
 def _norm(text: str):
-    return normalize(parse(text))
+    """The canonical set of an operand text.  A text is parsed once per
+    process (CACHE_SIZE texts are kept), and each call returns a fresh set
+    over its expression's kept blocks, so nothing a set memoizes outlives
+    its query."""
+    return normalize(_parsed(text))
 
 
 @functools.cache

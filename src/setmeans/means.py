@@ -20,7 +20,8 @@ verdict.  An enclosure is a (lo, hi) pair of mpmath's interval kernel
 (mpmath.libmp), built at a precision passed as an argument and read at 53
 bits, so mpmath's global precision neither changes nor matters.  Each power
 test and enclosure is computed once per value and precision and kept
-(blocks.CACHE_SIZE entries each).
+(rational.CACHE_SIZE entries each: the bound every memo of the library
+shares, with rational._inverse and the parsed operands of cli._norm).
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from mpmath.libmp import (fzero, from_float, from_int, mpf_lt, mpi_add, mpi_delt
                           mpi_exp, mpi_log, mpi_lt, mpi_mid, mpi_mul, mpi_pow, mpi_sub,
                           round_ceiling, round_floor, to_float)
 
-from .blocks import CACHE_SIZE, Cantor, Interval, PowerSums, Q, _log_ratio
+from .blocks import Cantor, Interval, PowerSums, Q, _log_ratio
 from .errors import DomainViolation, EmptyResult, IncomparableDimensions, ValidationError
+from .rational import CACHE_SIZE
 from .sets import BlockSet, bounds, level, top_level, INFINITE_LEVEL
 
 

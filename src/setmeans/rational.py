@@ -30,8 +30,13 @@ from math import gcd
 _new = object.__new__
 _MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
 
+#: entries kept by each bounded memo of the library: _inverse here,
+#: blocks._log_ratio, the enclosures of means (each kept per value and
+#: precision) and the parsed operand texts of cli._norm
+CACHE_SIZE = 1024
 
-@lru_cache(maxsize=1024)
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _inverse(d: int) -> int:
     """d's inverse modulo the hash modulus, or 0 when d is a multiple of it."""
     return pow(d, -1, _MODULUS) if d % _MODULUS else 0

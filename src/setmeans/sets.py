@@ -309,7 +309,9 @@ def normalize(e: SetExpr) -> BlockSet:
 
     An expression's canonical blocks are computed once per expression object
     and kept with it.  Each call returns a fresh set over them, so what a
-    set keeps (BlockSet.memo) does not outlive its caller.
+    set keeps (BlockSet.memo) does not outlive its caller.  The CLI keeps
+    the parsed expression of each operand text (cli._norm), so a repeated
+    text costs one lookup here and one BlockSet.
 
     Raises EmptyResult when the expression denotes the empty set and
     CutNotRepresentable when a cut lands inside a Cantor block at a point

@@ -543,6 +543,56 @@ def test_usage_error_leaves_the_parser_usable():
     assert code == 0 and rep["result"]["k_limsup"]["value"] == {"num": "10", "den": "1"}
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "--mean", "avg", "cantor(0,1,2,1/3) U [2,3]"], 0),
+    (["classify", "--mean", "acc", "--of", "tower(2,0,1/4)", "seq(0,1,1/2)"], 0),
+    (["disjoint", "--mean", "iso", "seq(0,1,1/2)", "seq(0,1,1/4) U {3}"], 0),
+    (["weigh", "--mean", "avg", "--kind", "bound", "cantor(0,1,2,1/3)", "cantor(5,6,2,1/3)"], 0),
+    (["round", "--mean", "iso", "seq(0,-1,1/2) U seq(1/1000,1,1/3)"], 0),
+    (["kbounds", "--mean", "lis", "seq(0,1,1/2) U {7}"], 0),
+    (["witness", "--iso-small", "--depth", "4", "seq(0,1,1/2)"], 0),
+    # a parse error, an empty set, and a cut inside a Cantor block
+    (["eval", "--mean", "arith", "{1,2"], 2),
+    (["eval", "--mean", "arith", "above({1,2}, 5)"], 3),
+    (["eval", "--mean", "avg", "below(cantor(0,1,2,1/3), 1/4)"], 3),
+])
+def test_a_repeated_operand_gives_the_same_report(argv, code):
+    first = run_command(argv)
+    assert first[0] == code
+    assert run_command(argv) == first
+
+
+def test_a_text_that_does_not_parse_is_not_kept():
+    kept = cli._parsed.cache_info().currsize
+    for _ in range(2):
+        code, rep = run_command(["eval", "--mean", "arith", "[0 3]"])
+        assert code == 2 and rep["diagnostics"][0].startswith("parse error")
+    assert cli._parsed.cache_info().currsize == kept
+
+
+def test_each_operand_gets_a_fresh_set():
+    text = "seq(0,1,1/2) U [3,4]"
+    # what a query or a caller derives from its set is not handed on
+    first = cli._norm(text)
+    run_command(["eval", "--mean", "avg", text])
+    first.memo("probe", lambda: 1)
+    second = cli._norm(text)
+    assert second is not first and second.blocks is first.blocks
+    assert second._derived == {}
+
+
+def test_a_kept_operand_answers_as_a_fresh_parse(monkeypatch):
+    text = "seq(0,1,1/2) U seq(1,1,1/3)"
+    run_command(["eval", "--mean", "iso", text])
+    run_command(["eval", "--mean", "iso", text])
+    argv = ["eval", "--mean", "iso", "--tol", "0.25", text]
+    kept = run_command(argv)
+    # every operand parsed afresh, as in a new process
+    monkeypatch.setattr(cli, "_parsed", cli.parse)
+    assert kept == run_command(argv)
+    assert kept[1]["result"]["value"]["tol"] == "0.25"
+
+
 def test_iso_sums_over_shared_factors_exactly():
     # steps 6, 10 and 15 in units of 2**-1/6 share factors pairwise, so the
     # shared points are counted by inclusion-exclusion; the counts must stay

@@ -69,6 +69,13 @@ def test_round_lis_four_sequences():
     assert round_witness(h, MeanKind.LIS).answer is Answer.YES
 
 
+def test_round_witness_lis_with_a_finite_half_raises():
+    # the halves split at the mean 0: the low half is the point -5 alone
+    h = normalize(parse("seq(0,1,1/2) U {-5}"))
+    with pytest.raises(DomainViolation, match="^a half is finite, outside Dom\\(lis\\)$"):
+        round_witness(h, MeanKind.LIS)
+
+
 def test_round_iso_two_sequences():
     h = bset(seq(0), seq(1))
     wit = round_witness(h, MeanKind.ISO)

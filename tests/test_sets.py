@@ -111,6 +111,11 @@ def test_normalize_cut_at_a_cantor_non_gap_point_raises_on_every_call():
             normalize(e)
 
 
+def test_normalize_rejects_what_is_not_an_expression():
+    with pytest.raises(TypeError, match="^not a SetExpr: 42$"):
+        normalize(42)
+
+
 def test_normalize_keeps_the_blocks_not_the_set():
     e = Union((Leaf(GeomSeq(Q(0), Q(1), Q(1, 2))), Translate(Leaf(Interval(Q(0), Q(1))), Q(3))))
     first, again = normalize(e), normalize(e)
