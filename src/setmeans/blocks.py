@@ -25,9 +25,10 @@ Cantor kernel follows one descent of the piece tree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby
 from typing import Optional, Union
 
@@ -58,6 +59,26 @@ def _unchecked(cls, fields: dict):
     b = object.__new__(cls)
     vars(b).update(fields)
     return b
+
+
+class cached_property:
+    """A value computed on an instance's first read and kept in its
+    ``__dict__``: ``functools.cached_property`` without the lock that
+    Python 3.11 takes on every first read.  Two threads reading it first
+    each compute the same value, and one of them is kept."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def _coprime_basis(nums) -> list[int]:
@@ -111,8 +132,10 @@ class Finite:
     points: tuple[Q, ...]
 
     def __post_init__(self):
-        # sorted, then adjacent equal points dropped: no Fraction is hashed
-        pts = tuple(p for p, _ in groupby(sorted(map(as_q, self.points))))
+        pts = tuple(map(as_q, self.points))
+        if not all(map(operator.lt, pts, pts[1:])):
+            # sorted, then adjacent equal points dropped: no Fraction is hashed
+            pts = tuple(p for p, _ in groupby(sorted(pts)))
         if not pts:
             raise ValidationError("finite block needs at least one point")
         object.__setattr__(self, "points", pts)
@@ -195,9 +218,9 @@ class GeomSeq(PowerSums):
         object.__setattr__(self, "anchor", as_q(self.anchor))
         object.__setattr__(self, "scale", as_q(self.scale))
         object.__setattr__(self, "ratio", as_q(self.ratio))
-        if self.scale == 0:
+        if not self.scale:
             raise ValidationError("geometric sequence scale must be nonzero")
-        if not (0 < self.ratio < 1):
+        if not 0 < self.ratio.numerator < self.ratio.denominator:  # 0 < r < 1
             raise ValidationError("geometric sequence ratio must be in (0, 1)")
 
 
@@ -220,12 +243,13 @@ class Tower(PowerSums):
         object.__setattr__(self, "ratio", as_q(self.ratio))
         if not isinstance(self.level, int) or self.level < 1:
             raise ValidationError("tower level must be an integer >= 1")
-        if self.scale == 0:
+        if not self.scale:
             raise ValidationError("tower scale must be nonzero")
         # clusters overlap from level 2 on unless r < 1/3; one layer never does
-        limit = Q(1) if self.level == 1 else Q(1, 3)
-        if not (0 < self.ratio < limit):
-            raise ValidationError(f"tower ratio must be in (0, {limit})")
+        limit = 1 if self.level == 1 else 3  # r < 1/limit
+        n, d = self.ratio.numerator, self.ratio.denominator
+        if not (0 < n and n * limit < d):
+            raise ValidationError(f"tower ratio must be in (0, {Q(1, limit)})")
 
 
 def power_block(level: int, anchor: Q, scale: Q, ratio: Q) -> "GeomSeq | Tower":
@@ -277,7 +301,8 @@ class Cantor:
             raise ValidationError("cantor block needs lo < hi")
         if not isinstance(self.pieces, int) or self.pieces < 2:
             raise ValidationError("cantor block needs at least 2 pieces")
-        if not (0 < self.ratio < Q(1, self.pieces)):
+        n, d = self.ratio.numerator, self.ratio.denominator
+        if not (0 < n and n * self.pieces < d):  # 0 < r < 1/pieces
             raise ValidationError("cantor ratio must be in (0, 1/pieces)")
 
     @property

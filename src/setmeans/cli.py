@@ -133,6 +133,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: the longest operand text whose expression is kept: a kept text holds its
+#: expression and canonical blocks: about 1.5 KB for the benchmark's texts
+#: (35 characters in the median), and about 60 KB for the costliest text
+#: found at this length, a cut 100 levels deep into a Cantor block
+KEPT_TEXT = 128
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _parsed(text: str):
     """The expression parsed from text, kept for the next query on the same
@@ -142,11 +149,11 @@ def _parsed(text: str):
 
 
 def _norm(text: str):
-    """The canonical set of an operand text.  A text is parsed once per
-    process (CACHE_SIZE texts are kept), and each call returns a fresh set
-    over its expression's kept blocks, so nothing a set memoizes outlives
-    its query."""
-    return normalize(_parsed(text))
+    """The canonical set of an operand text.  A text of at most KEPT_TEXT
+    characters is parsed once per process (CACHE_SIZE texts are kept), and
+    each call returns a fresh set over its expression's kept blocks, so
+    nothing a set memoizes outlives its query."""
+    return normalize(_parsed(text) if len(text) <= KEPT_TEXT else parse(text))
 
 
 @functools.cache

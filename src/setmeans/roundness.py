@@ -11,8 +11,8 @@ inner accumulation bounds is k.  The float defect is shown but decides nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
+from .blocks import cached_property
 from .classify import Answer, Verdict, _closed
 from .errors import DomainViolation
 from .means import (

@@ -221,6 +221,8 @@ def normalize_blocks(blocks) -> BlockSet:
             others.append(GeomSeq(b.anchor, b.scale, b.ratio))
         else:
             others.append(b)
+    if len(finites) + len(others) <= 1:
+        return BlockSet((*finites, *others))  # one block is canonical as it stands
     if len(others) > 1:
         others.sort(key=block_sort_key)
 

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
-from .blocks import as_q
+from .blocks import as_q, cached_property
 from .classify import Answer, Method, Verdict, _closed
 from .errors import DomainViolation
 from .means import (

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -63,11 +64,57 @@ def test_finite_points_sorted_deduped():
     assert f.points == (Q(1), Q(2), Q(3))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: GeomSeq(0, 1, Q(0)), "geometric sequence ratio must be in (0, 1)"),
+    (lambda: GeomSeq(0, 1, Q(-1, 2)), "geometric sequence ratio must be in (0, 1)"),
+    (lambda: GeomSeq(0, 1, 1), "geometric sequence ratio must be in (0, 1)"),
+    (lambda: GeomSeq(0, Q(0), Q(1, 2)), "geometric sequence scale must be nonzero"),
+    (lambda: Tower(1, 0, 1, Q(1)), "tower ratio must be in (0, 1)"),
+    (lambda: Tower(3, 0, 1, Q(1, 3)), "tower ratio must be in (0, 1/3)"),
+    (lambda: Tower(2, 0, 1, Q(-1, 4)), "tower ratio must be in (0, 1/3)"),
+    (lambda: Tower(2, 0, 0, Q(1, 4)), "tower scale must be nonzero"),
+    (lambda: Cantor(0, 1, 3, Q(1, 3)), "cantor ratio must be in (0, 1/pieces)"),
+    (lambda: Cantor(0, 1, 2, Q(0)), "cantor ratio must be in (0, 1/pieces)"),
+])
+def test_a_ratio_or_scale_outside_its_range_is_named(make, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_a_ratio_just_inside_its_range_is_accepted():
+    # the checks read the ratio's integers: r < 1/m is m * num < den
+    assert GeomSeq(0, 1, Q(99, 100)).ratio == Q(99, 100)
+    assert Tower(1, 0, 1, Q(99, 100)).ratio == Q(99, 100)
+    assert Tower(2, 0, -1, Q(33, 100)).ratio == Q(33, 100)
+    assert Cantor(0, 1, 3, Q(33, 100)).ratio == Q(33, 100)
+    assert type(GeomSeq(0, 1, Q(1, 2)).ratio) is setmeans.Q
+
+
+@pytest.mark.parametrize("points, kept", [
+    ((1, Q(3, 2), 2), (1, Q(3, 2), 2)),  # increasing: taken as read
+    ((2, 1, Q(3, 2)), (1, Q(3, 2), 2)),
+    ((1, 1, 2), (1, 2)),  # sorted but not strictly
+    ((Q(7),), (7,)),
+])
+def test_finite_keeps_its_points_increasing_and_distinct(points, kept):
+    f = Finite(points)
+    assert f.points == kept
+    assert all(type(p) is setmeans.Q for p in f.points)
+
+
 def test_geomseq_bounds():
     b = GeomSeq(Q(0), Q(1), Q(1, 2))
     assert (b.inf, b.sup) == (Q(0), Q(1, 2))
     b = GeomSeq(Q(1), Q(-1), Q(1, 2))
     assert (b.inf, b.sup) == (Q(1, 2), Q(1))
+
+
+def test_a_bound_is_computed_on_first_read_and_kept():
+    b = Tower(2, Q(0), Q(1), Q(1, 4))
+    assert "sup" not in vars(b) and "sums" not in vars(b)
+    assert b.sup is b.sup and vars(b)["sup"] == Q(5, 16)
+    assert vars(b)["sums"] == (0, Q(1, 4), Q(5, 16))
+    assert isinstance(blocks.PowerSums.__dict__["sums"], blocks.cached_property)
 
 
 def test_tower_bounds():

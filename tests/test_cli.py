@@ -1,9 +1,12 @@
 """CLI commands, exit codes, and JSON report determinism."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -559,7 +562,24 @@ def test_usage_error_leaves_the_parser_usable():
 def test_a_repeated_operand_gives_the_same_report(argv, code):
     first = run_command(argv)
     assert first[0] == code
-    assert run_command(argv) == first
+    again = run_command(argv)
+    assert again == first
+    # the exit code and, byte for byte, the JSON of a fresh process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    fresh = subprocess.run([sys.executable, "-m", "setmeans.cli", *argv, "--json"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (fresh.returncode, fresh.stdout) == (code, json.dumps(again[1], indent=2) + "\n")
+
+
+def test_a_long_text_is_not_kept():
+    text = "{" + ", ".join(map(str, range(40))) + "}"
+    assert len(text) > cli.KEPT_TEXT
+    info = cli._parsed.cache_info()
+    first = run_command(["eval", "--mean", "arith", text])
+    assert first[0] == 0 and run_command(["eval", "--mean", "arith", text]) == first
+    assert cli._parsed.cache_info() == info
 
 
 def test_a_text_that_does_not_parse_is_not_kept():
