@@ -15,17 +15,9 @@ Grammar (whitespace insignificant):
 ``shift`` translates.  ``tower`` takes an optional fourth scale argument
 (default 1) so that cut results render losslessly.
 
-Two paths read a text.  The fast one reads a term with one match of its
-pattern, generated from the same grammar table, and builds the term from
-the match's groups.  It accepts a text only when every term matches and
-every block it builds is valid.  Any other text, and so every malformed
-or invalid one, is read again from the start by the token parser, which
-alone raises ParseError and ValidationError, with their order, messages and
-positions.
-
 Parentheses and ``shift``, ``below`` and ``above`` calls nest at most
-NESTING_DEPTH deep: a deeper text leaves the patterns, and the token parser,
-after its lexical scan, raises ParseError at the first opener past the bound.
+NESTING_DEPTH deep: the parser, after its lexical scan of the whole text,
+raises ParseError at the first opener past the bound.
 """
 
 from __future__ import annotations
@@ -33,12 +25,13 @@ from __future__ import annotations
 import re
 
 from .blocks import INT_DIGITS, Cantor, Finite, GeomSeq, Interval, Tower
-from .errors import ParseError, SetMeansError, ValidationError
+from .errors import ParseError, ValidationError
 from .rational import Q
 from .sets import CutAbove, CutBelow, Leaf, SetExpr, Translate, Union
 
-#: the deepest nesting a text may hold: parse, normalize, every mean and render
-#: then run within Python's default recursion limit from a caller 100 frames deep
+#: the deepest nesting a text may hold: the parser, normalize, every mean and
+#: render recurse once per level, and within it they run inside Python's
+#: default recursion limit from a caller 100 frames deep
 NESTING_DEPTH = 200
 
 # a mark (its own kind), an integer, a word, then the two lexical errors:
@@ -56,63 +49,6 @@ _CALLS = {
     "above": ("er", CutAbove),
 }
 _TERM = ("{", "[", "(", *_CALLS)
-
-# the fast path's argument patterns, two groups each (an integer's second is
-# empty): an integer of at most INT_DIGITS digits, and a rational whose
-# denominator is unsigned and not zero, so that every literal the token
-# parser rejects leaves the patterns
-_DIGITS = rf"\d{{1,{INT_DIGITS}}}"
-_ARG = {"i": rf"\s*([+-]?{_DIGITS})()",
-        "r": rf"\s*([+-]?{_DIGITS})(?:\s*/\s*((?=0*[1-9]){_DIGITS}))?"}
-_COMMA = r"\s*,"
-
-
-def _args(kinds: str) -> str:
-    """The pattern of comma-separated r and i arguments; those after a ?
-    are left out together or not at all."""
-    head, _, rest = kinds.partition("?")
-    pattern = _COMMA.join(_ARG[k] for k in head)
-    return pattern + (f"(?:{_COMMA if head else ''}{_args(rest)})?" if rest else "")
-
-
-def _places(kinds: str, first: int) -> tuple:
-    """(index, kind) of each r and i argument in a match's groups(), the
-    first at index first."""
-    return tuple((first + 2 * i, k) for i, k in enumerate(kinds.replace("?", "")))
-
-
-def _terms():
-    """One pattern whose alternatives are the heads of the term kinds, the
-    first a whole finite list; and, by each other alternative's group,
-    where the match holds its arguments, the pattern of those after an
-    expression argument (None without one), where that match holds them,
-    and the builder."""
-    rows = [(r"\[", "rr", r"\s*\]", lambda lo, hi: Leaf(Interval(lo, hi))),
-            (r"\(", "e", r"\s*\)", lambda e: e),
-            *((rf"{name}\s*\(", kinds, r"\s*\)", build)
-              for name, (kinds, build) in _CALLS.items())]
-    heads, terms = [rf"\{{{_ARG['r']}(?:{_COMMA}{_ARG['r']})*\s*\}}"], []
-    for opener, kinds, closer, build in rows:
-        before, e, after = kinds.partition("e")
-        if e:  # the expression is read between the head and the tail
-            heads.append(opener + _args(before) + (_COMMA if before else ""))
-            tail = re.compile((_COMMA if after else "") + _args(after) + closer)
-        else:
-            heads.append(opener + _args(before) + closer)
-            tail = None
-        terms.append((before, tail, after, build))
-    head = re.compile(r"\s*(?:" + "|".join(f"(?P<t{i}>{h})" for i, h in enumerate(heads)) + ")")
-    group = [head.groupindex[f"t{i}"] for i in range(len(heads))]
-    return head, {group[i]: (_places(before, group[i]), tail, _places(after, 0), build)
-                  for i, (before, tail, after, build) in enumerate(terms, 1)}
-
-
-_HEAD, _ROWS = _terms()
-_RAT, _UNION, _END = re.compile(_ARG["r"]), re.compile(r"\s*U"), re.compile(r"\s*\Z")
-
-
-class _Unmatched(Exception):
-    """A text leaves the fast path's patterns."""
 
 
 def _error(src: str, offset: int, message: str, expected) -> ParseError:
@@ -245,54 +181,11 @@ class _Parser:
         return Q(num, den)
 
 
-def _values(places: tuple, groups: tuple) -> list:
-    """The r and i arguments at these places of a match's groups; an
-    optional one left out holds None."""
-    return [int(groups[i]) if kind == "i" else
-            Q(int(groups[i]), int(groups[i + 1])) if groups[i + 1] else Q(int(groups[i]))
-            for i, kind in places if groups[i] is not None]
-
-
-def _expr(src: str, pos: int, depth: int) -> tuple[SetExpr, int]:
-    """The fast path: the expression at src[pos:], depth deep, and where it ends."""
-    e, pos = _term(src, pos, depth)
-    parts = [e]
-    while m := _UNION.match(src, pos):
-        e, pos = _term(src, m.end(), depth)
-        parts.append(e)
-    return (e if len(parts) == 1 else Union(tuple(parts))), pos
-
-
-def _term(src: str, pos: int, depth: int) -> tuple[SetExpr, int]:
-    m = _HEAD.match(src, pos)
-    if m is None:
-        raise _Unmatched
-    if m.lastindex == 1:
-        pts = [Q(int(num), int(den)) if den else Q(int(num))
-               for num, den in _RAT.findall(src, m.start(1), m.end())]
-        return Leaf(Finite(tuple(pts))), m.end()
-    places, tail, tail_places, build = _ROWS[m.lastindex]
-    args, pos = _values(places, m.groups()), m.end()
-    if tail is not None:
-        if depth == NESTING_DEPTH:
-            raise _Unmatched  # the token parser reports the nesting
-        child, pos = _expr(src, pos, depth + 1)
-        if (m := tail.match(src, pos)) is None:
-            raise _Unmatched
-        args += [child, *_values(tail_places, m.groups())]
-        pos = m.end()
-    return build(*args), pos
-
-
 def parse(src: str) -> SetExpr:
-    """Parse source text; ParseError carries 1-based line/column."""
-    try:
-        e, pos = _expr(src, 0, 0)
-        if _END.match(src, pos):
-            return e
-    except (_Unmatched, SetMeansError):
-        # the token parser finds the first error, a lexical one before any other
-        pass
+    """Parse source text; ParseError carries 1-based line/column.  The whole
+    text is scanned first, so a lexical error anywhere in it comes before any
+    other; then it is read left to right, each block validated as it is
+    built, so the first syntax or ValidationError in the text is raised."""
     return _Parser(src).parse()
 
 

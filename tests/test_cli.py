@@ -444,6 +444,11 @@ PART_SHIFT_INPUTS = "['tower(2, 22/3, 1/6, -1)', 'seq(-9/8, 1, 1/5)', 'x="
      ["witness (big): {-5/6, -2/3, -11/24, -5/12, -3/8, -35/108, -17/54, -11/36, -8/27, "
       "-31/108, -5/18, -29/108, -7/27}", "stage ratios: 2, 5, 13/2"]),
     (["eval", "--mean", "arith", "{1}"], 0, ["arith mean = 1"]),
+    # a parse error and a usage error have no result line: each diagnostic
+    # is printed once
+    (["eval", "--mean", "arith", "{1"], 2,
+     ["parse error: unexpected end of input at line 1, column 3 (expected })"]),
+    (["eval", "{1}"], 2, ["usage error"]),
 ])
 def test_main_prints_human_lines(capsys, argv, code, lines):
     from setmeans.cli import main

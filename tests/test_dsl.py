@@ -4,6 +4,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import reduce
 
 import pytest
 
@@ -398,64 +399,53 @@ def test_parser_agrees_with_the_reference_on_mutated_texts():
 
 
 # ---------------------------------------------------------------------------
-# the term patterns against the token parser: parse reads a text by its
-# patterns and leaves every other text to the token parser, so each text
-# must read the same, or fail with the same error, both ways
+# texts at the edges of the grammar, each with its outcome written out: the
+# expression, or the error's type, message, line, column and expected set
+# (a ValidationError carries no position); the test keeps the name it had
+# when a second reader, since deleted, had to agree with the parser on them
 
 
-def token_parse(src: str) -> SetExpr:
-    return dsl._Parser(src).parse()
-
+ONE, TWO, THREE = (Leaf(Finite((Q(k),))) for k in (1, 2, 3))
+HALVES = Leaf(GeomSeq(Q(0), Q(1), Q(1, 2)))
+LONG = ("integer literal longer than 4300 digits",)
+DIGITS = ("integer of at most 4300 digits",)
+DEEP = ("nesting deeper than 200 levels",)
+DEPTH = ("at most 200 nested terms",)
 
 PATTERN_EDGES = [
-    "{1}Useq(0,1,1/2)",  # the tokenizer reads U as a mark before a word
-    "seq (0,1,1/2)",
-    "seq(0,1,2) U {",  # the ValidationError comes before the syntax error
-    "seq(0,1,2) U ½",  # the lexical error comes first
-    "{1/-2}",
-    "{1/0}",
-    "{}",
-    "tower(2,0,1/4,)",
-    "{٣}",
-    "({1} U {2}) U {3}",
+    ("{1}Useq(0,1,1/2)", Union((ONE, HALVES))),  # the tokenizer reads U as a mark before a word
+    ("seq (0,1,1/2)", HALVES),
+    ("seq(0,1,2) U {",  # the ValidationError comes before the syntax error
+     ("ValidationError", ("geometric sequence ratio must be in (0, 1)",), None, None, None)),
+    ("seq(0,1,2) U ½",  # the lexical error comes first
+     ("ParseError", ("unexpected character '½'",), 1, 14, ("expression",))),
+    ("{1/-2}",
+     ("ParseError", ("denominator must be a positive integer",), 1, 4, ("positive integer",))),
+    ("{1/0}",
+     ("ParseError", ("denominator must be a positive integer",), 1, 4, ("positive integer",))),
+    ("{}", ("ParseError", ("unexpected '}'",), 1, 2, ("int",))),
+    ("tower(2,0,1/4,)", ("ParseError", ("unexpected ')'",), 1, 15, ("int",))),
+    ("{٣}", THREE),
+    ("({1} U {2}) U {3}", Union((Union((ONE, TWO)), THREE))),
     # a literal past the digit limit in each argument kind
-    "{" + "1" * 4301 + "}",
-    "{1/" + "3" * 4301 + "}",
-    "tower(" + "2" * 4301 + ", 0, 1/4)",
-    "cantor(0, 1, " + "3" * 4301 + ", 1/9)",
+    ("{" + "1" * 4301 + "}", ("ParseError", LONG, 1, 2, DIGITS)),
+    ("{1/" + "3" * 4301 + "}", ("ParseError", LONG, 1, 4, DIGITS)),
+    ("tower(" + "2" * 4301 + ", 0, 1/4)", ("ParseError", LONG, 1, 7, DIGITS)),
+    ("cantor(0, 1, " + "3" * 4301 + ", 1/9)", ("ParseError", LONG, 1, 14, DIGITS)),
     # nested past NESTING_DEPTH: the lexical error still comes first
-    "(" * 5000 + "½",
-    # nested at NESTING_DEPTH and one past it
-    *(opener * n + "{1}" + closer * n for opener, closer in (("(", ")"), ("shift(", ", 1)"))
-      for n in (dsl.NESTING_DEPTH, dsl.NESTING_DEPTH + 1)),
+    ("(" * 5000 + "½", ("ParseError", ("unexpected character '½'",), 1, 5001, ("expression",))),
+    # nested at NESTING_DEPTH and one past it, in parentheses and in shift calls
+    ("(" * 200 + "{1}" + ")" * 200, ONE),
+    ("(" * 201 + "{1}" + ")" * 201, ("ParseError", DEEP, 1, 201, DEPTH)),
+    ("shift(" * 200 + "{1}" + ", 1)" * 200,
+     reduce(lambda e, _: Translate(e, Q(1)), range(200), ONE)),
+    ("shift(" * 201 + "{1}" + ", 1)" * 201, ("ParseError", DEEP, 1, 1201, DEPTH)),
 ]
 
 
-@pytest.mark.parametrize("src", PATTERN_EDGES, ids=range(len(PATTERN_EDGES)))
-def test_patterns_agree_with_the_token_parser_at_the_edges(src):
-    assert outcome(parse, src) == outcome(token_parse, src)
-
-
-def test_patterns_agree_with_the_token_parser_on_corpus_and_mutated_texts():
-    texts = corpus_texts()
-    for text in texts + mutations(texts, 9600, seed=15):
-        assert outcome(parse, text) == outcome(token_parse, text), text
-
-
-@pytest.mark.parametrize("seed", [101, 9001])
-@pytest.mark.parametrize("workload", ["query-exact", "query-iso"])
-def test_patterns_read_every_benchmark_operand(workload, seed, monkeypatch):
-    import setmeans
-    from test_argv import _workloads
-
-    def unbuilt(src):
-        raise AssertionError(f"the token parser read {src!r}")
-
-    token = dsl._Parser
-    monkeypatch.setattr(dsl, "_Parser", unbuilt)
-    texts = {t for op in _workloads().build(setmeans, workload, seed).ops for t in op.operands}
-    for text in texts:
-        assert parse(text) == token(text).parse(), text
+@pytest.mark.parametrize("src, want", PATTERN_EDGES, ids=range(len(PATTERN_EDGES)))
+def test_patterns_agree_with_the_token_parser_at_the_edges(src, want):
+    assert outcome(parse, src) == want
 
 
 def _from_frames(depth: int, f):
