@@ -190,13 +190,18 @@ class PowerSums:
     def sup(self) -> Q:
         return self.anchor + self.scale * self.sums[-1] if self.scale > 0 else self.anchor
 
+    @cached_property
+    def acc_end(self) -> Q:
+        """``anchor + scale * S_(level-1)``, the derived set's end off the anchor."""
+        return self.anchor + self.scale * self.sums[-2]
+
     def translate(self, x: Q):
         """The block moved by x, unchecked: the cached sums depend only on
-        ratio and level and are carried, and cached bounds move by x."""
+        ratio and level and are carried, and cached ends move by x."""
         x = as_q(x)
         fields = dict(vars(self))
         fields["anchor"] = self.anchor + x
-        for end in ("inf", "sup"):
+        for end in ("inf", "sup", "acc_end"):
             if end in fields:
                 fields[end] += x
         return _unchecked(type(self), fields)

@@ -5,10 +5,11 @@ elements and deterministic shifts.  Inputs outside a law's hypotheses are
 skipped trials, never violations, and each names the hypothesis that failed.
 A row reads its hypotheses first, the corpus means before disjointness, and
 stops at the first that fails: a skipped trial builds no translate or union
-and evaluates no mean of its conclusion, so an error that only the
-conclusion would raise is not raised for it.  The harness never claims a
-law holds, only that no violation turned up in the trials it ran, and every
-recorded violation replays from its rendered inputs.
+and evaluates no mean of its conclusion, so an error that only the conclusion
+would raise is not raised for it.  Disjointness and union are one call,
+sets.disjoint_union, which builds a union only for a disjoint pair.  The
+harness never claims a law holds, only that no violation turned up in the
+trials it ran, and every recorded violation replays from its rendered inputs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .sets import (
     Union,
     bounds,
     diameter,
-    disjoint,
+    disjoint_union,
     normalize,
     translate_set,
     union_sets,
@@ -188,11 +189,11 @@ INEXACT = "K(L u B u B+x) is not exact"
 UNRESOLVED = "the sign is not resolvable at tolerance"
 
 
-def _disjoint(h1: BlockSet, h2: BlockSet):
-    """True exactly when intersect(h1, h2) returns the empty set; otherwise
-    False, or None for an undecidable pair, and callers skip either."""
+def _union_if_disjoint(h1: BlockSet, h2: BlockSet):
+    """h1 u h2 when intersect(h1, h2) returns the empty set; otherwise None,
+    for a meeting or an undecidable pair, and callers skip either."""
     try:
-        return disjoint(h1, h2)
+        return disjoint_union(h1, h2)
     except IntersectionNotRepresentable:
         return None
 
@@ -290,11 +291,11 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
         sign = order(v1, v2, tol)
         if sign is None:
             return UNDEFINED
-        if _disjoint(h1, h2) is not True:
+        if (u := _union_if_disjoint(h1, h2)) is None:
             return NOT_DISJOINT
         if sign > 0:
-            h1, h2, v1, v2 = h2, h1, v2, v1
-        vu = mean_of(union_sets(h1, h2), mean, cfg)
+            v1, v2 = v2, v1
+        vu = mean_of(u, mean, cfg)
         return between(v1, vu, v2, lambda: ((text(a), text(b)), f"K1={v1} Ku={vu} K2={v2}"))
 
     def union_monotone(i):
@@ -303,11 +304,11 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
         va = mean_of(a, mean, cfg)
         if not va.is_defined:
             return UNDEFINED
-        if _disjoint(b, c) is not True:
+        if (bc := _union_if_disjoint(b, c)) is None:
             return NOT_DISJOINT
         unions = []
-        for parts in ((b,), (c,), (b, c)):  # K(A u B), K(A u C), K(A u B u C)
-            v = mean_of(union_sets(a, *parts), mean, cfg)
+        for part in (b, c, bc):  # K(A u B), K(A u C), K(A u B u C)
+            v = mean_of(union_sets(a, part), mean, cfg)
             if not v.is_defined:
                 return UNDEFINED
             unions.append(v)
@@ -332,9 +333,8 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
         vl = mean_of(L, mean, cfg)
         if not vl.is_defined:
             return UNDEFINED
-        if _disjoint(L, B) is not True:
+        if (lb := _union_if_disjoint(L, B)) is None:
             return NOT_DISJOINT
-        lb = union_sets(L, B)
         vlb = mean_of(lb, mean, cfg)
         if not vlb.is_defined:
             return UNDEFINED
@@ -345,10 +345,9 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
             s = 1 if x > 0 else -1
             if side != s:
                 return WRONG_SIDE
-            bx = translate_set(B, x)
-            if _disjoint(lb, bx) is not True:
+            if (full := _union_if_disjoint(lb, translate_set(B, x))) is None:
                 return NOT_DISJOINT
-            vfull = mean_of(union_sets(lb, bx), mean, cfg)
+            vfull = mean_of(full, mean, cfg)
             if not vfull.is_exact:
                 return INEXACT
             return order(vfull, vlb, tol) == s, lambda: ((text(a), text(b), f"x={x}"),
@@ -369,23 +368,22 @@ def check_law(mean: MeanKind, law: LawKind, corpus: list[SetExpr],
         if not v.is_defined:
             return UNDEFINED
         d = diameter(h)  # x past the diameter keeps the union overlap-free
-        return [same(i, x, "K(H u H+x)", mean_of(union_sets(h, translate_set(h, x)), mean, cfg),
+        return [same(i, x, "K(H u H+x)", mean_of(disjoint_union(h, translate_set(h, x)), mean, cfg),
                      "K(H)+x/2", v.shifted(x / 2)) for x in (d + 1, d + 2, d + 7)]
 
     def part_shift_invariant(i):
         a, b = pair(i)
         h1, h2 = sets[a], sets[b]
-        if _disjoint(h1, h2) is not True:
+        if (u := _union_if_disjoint(h1, h2)) is None:
             return NOT_DISJOINT
-        v0 = mean_of(union_sets(h1, h2), mean, cfg)
+        v0 = mean_of(u, mean, cfg)
         if not v0.is_defined:
             return UNDEFINED
 
         def at(x):
-            h2x = translate_set(h2, x)
-            if _disjoint(h1, h2x) is not True:
+            if (ux := _union_if_disjoint(h1, translate_set(h2, x))) is None:
                 return NOT_DISJOINT
-            vx = mean_of(union_sets(h1, h2x), mean, cfg)
+            vx = mean_of(ux, mean, cfg)
             sign, exact = order(vx, v0, tol), vx.is_exact and v0.is_exact
             if sign is None:
                 return UNDEFINED

@@ -19,9 +19,10 @@ the comparison is undecided: IncomparableDimensions, or an INCONCLUSIVE
 verdict.  An enclosure is a (lo, hi) pair of mpmath's interval kernel
 (mpmath.libmp), built at a precision passed as an argument and read at 53
 bits, so mpmath's global precision neither changes nor matters.  Each power
-test and enclosure is computed once per value and precision and kept
-(rational.CACHE_SIZE entries each: the bound every memo of the library
-shares, with rational._inverse and the parsed operands of cli._norm).
+test and enclosure is computed once per value and precision and kept, and
+so is each Cantor family's dimension (rational.CACHE_SIZE entries each:
+the bound every memo of the library shares, with rational._inverse and the
+parsed operands of cli._norm).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from mpmath.libmp import (fzero, from_float, from_int, mpf_lt, mpi_add, mpi_delt
                           mpi_exp, mpi_log, mpi_lt, mpi_mid, mpi_mul, mpi_pow, mpi_sub,
                           round_ceiling, round_floor, to_float)
 
-from .blocks import Cantor, Interval, PowerSums, Q, _log_ratio
+from .blocks import Cantor, Interval, PowerSums, Q, _log_ratio, _unchecked
 from .errors import DomainViolation, EmptyResult, IncomparableDimensions, ValidationError
 from .rational import CACHE_SIZE
 from .sets import BlockSet, bounds, level, top_level, INFINITE_LEVEL
@@ -60,7 +61,8 @@ class MeanValue:
 
     @staticmethod
     def exact(value: Q) -> "MeanValue":
-        return MeanValue("exact", value=Q(value))
+        """Built with no frozen __setattr__; the other fields read their defaults."""
+        return _unchecked(MeanValue, {"status": "exact", "value": Q(value)})
 
     @staticmethod
     def approximate(value: float, tol: float) -> "MeanValue":
@@ -110,12 +112,12 @@ def order(a: MeanValue, b: MeanValue, tol: float) -> Optional[int]:
     if not (a.is_defined and b.is_defined):
         return None
     if a.is_exact and b.is_exact:
-        d = a.value - b.value
+        x, y = a.value, b.value
     else:
-        d = a.as_float() - b.as_float()
-        if abs(d) <= 2 * tol:
+        x, y = a.as_float(), b.as_float()
+        if abs(x - y) <= 2 * tol:
             return 0
-    return (d > 0) - (d < 0)
+    return (x > y) - (x < y)
 
 
 def combine(f, *values: MeanValue, tol: float) -> MeanValue:
@@ -242,11 +244,15 @@ DIM_ONE = DimValue("one")
 
 
 def block_dim(b) -> DimValue:
-    if isinstance(b, Interval):
-        return DIM_ONE
     if isinstance(b, Cantor):
-        return DimValue("log_ratio", m=b.pieces, invr=1 / b.ratio)
-    return DIM_ZERO
+        return _cantor_dim(b.pieces, b.ratio)
+    return DIM_ONE if isinstance(b, Interval) else DIM_ZERO
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _cantor_dim(m: int, r: Q) -> DimValue:
+    """log m / log(1/r): one object per (pieces, ratio), compared by identity."""
+    return DimValue("log_ratio", m=m, invr=1 / r)
 
 
 def compare_dims(d1: DimValue, d2: DimValue) -> int:
@@ -287,7 +293,7 @@ def dimension_of(h: BlockSet) -> DimValue:
     best = DIM_ZERO
     for b in h.blocks:
         d = block_dim(b)
-        if compare_dims(d, best) > 0:
+        if d is not best and compare_dims(d, best) > 0:
             best = d
     return best
 
@@ -658,7 +664,7 @@ def _weight(h: BlockSet, kind: MeanKind):
 
 def _top_blocks(h: BlockSet, dim: DimValue) -> list:
     """h's blocks at dimension dim: at h's own dimension, the parts avg weighs."""
-    return [b for b in h.blocks if compare_dims(block_dim(b), dim) == 0]
+    return [b for b in h.blocks if (d := block_dim(b)) is dim or compare_dims(d, dim) == 0]
 
 
 def _point_weight(at, h: BlockSet) -> Weight:
@@ -695,11 +701,12 @@ def mean_iso(h: BlockSet, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
 def mean_of(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
     """Dispatch to the requested mean; domain violations become UNDEFINED.
 
-    The value is computed once per (kind, cfg) for each set object and kept
-    with it (BlockSet.memo); a mean that raises is not kept.
+    The value is computed once per kind and cfg for each set object and kept
+    with it (BlockSet.memo), keyed by cfg's field values, which hash in C; a
+    mean that raises is not kept.
     """
     kind = MeanKind(kind)
-    return h.memo((kind, cfg), lambda: _mean(h, kind, cfg))
+    return h.memo((kind, *vars(cfg).values()), lambda: _mean(h, kind, cfg))
 
 
 def _mean(h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> MeanValue:

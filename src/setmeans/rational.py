@@ -32,7 +32,8 @@ _MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
 
 #: entries kept by each bounded memo of the library: _inverse here,
 #: blocks._log_ratio, the enclosures of means (each kept per value and
-#: precision) and the parsed operand texts of cli._norm
+#: precision), the Cantor dimensions of means (one per pieces and ratio)
+#: and the parsed operand texts of cli._norm
 CACHE_SIZE = 1024
 
 

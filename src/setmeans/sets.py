@@ -43,6 +43,7 @@ from .errors import (
 )
 
 INFINITE_LEVEL = math.inf
+_UNSET = object()  # what BlockSet.memo has not kept
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,10 @@ class BlockSet:
         life of the object.  The set is immutable, so what is derived from it
         is too: its derived set, its means and weights, its bounds, its
         isolation profile."""
-        derived = self._derived
-        if key not in derived:
-            derived[key] = compute()
-        return derived[key]
+        value = self._derived.get(key, _UNSET)
+        if value is _UNSET:
+            value = self._derived[key] = compute()
+        return value
 
     @property
     def is_empty(self) -> bool:
@@ -425,10 +426,10 @@ def bounds(h: BlockSet) -> Bounds:
     h' is empty), kept with the set (BlockSet.memo).
 
     h' is the union of its blocks' derived sets, so its hull is read from
-    each block other than Finite: a sequence gives its anchor, a level-k
-    tower its anchor and the box of its (k-1)-tower, anchor + scale *
-    S_(k-1), and an interval or a Cantor block its own ends.  No derived set
-    is built.
+    each block other than Finite: a sum-of-powers block gives its anchor and
+    the far end of its (k-1)-tower, anchor + scale * S_(k-1) (its acc_end,
+    the anchor again for a sequence), and an interval or a Cantor block its
+    own ends.  No derived set is built.
     """
     if h.is_empty:
         raise EmptyResult("bounds of the empty set are undefined")
@@ -439,11 +440,11 @@ def _bounds(blocks) -> Bounds:
     acc = []
     for b in blocks:
         if isinstance(b, PowerSums):
-            acc.append(b.anchor)
-            if b.level > 1:
-                acc.append(b.anchor + b.scale * b.sums[b.level - 1])
+            acc.extend((b.anchor, b.acc_end) if b.scale > 0 else (b.acc_end, b.anchor))
         elif not isinstance(b, Finite):
             acc.extend((b.inf, b.sup))
+    if len(blocks) == 1:  # a lone block as it stands: its ends come in order
+        return Bounds(blocks[0].inf, blocks[0].sup, *(acc or (None, None)))
     return Bounds(min(b.inf for b in blocks), max(b.sup for b in blocks),
                   min(acc, default=None), max(acc, default=None))
 
@@ -669,3 +670,19 @@ def disjoint(h1: BlockSet, h2: BlockSet) -> bool:
     that raises IntersectionNotRepresentable, as intersect does.
     """
     return not any(_block_intersections(h1, h2))
+
+
+def disjoint_union(h1: BlockSet, h2: BlockSet) -> Optional[BlockSet]:
+    """union_sets(h1, h2) when disjoint(h1, h2), else None; it raises where
+    disjoint raises.  No two blocks of disjoint canonical sets overlap,
+    touch or hold one another, so their union is canonical once the finite
+    points and the other blocks are each merged: nothing is tested again."""
+    if not disjoint(h1, h2):
+        return None
+    f1, f2 = (h.blocks[0] if h.blocks and isinstance(h.blocks[0], Finite) else None
+              for h in (h1, h2))
+    o1, o2 = h1.blocks[f1 is not None:], h2.blocks[f2 is not None:]
+    others = sorted(o1 + o2, key=block_sort_key) if o1 and o2 else o1 + o2
+    if f1 and f2:
+        f1 = Finite.of_sorted(tuple(sorted(f1.points + f2.points)))
+    return BlockSet((f1 or f2, *others) if f1 or f2 else others)

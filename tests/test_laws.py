@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -10,6 +11,7 @@ import pytest
 from setmeans import (
     Finite,
     GeomSeq,
+    IntersectionNotRepresentable,
     LawKind,
     MeanKind,
     ValidationError,
@@ -24,7 +26,7 @@ from setmeans import (
 from setmeans import laws
 from setmeans.laws import replay_violation
 from setmeans.means import MeanValue
-from setmeans.sets import Leaf, Union
+from setmeans.sets import Leaf, Union, disjoint
 
 
 def test_corpus_determinism():
@@ -177,8 +179,9 @@ def test_union_monotone_trusts_a_strict_step_only_between_exact_values(monkeypat
 def test_a_skipped_trial_builds_nothing(monkeypatch):
     # every arith mean of an infinite set is undefined, so LAW_TABLE has every
     # trial of this corpus skipped: hypotheses are read before any translate or
-    # union is built, except part-shift-invariant's, which is K(H1 u H2) itself
-    built = Counter()
+    # union is built, except part-shift-invariant's, which is K(H1 u H2) itself;
+    # the fused disjointness test builds a union only for a disjoint pair
+    built, pairs = Counter(), {}
 
     def counted(name, f):
         def g(*args):
@@ -186,24 +189,61 @@ def test_a_skipped_trial_builds_nothing(monkeypatch):
             return f(*args)
         return g
 
-    def disjoint(h1, h2, _disjoint=laws._disjoint):
-        out = _disjoint(h1, h2)
-        built["disjoint pair"] += out is True
+    def disjoint_union(h1, h2, _fused=laws.disjoint_union):
+        try:
+            apart = disjoint(h1, h2)
+        except IntersectionNotRepresentable:
+            apart = False
+        out = _fused(h1, h2)  # raises where disjoint raised
+        assert (out is not None) == apart
+        if apart:  # keyed by identity; the pair is held, so no id is reused
+            pairs[id(h1), id(h2)] = h1, h2
+        built["union"] += out is not None
         return out
 
     monkeypatch.setattr(laws, "union_sets", counted("union", laws.union_sets))
     monkeypatch.setattr(laws, "translate_set", counted("translate", laws.translate_set))
-    monkeypatch.setattr(laws, "_disjoint", disjoint)
+    monkeypatch.setattr(laws, "disjoint_union", disjoint_union)
     corpus = gen_corpus(4, 30, "sequences")
     for law in LawKind:
         built.clear()
+        pairs.clear()
         rep = check_law(MeanKind.ARITH, law, corpus)
         assert rep.skipped == rep.trials, law
         assert built["translate"] == 0, law
         if law is LawKind.PART_SHIFT_INVARIANT:
-            assert built["union"] == built["disjoint pair"] > 0
+            assert built["union"] == len(pairs) > 0
         else:
             assert built["union"] == 0, law
+
+
+@pytest.mark.parametrize("seed", [101, 9001])
+def test_benchmark_law_unions_equal_the_normalized_unions(monkeypatch, seed):
+    # every fused union a sweep-laws pass builds is union_sets of its pair,
+    # and a pair that is not disjoint gives None, or raises as disjoint does
+    import setmeans
+    from test_argv import _workloads
+
+    wl = _workloads().build(setmeans, "sweep-laws", seed)
+    seen = Counter()
+
+    def checked(h1, h2, _fused=laws.disjoint_union):
+        try:
+            apart = disjoint(h1, h2)
+        except IntersectionNotRepresentable as exc:
+            with pytest.raises(IntersectionNotRepresentable, match=re.escape(str(exc))):
+                _fused(h1, h2)
+            seen["undecidable"] += 1
+            raise
+        out = _fused(h1, h2)
+        assert out == (union_sets(h1, h2) if apart else None), (h1, h2)
+        seen[apart] += 1
+        return out
+
+    monkeypatch.setattr(laws, "disjoint_union", checked)
+    for op in wl.ops:
+        check_law(op.mean, op.law, wl.corpora[op.corpus])
+    assert seen[True] > 1000 and seen[False] and seen["undecidable"], seen
 
 
 # (trials, skipped, violations) of each law, in LawKind order, for each

@@ -64,7 +64,7 @@ from setmeans.blocks import (
     tower_outer_points,
 )
 from setmeans.errors import CutNotRepresentable, DomainViolation
-from setmeans.laws import PROFILES, _disjoint
+from setmeans.laws import PROFILES, _union_if_disjoint
 from setmeans.means import (
     DEFAULT_CONFIG,
     MeanValue,
@@ -176,11 +176,12 @@ def test_disjoint_agrees_with_intersect(seed):
                 empty = intersect(h1, h2).is_empty
             except IntersectionNotRepresentable:
                 empty = None
-            got = _disjoint(h1, h2)
-            assert (got is True) == (empty is True), (h1, h2)
-            outcomes[empty, got] += 1
+            got = _union_if_disjoint(h1, h2)
+            assert (got is not None) == (empty is True), (h1, h2)
+            assert got is None or got == union_sets(h1, h2), (h1, h2)
+            outcomes[empty, got is not None] += 1
     # disjoint pairs, meeting pairs, and undecidable pairs all occur
-    assert outcomes[True, True] and outcomes[False, False] and outcomes[None, None]
+    assert outcomes[True, True] and outcomes[False, False] and outcomes[None, False]
 
 
 def test_cantor_cut_partitions_membership():

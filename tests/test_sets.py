@@ -1,6 +1,8 @@
 """Normalization, derived sets, levels, isolation, cuts, intersection."""
 
 import random
+import re
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction as Q
 from unittest import mock
@@ -44,11 +46,11 @@ from setmeans import (
     union_sets,
 )
 from setmeans import sets
-from setmeans.blocks import block_contains, block_sort_key
+from setmeans.blocks import block_contains, block_sort_key, power_block
 from setmeans.errors import CutNotRepresentable, MembershipUndecided
-from setmeans.laws import PROFILES
+from setmeans.laws import PROFILES, _shifts
 from setmeans.means import dimension_of
-from setmeans.sets import INFINITE_LEVEL, _geom_absorbs, disjoint, isolated_count
+from setmeans.sets import INFINITE_LEVEL, _geom_absorbs, disjoint, disjoint_union, isolated_count
 
 
 def bset(*blocks) -> BlockSet:
@@ -268,6 +270,31 @@ def test_bounds():
     assert (bd.inf, bd.sup, bd.acc_inf, bd.acc_sup) == (Q(4), Q(4), None, None)
 
 
+@pytest.mark.parametrize("profile", PROFILES)
+def test_bounds_are_the_hulls_of_the_blocks_and_of_the_derived_set(profile):
+    for e in gen_corpus(5, 40, profile):
+        h = normalize(e)
+        # _shifts reads h's bounds first, so its translates carry cached ends
+        for g in (h, *(translate_set(h, x) for x in _shifts(h))):
+            bd, acc = bounds(g), derived_set(g).blocks
+            assert (bd.inf, bd.sup) == (min(b.inf for b in g.blocks), max(b.sup for b in g.blocks))
+            assert (bd.acc_inf, bd.acc_sup) == ((min(b.inf for b in acc), max(b.sup for b in acc))
+                                                if acc else (None, None)), g
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("scale", [Q(1, 2), Q(-3)])
+def test_the_accumulation_end_is_kept_and_moved(level, scale):
+    b = power_block(level, Q(1, 3), scale, Q(1, 5))
+    end = Q(1, 3) + scale * b.sums[level - 1]
+    assert b.acc_end == end
+    moved = b.translate(Q(7, 2))
+    assert vars(moved)["acc_end"] == end + Q(7, 2)  # carried, not computed again
+    assert power_block(level, Q(1, 3) + Q(7, 2), scale, Q(1, 5)).acc_end == moved.acc_end
+    bd = bounds(BlockSet((moved,)))
+    assert (bd.acc_inf, bd.acc_sup) == tuple(sorted((moved.anchor, moved.acc_end)))
+
+
 def test_isolated_outside_examples():
     h = bset(GeomSeq(Q(0), Q(1), Q(1, 2)))
     assert isolated_outside(h, Q(1, 8)) == [Q(1, 8), Q(1, 4), Q(1, 2)]
@@ -433,6 +460,62 @@ def test_disjoint_stops_at_the_first_overlap():
     with pytest.raises(IntersectionNotRepresentable):
         disjoint(bset(GeomSeq(Q(0), Q(1), Q(1, 2))), bset(GeomSeq(Q(0), Q(1), Q(1, 3))))
     assert disjoint(s2, bset(Interval(Q(2), Q(3))))
+
+
+def _disjointness(h1, h2):
+    try:
+        return disjoint(h1, h2)
+    except IntersectionNotRepresentable as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_disjoint_union_is_the_normalized_union(seed):
+    hs = [normalize(e) for e in gen_corpus(seed, 60, "mixed")]
+    n, outcomes = len(hs), Counter()
+    for i, h1 in enumerate(hs):
+        for h2 in (hs[(i * 7 + 3) % n], hs[(i * 13 + 5) % n]):
+            for g in (h2, *(translate_set(h2, x) for x in _shifts(h2))):
+                want = _disjointness(h1, g)
+                outcomes[want if isinstance(want, bool) else "undecidable"] += 1
+                if isinstance(want, str):
+                    with pytest.raises(IntersectionNotRepresentable, match=re.escape(want)):
+                        disjoint_union(h1, g)
+                elif want:
+                    u, want = disjoint_union(h1, g), reference_canonical([*h1.blocks, *g.blocks])
+                    assert u == union_sets(h1, g) == want, (h1, g)
+                    assert_canonical(u)
+                else:
+                    assert disjoint_union(h1, g) is None, (h1, g)
+    # disjoint pairs, meeting pairs, and undecidable pairs all occur
+    assert outcomes[True] and outcomes[False] and outcomes["undecidable"]
+
+
+@pytest.mark.parametrize("h1, h2, union", [
+    # closed intervals that touch share their common end
+    (bset(Interval(Q(0), Q(1))), bset(Interval(Q(1), Q(2))), None),
+    # a sequence's anchor is not its point, so the finite point stays
+    (bset(Finite((Q(0),))), bset(GeomSeq(Q(0), Q(1), Q(1, 2))),
+     (Finite((Q(0),)), GeomSeq(Q(0), Q(1), Q(1, 2)))),
+    # 1/3 ends the top gap of the Cantor set, 1/2 lies inside it
+    (bset(Finite((Q(1, 3),))), bset(Cantor(Q(0), Q(1), 2, Q(1, 3))), None),
+    (bset(Finite((Q(1, 2),))), bset(Cantor(Q(0), Q(1), 2, Q(1, 3))),
+     (Finite((Q(1, 2),)), Cantor(Q(0), Q(1), 2, Q(1, 3)))),
+    # every point of seq(0,1,1/4) is one of seq(0,1,1/2)
+    (bset(GeomSeq(Q(0), Q(1), Q(1, 4))), bset(GeomSeq(Q(0), Q(1), Q(1, 2))), None),
+    # interleaved finite points, and blocks that come in the other set's order
+    (bset(Finite((Q(0), Q(2), Q(4))), Interval(Q(10), Q(11))),
+     bset(Finite((Q(1), Q(3))), GeomSeq(Q(20), Q(1), Q(1, 2))),
+     (Finite((Q(0), Q(1), Q(2), Q(3), Q(4))), GeomSeq(Q(20), Q(1), Q(1, 2)),
+      Interval(Q(10), Q(11)))),
+], ids=["touching intervals", "point at an anchor", "point at a gap end",
+        "point in a gap", "subsequence", "interleaved"])
+def test_disjoint_union_edges(h1, h2, union):
+    for a, b in ((h1, h2), (h2, h1)):
+        got = disjoint_union(a, b)
+        assert got == (None if union is None else BlockSet(union))
+        assert disjoint(a, b) == (got is not None)
+        assert got is None or got == union_sets(a, b)
 
 
 def test_contains_across_blocks():
