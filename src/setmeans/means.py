@@ -607,8 +607,7 @@ class Weight:
 
     def mean(self, tol: float) -> MeanValue:
         """sum(t * x) / sum(t) over terms and positions: direct for a rational total,
-        else _weighted_mean in block order, whose enclosure sums classes in that order
-        (weigh.weight_defect reads a separated defect the same way)."""
+        else _weighted_mean in block order, whose enclosure sums classes in that order."""
         items = zip(self.terms, self.positions)
         if self.total is not None:
             # a point's term is 1: no Fraction product for it

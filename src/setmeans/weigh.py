@@ -24,12 +24,8 @@ accumulation bounds lie beyond H1's.  The curve's trend is the equal-weight
 decision from the same Weights: growth unless they are equal, and under lis
 a bounded defect that vanishes for equal diameters.  A curve builds no set.
 
-``weight_defect`` reads the defect at one translate, inside the window too.
-It equals the evaluation of H1 u (H2+x), bit for bit when it is
-approximate: a closed form with both operand means exact (under lis at
-every translate), else, with the hulls strictly separated, the weighted mean
-of the operands' terms side by side, and otherwise the built union and
-translate.
+``weight_defect`` is the defect at one translate, inside the window too:
+the means of the built union and translate.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .blocks import as_q, cached_property
+from .blocks import cached_property
 from .classify import Answer, Method, Verdict, _closed
 from .errors import DomainViolation
 from .means import (
@@ -49,7 +45,6 @@ from .means import (
     Weight,
     _joint_sums,
     _mean_of_sums,
-    _weighted_mean,
     combine,
     compare_orders,
     mean_of,
@@ -95,20 +90,12 @@ class DefectCurve:
 
 def weight_defect(h1: BlockSet, h2: BlockSet, kind: MeanKind, x: Q,
                   cfg: LadderConfig = DEFAULT_CONFIG) -> MeanValue:
-    """K(H1 u (H2+x)) - (K(H1) + K(H2+x))/2, exact for the exact means.
-
-    Read from the operands' means, weights and bounds where _Pair.at can
-    (it equals the evaluation of the union and the translate); otherwise
-    those two sets are built and measured.  ValidationError when x is not
-    rational.
-    """
-    kind, x = MeanKind(kind), as_q(x)
-    d = _Pair(h1, h2, kind, cfg).at(x)
-    if d is None:
-        shifted = translate_set(h2, x)
-        d = combine(_defect_of, mean_of(union_sets(h1, shifted), kind, cfg),
-                    mean_of(h1, kind, cfg), mean_of(shifted, kind, cfg), tol=cfg.tol)
-    return d
+    """K(H1 u (H2+x)) - (K(H1) + K(H2+x))/2, exact for the exact means,
+    from the built translate and union.  ValidationError when x is not
+    rational."""
+    kind, shifted = MeanKind(kind), translate_set(h2, x)
+    return combine(_defect_of, mean_of(union_sets(h1, shifted), kind, cfg),
+                   mean_of(h1, kind, cfg), mean_of(shifted, kind, cfg), tol=cfg.tol)
 
 
 def _defect_of(u, k1, k2):
@@ -229,41 +216,6 @@ class _Pair:
                                        "the weights are numerically inseparable"))
         return DefectCurve(Trend.INCONCLUSIVE, Tail(right, why, why), Tail(left, why, why))
 
-    def at(self, x: Q) -> Optional[MeanValue]:
-        """The defect at x read without building a set, or None.
-
-        None when an operand's mean is undefined or, outside lis, the hulls
-        of H1 and H2+x are not strictly disjoint (touching ones can share a
-        point).  With exact K1 and K2 it is the reduced rational of the
-        union's evaluation: under lis at every x, as (H1 u H2+x)' = H1' u
-        (H2+x)', with the accumulation bounds a_i, s_i, (min(a1, a2+x) +
-        max(s1, s2+x) - x - K1 - K2)/2; else, with an exact beta, beta *
-        (x + K2 - K1).  Otherwise the union's terms are the operands' terms
-        side by side, left operand first, as the union's blocks are, and the
-        union's mean and K(H2+x) are weighted means of them.
-        """
-        (b1, b2), lis, tol = self.bounds, self.lis, self.cfg.tol
-        right = x > b1.sup - b2.inf
-        if not (lis or right or x < b1.inf - b2.sup):
-            return None
-        m1, m2 = self.means
-        if not (m1.is_defined and m2.is_defined):
-            return None
-        if lis:
-            lo, hi = min(b1.acc_inf, b2.acc_inf + x), max(b1.acc_sup, b2.acc_sup + x)
-            return MeanValue.exact((lo + hi - x - m1.value - m2.value) / 2)
-        if m1.is_exact and m2.is_exact and self.beta.is_exact:
-            return MeanValue.exact(self.beta.value * (x + m2.value - m1.value))
-        w1, w2 = self.weights
-        moved = [(t, p + x) for t, p in zip(w2.terms, w2.positions)]
-        k2 = m2.shifted(x) if m2.is_exact else _weighted_mean(moved, w2.ratio, w2.enclose, tol)
-        if self.higher:
-            k = m1 if self.higher > 0 else k2
-        else:
-            mine = list(zip(w1.terms, w1.positions))
-            k = _weighted_mean(mine + moved if right else moved + mine, w1.ratio, w1.enclose, tol)
-        return combine(_defect_of, k, m1, k2, tol=tol)
-
 
 def _alpha(beta: MeanValue, m1: MeanValue, m2: MeanValue) -> MeanValue:
     """alpha = beta * (K2 - K1): exact when beta and K2 - K1 are, or either
@@ -296,9 +248,9 @@ def equal_weight(h1: BlockSet, h2: BlockSet, kind: MeanKind, wkind: WeightKind,
 
 def compare_weights(w1: Weight, w2: Weight, kind: MeanKind) -> Verdict:
     """YES when the Weights of two sets in Dom(kind) are equal, NO when
-    their orders or magnitudes differ, INCONCLUSIVE (by the sampler) when
-    two sums of transcendental terms are not separated within the interval
-    budget.  kind (not lis) only words the evidence."""
+    their orders or magnitudes differ, INCONCLUSIVE when two sums of
+    transcendental terms are not separated once the 4096-bit interval
+    budget is spent.  kind (not lis) only words the evidence."""
     higher = compare_orders(w1.order, w2.order)
     return _weight_verdict(w1, w2, MeanKind(kind), higher, higher or w1.compare_magnitude(w2))
 

@@ -55,6 +55,17 @@ def test_avg_weights_outside_the_domain_are_not_equal():
         compare_weights(weight_of(h1, MeanKind.AVG), weight_of(h2, MeanKind.AVG), MeanKind.AVG)
 
 
+def test_lis_has_no_weight():
+    # lis decides equal weight from accumulation bounds; asking it for a
+    # Weight is a caller's error, not a set outside the domain, so it is not
+    # kept with the set as a domain reason is: the second ask raises too
+    h = normalize(parse("seq(0,1,1/2)"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^lis has no weight: it compares accumulation bounds$") as exc:
+            weight_of(h, MeanKind.LIS)
+        assert type(exc.value) is ValueError
+
+
 # ---------------------------------------------------------------------------
 # the per-kind weights, means and comparisons that Weight replaced, kept as
 # written as the reference
