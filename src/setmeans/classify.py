@@ -6,6 +6,8 @@ mean V is small to H exactly when V's order (``means.order_of``: the
 dimension, the level, or under lis the level capped at 1) is below H's, so
 every verdict is closed-form and definitive.  A set is globally small when
 it is small to every member of the domain, that is, to one of least order.
+Dom(kind) is read by ``means.undefined_reason``, which evaluates no mean,
+so no verdict here depends on tol: each ``cfg`` is accepted but unread.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .means import (
     LadderConfig,
     MeanKind,
     compare_orders,
-    mean_of,
     order_of,
+    undefined_reason,
 )
 from .rational import Q
 from .sets import (
@@ -71,9 +73,10 @@ def _closed(answer: Answer, *evidence: str) -> Verdict:
 
 def is_small_for(v: BlockSet, h: BlockSet, kind: MeanKind,
                  cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
-    """Is V small to H: does any translate of V leave K(H) unchanged?"""
+    """Is V small to H: does any translate of V leave K(H) unchanged?
+    cfg is accepted, but Dom(kind) does not depend on tol."""
     kind = MeanKind(kind)
-    if not mean_of(h, kind, cfg).is_defined:
+    if undefined_reason(h, kind) is not None:
         raise DomainViolation(f"reference set is outside Dom({kind.value})")
     return _small(v, h, kind)
 
@@ -93,12 +96,13 @@ def is_big_for(v: BlockSet, h: BlockSet, kind: MeanKind,
     """Is V big to H; by duality, exactly when H is small to V.
 
     The big family only contains domain members, so an out-of-domain
-    candidate is a definitive no rather than an error.
+    candidate is a definitive no rather than an error.  cfg is accepted,
+    but Dom(kind) does not depend on tol.
     """
     kind = MeanKind(kind)
-    if not mean_of(h, kind, cfg).is_defined:
+    if undefined_reason(h, kind) is not None:
         raise DomainViolation(f"reference set is outside Dom({kind.value})")
-    return _big(v, h, kind, mean_of(v, kind, cfg).is_defined)
+    return _big(v, h, kind, undefined_reason(v, kind) is None)
 
 
 def _big(v: BlockSet, h: BlockSet, kind: MeanKind, v_in_domain: bool) -> Verdict:
@@ -113,7 +117,8 @@ def comparable(h: BlockSet, v: BlockSet, kind: MeanKind,
                cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
     """Neither small nor big: the two sets weigh against each other.
 
-    Comparability is only defined between two domain members.
+    Comparability is only defined between two domain members.  cfg is
+    accepted, but Dom(kind) does not depend on tol.
     """
     verdict = classify_bundle(h, v, kind, cfg)["comparable"]
     if isinstance(verdict, DomainViolation):
@@ -125,15 +130,16 @@ def classify_bundle(h: BlockSet, v: BlockSet, kind: MeanKind,
                     cfg: LadderConfig = DEFAULT_CONFIG) -> dict:
     """The "small", "big" and "comparable" verdicts of V against H.
 
-    Each set's domain is checked once and comparability is read off the
+    Each set's domain is read once and comparability is read off the
     other two verdicts.  A verdict that is_small_for, is_big_for or
     comparable would refuse is given as the DomainViolation they raise.
+    cfg is accepted, but Dom(kind) does not depend on tol.
     """
     kind = MeanKind(kind)
-    if not mean_of(h, kind, cfg).is_defined:
+    if undefined_reason(h, kind) is not None:
         return dict.fromkeys(("small", "big", "comparable"),
                              DomainViolation(f"reference set is outside Dom({kind.value})"))
-    v_in_domain = mean_of(v, kind, cfg).is_defined
+    v_in_domain = undefined_reason(v, kind) is None
     small = _small(v, h, kind)
     big = _big(v, h, kind, v_in_domain)
     if not v_in_domain:
@@ -152,7 +158,7 @@ def k_disjoint(h1: BlockSet, h2: BlockSet, kind: MeanKind, weak: bool = False,
 
     Those are a point, or under lis, where a finite set has no mean, a
     sequence; so only the empty set is globally small, or under lis the
-    finite sets.
+    finite sets.  cfg is accepted, but Dom(kind) does not depend on tol.
     """
     kind = MeanKind(kind)
     inter = intersect(h1, h2)
@@ -163,9 +169,8 @@ def k_disjoint(h1: BlockSet, h2: BlockSet, kind: MeanKind, weak: bool = False,
         b = is_small_for(inter, h2, kind, cfg)
         both = a.answer is Answer.YES and b.answer is Answer.YES
         return _closed(Answer.YES if both else Answer.NO, *(a.evidence + b.evidence))
-    least = BlockSet((Finite.of_sorted((Q(0),)),))
-    if not mean_of(least, kind, cfg).is_defined:
-        least = BlockSet((GeomSeq(Q(0), Q(1), Q(1, 2)),))
+    least = BlockSet((GeomSeq(Q(0), Q(1), Q(1, 2)) if kind is MeanKind.LIS
+                      else Finite.of_sorted((Q(0),)),))
     inner = _small(inter, least, kind)
     return _closed(inner.answer, "globally: V is the intersection, "
                    f"H a least member of Dom({kind.value})", *inner.evidence)

@@ -713,13 +713,23 @@ def _mean(h: BlockSet, kind: MeanKind, cfg: LadderConfig) -> MeanValue:
         raise EmptyResult("mean of the empty set")
     if kind is MeanKind.LIS:
         return mean_lis(h)
-    if kind is MeanKind.ISO:
-        try:
-            return mean_iso(h, cfg)
-        except DomainViolation as exc:
-            return MeanValue.undefined(str(exc))
     w = _kept_weight(h, kind)
-    return MeanValue.undefined(w) if isinstance(w, str) else w.mean(cfg.tol)
+    if isinstance(w, str):
+        return MeanValue.undefined(w)
+    return mean_iso(h, cfg) if kind is MeanKind.ISO else w.mean(cfg.tol)
+
+
+def undefined_reason(h: BlockSet, kind: MeanKind) -> Optional[str]:
+    """Why h is outside Dom(kind), as mean_of reports it, or None when h is
+    inside: read from the accumulation bounds under lis, else from the kept
+    Weight, so no mean is evaluated."""
+    if h.is_empty:
+        raise EmptyResult("mean of the empty set")
+    kind = MeanKind(kind)
+    if kind is MeanKind.LIS:
+        return mean_lis(h).reason
+    w = _kept_weight(h, kind)
+    return w if isinstance(w, str) else None
 
 
 # ---------------------------------------------------------------------------
@@ -740,12 +750,12 @@ def k_bounds(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) ->
     hull under lis, the blocks at the set's dimension under avg, and the
     top derived set under arith, acc and iso (h itself at level 0, else the
     anchors of the top-level blocks, which are the anchors of the iso
-    terms).
+    terms).  No mean is evaluated: cfg is accepted, but Dom(kind) does not
+    depend on tol.
     """
     kind = MeanKind(kind)
-    reference = mean_of(h, kind, cfg)
-    if not reference.is_defined:
-        raise DomainViolation(f"mean is undefined: {reference.reason}")
+    if (reason := undefined_reason(h, kind)) is not None:
+        raise DomainViolation(f"mean is undefined: {reason}")
     if kind is MeanKind.LIS:
         bd = bounds(h)
         lo, hi = bd.acc_inf, bd.acc_sup

@@ -2,10 +2,11 @@
 
 A set is round when its mean value k cuts it into a lower and an upper part
 whose means K- and K+ average back to k.  Both routes read one decision,
-the sign of the exact defect: YES when K- and K+ are both exactly k, else
-whether the halves' weights (``means.weight_of``) are equal
-(``weigh.compare_weights``); under lis, whether the midpoint of the halves'
-inner accumulation bounds is k.  The float defect is shown but decides nothing.
+the sign of the exact defect, from the halves (H-, H+) read as weigh reads
+a pair (``weigh._Pair``): YES when K- and K+ are both exactly k, else the
+equal-weight verdict of the halves' Weights; under lis, whether the
+midpoint of the halves' inner accumulation bounds is k.  The float defect
+is shown but decides nothing.
 """
 
 from __future__ import annotations
@@ -15,18 +16,10 @@ from dataclasses import dataclass, field, replace
 from .blocks import cached_property
 from .classify import Answer, Verdict, _closed
 from .errors import DomainViolation
-from .means import (
-    DEFAULT_CONFIG,
-    LadderConfig,
-    MeanKind,
-    MeanValue,
-    combine,
-    mean_of,
-    weight_of,
-)
+from .means import DEFAULT_CONFIG, LadderConfig, MeanKind, MeanValue, combine, mean_of
 from .rational import Q
-from .sets import BlockSet, bounds, cut_set
-from .weigh import compare_weights
+from .sets import BlockSet, cut_set
+from .weigh import _Pair
 
 
 @dataclass(frozen=True)
@@ -39,37 +32,27 @@ class RoundReport:
     witness: dict = field(default_factory=dict)
 
 
-class _Halves:
-    """The mean k of a set, its two halves at k, and what is read off them.
-
-    Both roundness routes start here.  Each per-half quantity and the decision
-    are computed on first use and kept, so one pass serves both routes.
+class _Halves(_Pair):
+    """The mean k of a set and its two halves H- and H+ at k, read as weigh
+    reads a pair (weigh._Pair): their bounds, means, Weights and the Weights'
+    comparison, each on first use and then kept, so one pass serves both
+    roundness routes.
     """
 
     def __init__(self, h: BlockSet, kind: MeanKind, cfg: LadderConfig):
-        self.kind, self.cfg = kind, cfg
         self.k = mean_of(h, kind, cfg)
         if not self.k.is_defined:
             raise DomainViolation(f"set outside Dom({kind.value}): {self.k.reason}")
         self.kq = self.k.value if self.k.is_exact else Q(self.k.approx)
-        self.low = cut_set(h, self.kq, keep_low=True)
-        self.high = cut_set(h, self.kq, keep_low=False)
-        if self.low.is_empty or self.high.is_empty:
+        low, high = cut_set(h, self.kq, keep_low=True), cut_set(h, self.kq, keep_low=False)
+        if low.is_empty or high.is_empty:
             raise DomainViolation("the mean value cuts off an empty half")
-
-    @cached_property
-    def means(self) -> tuple[MeanValue, MeanValue]:
-        return mean_of(self.low, self.kind, self.cfg), mean_of(self.high, self.kind, self.cfg)
-
-    @cached_property
-    def weights(self):
-        """weight_of each half (not under lis)."""
-        return weight_of(self.low, self.kind), weight_of(self.high, self.kind)
+        super().__init__(low, high, kind, cfg)
 
     @cached_property
     def half_mid(self):
         """(limsup of the low half + liminf of the high half)/2; None if a half is finite."""
-        b1, b2 = bounds(self.low), bounds(self.high)
+        b1, b2 = self.bounds
         return None if b1.acc_sup is None or b2.acc_inf is None else (b1.acc_sup + b2.acc_inf) / 2
 
     @cached_property
@@ -77,7 +60,7 @@ class _Halves:
         """Is the set round: is its exact defect (K- + K+)/2 - k zero?  It is
         (K+ - K-)(W- - W+) / (2(W- + W+)) at equal weight order, else
         +-(K+ - K-)/2, so zero when K- = K+ (both then k) or W- = W+."""
-        if self.kind is MeanKind.LIS:
+        if self.lis:
             if self.half_mid is None:
                 raise DomainViolation("a half is finite, outside Dom(lis)")
             return _closed(Answer.YES if self.half_mid == self.kq else Answer.NO,
@@ -85,7 +68,7 @@ class _Halves:
         k1, k2 = self.means
         if k1.is_exact and k2.is_exact and k1.value == k2.value:
             return _closed(Answer.YES, f"half means {k1}, {k2} vs k={self.k}")
-        return compare_weights(*self.weights, self.kind)
+        return self.weight_verdict()
 
 
 def round_defect(h: BlockSet, kind: MeanKind,

@@ -9,8 +9,9 @@ Under arith, acc, avg and iso the relations have one closed form: the sets
 carry equal weights.  Each set's ``means.Weight`` (``weight_of``) holds an
 order (0, level, dimension or count degree) and a magnitude at it (point
 count, top-level count, measure, count coefficient), and
-``compare_weights`` compares the two Weights, order first.  Roundness
-compares the two halves of a set the same way.
+``_Pair.weight_verdict`` compares the two Weights, order first.  Roundness
+reads the two halves of a set as such a pair.  Dom(kind) is read without
+evaluating a mean (``means.undefined_reason``).
 
 A defect curve (``defect_curve``) is the defect's two tails: past each end
 of the window of translates where H1 and H2+x meet, D(x) = alpha + beta*x.
@@ -48,6 +49,7 @@ from .means import (
     combine,
     compare_orders,
     mean_of,
+    undefined_reason,
     weight_of,
 )
 from .rational import Q
@@ -178,7 +180,6 @@ class _Pair:
 
     def verdict(self, wkind: WeightKind) -> Verdict:
         """equal_weight's verdict."""
-        kind = self.kind
         if self.lis:
             b1, b2 = self.bounds
             if b1.acc_inf is None or b2.acc_inf is None:
@@ -189,11 +190,36 @@ class _Pair:
             if diam1 == diam2:
                 return _closed(Answer.YES, f"equal accumulation diameter {diam1}")
             return _closed(Answer.NO, f"accumulation diameters differ: {diam1} vs {diam2}")
-        if kind is not MeanKind.ISO:
-            for mv in self.means:
-                if not mv.is_defined:
-                    raise DomainViolation(f"operand outside Dom({kind.value}): {mv.reason}")
-        return _weight_verdict(*self.weights, kind, self.higher, self.differ)
+        if self.kind is not MeanKind.ISO:
+            for h in (self.h1, self.h2):
+                if (reason := undefined_reason(h, self.kind)) is not None:
+                    raise DomainViolation(f"operand outside Dom({self.kind.value}): {reason}")
+        return self.weight_verdict()
+
+    def weight_verdict(self) -> Verdict:
+        """Are the Weights equal (not under lis)?  INCONCLUSIVE when two sums of
+        transcendental terms are not separated once 4096 bits are spent."""
+        (w1, w2), kind, higher = self.weights, self.kind, self.higher
+        if kind is MeanKind.ARITH:
+            what = f"point counts {w1.total} vs {w2.total}"
+        elif kind is MeanKind.ACC:
+            what = f"levels {w1.order} vs {w2.order}, top-level counts {w1.total} vs {w2.total}"
+        elif kind is MeanKind.AVG:
+            if higher:
+                what = "Hausdorff dimensions"
+            elif w1.total is None:
+                what = "Cantor weights at the shared dimension"
+            else:
+                what = f"measures {w1.total} vs {w2.total} at the shared dimension"
+        elif higher:
+            what = f"count degrees {w1.order} vs {w2.order}"
+        else:
+            what = f"leading count coefficients at degree {w1.order}"
+        if self.differ is None:
+            return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
+                           (f"{what}: numerically inseparable",))
+        return _closed(Answer.NO if self.differ else Answer.YES,
+                       f"{what}: {'differ' if self.differ else 'equal'}")
 
     def curve(self) -> DefectCurve:
         (b1, b2), (m1, m2) = self.bounds, self.means
@@ -241,41 +267,7 @@ def equal_weight(h1: BlockSet, h2: BlockSet, kind: MeanKind, wkind: WeightKind,
 
     Under lis they are read off the accumulation bounds; under every other
     mean the three coincide with equal weights: one comparison of the two
-    sets' Weights (compare_weights).
+    sets' Weights (_Pair.weight_verdict).
     """
     return _Pair(h1, h2, MeanKind(kind), cfg).verdict(WeightKind(wkind))
-
-
-def compare_weights(w1: Weight, w2: Weight, kind: MeanKind) -> Verdict:
-    """YES when the Weights of two sets in Dom(kind) are equal, NO when
-    their orders or magnitudes differ, INCONCLUSIVE when two sums of
-    transcendental terms are not separated once the 4096-bit interval
-    budget is spent.  kind (not lis) only words the evidence."""
-    higher = compare_orders(w1.order, w2.order)
-    return _weight_verdict(w1, w2, MeanKind(kind), higher, higher or w1.compare_magnitude(w2))
-
-
-def _weight_verdict(w1: Weight, w2: Weight, kind: MeanKind, higher: int,
-                    differ: Optional[int]) -> Verdict:
-    """compare_weights' verdict from the sign of the orders' difference and
-    of the Weights' (order first; None when undecided)."""
-    if kind is MeanKind.ARITH:
-        what = f"point counts {w1.total} vs {w2.total}"
-    elif kind is MeanKind.ACC:
-        what = f"levels {w1.order} vs {w2.order}, top-level counts {w1.total} vs {w2.total}"
-    elif kind is MeanKind.AVG:
-        if higher:
-            what = "Hausdorff dimensions"
-        elif w1.total is None:
-            what = "Cantor weights at the shared dimension"
-        else:
-            what = f"measures {w1.total} vs {w2.total} at the shared dimension"
-    elif higher:
-        what = f"count degrees {w1.order} vs {w2.order}"
-    else:
-        what = f"leading count coefficients at degree {w1.order}"
-    if differ is None:
-        return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER, (f"{what}: numerically inseparable",))
-    return _closed(Answer.NO if differ else Answer.YES,
-                   f"{what}: {'differ' if differ else 'equal'}")
 

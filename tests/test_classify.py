@@ -370,29 +370,41 @@ def test_witness_domain_violations():
         build_iso_witness(bset(Interval(Q(0), Q(1))), "big", 3)
 
 
-@pytest.mark.parametrize("kind", ["lis", "avg"])
-def test_classify_command_evaluates_each_mean_once(monkeypatch, kind):
-    import collections
-
-    from setmeans import classify, means
+@pytest.mark.parametrize("kind, h, v", [
+    pytest.param("lis", "seq(0,1,1/2) U [3,4]", "seq(5,1,1/3) U [7,9]", id="lis"),
+    pytest.param("avg", "seq(0,1,1/2) U [3,4]", "seq(5,1,1/3) U [7,9]", id="avg"),
+    # two classes of count terms: the mean is an enclosure, and no verdict needs it
+    pytest.param("iso", "seq(0,1,1/2) U seq(1,1,1/3)", "seq(5,1,1/2)", id="iso"),
+])
+def test_classify_command_evaluates_no_mean(monkeypatch, kind, h, v):
+    from setmeans import means
     from setmeans.cli import run_command
 
-    calls = collections.Counter()
-    real = means.mean_of
-
-    def counted(h, *args, **kwargs):
-        calls[h] += 1
-        return real(h, *args, **kwargs)
-
-    monkeypatch.setattr(means, "mean_of", counted)
-    monkeypatch.setattr(classify, "mean_of", counted)
-    code, rep = run_command(["classify", "--mean", kind, "--of",
-                             "seq(0,1,1/2) U [3,4]", "seq(5,1,1/3) U [7,9]"])
+    evaluated = []
+    mean = means._mean
+    monkeypatch.setattr(means, "_mean", lambda g, *a: evaluated.append(g) or mean(g, *a))
+    code, rep = run_command(["classify", "--mean", kind, "--of", h, v])
     assert code == 0
-    assert all(v is not None for v in rep["result"]["bundle"].values())
-    # the domain check of H and of V, nothing else
-    assert len(calls) == 2
-    assert set(calls.values()) == {1}
+    assert None not in rep["result"]["bundle"].values()
+    # the domains of H and V are read from their Weights or bounds
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("kind", ["arith", "lis", "acc", "avg", "iso"])
+@pytest.mark.parametrize("weak", [False, True], ids=["global", "weak"])
+def test_disjoint_command_evaluates_no_mean(monkeypatch, kind, weak):
+    from setmeans import means
+    from setmeans.cli import run_command
+
+    evaluated = []
+    mean = means._mean
+    monkeypatch.setattr(means, "_mean", lambda g, *a: evaluated.append(g) or mean(g, *a))
+    # operands in Dom(kind) that meet
+    h1, h2 = {"arith": ("{0, 1}", "{1, 2}"), "avg": ("[0,1] U [2,3]", "[1/2,5/2]")}.get(
+        kind, ("seq(0,1,1/2) U seq(1,1,1/3)", "seq(0,1,1/2) U {5}"))
+    code, rep = run_command(["disjoint", "--mean", kind, *(["--weak"] if weak else []), h1, h2])
+    assert code == 0 and rep["result"]["answer"] in ("YES", "NO")
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("argv, digest", [

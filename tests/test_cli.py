@@ -264,6 +264,35 @@ def test_approximate_mean_past_the_float_range_exits_2():
     assert code == 0 and rep["result"]["status"] == "approx"
 
 
+F = 10**400
+FAR_ISO = f"seq({F},1,1/2) U seq({F + 1},1,1/3)"
+FAR_AVG = f"cantor({F},{F + 1},2,1/4) U cantor({F + 2},{F + 4},2,1/4)"
+
+
+@pytest.mark.parametrize("kind, expr, hull, v, bundle", [
+    pytest.param("iso", FAR_ISO, (F, F + 1), "seq(0,1,1/2)", ("NO", "NO", "YES"), id="iso"),
+    pytest.param("avg", FAR_AVG, (F, F + 4), "{0}", ("YES", "NO", "NO"), id="avg"),
+])
+def test_far_verdicts_answer_where_the_mean_leaves_the_float_range(kind, expr, hull, v, bundle):
+    # both sets are in Dom(kind), but their means are enclosures past the
+    # float range: eval cannot print them, while kbounds, classify and
+    # disjoint answer exactly, from hulls and orders
+    code, rep = run_command(["eval", "--mean", kind, expr])
+    assert code == 2
+    assert rep["diagnostics"] == ["validation error: the mean is outside the float range: "
+                                  "its enclosure's midpoint reads inf as a float"]
+    code, rep = run_command(["kbounds", "--mean", kind, expr])
+    assert code == 0
+    assert [rep["result"][end] for end in ("k_liminf", "k_limsup")] == [
+        {"status": "exact", "value": {"num": str(x), "den": "1"}} for x in hull]
+    code, rep = run_command(["classify", "--mean", kind, "--of", expr, v])
+    assert code == 0 and rep["diagnostics"] == []
+    assert tuple(rep["result"]["bundle"][name]["answer"]
+                 for name in ("small", "big", "comparable")) == bundle
+    code, rep = run_command(["disjoint", "--weak", "--mean", kind, expr, expr])
+    assert (code, rep["result"]["answer"]) == (0, "NO")
+
+
 def test_strict_mode_exit_code():
     # an iso evaluation that cannot converge is inconclusive evidence;
     # pick a bundle with an INCONCLUSIVE member via numerically equal dims

@@ -377,9 +377,9 @@ def test_cut_candidates_hold_the_ends_of_every_derived_set():
     ("seq(0,1,1/2) U seq(1,1,1/3) U {5}", MeanKind.ISO),
     ("tower(2,0,1/4) U seq(5,1,1/2)", MeanKind.ACC),
 ])
-def test_k_bounds_builds_no_cut_and_evaluates_only_h(monkeypatch, text, kind):
-    # the bounds are read from h's top-order parts: no cut is built, and the
-    # one mean evaluated is h's own
+def test_k_bounds_builds_no_cut_and_evaluates_no_mean(monkeypatch, text, kind):
+    # the bounds are read from h's top-order parts and its domain from its
+    # Weight: no cut is built and no mean is evaluated
     from setmeans import blocks, means, sets
 
     h = normalize(parse(text))
@@ -390,7 +390,7 @@ def test_k_bounds_builds_no_cut_and_evaluates_only_h(monkeypatch, text, kind):
     mean = means._mean
     monkeypatch.setattr(means, "_mean", lambda g, *a: evaluated.append(g) or mean(g, *a))
     k_bounds(h, kind)
-    assert cuts == [] and evaluated == [h] and evaluated[0] is h
+    assert cuts == [] and evaluated == []
 
 
 def test_k_bounds_acc_tower():

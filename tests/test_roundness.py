@@ -1,5 +1,6 @@
 """Roundness: both routes against the exact defect, and under scaling and reflection."""
 
+import collections
 import dataclasses
 import random
 from fractions import Fraction as Q
@@ -30,7 +31,6 @@ from setmeans import (
 from setmeans.blocks import Cantor
 from setmeans.laws import PROFILES
 from setmeans.roundness import round_pass
-from setmeans.weigh import compare_weights, weight_of
 
 
 def bset(*blocks):
@@ -341,5 +341,29 @@ def test_iso_witness_answers_from_the_half_means():
     assert rep.verdict.answer is Answer.YES
     assert (wit.answer, wit.evidence) == (Answer.YES, ("half means 0, 0 vs k=0",))
     low, high = cut_set(h, Q(0), keep_low=True), cut_set(h, Q(0), keep_low=False)
-    weights = weight_of(low, MeanKind.ISO), weight_of(high, MeanKind.ISO)
-    assert compare_weights(*weights, MeanKind.ISO).answer is Answer.NO
+    assert equal_weight(low, high, "iso", "bound").answer is Answer.NO
+
+
+@pytest.mark.parametrize("kind", ["arith", "acc", "avg", "iso"])
+def test_round_decision_is_the_weigh_verdict_of_the_halves(kind):
+    # unless both half means are exactly equal, round decides as weigh does
+    # on the pair (H-, H+): the same answer and the same evidence
+    answers = collections.Counter()
+    for profile in PROFILES:
+        for e in gen_corpus(7, 30, profile):
+            h = normalize(e)
+            try:
+                wit = round_witness(h, kind)
+            except SetMeansError:
+                continue
+            k = mean_of(h, kind)
+            kq = k.value if k.is_exact else Q(k.approx)
+            low, high = cut_set(h, kq, keep_low=True), cut_set(h, kq, keep_low=False)
+            k1, k2 = mean_of(low, kind), mean_of(high, kind)
+            if k1.is_exact and k2.is_exact and k1.value == k2.value:
+                continue
+            want = equal_weight(low, high, kind, "bound")
+            assert (wit.answer, wit.method, wit.evidence) == \
+                (want.answer, want.method, want.evidence), e
+            answers[wit.answer] += 1
+    assert answers[Answer.YES] > 10 and answers[Answer.NO] > 10

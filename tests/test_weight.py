@@ -25,7 +25,7 @@ from setmeans.means import (
     top_level,
     weight_of,
 )
-from setmeans.weigh import compare_weights
+from setmeans.weigh import _Pair
 
 
 @pytest.mark.parametrize("kind, expr, reason", [
@@ -52,7 +52,7 @@ def test_avg_weights_outside_the_domain_are_not_equal():
     # compare; they must not read as "None vs None: equal"
     h1, h2 = (normalize(parse(e)) for e in ("seq(0,1,1/2) U {5}", "seq(3,1,1/2) U {7}"))
     with pytest.raises(DomainViolation):
-        compare_weights(weight_of(h1, MeanKind.AVG), weight_of(h2, MeanKind.AVG), MeanKind.AVG)
+        _Pair(h1, h2, MeanKind.AVG, DEFAULT_CONFIG).weight_verdict()
 
 
 def test_lis_has_no_weight():
@@ -168,7 +168,7 @@ def reference_mean(h, kind, cfg=DEFAULT_CONFIG):
 
 def same_verdict(h1, h2, kind):
     want = reference_compare_weights(reference_weight(h1, kind), reference_weight(h2, kind), kind)
-    got = compare_weights(weight_of(h1, kind), weight_of(h2, kind), kind)
+    got = _Pair(h1, h2, kind, DEFAULT_CONFIG).weight_verdict()
     assert (got.answer, got.method, got.evidence) == (want.answer, want.method, want.evidence), \
         (h1, h2, kind)
     return got.answer
