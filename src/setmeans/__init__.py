@@ -8,12 +8,11 @@ the isolated points, and the Hausdorff-measure average.  The higher layers
 classify small/big sets, test equal-weight relations, and decide roundness.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .blocks import Cantor, Finite, GeomSeq, Interval, Q, Tower
 from .classify import (
     Answer,
-    Method,
     Verdict,
     build_iso_witness,
     build_iso_witness_staged,
@@ -86,7 +85,7 @@ __all__ = [
     "EmptyResult", "Finite", "GeomSeq", "IncomparableDimensions",
     "Interval", "IntersectionNotRepresentable", "KBounds", "LadderConfig",
     "LawKind", "LawReport", "Leaf", "MeanKind", "MeanValue",
-    "MembershipUndecided", "Method", "ParseError", "Q", "RoundReport",
+    "MembershipUndecided", "ParseError", "Q", "RoundReport",
     "SetExpr", "SetMeansError", "Tower", "Translate", "Trend", "Union",
     "ValidationError", "Verdict", "WeightKind",
     "arith_mean", "bounds", "build_iso_witness", "build_iso_witness_staged",

@@ -7,7 +7,8 @@ dimension, the level, or under lis the level capped at 1) is below H's, so
 every verdict is closed-form and definitive.  A set is globally small when
 it is small to every member of the domain, that is, to one of least order.
 Dom(kind) is read by ``means.undefined_reason``, which evaluates no mean,
-so no verdict here depends on tol: each ``cfg`` is accepted but unread.
+so no verdict here depends on tol.  A verdict is its answer and the
+evidence for it.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from enum import Enum
 
 from .blocks import INT_DIGITS, Finite, GeomSeq
 from .errors import DomainViolation, EmptyResult, ValidationError
-from .means import (
-    DEFAULT_CONFIG,
-    LadderConfig,
-    MeanKind,
-    compare_orders,
-    order_of,
-    undefined_reason,
-)
+from .means import MeanKind, compare_orders, order_of, undefined_reason
 from .rational import Q
 from .sets import (
     BlockSet,
@@ -46,35 +40,22 @@ class Answer(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-class Method(str, Enum):
-    CLOSED_FORM = "CLOSED_FORM"
-    SAMPLER = "SAMPLER"
-
-
 @dataclass(frozen=True)
 class Verdict:
     answer: Answer
-    method: Method
     evidence: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.method is Method.CLOSED_FORM and self.answer is Answer.INCONCLUSIVE:
-            raise ValueError("closed-form verdicts must be definitive")
-        object.__setattr__(self, "evidence", tuple(self.evidence))
 
 
 def _closed(answer: Answer, *evidence: str) -> Verdict:
-    return Verdict(answer, Method.CLOSED_FORM, tuple(evidence))
+    return Verdict(answer, evidence)
 
 
 # ---------------------------------------------------------------------------
 # the classifiers
 
 
-def is_small_for(v: BlockSet, h: BlockSet, kind: MeanKind,
-                 cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
-    """Is V small to H: does any translate of V leave K(H) unchanged?
-    cfg is accepted, but Dom(kind) does not depend on tol."""
+def is_small_for(v: BlockSet, h: BlockSet, kind: MeanKind) -> Verdict:
+    """Is V small to H: does any translate of V leave K(H) unchanged?"""
     kind = MeanKind(kind)
     if undefined_reason(h, kind) is not None:
         raise DomainViolation(f"reference set is outside Dom({kind.value})")
@@ -91,13 +72,11 @@ def _small(v: BlockSet, h: BlockSet, kind: MeanKind) -> Verdict:
     return _closed(Answer.NO, f"order(V)={ov} >= order(H)={oh}")
 
 
-def is_big_for(v: BlockSet, h: BlockSet, kind: MeanKind,
-               cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
+def is_big_for(v: BlockSet, h: BlockSet, kind: MeanKind) -> Verdict:
     """Is V big to H; by duality, exactly when H is small to V.
 
     The big family only contains domain members, so an out-of-domain
-    candidate is a definitive no rather than an error.  cfg is accepted,
-    but Dom(kind) does not depend on tol.
+    candidate is a definitive no rather than an error.
     """
     kind = MeanKind(kind)
     if undefined_reason(h, kind) is not None:
@@ -113,27 +92,23 @@ def _big(v: BlockSet, h: BlockSet, kind: MeanKind, v_in_domain: bool) -> Verdict
     return _closed(inner.answer, "via duality: H small to V <=> V big to H", *inner.evidence)
 
 
-def comparable(h: BlockSet, v: BlockSet, kind: MeanKind,
-               cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
+def comparable(h: BlockSet, v: BlockSet, kind: MeanKind) -> Verdict:
     """Neither small nor big: the two sets weigh against each other.
 
-    Comparability is only defined between two domain members.  cfg is
-    accepted, but Dom(kind) does not depend on tol.
+    Comparability is only defined between two domain members.
     """
-    verdict = classify_bundle(h, v, kind, cfg)["comparable"]
+    verdict = classify_bundle(h, v, kind)["comparable"]
     if isinstance(verdict, DomainViolation):
         raise verdict
     return verdict
 
 
-def classify_bundle(h: BlockSet, v: BlockSet, kind: MeanKind,
-                    cfg: LadderConfig = DEFAULT_CONFIG) -> dict:
+def classify_bundle(h: BlockSet, v: BlockSet, kind: MeanKind) -> dict:
     """The "small", "big" and "comparable" verdicts of V against H.
 
     Each set's domain is read once and comparability is read off the
     other two verdicts.  A verdict that is_small_for, is_big_for or
     comparable would refuse is given as the DomainViolation they raise.
-    cfg is accepted, but Dom(kind) does not depend on tol.
     """
     kind = MeanKind(kind)
     if undefined_reason(h, kind) is not None:
@@ -151,22 +126,21 @@ def classify_bundle(h: BlockSet, v: BlockSet, kind: MeanKind,
     return {"small": small, "big": big, "comparable": neither}
 
 
-def k_disjoint(h1: BlockSet, h2: BlockSet, kind: MeanKind, weak: bool = False,
-               cfg: LadderConfig = DEFAULT_CONFIG) -> Verdict:
+def k_disjoint(h1: BlockSet, h2: BlockSet, kind: MeanKind, weak: bool = False) -> Verdict:
     """Is the intersection small to both sets (the weak form), or globally
     small: small to every member of Dom(kind), that is, to one of least order?
 
     Those are a point, or under lis, where a finite set has no mean, a
     sequence; so only the empty set is globally small, or under lis the
-    finite sets.  cfg is accepted, but Dom(kind) does not depend on tol.
+    finite sets.
     """
     kind = MeanKind(kind)
     inter = intersect(h1, h2)
     if inter.is_empty:
         return _closed(Answer.YES, "intersection is empty")
     if weak:
-        a = is_small_for(inter, h1, kind, cfg)
-        b = is_small_for(inter, h2, kind, cfg)
+        a = is_small_for(inter, h1, kind)
+        b = is_small_for(inter, h2, kind)
         both = a.answer is Answer.YES and b.answer is Answer.YES
         return _closed(Answer.YES if both else Answer.NO, *(a.evidence + b.evidence))
     least = BlockSet((GeomSeq(Q(0), Q(1), Q(1, 2)) if kind is MeanKind.LIS
@@ -183,20 +157,18 @@ def k_disjoint(h1: BlockSet, h2: BlockSet, kind: MeanKind, weak: bool = False,
 WITNESS_DIGITS = 2_000_000
 
 
-def build_iso_witness(h2: BlockSet, which: str, depth: int,
-                      cfg: LadderConfig = DEFAULT_CONFIG) -> BlockSet:
+def build_iso_witness(h2: BlockSet, which: str, depth: int) -> BlockSet:
     """A finite stage-truncation of the small/big witness construction.
 
     BIG places n * m_(1/n) fresh points at distance [1/n, 1/(n-1)) below the
     least accumulation point at stage n; SMALL places one point per stage at
     rapidly sparser cut-offs, chosen so the count ratio keeps shrinking.
     """
-    witness, _ = build_iso_witness_staged(h2, which, depth, cfg)
+    witness, _ = build_iso_witness_staged(h2, which, depth)
     return witness
 
 
-def build_iso_witness_staged(h2: BlockSet, which: str, depth: int,
-                             cfg: LadderConfig = DEFAULT_CONFIG):
+def build_iso_witness_staged(h2: BlockSet, which: str, depth: int):
     """Witness plus the stage cut-offs at which its count ratio is read.
 
     A stage whose numbers would pass INT_DIGITS digits, or its points the

@@ -1,8 +1,13 @@
 """Command-line driver and JSON report emitter.
 
+Every subcommand takes --json.  A subcommand takes --tol only where an
+approximate value can appear (eval, round, weigh, laws), --strict only
+where a verdict can be INCONCLUSIVE (weigh, round), and --seed only for
+its corpus (laws); any other of these flags is a usage error.
+
 Exit codes: 0 success, 2 parse/validation/usage error, 3 domain error,
 4 inconclusive result under --strict.  Reports are deterministic: the same
-argv and seed produce byte-identical JSON.
+argv produces byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -53,8 +58,7 @@ def _mean_json(mv: MeanValue) -> dict:
 
 
 def _verdict_json(v: Verdict) -> dict:
-    return {"answer": v.answer.value, "method": v.method.value,
-            "evidence": list(v.evidence)}
+    return {"answer": v.answer.value, "evidence": list(v.evidence)}
 
 
 def _curve_json(curve) -> dict:
@@ -64,13 +68,18 @@ def _curve_json(curve) -> dict:
             "right": tail("from", curve.right), "left": tail("to", curve.left)}
 
 
-def _add_common(sub):
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--strict", action="store_true",
-                     help="treat INCONCLUSIVE results as failures (exit 4)")
-    sub.add_argument("--tol", type=float, default=1e-9,
-                     help="largest error of an approximate value")
-    sub.add_argument("--seed", type=int, default=0)
+_COMMON = {
+    "--json": dict(action="store_true", help="emit a JSON report"),
+    "--strict": dict(action="store_true", help="treat INCONCLUSIVE results as failures (exit 4)"),
+    "--tol": dict(type=float, default=1e-9, help="largest error of an approximate value"),
+    "--seed": dict(type=int, default=0, help="the corpus seed"),
+}
+
+
+def _add_common(sub, *flags):
+    """--json, then those of the other common flags that the subcommand reads."""
+    for flag in ("--json", *flags):
+        sub.add_argument(flag, **_COMMON[flag])
 
 
 @functools.cache
@@ -84,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("eval", help="evaluate a mean of a set expression")
     s.add_argument("--mean", choices=means, required=True)
     s.add_argument("expr")
-    _add_common(s)
+    _add_common(s, "--tol")
 
     s = sub.add_parser("classify", help="small/big/comparable bundle for V against H")
     s.add_argument("--mean", choices=means, required=True)
@@ -103,19 +112,19 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", choices=[k.value for k in WeightKind], required=True)
     s.add_argument("h1")
     s.add_argument("h2")
-    _add_common(s)
+    _add_common(s, "--strict", "--tol")
 
     s = sub.add_parser("round", help="roundness of a set under a mean")
     s.add_argument("--mean", choices=means, required=True)
     s.add_argument("expr")
-    _add_common(s)
+    _add_common(s, "--strict", "--tol")
 
     s = sub.add_parser("laws", help="property-check a mean axiom over a corpus")
     s.add_argument("--mean", choices=means, required=True)
     s.add_argument("--law", choices=[k.value for k in LawKind], required=True)
     s.add_argument("--n", type=int, default=100)
     s.add_argument("--profile", default="mixed", choices=PROFILES)
-    _add_common(s)
+    _add_common(s, "--tol", "--seed")
 
     s = sub.add_parser("kbounds", help="mean-relative liminf and limsup")
     s.add_argument("--mean", choices=means, required=True)
@@ -246,7 +255,7 @@ def _run(argv) -> tuple[argparse.Namespace | None, int, dict]:
             report["diagnostics"].append(f"domain error: {type(exc).__name__}: {exc}")
             return args, EXIT_DOMAIN, report
         return args, EXIT_USAGE, report
-    if code == EXIT_OK and args.strict and _is_inconclusive(report["result"]):
+    if code == EXIT_OK and getattr(args, "strict", False) and _is_inconclusive(report["result"]):
         report["diagnostics"].append("strict mode: result is INCONCLUSIVE")
         return args, EXIT_INCONCLUSIVE, report
     return args, code, report
@@ -259,8 +268,9 @@ def _is_inconclusive(result: dict) -> bool:
 
 
 def _dispatch(args, report) -> int:
-    cfg = LadderConfig(tol=args.tol)
     cmd = args.command
+    # a subcommand that reads tol checks it before it reads its operands
+    cfg = LadderConfig(tol=args.tol) if "tol" in args else None
 
     if cmd == "eval":
         report["inputs"] = [args.expr]
@@ -277,7 +287,7 @@ def _dispatch(args, report) -> int:
         h = _norm(args.of[0])
         v = _norm(args.of[1])
         bundle = {}
-        for name, verdict in classify_bundle(h, v, MeanKind(args.mean), cfg).items():
+        for name, verdict in classify_bundle(h, v, MeanKind(args.mean)).items():
             if isinstance(verdict, DomainViolation):
                 bundle[name] = None
                 report["diagnostics"].append(f"{name}: undefined ({verdict})")
@@ -288,8 +298,7 @@ def _dispatch(args, report) -> int:
 
     if cmd == "disjoint":
         report["inputs"] = [args.h1, args.h2]
-        v = k_disjoint(_norm(args.h1), _norm(args.h2), MeanKind(args.mean),
-                       weak=args.weak, cfg=cfg)
+        v = k_disjoint(_norm(args.h1), _norm(args.h2), MeanKind(args.mean), weak=args.weak)
         report["result"] = {"type": "verdict", **_verdict_json(v)}
         return EXIT_OK
 
@@ -337,7 +346,7 @@ def _dispatch(args, report) -> int:
 
     if cmd == "kbounds":
         report["inputs"] = [args.expr]
-        kb = k_bounds(_norm(args.expr), MeanKind(args.mean), cfg)
+        kb = k_bounds(_norm(args.expr), MeanKind(args.mean))
         report["result"] = {
             "type": "kbounds",
             "k_liminf": _mean_json(kb.k_liminf),
@@ -349,7 +358,7 @@ def _dispatch(args, report) -> int:
         report["inputs"] = [args.expr]
         h2 = _norm(args.expr)
         which = "small" if args.iso_small else "big"
-        witness, stages = build_iso_witness_staged(h2, which, args.depth, cfg)
+        witness, stages = build_iso_witness_staged(h2, which, args.depth)
         ratios = witness_stage_ratios(witness, h2, stages)
         report["result"] = {
             "type": "witness",
@@ -389,9 +398,9 @@ def _human_lines(report) -> list[str]:
                 lines.append(line)
                 said.add(line)
             else:
-                lines.append(f"{name}: {v['answer']} [{v['method']}]")
+                lines.append(f"{name}: {v['answer']}")
     elif result["type"] == "verdict":
-        lines.append(f"{result['answer']} [{result['method']}]")
+        lines.append(result["answer"])
         lines.extend(f"  {e}" for e in result["evidence"][:4])
     elif result["type"] == "round":
         v = result["verdict"]

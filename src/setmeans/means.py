@@ -742,7 +742,7 @@ class KBounds:
     k_limsup: MeanValue
 
 
-def k_bounds(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) -> KBounds:
+def k_bounds(h: BlockSet, kind: MeanKind) -> KBounds:
     """Largest lower cut and smallest upper cut that leave the mean unchanged.
 
     The mean reads only h's top-order parts, and a cut that takes away an
@@ -750,8 +750,7 @@ def k_bounds(h: BlockSet, kind: MeanKind, cfg: LadderConfig = DEFAULT_CONFIG) ->
     hull under lis, the blocks at the set's dimension under avg, and the
     top derived set under arith, acc and iso (h itself at level 0, else the
     anchors of the top-level blocks, which are the anchors of the iso
-    terms).  No mean is evaluated: cfg is accepted, but Dom(kind) does not
-    depend on tol.
+    terms).  No mean is evaluated, so no tol is read.
     """
     kind = MeanKind(kind)
     if (reason := undefined_reason(h, kind)) is not None:

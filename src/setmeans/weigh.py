@@ -23,7 +23,9 @@ alpha = beta * (K2 - K1).  Under lis (H1 u H2+x)' = H1' u (H2+x)', so D is
 constant, +-(d2 - d1)/4 with d the accumulation diameter, once H2+x's
 accumulation bounds lie beyond H1's.  The curve's trend is the equal-weight
 decision from the same Weights: growth unless they are equal, and under lis
-a bounded defect that vanishes for equal diameters.  A curve builds no set.
+a bounded defect that vanishes for equal diameters.  Only alpha reads the
+means: where one cannot be read as a float, alpha is undefined and the
+trend and beta stand.  A curve builds no set.
 
 ``weight_defect`` is the defect at one translate, inside the window too:
 the means of the built union and translate.
@@ -36,8 +38,8 @@ from enum import Enum
 from typing import Optional
 
 from .blocks import cached_property
-from .classify import Answer, Method, Verdict, _closed
-from .errors import DomainViolation
+from .classify import Answer, Verdict, _closed
+from .errors import DomainViolation, ValidationError
 from .means import (
     DEFAULT_CONFIG,
     LadderConfig,
@@ -107,9 +109,9 @@ def _defect_of(u, k1, k2):
 def defect_curve(h1: BlockSet, h2: BlockSet, kind: MeanKind,
                  cfg: LadderConfig = DEFAULT_CONFIG) -> DefectCurve:
     """The defect's two tails and its trend, read once from the operands'
-    bounds, means and Weights; no union or translate is built.  Outside the
-    domain, or with Weights that do not separate, the trend is INCONCLUSIVE
-    and alpha and beta are undefined."""
+    bounds and Weights, and alpha from their means; no union or translate
+    is built.  Outside the domain, or with Weights that do not separate,
+    the trend is INCONCLUSIVE and alpha and beta are undefined."""
     return _Pair(h1, h2, MeanKind(kind), cfg).curve()
 
 
@@ -190,10 +192,8 @@ class _Pair:
             if diam1 == diam2:
                 return _closed(Answer.YES, f"equal accumulation diameter {diam1}")
             return _closed(Answer.NO, f"accumulation diameters differ: {diam1} vs {diam2}")
-        if self.kind is not MeanKind.ISO:
-            for h in (self.h1, self.h2):
-                if (reason := undefined_reason(h, self.kind)) is not None:
-                    raise DomainViolation(f"operand outside Dom({self.kind.value}): {reason}")
+        if self.kind is not MeanKind.ISO and self.outside is not None:
+            raise DomainViolation(f"operand outside Dom({self.kind.value}): {self.outside}")
         return self.weight_verdict()
 
     def weight_verdict(self) -> Verdict:
@@ -216,14 +216,41 @@ class _Pair:
         else:
             what = f"leading count coefficients at degree {w1.order}"
         if self.differ is None:
-            return Verdict(Answer.INCONCLUSIVE, Method.SAMPLER,
-                           (f"{what}: numerically inseparable",))
+            return Verdict(Answer.INCONCLUSIVE, (f"{what}: numerically inseparable",))
         return _closed(Answer.NO if self.differ else Answer.YES,
                        f"{what}: {'differ' if self.differ else 'equal'}")
 
+    @cached_property
+    def outside(self) -> Optional[str]:
+        """Why an operand is outside Dom(kind), H1 first, or None: read
+        without evaluating a mean (means.undefined_reason)."""
+        return undefined_reason(self.h1, self.kind) or undefined_reason(self.h2, self.kind)
+
+    def alpha(self) -> MeanValue:
+        """alpha = beta * (K2 - K1): exactly 0 when beta is, without the means,
+        or when K1 = K2 exactly; exact when beta and K2 - K1 are; otherwise
+        the float product, with the error its operands' tols bound
+        (|beta|*t + tb*(|K2 - K1| + t), t = t1 + t2).  Undefined, with the
+        reason, when a mean cannot be read as a float."""
+        beta = self.beta
+        if beta.value == 0:
+            return MeanValue.exact(0)
+        try:
+            m1, m2 = self.means
+        except ValidationError as exc:
+            return MeanValue.undefined(str(exc))
+        exact_k = m1.is_exact and m2.is_exact
+        if exact_k and m1.value == m2.value:
+            return MeanValue.exact(0)
+        if beta.is_exact and exact_k:
+            return MeanValue.exact(beta.value * (m2.value - m1.value))
+        b, k = beta.as_float(), m2.as_float() - m1.as_float()
+        t, tb = (m1.tol or 0.0) + (m2.tol or 0.0), beta.tol or 0.0
+        return MeanValue.approximate(b * k, abs(b) * t + tb * (abs(k) + t))
+
     def curve(self) -> DefectCurve:
-        (b1, b2), (m1, m2) = self.bounds, self.means
-        defined = m1.is_defined and m2.is_defined
+        b1, b2 = self.bounds
+        defined = self.outside is None
         if self.lis and defined:
             # H2+x's accumulation bounds lie right of H1's past one threshold, left below the other
             a, s = b1.acc_inf - b2.acc_inf, b1.acc_sup - b2.acc_sup
@@ -235,26 +262,11 @@ class _Pair:
         # H2+x lies right of H1's hull past one threshold and left below the other
         right, left = b1.sup - b2.inf, b1.inf - b2.sup
         if defined and self.differ is not None:
-            alpha, beta = _alpha(self.beta, m1, m2), self.beta
+            alpha, beta = self.alpha(), self.beta
             trend = Trend.LINEAR_GROWTH if self.differ else Trend.TO_ZERO
             return DefectCurve(trend, Tail(right, alpha, beta), Tail(left, alpha, beta))
-        why = MeanValue.undefined(next((m.reason for m in (m1, m2) if not m.is_defined),
-                                       "the weights are numerically inseparable"))
+        why = MeanValue.undefined(self.outside or "the weights are numerically inseparable")
         return DefectCurve(Trend.INCONCLUSIVE, Tail(right, why, why), Tail(left, why, why))
-
-
-def _alpha(beta: MeanValue, m1: MeanValue, m2: MeanValue) -> MeanValue:
-    """alpha = beta * (K2 - K1): exact when beta and K2 - K1 are, or either
-    is exactly 0; otherwise the float product, with the error its
-    operands' tols bound (|beta|*t + tb*(|K2 - K1| + t), t = t1 + t2)."""
-    exact_k = m1.is_exact and m2.is_exact
-    if beta.value == 0 or exact_k and m1.value == m2.value:
-        return MeanValue.exact(0)
-    if beta.is_exact and exact_k:
-        return MeanValue.exact(beta.value * (m2.value - m1.value))
-    b, k = beta.as_float(), m2.as_float() - m1.as_float()
-    t, tb = (m1.tol or 0.0) + (m2.tol or 0.0), beta.tol or 0.0
-    return MeanValue.approximate(b * k, abs(b) * t + tb * (abs(k) + t))
 
 
 # ---------------------------------------------------------------------------

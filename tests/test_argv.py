@@ -135,6 +135,43 @@ def test_reader_reads_only_plain_argvs(argv, accepted):
         assert same(ns, parse_args(argv))
 
 
+# a plain argv of each subcommand that exits 0, and the values that each
+# common flag but --json takes
+BASE_ARGVS = {
+    "eval": ["eval", "--mean", "arith", "{1}"],
+    "classify": ["classify", "--mean", "arith", "--of", "{1}", "{2}"],
+    "disjoint": ["disjoint", "--mean", "arith", "{1}", "{2}"],
+    "weigh": ["weigh", "--mean", "arith", "--kind", "bound", "{1}", "{2}"],
+    "round": ["round", "--mean", "arith", "{1, 2}"],
+    "laws": ["laws", "--mean", "arith", "--law", "internal", "--n", "2"],
+    "kbounds": ["kbounds", "--mean", "lis", "seq(0,1,1/2)"],
+    "witness": ["witness", "--iso-big", "--depth", "2", "seq(0,1,1/2)"],
+}
+COMMON_VALUES = {"--strict": [], "--tol": ["1e-6"], "--seed": ["1"]}
+# the common flags each subcommand does not read, and so does not declare
+REMOVED = [("eval", "--strict"), ("eval", "--seed"),
+           ("classify", "--strict"), ("classify", "--tol"), ("classify", "--seed"),
+           ("disjoint", "--strict"), ("disjoint", "--tol"), ("disjoint", "--seed"),
+           ("weigh", "--seed"), ("round", "--seed"), ("laws", "--strict"),
+           ("kbounds", "--strict"), ("kbounds", "--tol"), ("kbounds", "--seed"),
+           ("witness", "--strict"), ("witness", "--tol"), ("witness", "--seed")]
+
+
+@pytest.mark.parametrize("name, flag", REMOVED)
+def test_a_removed_flag_is_a_usage_error(name, flag):
+    base = BASE_ARGVS[name]
+    assert cli.run_command(base)[0] == 0
+    values = COMMON_VALUES[flag]
+    # spelled in full with its value apart, the one-pass reader's form; then
+    # with its value after "=", or abbreviated, which only argparse reads
+    for spelled in ([flag, *values], [f"{flag}={v}" for v in values] or [flag[:-1]]):
+        argv = base[:1] + spelled + base[1:]
+        assert cli._read_argv(argv) is None, argv
+        assert parse_args(argv) is None, argv
+        code, rep = cli.run_command(argv)
+        assert (code, rep["diagnostics"]) == (2, ["usage error"]), argv
+
+
 def _workloads():
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)

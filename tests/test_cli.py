@@ -293,6 +293,43 @@ def test_far_verdicts_answer_where_the_mean_leaves_the_float_range(kind, expr, h
     assert (code, rep["result"]["answer"]) == (0, "NO")
 
 
+@pytest.mark.parametrize("kind, wkind, h1, h2, evidence, beta", [
+    pytest.param("iso", "bound", FAR_ISO, "seq(0,1,1/2)",
+                 "leading count coefficients at degree 1: differ", "-0.119906233284066", id="iso"),
+    pytest.param("avg", "limit", FAR_AVG, "cantor(0,1,2,1/4)",
+                 "Cantor weights at the shared dimension: differ", "-0.207106781186548", id="avg"),
+])
+def test_a_far_pairs_weigh_is_exact_where_alpha_leaves_the_float_range(kind, wkind, h1, h2,
+                                                                     evidence, beta):
+    # the verdict, the trend and beta come from the Weights; only alpha
+    # = beta * (K2 - K1) reads the means, and H1's is past the float range
+    code, rep = run_command(["weigh", "--mean", kind, "--kind", wkind, h1, h2])
+    assert (code, rep["diagnostics"]) == (0, [])
+    result = rep["result"]
+    assert (result["answer"], result["evidence"]) == ("NO", [evidence])
+    assert result["curve"]["trend"] == "LINEAR_GROWTH"
+    for tail in (result["curve"]["right"], result["curve"]["left"]):
+        assert tail["beta"] == {"status": "approx", "value": {"approx": beta, "tol": "1e-09"}}
+        assert tail["alpha"] == {"status": "undefined",
+                                 "reason": "the mean is outside the float range: "
+                                           "its enclosure's midpoint reads inf as a float"}
+    # eval and round still need the far set's own mean
+    for argv in (["eval", "--mean", kind, h1], ["round", "--mean", kind, h1]):
+        code, rep = run_command(argv)
+        assert code == 2 and rep["diagnostics"][0].startswith(
+            "validation error: the mean is outside the float range"), argv
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 23: normalize keeps two Cantor blocks that "
+                                       "share a part of positive measure, and avg counts it twice")
+def test_cantor_blocks_that_share_a_part_count_it_once():
+    # cantor(0,1/3,2,1/3) is the left level-1 piece of cantor(0,1,2,1/3): the
+    # union is the middle-thirds set, whose avg mean is 1/2 (today: 7/18)
+    code, rep = run_command(["eval", "--mean", "avg", "cantor(0,1,2,1/3) U cantor(0,1/3,2,1/3)"])
+    assert code == 0
+    assert rep["result"]["value"] == {"num": "1", "den": "2"}
+
+
 def test_strict_mode_exit_code():
     # an iso evaluation that cannot converge is inconclusive evidence;
     # pick a bundle with an INCONCLUSIVE member via numerically equal dims
@@ -362,7 +399,7 @@ def test_strict_mode_flags_inconclusive():
     v = equal_weight(normalize(parse("seq(0,1,1/2)")),
                      normalize(parse(f"seq(9,1,{near_half})")),
                      MeanKind.ISO, WeightKind.IN_BOUND)
-    assert (v.answer.value, v.method.value) == ("NO", "CLOSED_FORM")
+    assert v.answer.value == "NO"
     # one family of dimension log 2 / log 3 on diameters 1 and 1 + 10**-1300:
     # the weights differ by less than 2**-4096, so the separation spends its budget
     n = 10**1300
@@ -384,8 +421,7 @@ def test_strict_mode_reads_the_witness_verdict():
     argv = ["round", "--mean", "avg", f"cantor(0,1,2,1/3) U cantor(5,{6 * n + 1}/{n},2,1/3)"]
     code, rep = run_command(argv)
     assert code == 0
-    assert rep["result"]["verdict"] == {"answer": "INCONCLUSIVE", "method": "SAMPLER",
-                                        "evidence": ["defect ~0"]}
+    assert rep["result"]["verdict"] == {"answer": "INCONCLUSIVE", "evidence": ["defect ~0"]}
     assert rep["result"]["witness_verdict"]["answer"] == "INCONCLUSIVE"
     code, rep = run_command(argv + ["--strict"])
     assert code == 4
@@ -452,13 +488,13 @@ PART_SHIFT_INPUTS = "['tower(2, 22/3, 1/6, -1)', 'seq(-9/8, 1, 1/5)', 'x="
     (["eval", "--mean", "acc", "[0,1]"], 3,
      ["acc mean undefined: infinite level"]),
     (["classify", "--mean", "lis", "--of", "seq(0,1,1/2)", "{7}"], 0,
-     ["small: YES [CLOSED_FORM]", "big: NO [CLOSED_FORM]",
+     ["small: YES", "big: NO",
       "comparable: undefined (candidate set is outside Dom(lis))"]),
     (["disjoint", "--mean", "lis", "{1,2}", "{1/2, 1, 3}"], 0,
-     ["YES [CLOSED_FORM]", "  globally: V is the intersection, H a least member of Dom(lis)",
+     ["YES", "  globally: V is the intersection, H a least member of Dom(lis)",
       "  order(V)=0 < order(H)=1"]),
     (["weigh", "--mean", "arith", "--kind", "bound", "{1,2}", "{3,4,5}"], 0,
-     ["NO [CLOSED_FORM]", "  point counts 2 vs 3: differ"]),
+     ["NO", "  point counts 2 vs 3: differ"]),
     (["round", "--mean", "avg", "[0,2] U [4,5]"], 0,
      ["round: NO  k=13/6 k1=1 k2=9/2 defect=7/12"]),
     (["round", "--mean", "iso", "seq(0,-1,1/2) U seq(1/1000,1,1/3)"], 0,

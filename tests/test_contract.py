@@ -5,10 +5,13 @@ edit here.
 """
 
 import argparse
+import dataclasses
 import fractions
+import inspect
 
 import setmeans
 from setmeans import cli
+from setmeans.classify import classify_bundle
 
 PUBLIC_NAMES = [
     "Answer", "BlockSet", "Bounds", "Cantor", "CutAbove", "CutBelow",
@@ -16,7 +19,7 @@ PUBLIC_NAMES = [
     "EmptyResult", "Finite", "GeomSeq", "IncomparableDimensions",
     "IntersectionNotRepresentable", "Interval", "KBounds", "LadderConfig",
     "LawKind", "LawReport", "Leaf", "MeanKind", "MeanValue",
-    "MembershipUndecided", "Method", "ParseError", "Q", "RoundReport",
+    "MembershipUndecided", "ParseError", "Q", "RoundReport",
     "SetExpr", "SetMeansError", "Tower", "Translate", "Trend", "Union",
     "ValidationError", "Verdict", "WeightKind", "__version__",
     "arith_mean", "bounds", "build_iso_witness", "build_iso_witness_staged",
@@ -38,19 +41,27 @@ PUBLIC_NAMES = [
 # and DefectCurve.slope_estimate, and the weigh report's curve "samples" and
 # "slope" keys (a curve is its exact tails: D(x) = alpha + beta*x right of
 # "from" and left of "to", so no translate grid is sampled).
+# Removed in 0.4.0: Method and Verdict.method with the verdict report's
+# "method" key and the human " [CLOSED_FORM]" tag (a verdict is its answer
+# and evidence: CLOSED_FORM meant YES or NO, SAMPLER meant INCONCLUSIVE);
+# the cfg parameter of is_small_for, is_big_for, comparable, k_disjoint,
+# k_bounds, build_iso_witness and build_iso_witness_staged (and of the
+# internal classify_bundle), none of which reads tol; and each subcommand's
+# --tol, --strict and --seed where the subcommand does not read it.
 
-COMMON = ["--json", "--strict", "--tol", "--seed"]
-
-# subcommand -> (option strings in declaration order, positional arguments)
+# subcommand -> (option strings in declaration order, positional arguments):
+# --json everywhere, --strict where a verdict can be INCONCLUSIVE, --tol
+# where an approximate value can appear, --seed where a corpus is drawn
 SUBCOMMANDS = {
-    "eval": (["-h", "--help", "--mean"] + COMMON, ["expr"]),
-    "classify": (["-h", "--help", "--mean", "--of"] + COMMON, []),
-    "disjoint": (["-h", "--help", "--mean", "--weak"] + COMMON, ["h1", "h2"]),
-    "weigh": (["-h", "--help", "--mean", "--kind"] + COMMON, ["h1", "h2"]),
-    "round": (["-h", "--help", "--mean"] + COMMON, ["expr"]),
-    "laws": (["-h", "--help", "--mean", "--law", "--n", "--profile"] + COMMON, []),
-    "kbounds": (["-h", "--help", "--mean"] + COMMON, ["expr"]),
-    "witness": (["-h", "--help", "--iso-small", "--iso-big", "--depth"] + COMMON, ["expr"]),
+    "eval": (["-h", "--help", "--mean", "--json", "--tol"], ["expr"]),
+    "classify": (["-h", "--help", "--mean", "--of", "--json"], []),
+    "disjoint": (["-h", "--help", "--mean", "--weak", "--json"], ["h1", "h2"]),
+    "weigh": (["-h", "--help", "--mean", "--kind", "--json", "--strict", "--tol"], ["h1", "h2"]),
+    "round": (["-h", "--help", "--mean", "--json", "--strict", "--tol"], ["expr"]),
+    "laws": (["-h", "--help", "--mean", "--law", "--n", "--profile", "--json", "--tol", "--seed"],
+             []),
+    "kbounds": (["-h", "--help", "--mean", "--json"], ["expr"]),
+    "witness": (["-h", "--help", "--iso-small", "--iso-big", "--depth", "--json"], ["expr"]),
 }
 
 
@@ -64,6 +75,19 @@ def test_public_names():
     assert len(setmeans.__all__) == len(set(setmeans.__all__))
     for name in setmeans.__all__:
         assert hasattr(setmeans, name), name
+
+
+def test_no_verdict_takes_an_unread_cfg():
+    # none of these reads tol: Dom(kind) is read without evaluating a mean,
+    # and a witness is exact
+    for f in (setmeans.is_small_for, setmeans.is_big_for, setmeans.comparable,
+              classify_bundle, setmeans.k_disjoint, setmeans.k_bounds,
+              setmeans.build_iso_witness, setmeans.build_iso_witness_staged):
+        assert "cfg" not in inspect.signature(f).parameters, f.__name__
+
+
+def test_a_verdict_is_its_answer_and_evidence():
+    assert [f.name for f in dataclasses.fields(setmeans.Verdict)] == ["answer", "evidence"]
 
 
 def test_the_rational_is_a_fraction():
@@ -98,7 +122,7 @@ def _shape(x):
 
 Q_JSON = {"num": None, "den": None}
 EXACT = {"status": None, "value": Q_JSON}
-VERDICT = {"answer": None, "method": None, "evidence": [None]}
+VERDICT = {"answer": None, "evidence": [None]}
 
 # subcommand argv -> exit code and shape of the "result" object
 REPORT_SHAPES = [
@@ -143,7 +167,7 @@ def test_report_schema():
         got_code, rep = cli.run_command(argv)
         assert got_code == code, argv
         assert list(rep) == top, argv
-        assert rep["version"] == setmeans.__version__ == "0.3.0", argv
+        assert rep["version"] == setmeans.__version__ == "0.4.0", argv
         assert _shape(rep["result"]) == result, argv
         assert list(rep["result"]) == list(result), argv
     code, rep = cli.run_command(["frobnicate"])
