@@ -44,16 +44,12 @@ def _q_json(q: Q) -> dict:
     return {"num": int_text(q.numerator), "den": int_text(q.denominator)}
 
 
-def _float_str(v: float) -> str:
-    return f"{v:.15g}"
-
-
 def _mean_json(mv: MeanValue) -> dict:
     if mv.status == "exact":
         return {"status": "exact", "value": _q_json(mv.value)}
     if mv.status == "approx":
         return {"status": "approx",
-                "value": {"approx": _float_str(mv.approx), "tol": _float_str(mv.tol)}}
+                "value": {"approx": f"{mv.approx:.15g}", "tol": f"{mv.tol:.15g}"}}
     return {"status": "undefined", "reason": mv.reason}
 
 
@@ -167,54 +163,78 @@ def _norm(text: str):
 
 @functools.cache
 def _reader_table() -> dict:
-    """Per subcommand, what `_read_argv` needs from its subparser's own actions;
-    help, like any action whose default is suppressed, is left out."""
+    """Per subcommand, its subparser's actions compiled once into the flat
+    tables `_read_argv` reads: the defaults, with the subcommand; each option
+    string's (dest, nargs, type, choices, const, default); the positionals';
+    the required dests; each mutually exclusive group's (required, dests).
+    Help, like any action whose default is suppressed, is left out; so, for
+    argparse to read, is a subcommand with an action of a kind not modeled
+    (count, append, an optional nargs), a typed string default, a shared dest
+    or defaults of the subparser's own."""
     (subs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    table = {}
+    tables = {}
     for name, p in subs.choices.items():
         acts = [a for a in p._actions if a.default is not argparse.SUPPRESS]
-        table[name] = (p, {subs.dest: name, **{a.dest: a.default for a in acts}},
-                       {o: a for a in acts for o in a.option_strings},
-                       [a for a in acts if not a.option_strings],
-                       {a for a in acts if a.required},
-                       [(g.required, g._group_actions) for g in p._mutually_exclusive_groups])
-    return table
+        if p._defaults or len({a.dest for a in acts}) < len(acts) or not all(
+                type(a) in (argparse._StoreAction, argparse._StoreConstAction,
+                            argparse._StoreTrueAction, argparse._StoreFalseAction)
+                and (a.nargs is None or type(a.nargs) is int)
+                and not (a.type and isinstance(a.default, str)) for a in acts):
+            continue
+        spec = {a: (a.dest, a.nargs, a.type or str, a.choices, a.const, a.default) for a in acts}
+        tables[name] = ({subs.dest: name, **{a.dest: a.default for a in acts}},
+                        {o: spec[a] for a in acts for o in a.option_strings},
+                        [spec[a] for a in acts if not a.option_strings],
+                        {a.dest for a in p._actions if a.required},
+                        [(g.required, {a.dest for a in g._group_actions})
+                         for g in p._mutually_exclusive_groups])
+    return tables
 
 
 def _read_argv(argv) -> argparse.Namespace | None:
-    """The Namespace that `parse_args(argv)` returns, read in one pass, for a
-    plain argv: a subcommand, then flags spelled in full, each followed by its
-    values, and the positionals, no value starting with "-".  Any other argv
-    (help, an abbreviation, "--flag=value", a usage error) gives None."""
-    entry = _reader_table().get(argv[0]) if argv else None
-    if entry is None:
+    """The Namespace that `parse_args(argv)` returns, read in one loop over
+    the flat tables, for a plain argv: a subcommand, then flags spelled in
+    full, each followed by its values, and the positionals, no value starting
+    with "-".  Any other argv (help, an abbreviation, "--flag=value", a usage
+    error, a subcommand the tables leave out) gives None."""
+    if not argv or (table := _reader_table().get(argv[0])) is None:
         return None
-    parser, defaults, options, positionals, required, groups = entry
-    ns, seen, rest, positionals = argparse.Namespace(**defaults), set(), argv[1:], iter(positionals)
-    i = 0
-    while i < len(rest):
-        if rest[i].startswith("-"):
-            action, i = options.get(rest[i]), i + 1
+    defaults, options, positionals, required, groups = table
+    ns = argparse.Namespace()
+    values = vars(ns)
+    values.update(defaults)
+    # dests given a non-default value: argparse checks groups against them, and here required dests
+    seen, i, taken = set(), 1, 0
+    while i < len(argv):
+        if argv[i][:1] == "-":
+            spec, i = options.get(argv[i]), i + 1
         else:
-            action = next(positionals, None)
-        if action is None or not isinstance(n := 1 if action.nargs is None else action.nargs, int):
+            spec, taken = positionals[taken] if taken < len(positionals) else None, taken + 1
+        if spec is None:
             return None
-        strings, i = rest[i:i + n], i + n
-        if len(strings) < n or any(s.startswith("-") for s in strings):
-            return None
-        try:
-            values = [(action.type or str)(s) for s in strings]
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            return None
-        if action.choices is not None and any(v not in action.choices for v in values):
-            return None
-        value = values[0] if action.nargs is None else values
-        action(parser, ns, value)
-        if value is not action.default:  # what argparse counts as seen in a group
-            seen.add(action)
-    if not required <= seen or any(not req <= sum(a in seen for a in acts) <= 1
-                                   for req, acts in groups):
+        dest, nargs, kind, choices, value, default = spec
+        if nargs != 0:  # not a constant: one value, or a list of nargs values
+            strings, i, value = argv[i:i + (nargs or 1)], i + (nargs or 1), []
+            if len(strings) < (nargs or 1):
+                return None
+            for s in strings:
+                try:
+                    v = kind(s)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+                if s[:1] == "-" or choices is not None and v not in choices:
+                    return None
+                value.append(v)
+            if nargs is None:
+                value = v
+        values[dest] = value
+        if value is not default:
+            seen.add(dest)
+    if not required <= seen:
         return None
+    for needed, dests in groups:
+        if len(dests & seen) > 1 or needed and not dests & seen:
+            return None
     return ns
 
 
@@ -233,15 +253,9 @@ def _run(argv) -> tuple[argparse.Namespace | None, int, dict]:
     except SystemExit as exc:
         return (None, EXIT_USAGE if exc.code not in (0, None) else 0,
                 {"command": " ".join(argv), "inputs": [], "result": None,
-                 "diagnostics": ["usage error" if exc.code else "help"],
-                 "version": __version__})
-    report = {
-        "command": args.command,
-        "inputs": [],
-        "result": None,
-        "diagnostics": [],
-        "version": __version__,
-    }
+                 "diagnostics": ["usage error" if exc.code else "help"], "version": __version__})
+    report = {"command": args.command, "inputs": [], "result": None, "diagnostics": [],
+              "version": __version__}
     try:
         code = _dispatch(args, report)
     except SetMeansError as exc:
@@ -268,108 +282,87 @@ def _is_inconclusive(result: dict) -> bool:
 
 
 def _dispatch(args, report) -> int:
-    cmd = args.command
     # a subcommand that reads tol checks it before it reads its operands
     cfg = LadderConfig(tol=args.tol) if "tol" in args else None
+    result = report["result"] = _COMMANDS[args.command](args, report, cfg)
+    if result["type"] == "mean" and result["status"] == "undefined":
+        report["diagnostics"].append(f"undefined: {result['reason']}")
+        return EXIT_DOMAIN
+    return EXIT_OK
 
-    if cmd == "eval":
-        report["inputs"] = [args.expr]
-        h = _norm(args.expr)
-        mv = mean_of(h, MeanKind(args.mean), cfg)
-        report["result"] = {"type": "mean", "kind": args.mean, **_mean_json(mv)}
-        if mv.status == "undefined":
-            report["diagnostics"].append(f"undefined: {mv.reason}")
-            return EXIT_DOMAIN
-        return EXIT_OK
 
-    if cmd == "classify":
-        report["inputs"] = list(args.of)
-        h = _norm(args.of[0])
-        v = _norm(args.of[1])
-        bundle = {}
-        for name, verdict in classify_bundle(h, v, MeanKind(args.mean)).items():
-            if isinstance(verdict, DomainViolation):
-                bundle[name] = None
-                report["diagnostics"].append(f"{name}: undefined ({verdict})")
-            else:
-                bundle[name] = _verdict_json(verdict)
-        report["result"] = {"type": "verdict", "bundle": bundle}
-        return EXIT_OK
+def _eval(args, report, cfg) -> dict:
+    report["inputs"] = [args.expr]
+    mv = mean_of(_norm(args.expr), MeanKind(args.mean), cfg)
+    return {"type": "mean", "kind": args.mean, **_mean_json(mv)}
 
-    if cmd == "disjoint":
-        report["inputs"] = [args.h1, args.h2]
-        v = k_disjoint(_norm(args.h1), _norm(args.h2), MeanKind(args.mean), weak=args.weak)
-        report["result"] = {"type": "verdict", **_verdict_json(v)}
-        return EXIT_OK
 
-    if cmd == "weigh":
-        report["inputs"] = [args.h1, args.h2]
-        v, curve = weigh_pair(_norm(args.h1), _norm(args.h2), MeanKind(args.mean),
-                              WeightKind(args.kind), cfg)
-        report["result"] = {"type": "verdict", **_verdict_json(v),
-                            "curve": _curve_json(curve)}
-        return EXIT_OK
+def _classify(args, report, cfg) -> dict:
+    report["inputs"] = list(args.of)
+    h, v = _norm(args.of[0]), _norm(args.of[1])
+    bundle = {}
+    for name, verdict in classify_bundle(h, v, MeanKind(args.mean)).items():
+        if isinstance(verdict, DomainViolation):
+            bundle[name] = None
+            report["diagnostics"].append(f"{name}: undefined ({verdict})")
+        else:
+            bundle[name] = _verdict_json(verdict)
+    return {"type": "verdict", "bundle": bundle}
 
-    if cmd == "round":
-        report["inputs"] = [args.expr]
-        h = _norm(args.expr)
-        kind = MeanKind(args.mean)
-        rep, wit = round_pass(h, kind, cfg)
-        report["result"] = {
-            "type": "round",
-            "k": _mean_json(rep.k),
-            "k1": _mean_json(rep.k1),
-            "k2": _mean_json(rep.k2),
-            "defect": _mean_json(rep.defect),
-            "verdict": _verdict_json(rep.verdict),
-            "witness": rep.witness,
-            "witness_verdict": _verdict_json(wit),
-        }
-        return EXIT_OK
 
-    if cmd == "laws":
-        corpus = gen_corpus(args.seed, args.n, args.profile)
-        rep = check_law(MeanKind(args.mean), LawKind(args.law), corpus, cfg)
-        report["inputs"] = [f"seed={args.seed}", f"n={args.n}", f"profile={args.profile}"]
-        report["result"] = {
-            "type": "law",
-            "law": rep.law.value,
-            "mean": rep.mean.value,
-            "trials": rep.trials,
-            "skipped": rep.skipped,
-            "violations": [
-                {"inputs": list(v.inputs), "observed": v.observed}
-                for v in rep.violations
-            ],
-        }
-        return EXIT_OK
+def _disjoint(args, report, cfg) -> dict:
+    report["inputs"] = [args.h1, args.h2]
+    v = k_disjoint(_norm(args.h1), _norm(args.h2), MeanKind(args.mean), weak=args.weak)
+    return {"type": "verdict", **_verdict_json(v)}
 
-    if cmd == "kbounds":
-        report["inputs"] = [args.expr]
-        kb = k_bounds(_norm(args.expr), MeanKind(args.mean))
-        report["result"] = {
-            "type": "kbounds",
-            "k_liminf": _mean_json(kb.k_liminf),
-            "k_limsup": _mean_json(kb.k_limsup),
-        }
-        return EXIT_OK
 
-    if cmd == "witness":
-        report["inputs"] = [args.expr]
-        h2 = _norm(args.expr)
-        which = "small" if args.iso_small else "big"
-        witness, stages = build_iso_witness_staged(h2, which, args.depth)
-        ratios = witness_stage_ratios(witness, h2, stages)
-        report["result"] = {
-            "type": "witness",
-            "direction": which,
-            "expr": render_set(witness),
+def _weigh(args, report, cfg) -> dict:
+    report["inputs"] = [args.h1, args.h2]
+    v, curve = weigh_pair(_norm(args.h1), _norm(args.h2), MeanKind(args.mean),
+                          WeightKind(args.kind), cfg)
+    return {"type": "verdict", **_verdict_json(v), "curve": _curve_json(curve)}
+
+
+def _round(args, report, cfg) -> dict:
+    report["inputs"] = [args.expr]
+    rep, wit = round_pass(_norm(args.expr), MeanKind(args.mean), cfg)
+    return {"type": "round", "k": _mean_json(rep.k), "k1": _mean_json(rep.k1),
+            "k2": _mean_json(rep.k2), "defect": _mean_json(rep.defect),
+            "verdict": _verdict_json(rep.verdict), "witness": rep.witness,
+            "witness_verdict": _verdict_json(wit)}
+
+
+def _laws(args, report, cfg) -> dict:
+    corpus = gen_corpus(args.seed, args.n, args.profile)
+    rep = check_law(MeanKind(args.mean), LawKind(args.law), corpus, cfg)
+    report["inputs"] = [f"seed={args.seed}", f"n={args.n}", f"profile={args.profile}"]
+    return {"type": "law", "law": rep.law.value, "mean": rep.mean.value,
+            "trials": rep.trials, "skipped": rep.skipped,
+            "violations": [{"inputs": list(v.inputs), "observed": v.observed}
+                           for v in rep.violations]}
+
+
+def _kbounds(args, report, cfg) -> dict:
+    report["inputs"] = [args.expr]
+    kb = k_bounds(_norm(args.expr), MeanKind(args.mean))
+    return {"type": "kbounds", "k_liminf": _mean_json(kb.k_liminf),
+            "k_limsup": _mean_json(kb.k_limsup)}
+
+
+def _witness(args, report, cfg) -> dict:
+    report["inputs"] = [args.expr]
+    h2 = _norm(args.expr)
+    which = "small" if args.iso_small else "big"
+    witness, stages = build_iso_witness_staged(h2, which, args.depth)
+    ratios = witness_stage_ratios(witness, h2, stages)
+    return {"type": "witness", "direction": which, "expr": render_set(witness),
             "stages": [_q_json(s) for s in stages],
-            "ratios": [{"eps": _q_json(e), "ratio": _q_json(r)} for e, r in ratios],
-        }
-        return EXIT_OK
+            "ratios": [{"eps": _q_json(e), "ratio": _q_json(r)} for e, r in ratios]}
 
-    raise ValueError(f"unknown command {cmd}")
+
+#: each subcommand's handler: it sets the report's inputs and returns its result
+_COMMANDS = {"eval": _eval, "classify": _classify, "disjoint": _disjoint, "weigh": _weigh,
+             "round": _round, "laws": _laws, "kbounds": _kbounds, "witness": _witness}
 
 
 def _human_lines(report) -> list[str]:
@@ -377,9 +370,8 @@ def _human_lines(report) -> list[str]:
     lines = []
     # diagnostics that a result line already says, each printed once
     said = set()
-    if result is None:
-        pass
-    elif result["type"] == "mean":
+    kind = result and result["type"]
+    if kind == "mean":
         st = result["status"]
         if st == "exact":
             lines.append(f"{result['kind']} mean = {_fmt_val(result)}")
@@ -389,7 +381,7 @@ def _human_lines(report) -> list[str]:
         else:
             lines.append(f"{result['kind']} mean undefined: {result['reason']}")
             said.add(f"undefined: {result['reason']}")
-    elif result["type"] == "verdict" and "bundle" in result:
+    elif kind == "verdict" and "bundle" in result:
         for name, v in result["bundle"].items():
             if v is None:
                 # the reason is only in the diagnostics
@@ -399,24 +391,24 @@ def _human_lines(report) -> list[str]:
                 said.add(line)
             else:
                 lines.append(f"{name}: {v['answer']}")
-    elif result["type"] == "verdict":
+    elif kind == "verdict":
         lines.append(result["answer"])
         lines.extend(f"  {e}" for e in result["evidence"][:4])
-    elif result["type"] == "round":
+    elif kind == "round":
         v = result["verdict"]
         lines.append(f"round: {v['answer']}  k={_fmt_val(result['k'])} "
                      f"k1={_fmt_val(result['k1'])} k2={_fmt_val(result['k2'])} "
                      f"defect={_fmt_val(result['defect'])}")
-    elif result["type"] == "law":
+    elif kind == "law":
         lines.append(f"law {result['law']} under {result['mean']}: "
                      f"{result['trials']} trials, {len(result['violations'])} violations, "
                      f"{result['skipped']} skipped")
         for v in result["violations"][:5]:
             lines.append(f"  violation: {v['inputs']} -> {v['observed']}")
-    elif result["type"] == "kbounds":
+    elif kind == "kbounds":
         lines.append(f"k-liminf = {_fmt_val(result['k_liminf'])}, "
                      f"k-limsup = {_fmt_val(result['k_limsup'])}")
-    elif result["type"] == "witness":
+    elif kind == "witness":
         lines.append(f"witness ({result['direction']}): {result['expr']}")
         lines.append("stage ratios: " + ", ".join(_fmt_q(r["ratio"]) for r in result["ratios"]))
     lines.extend(d for d in report["diagnostics"] if d not in said)

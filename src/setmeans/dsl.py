@@ -15,14 +15,17 @@ Grammar (whitespace insignificant):
 ``shift`` translates.  ``tower`` takes an optional fourth scale argument
 (default 1) so that cut results render losslessly.
 
-Parentheses and ``shift``, ``below`` and ``above`` calls nest at most
-NESTING_DEPTH deep: the parser, after its lexical scan of the whole text,
-raises ParseError at the first opener past the bound.
+One scan reads a text into token strings and shows its lexical errors,
+each raised before any other error; then a recursive-descent parser reads
+the strings.  A line and column are found only for an error, by scanning
+the text again.  Parentheses and ``shift``, ``below`` and ``above`` calls
+nest at most NESTING_DEPTH deep: past it, the opener is a ParseError.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .blocks import INT_DIGITS, Cantor, Finite, GeomSeq, Interval, Tower
 from .errors import ParseError, ValidationError
@@ -34,15 +37,21 @@ from .sets import CutAbove, CutBelow, Leaf, SetExpr, Translate, Union
 #: default recursion limit from a caller 100 frames deep
 NESTING_DEPTH = 200
 
-# a mark (its own kind), an integer, a word, then the two lexical errors:
-# a sign with no digits after it, and any other character
-_TOKEN = re.compile(r"\s*(?:([()\[\]{},/U])|([+-]?\d+)|([^\W\d_]+)|([+-])|(\S))")
+# one scan reads a text's tokens: a U, an integer, a word or a mark, and as
+# "" any other character but a space: a sign with no digits after it, an
+# underscore or any other, each a lexical error
+_TOKEN = re.compile(r"(U|[+-]?\d+|[^\W\d_]+|[()\[\]{},/])|\S")
+# the lexical errors the tokens do not show, compiled (and kept by re) only
+# for a text that can hold them: a literal past INT_DIGITS digits, from its
+# sign or first digit, and a numeral that is not a letter in a word, such as ½
+_LONG = r"(?:[+-]|(?<!\d))\d{%d}" % (INT_DIGITS + 1)
+_WORD = r"[^\W\d_]+"
 
-# each call: its argument kinds (e an expression, r a rational, i an integer;
-# the arguments after ? are optional) and what it builds from them
+# each call: its argument kinds (e an expression, r a rational, i an integer,
+# R an optional last rational) and what it builds from them
 _CALLS = {
     "seq": ("rrr", lambda a, w, r: Leaf(GeomSeq(a, w, r))),
-    "tower": ("irr?r", lambda k, a, r, w=Q(1): Leaf(Tower(k, a, w, r))),
+    "tower": ("irrR", lambda k, a, r, w=Q(1): Leaf(Tower(k, a, w, r))),
     "cantor": ("rrir", lambda lo, hi, m, r: Leaf(Cantor(lo, hi, m, r))),
     "shift": ("er", Translate),
     "below": ("er", CutBelow),
@@ -57,136 +66,138 @@ def _error(src: str, offset: int, message: str, expected) -> ParseError:
     return ParseError(message, line, offset - src.rfind("\n", 0, offset), expected)
 
 
-def _tokenize(src: str) -> list:
-    """(kind, text, offset) tuples, then ("end", "", len(src)); a mark is its own kind."""
-    tokens = []
-    for m in _TOKEN.finditer(src):
-        group = m.lastindex
-        text, offset = m[group], m.start(group)
-        if group == 1:
-            tokens.append((text, text, offset))
-        elif group == 2:
-            # Python reads no int of more digits from text
-            if len(text) - (text[0] in "+-") > INT_DIGITS:
-                raise _error(src, offset, f"integer literal longer than {INT_DIGITS} digits",
-                             (f"integer of at most {INT_DIGITS} digits",))
-            tokens.append(("int", text, offset))
-        elif group == 4:
-            raise _error(src, offset, f"stray {text!r}", ("integer",))
-        elif text.isalpha():
-            tokens.append(("word", text, offset))
-        else:
-            # \w also holds numerals that are not letters, such as ½
-            bad = next(i for i, ch in enumerate(text) if not ch.isalpha())
-            raise _error(src, offset + bad, f"unexpected character {text[bad]!r}",
-                         ("expression",))
-    tokens.append(("end", "", len(src)))
-    return tokens
+def _check_lexical(src: str, tokens: list) -> None:
+    """Raise the first lexical error in src, given its tokens; only a text
+    with a "" token, a long text or one not ASCII is scanned once more."""
+    if "" not in tokens and len(src) <= INT_DIGITS and src.isascii():
+        return
+    at = (next(m.start() for m in _TOKEN.finditer(src) if m[1] is None)
+          if "" in tokens else len(src))
+    long = re.compile(_LONG).search(src, 0, at) if len(src) > INT_DIGITS else None
+    at = long.start() if long else at
+    if not src.isascii() and not all(map(str.isalpha, re.compile(_WORD).findall(src, 0, at))):
+        at = next(w.start() + i for w in re.finditer(_WORD, src)
+                  for i, ch in enumerate(w[0]) if not ch.isalpha())
+    elif long:  # Python reads no int of more digits from text
+        raise _error(src, at, f"integer literal longer than {INT_DIGITS} digits",
+                     (f"integer of at most {INT_DIGITS} digits",))
+    elif at == len(src):
+        return
+    elif src[at] in "+-":
+        raise _error(src, at, f"stray {src[at]!r}", ("integer",))
+    raise _error(src, at, f"unexpected character {src[at]!r}", ("expression",))
 
 
 class _Parser:
-    def __init__(self, src: str):
+    def __init__(self, src: str, tokens: list):
         self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-        self.depth = 0
+        self.tokens = [*tokens, None]  # None ends the text
+        self.pos = self.depth = 0
+
+    def _error_at(self, pos: int, message: str, expected) -> ParseError:
+        """A ParseError at token pos, whose offset a rescan of the text finds."""
+        m = next(islice(_TOKEN.finditer(self.src), pos, None), None)
+        return _error(self.src, len(self.src) if m is None else m.start(), message, expected)
 
     def _fail(self, expected):
-        kind, text, offset = self.tokens[self.pos]
-        what = "end of input" if kind == "end" else repr(text)
-        raise _error(self.src, offset, f"unexpected {what}", expected)
+        text = self.tokens[self.pos]
+        what = "end of input" if text is None else repr(text)
+        raise self._error_at(self.pos, f"unexpected {what}", expected)
 
-    def _eat(self, kind) -> str:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            self._fail((kind,))
+    def _eat(self, mark: str) -> None:
+        if self.tokens[self.pos] != mark:
+            self._fail((mark,))
         self.pos += 1
-        return tok[1]
-
-    def _next_is(self, kind) -> bool:
-        """Step over the next token when it is of this kind."""
-        if self.tokens[self.pos][0] != kind:
-            return False
-        self.pos += 1
-        return True
 
     def parse(self) -> SetExpr:
         e = self.expr()
-        if self.tokens[self.pos][0] != "end":
+        if self.tokens[self.pos] is not None:
             self._fail(("U", "end of input"))
         return e
 
     def expr(self) -> SetExpr:
         parts = [self.term()]
-        while self._next_is("U"):
+        while self.tokens[self.pos] == "U":
+            self.pos += 1
             parts.append(self.term())
         return parts[0] if len(parts) == 1 else Union(tuple(parts))
 
-    def _nested(self, offset: int) -> SetExpr:
-        """The expression inside the opener at offset, one level deeper;
-        ParseError when that is past NESTING_DEPTH."""
+    def _nested(self, opener: int) -> SetExpr:
+        """The expression in the opener at token opener, a level deeper, up to NESTING_DEPTH."""
         if self.depth == NESTING_DEPTH:
-            raise _error(self.src, offset, f"nesting deeper than {NESTING_DEPTH} levels",
-                         (f"at most {NESTING_DEPTH} nested terms",))
+            raise self._error_at(opener, f"nesting deeper than {NESTING_DEPTH} levels",
+                                 (f"at most {NESTING_DEPTH} nested terms",))
         self.depth += 1
         e = self.expr()
         self.depth -= 1
         return e
 
     def term(self) -> SetExpr:
-        _, text, offset = self.tokens[self.pos]
-        if self._next_is("("):
-            e = self._nested(offset)
+        tokens, at = self.tokens, self.pos
+        text = tokens[at]
+        self.pos = at + 1
+        if text == "(":
+            e = self._nested(at)
             self._eat(")")
             return e
-        if self._next_is("{"):
+        if text == "{":
             pts = [self.rat()]
-            while self._next_is(","):
+            while tokens[self.pos] == ",":
+                self.pos += 1
                 pts.append(self.rat())
             self._eat("}")
             return Leaf(Finite(tuple(pts)))
-        if self._next_is("["):
+        if text == "[":
             lo = self.rat()
             self._eat(",")
             hi = self.rat()
             self._eat("]")
             return Leaf(Interval(lo, hi))
         if text not in _CALLS:  # only a word's text can be a call name
+            self.pos = at
             self._fail(_TERM)
-        self.pos += 1
         kinds, build = _CALLS[text]
         self._eat("(")
         args = []
         for arg in kinds:
-            if arg == "?":
-                if self.tokens[self.pos][0] != ",":
-                    break
-                continue
             if args:
-                self._eat(",")
-            args.append(self._nested(offset) if arg == "e" else self.rat() if arg == "r"
-                        else int(self._eat("int")))
+                if tokens[self.pos] != ",":
+                    if arg == "R":  # an optional last argument
+                        break
+                    self._fail((",",))
+                self.pos += 1
+            args.append(self._nested(at) if arg == "e" else self.rat(whole=arg == "i"))
         self._eat(")")
         return build(*args)
 
-    def rat(self) -> Q:
-        num = int(self._eat("int"))
-        if not self._next_is("/"):
-            return Q(num)
-        _, text, offset = self.tokens[self.pos]
-        den = int(self._eat("int"))
-        if den <= 0 or text[0] in "+-":
-            raise _error(self.src, offset, "denominator must be a positive integer",
-                         ("positive integer",))
+    def rat(self, whole=False) -> Q | int:
+        """A rat of the grammar, or with whole an int, read as an int."""
+        tokens, at = self.tokens, self.pos
+        try:
+            num = int(tokens[at])
+            if whole or tokens[at + 1] != "/":
+                self.pos = at + 1
+                return num if whole else Q(num)
+            at += 2
+            den = int(tokens[at])
+        except (TypeError, ValueError):  # int() reads only an integer token
+            self.pos = at
+            self._fail(("int",))
+        if den <= 0 or tokens[at][0] in "+-":
+            raise self._error_at(at, "denominator must be a positive integer",
+                                 ("positive integer",))
+        self.pos = at + 1
         return Q(num, den)
 
 
 def parse(src: str) -> SetExpr:
-    """Parse source text; ParseError carries 1-based line/column.  The whole
-    text is scanned first, so a lexical error anywhere in it comes before any
-    other; then it is read left to right, each block validated as it is
-    built, so the first syntax or ValidationError in the text is raised."""
-    return _Parser(src).parse()
+    """Parse source text; ParseError carries 1-based line/column, found by a
+    second scan only for an error.  One scan finds a lexical error anywhere
+    first; then the tokens are read left to right, each block validated as it
+    is built, so the first syntax or ValidationError in the text is raised."""
+    tokens = _TOKEN.findall(src)
+    _check_lexical(src, tokens)
+    return _Parser(src, tokens).parse()
 
 
 def int_text(n: int) -> str:
@@ -213,17 +224,14 @@ def render(e: SetExpr) -> str:
         if isinstance(b, GeomSeq):
             return f"seq({fmt_q(b.anchor)}, {fmt_q(b.scale)}, {fmt_q(b.ratio)})"
         if isinstance(b, Tower):
-            if b.scale == 1:
-                return f"tower({b.level}, {fmt_q(b.anchor)}, {fmt_q(b.ratio)})"
-            return (f"tower({b.level}, {fmt_q(b.anchor)}, {fmt_q(b.ratio)}, "
-                    f"{fmt_q(b.scale)})")
+            scale = "" if b.scale == 1 else f", {fmt_q(b.scale)}"
+            return f"tower({b.level}, {fmt_q(b.anchor)}, {fmt_q(b.ratio)}{scale})"
         if isinstance(b, Interval):
             return f"[{fmt_q(b.lo)}, {fmt_q(b.hi)}]"
         return (f"cantor({fmt_q(b.lo)}, {fmt_q(b.hi)}, {b.pieces}, {fmt_q(b.ratio)})")
     if isinstance(e, Union):
-        return " U ".join(
-            f"({render(p)})" if isinstance(p, Union) else render(p) for p in e.parts
-        )
+        return " U ".join(f"({render(p)})" if isinstance(p, Union) else render(p)
+                          for p in e.parts)
     if isinstance(e, Translate):
         return f"shift({render(e.child)}, {fmt_q(e.offset)})"
     if isinstance(e, CutBelow):

@@ -2,8 +2,9 @@
 ``run_command`` over argvs drawn from the CLI's own vocabulary.
 
 ``cli._read_argv`` must return exactly what ``parse_args`` returns, or None;
-it must never accept an argv that argparse rejects.  ``run_command`` must
-never raise, and must return a known exit code and a report that is JSON.
+it must never accept an argv that argparse rejects, and must read itself
+every plain argv that argparse accepts.  ``run_command`` must never raise,
+and must return a known exit code and a report that is JSON.
 """
 
 import argparse
@@ -44,9 +45,10 @@ TOKENS = st.one_of(st.sampled_from(OPTIONS), st.sampled_from(ABBREVIATIONS),
 
 
 @st.composite
-def plain_argvs(draw):
+def plain_argvs(draw, stray=True):
     """A subcommand and some of its actions, each spelled in full with the
-    values it takes, in any order; then perhaps a few stray tokens."""
+    values it takes, in any order; then, with stray, perhaps a few stray
+    tokens, and without it no value that starts with "-"."""
     name = draw(st.sampled_from(list(SUBPARSERS)))
     mostly = st.sampled_from([True] * 9 + [False])
     chunks = []
@@ -54,11 +56,11 @@ def plain_argvs(draw):
         if a.default is argparse.SUPPRESS or not draw(mostly if a.required else st.booleans()):
             continue
         values = st.sampled_from(list(a.choices)) if a.choices and draw(mostly) else \
-            st.sampled_from(NUMBERS if a.type else TEXTS)
+            st.sampled_from([v for v in (NUMBERS if a.type else TEXTS) if stray or v[:1] != "-"])
         chunks.append(a.option_strings[-1:]
                       + [draw(values) for _ in range(1 if a.nargs is None else a.nargs)])
     argv = [name] + [t for c in draw(st.permutations(chunks)) for t in c]
-    if not draw(mostly):
+    if stray and not draw(mostly):
         argv.insert(draw(st.integers(0, len(argv))), draw(TOKENS))
     return argv
 
@@ -97,6 +99,57 @@ def test_reader_agrees_with_argparse(argv):
         parsed = parse_args(argv)
         assert parsed is not None, argv
         assert same(ns, parsed), (argv, ns, parsed)
+
+
+@settings(max_examples=1000)
+@given(plain_argvs(stray=False))
+def test_reader_reads_every_plain_argv_that_argparse_accepts(argv):
+    # a reader that declined every argv would pass the test above; the plain
+    # argvs are the ones it must read itself, not hand to argparse
+    parsed = parse_args(argv)
+    if parsed is not None:
+        ns = cli._read_argv(argv)
+        assert ns is not None and same(ns, parsed), (argv, ns, parsed)
+
+
+# each a subparser action of a kind the reader's tables do not model, or one
+# they would misread, with an argv that argparse reads
+UNMODELED = [
+    (lambda s: s.add_argument("--v", action="count", default=0), ["--v", "--v"]),
+    (lambda s: s.add_argument("--v", action="append"), ["--v", "1", "--v", "2"]),
+    (lambda s: s.add_argument("--v", action="extend", nargs=2), ["--v", "1", "2"]),
+    (lambda s: s.add_argument("--v", nargs="?", const="c"), ["--v"]),
+    (lambda s: s.add_argument("--v", nargs="*"), ["--v", "1", "2"]),
+    (lambda s: s.add_argument("--v", nargs="+"), ["--v", "1"]),
+    (lambda s: s.add_argument("--v", type=int, default="5"), []),
+    (lambda s: (s.add_argument("--v", dest="w", action="store_const", const=1),
+                s.add_argument("--u", dest="w", action="store_const", const=2, default=0)), []),
+    (lambda s: s.set_defaults(handler="h"), []),
+]
+
+
+@pytest.mark.parametrize("add, flags", UNMODELED, ids=range(len(UNMODELED)))
+def test_reader_declines_a_subcommand_it_does_not_model(monkeypatch, add, flags):
+    parser = argparse.ArgumentParser(prog="throwaway")
+    sub = parser.add_subparsers(dest="command", required=True)
+    add(sub.add_parser("odd"))
+    sub.add_parser("plain").add_argument("x")
+    for s in sub.choices.values():
+        s.add_argument("--json", action="store_true")
+    # the reader's tables, compiled by the same code from the throwaway parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    tables = cli._reader_table.__wrapped__()
+    monkeypatch.setattr(cli, "_reader_table", lambda: tables)
+    assert set(tables) == {"plain"}
+    for argv in (["odd", *flags], ["odd", "--json", *flags]):
+        assert parser.parse_args(argv) is not None
+        assert cli._read_argv(argv) is None, argv
+    argv = ["plain", "--json", "a"]
+    assert same(cli._read_argv(argv), parser.parse_args(argv))
+
+
+def test_every_subcommand_has_a_handler():
+    assert set(cli._COMMANDS) == set(SUBPARSERS)
 
 
 @given(ARGVS)

@@ -353,6 +353,26 @@ def test_usage_error():
     assert code == 2
 
 
+def test_the_module_runs_as_a_program():
+    # `python -m setmeans.cli` reaches main through the __main__ guard and
+    # exits with its code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "setmeans.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    done = run("eval", "--mean", "arith", "--json", "{1,2}")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["result"]["value"] == {"num": "3", "den": "2"}
+    # a choice that is not a mean is a usage error; "--me", by contrast, is
+    # argparse's unique abbreviation of --mean, and reads
+    assert run("eval", "--mean", "mode", "{1}").returncode == 2
+    assert run("eval", "--me", "arith", "{1}").returncode == 0
+
+
 def test_no_argv_reads_the_process_argv(monkeypatch):
     # a usage error reports the argv it read, as main does
     monkeypatch.setattr(sys, "argv", ["x", "frobnicate"])
